@@ -7,10 +7,9 @@ row. Training minimizes reconstruction error plus a penalty that keeps
 the two domains' gate vectors from collapsing onto the same views.
 """
 
-from .data import (DenseInteractionView, InteractionDataset, InteractionRecord,
-                   SyntheticSpec, build_dataset, densify, generate_synthetic,
-                   k_core_filter, load_domain, split_counts, synthetic_records,
-                   view_blocks)
+from .data import (InteractionDataset, InteractionRecord, SyntheticSpec,
+                   build_dataset, generate_synthetic, k_core_filter, load_domain,
+                   split_counts, synthetic_records, view_blocks)
 from .errors import (CheckpointError, DataError, MdapError, ParameterError,
                      ParseError, ShapeError, TrainingDivergedError)
 from .evaluation import MetricsReport, evaluate, ndcg_at_k, recall_at_k, top_k
@@ -23,11 +22,11 @@ from .training import (AblationReport, TrainConfig, TrainLog, backward, loss,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AblationReport", "CheckpointError", "DataError", "DenseInteractionView",
-    "ForwardTrace", "InteractionDataset", "InteractionRecord", "MdapError",
-    "MetricsReport", "ModelConfig", "ModelParams", "ParameterError", "ParseError",
-    "Rng", "ShapeError", "SyntheticSpec", "TrainConfig", "TrainLog",
-    "TrainingDivergedError", "backward", "build_dataset", "densify", "evaluate",
+    "AblationReport", "CheckpointError", "DataError", "ForwardTrace",
+    "InteractionDataset", "InteractionRecord", "MdapError", "MetricsReport",
+    "ModelConfig", "ModelParams", "ParameterError", "ParseError", "Rng",
+    "ShapeError", "SyntheticSpec", "TrainConfig", "TrainLog",
+    "TrainingDivergedError", "backward", "build_dataset", "evaluate",
     "forward", "generate_synthetic", "init_params", "k_core_filter",
     "load_checkpoint", "load_domain", "loss", "ndcg_at_k", "recall_at_k",
     "run_ablation", "save_checkpoint", "split_counts", "synthetic_records",

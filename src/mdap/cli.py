@@ -202,11 +202,16 @@ def load_prepared(out: str) -> InteractionDataset:
             raise DataError(f"missing split file {path}")
         pairs = []
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
                 if not line:
                     continue
-                user_id, item_id = line.split("\t")
+                try:
+                    user_id, item_id = line.split("\t")
+                except ValueError:
+                    n_fields = line.count("\t") + 1
+                    raise DataError(f"{path}:{lineno}: expected 2 tab-separated fields, "
+                                    f"got {n_fields}") from None
                 pairs.append((user_id, item_id))
         raw[(domain, split)] = pairs
     users = sorted({u for pairs in raw.values() for u, _ in pairs})

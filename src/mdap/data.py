@@ -259,23 +259,6 @@ def build_dataset(records_s: list[InteractionRecord], records_t: list[Interactio
         threshold=threshold, seed=rng.seed, k_core=k_core)
 
 
-@dataclass
-class DenseInteractionView:
-    """Dense 0/1 matrix of one domain and split, users by items."""
-
-    domain: str
-    split: str
-    matrix: np.ndarray
-
-
-def densify(dataset: InteractionDataset, domain: str, split: str) -> DenseInteractionView:
-    m = np.zeros((dataset.n_users, dataset.n_items(domain)), dtype=np.float64)
-    arr = dataset.pairs[(domain, split)]
-    if arr.size:
-        m[arr[:, 0], arr[:, 1]] = 1.0
-    return DenseInteractionView(domain=domain, split=split, matrix=m)
-
-
 def batch_rows(dataset: InteractionDataset, user_indices: np.ndarray,
                split: str = "train") -> np.ndarray:
     """Concatenated dense rows [domain s | domain t] for a batch of users."""

@@ -6,10 +6,11 @@ domains' items. The rows are L2-normalized and corrupted once by
 dropout; that corrupted input drives both the view-assignment logits
 and the per-view encoder inputs. Soft view assignments come from a
 Gumbel-Softmax over similarity logits between the user rows and a set
-of view anchors in item-embedding space. Each view's masked input is
-encoded by a shared MLP, the per-domain gate mixes the view embeddings,
-and a shared decoder reconstructs the full item space, sliced per
-domain.
+of view anchors in item-embedding space. Each view's masked input
+diag(a_i)·x is encoded by a shared MLP, the per-domain gate mixes the
+view embeddings, and a shared decoder reconstructs each domain's items.
+The masked inputs are never built: view i's first encoder layer is
+a_i ⊙ (x @ enc_w1), so one product serves every view.
 
 Ablations:
   full        complete model
@@ -19,8 +20,9 @@ Ablations:
 """
 
 import json
+import math
 import struct
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -152,32 +154,6 @@ def init_params(config: ModelConfig, n_items_s: int, n_items_t: int, rng: Rng) -
     )
 
 
-def category_logits(params: ModelParams, raw_rows: np.ndarray, keep_prob: float = 1.0,
-                    rng: Rng | None = None, training: bool = False) -> np.ndarray:
-    """Similarity logits between user rows and the view anchors.
-
-    Rows are L2-normalized, dropout-corrupted when training, projected
-    through the normalized item embeddings and matched against the
-    normalized anchors: C = drop(norm(rows)) @ norm(item_emb) @ norm(core_emb)^T.
-    An all-zero row yields an all-zero logit row.
-    """
-    if raw_rows.shape[1] != params.n_items_total:
-        raise ShapeError(
-            f"rows have {raw_rows.shape[1]} columns, params expect {params.n_items_total}")
-    x = row_l2_normalize(raw_rows)
-    if training and keep_prob < 1.0:
-        if rng is None:
-            raise ParameterError("training-mode logits need an Rng for dropout")
-        x = sample_dropout_mask(rng, x.shape[0], x.shape[1], keep_prob).apply(x)
-    return project_logits(x, row_l2_normalize(params.item_emb),
-                          row_l2_normalize(params.core_emb))
-
-
-def project_logits(x: np.ndarray, item_norm: np.ndarray, core_norm: np.ndarray) -> np.ndarray:
-    """C = x @ item_norm @ core_norm^T for pre-normalized operands."""
-    return matmul(matmul(x, item_norm), core_norm.T)
-
-
 def gumbel_softmax_assign(logits: np.ndarray, tau: float, rng: Rng | None = None,
                           training: bool = False, ablation: str = "full",
                           gumbel: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
@@ -202,31 +178,31 @@ def view_inputs(x: np.ndarray, assign: np.ndarray) -> list[np.ndarray]:
     """Per-view masked copies of x: view i is x scaled by assignment column i.
 
     Because assignment rows sum to one, the view inputs sum back to x.
+    forward() never builds them (see encode_rows); ForwardTrace.views
+    does, on access.
     """
     if x.shape[0] != assign.shape[0]:
         raise ShapeError(f"x has {x.shape[0]} rows, assignment has {assign.shape[0]}")
     return [x * assign[:, i:i + 1] for i in range(assign.shape[1])]
 
 
-def encode_rows(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Shared two-layer tanh encoder. Returns (hidden, embedding)."""
-    hidden = np.tanh(matmul(x, params.enc_w1) + params.enc_b1)
-    return hidden, matmul(hidden, params.enc_w2) + params.enc_b2
+def encode_rows(params: ModelParams, enc_proj: np.ndarray,
+                assign: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shared two-layer tanh encoder applied to every view at once.
 
-
-def encode_view(params: ModelParams, r_tilde: np.ndarray, keep_prob: float = 1.0,
-                rng: Rng | None = None, training: bool = False) -> np.ndarray:
-    """Encode one view's input rows, with input dropout when training.
-
-    Inside forward() the corruption already happened upstream on the
-    shared normalized input, so this standalone form is for direct use.
+    enc_proj is x @ enc_w1 for the shared input x. View i's input is
+    diag(a_i)·x, whose first-layer product is a_i ⊙ enc_proj, so no view
+    input is built. Returns (hidden (k, B, h), embeddings (k, B, l)).
     """
-    x = r_tilde
-    if training and keep_prob < 1.0:
-        if rng is None:
-            raise ParameterError("training-mode encoding needs an Rng for dropout")
-        x = sample_dropout_mask(rng, x.shape[0], x.shape[1], keep_prob).apply(x)
-    return encode_rows(params, x)[1]
+    # C order keeps the (k*B, h) reshape below a view, not a copy
+    hidden = np.multiply(assign.T[:, :, None], enc_proj, order="C")
+    hidden += params.enc_b1
+    np.tanh(hidden, out=hidden)
+    # one (k*B, h) product: numpy runs a stacked matmul against a shared
+    # 2-d operand far slower than the equivalent single GEMM
+    k, b, h = hidden.shape
+    emb = matmul(hidden.reshape(k * b, h), params.enc_w2) + params.enc_b2
+    return hidden, emb.reshape(k, b, -1)
 
 
 def gate_weights(params: ModelParams, domain: str, ablation: str = "full") -> np.ndarray:
@@ -244,24 +220,22 @@ def gate_weights(params: ModelParams, domain: str, ablation: str = "full") -> np
     return softmax_rows(params.gate[row:row + 1], 1.0)[0]
 
 
-def combine_views(view_embs: list[np.ndarray], weights: np.ndarray) -> np.ndarray:
-    """Weighted sum of the view embeddings."""
+def combine_views(view_embs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Weighted sum of the view embeddings over the leading view axis."""
     if len(view_embs) != weights.shape[0]:
         raise ShapeError(f"{len(view_embs)} view embeddings vs {weights.shape[0]} weights")
-    z = np.zeros_like(view_embs[0])
-    for w, e in zip(weights, view_embs):
-        z = z + w * e
-    return z
+    return np.tensordot(weights, view_embs, axes=1)
 
 
-def decode(params: ModelParams, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Shared two-layer tanh decoder into the full item space.
+def decode(params: ModelParams, z: np.ndarray, domain: str) -> tuple[np.ndarray, np.ndarray]:
+    """Shared two-layer tanh decoder, read out on one domain's items.
 
-    Returns (hidden, scores over all n_items_s + n_items_t columns);
-    a domain's reconstruction is its column slice of the scores.
+    Returns (hidden, scores over the domain's columns); only those
+    columns of dec_w2 and dec_b2 are multiplied.
     """
+    cols = params.domain_slice(domain)
     hidden = np.tanh(matmul(z, params.dec_w1) + params.dec_b1)
-    return hidden, matmul(hidden, params.dec_w2) + params.dec_b2
+    return hidden, matmul(hidden, params.dec_w2[:, cols]) + params.dec_b2[cols]
 
 
 @dataclass
@@ -285,9 +259,9 @@ class ForwardTrace:
     logits: np.ndarray | None
     gumbel: np.ndarray | None
     assign: np.ndarray
-    views: list[np.ndarray] = field(default_factory=list)
-    enc_hidden: list[np.ndarray] = field(default_factory=list)
-    view_embs: list[np.ndarray] = field(default_factory=list)
+    enc_proj: np.ndarray | None = None    # x @ enc_w1, shared by every view
+    enc_hidden: np.ndarray | None = None  # (k, B, h)
+    view_embs: np.ndarray | None = None   # (k, B, l)
     gate_s: np.ndarray | None = None
     gate_t: np.ndarray | None = None
     z_s: np.ndarray | None = None
@@ -296,6 +270,11 @@ class ForwardTrace:
     dec_hidden_t: np.ndarray | None = None
     recon_s: np.ndarray | None = None
     recon_t: np.ndarray | None = None
+
+    @property
+    def views(self) -> list[np.ndarray]:
+        """The per-view encoder inputs diag(a_i)·x, built on access."""
+        return view_inputs(self.x, self.assign)
 
 
 def forward(params: ModelParams, config: ModelConfig, raw_rows: np.ndarray,
@@ -330,7 +309,6 @@ def forward(params: ModelParams, config: ModelConfig, raw_rows: np.ndarray,
     if config.ablation == "single_view":
         assign = np.ones((b, 1))
         item_norm = core_norm = proj = logits = noise = None
-        views = [x]
     else:
         item_norm = row_l2_normalize(params.item_emb)
         core_norm = row_l2_normalize(params.core_emb)
@@ -338,30 +316,23 @@ def forward(params: ModelParams, config: ModelConfig, raw_rows: np.ndarray,
         logits = matmul(proj, core_norm.T)
         assign, noise = gumbel_softmax_assign(
             logits, config.tau, rng, training, config.ablation, gumbel=gumbel)
-        views = view_inputs(x, assign)
 
-    enc_hidden = []
-    view_embs = []
-    for r_tilde in views:
-        hidden, emb = encode_rows(params, r_tilde)
-        enc_hidden.append(hidden)
-        view_embs.append(emb)
-
+    enc_proj = matmul(x, params.enc_w1)
+    enc_hidden, view_embs = encode_rows(params, enc_proj, assign)
     gate_s = gate_weights(params, "s", config.ablation)
     gate_t = gate_weights(params, "t", config.ablation)
     z_s = combine_views(view_embs, gate_s)
     z_t = combine_views(view_embs, gate_t)
-    dec_hidden_s, scores_s = decode(params, z_s)
-    dec_hidden_t, scores_t = decode(params, z_t)
+    dec_hidden_s, recon_s = decode(params, z_s, "s")
+    dec_hidden_t, recon_t = decode(params, z_t, "t")
 
     return ForwardTrace(
         config=config, training=training, raw_rows=raw_rows, x_norm=x_norm,
         input_mask=mask, x=x, item_norm=item_norm, core_norm=core_norm, proj=proj,
-        logits=logits, gumbel=noise, assign=assign, views=views,
+        logits=logits, gumbel=noise, assign=assign, enc_proj=enc_proj,
         enc_hidden=enc_hidden, view_embs=view_embs, gate_s=gate_s, gate_t=gate_t,
         z_s=z_s, z_t=z_t, dec_hidden_s=dec_hidden_s, dec_hidden_t=dec_hidden_t,
-        recon_s=scores_s[:, params.domain_slice("s")],
-        recon_t=scores_t[:, params.domain_slice("t")])
+        recon_s=recon_s, recon_t=recon_t)
 
 
 def config_to_dict(config: ModelConfig) -> dict:
@@ -403,7 +374,7 @@ def load_checkpoint(path: str) -> tuple[ModelParams, ModelConfig, dict]:
     """Read a checkpoint written by save_checkpoint.
 
     Returns (params, config, extra metadata). Raises CheckpointError on
-    a bad magic, unsupported version, or truncated data.
+    a bad magic, unsupported version, malformed header, or truncated data.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -418,24 +389,28 @@ def load_checkpoint(path: str) -> tuple[ModelParams, ModelConfig, dict]:
     off += 8
     try:
         header = json.loads(raw[off:off + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: corrupt header: {exc}") from exc
+        config = config_from_dict(header["config"])
+        shapes = {name: header["shapes"][name] for name in PARAM_FIELDS}
+        n_items_s, n_items_t = int(header["n_items_s"]), int(header["n_items_t"])
+        extra = header.get("extra", {})
+    except (ValueError, KeyError, TypeError, ParameterError) as exc:
+        # ValueError covers undecodable UTF-8 and JSON as well.
+        raise CheckpointError(f"{path}: corrupt header: {exc!r}") from exc
     off += header_len
-    config = config_from_dict(header["config"])
     arrays = {}
-    for name in PARAM_FIELDS:
-        shape = tuple(header["shapes"][name])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
+    for name, shape in shapes.items():
+        if not (isinstance(shape, list)
+                and all(type(dim) is int and dim >= 0 for dim in shape)):
+            raise CheckpointError(f"{path}: bad shape {shape!r} for field {name}")
+        nbytes = math.prod(shape) * 8
         if off + nbytes > len(raw):
             raise CheckpointError(f"{path}: truncated at field {name}")
         arrays[name] = np.frombuffer(raw[off:off + nbytes], dtype="<f8").reshape(shape).copy()
         off += nbytes
     if off != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - off} trailing bytes")
-    params = ModelParams(n_items_s=int(header["n_items_s"]),
-                         n_items_t=int(header["n_items_t"]), **arrays)
-    return params, config, header.get("extra", {})
+    params = ModelParams(n_items_s=n_items_s, n_items_t=n_items_t, **arrays)
+    return params, config, extra
 
 
 def variant_config(base: ModelConfig, ablation: str) -> ModelConfig:

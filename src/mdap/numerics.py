@@ -121,18 +121,6 @@ def sample_dropout_mask(rng: Rng, rows: int, cols: int, keep_prob: float) -> Dro
     return DropoutMask(keep_prob=keep_prob, mask=mask, scale=1.0 / keep_prob)
 
 
-def dropout(m: np.ndarray, keep_prob: float, rng: Rng | None = None,
-            training: bool = False) -> np.ndarray:
-    """Inverted dropout. Identity when not training or keep_prob is 1."""
-    if not 0.0 < keep_prob <= 1.0:
-        raise ParameterError(f"keep_prob must be in (0, 1], got {keep_prob}")
-    if not training or keep_prob == 1.0:
-        return m
-    if rng is None:
-        raise ParameterError("training-mode dropout needs an Rng")
-    return sample_dropout_mask(rng, m.shape[0], m.shape[1], keep_prob).apply(m)
-
-
 def adam_step(param: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
               t: int, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -60,7 +60,6 @@ def backward(trace, targets_s: np.ndarray, targets_t: np.ndarray,
         raise ParameterError("backward needs a trace from forward(training=True)")
     if trace.raw_rows.shape[1] != params.n_items_total:
         raise ShapeError("trace and params disagree on the item count")
-    k = config.k
     grads = {name: np.zeros_like(arr) for name, arr in params.arrays()}
 
     d_z = {}
@@ -77,8 +76,7 @@ def backward(trace, targets_s: np.ndarray, targets_t: np.ndarray,
         grads["dec_w1"] += z.T @ d_pre
         grads["dec_b1"] += d_pre.sum(axis=0)
         d_z[domain] = d_pre @ params.dec_w1.T
-        gate_recon_grad[domain] = np.array(
-            [float(np.sum(d_z[domain] * trace.view_embs[i])) for i in range(k)])
+        gate_recon_grad[domain] = np.einsum("kbl,bl->k", trace.view_embs, d_z[domain])
 
     # Gate table: reconstruction pull plus the orthogonality coupling,
     # through the softmax Jacobian. Uniform gates (no_gate) are constant.
@@ -88,20 +86,24 @@ def backward(trace, targets_s: np.ndarray, targets_t: np.ndarray,
         grads["gate"][0] = softmax_rows_grad(trace.gate_s[None, :], d_gate_s[None, :])[0]
         grads["gate"][1] = softmax_rows_grad(trace.gate_t[None, :], d_gate_t[None, :])[0]
 
-    d_assign = np.zeros_like(trace.assign)
-    for i in range(k):
-        d_emb = trace.gate_s[i] * d_z["s"] + trace.gate_t[i] * d_z["t"]
-        grads["enc_w2"] += trace.enc_hidden[i].T @ d_emb
-        grads["enc_b2"] += d_emb.sum(axis=0)
-        d_hidden = d_emb @ params.enc_w2.T
-        d_pre = d_hidden * (1.0 - trace.enc_hidden[i] ** 2)
-        grads["enc_w1"] += trace.views[i].T @ d_pre
-        grads["enc_b1"] += d_pre.sum(axis=0)
-        if config.ablation != "single_view":
-            d_view = d_pre @ params.enc_w1.T
-            d_assign[:, i] = np.sum(d_view * trace.x, axis=1)
+    # All k views at once; view and row axes are flattened so each dense
+    # layer is one GEMM. View i's first-layer input is a_i ⊙ (x @ enc_w1),
+    # so the enc_w1 gradient is one x^T product and a_i's gradient is a
+    # row sum against x @ enc_w1.
+    k, b, h = trace.enc_hidden.shape
+    hidden = trace.enc_hidden.reshape(k * b, h)
+    d_emb = (trace.gate_s[:, None, None] * d_z["s"]
+             + trace.gate_t[:, None, None] * d_z["t"]).reshape(k * b, -1)
+    grads["enc_w2"] = hidden.T @ d_emb
+    grads["enc_b2"] = d_emb.sum(axis=0)
+    d_pre = d_emb @ params.enc_w2.T
+    d_pre *= 1.0 - hidden ** 2
+    d_pre = d_pre.reshape(k, b, h)
+    grads["enc_w1"] = trace.x.T @ np.einsum("bk,kbh->bh", trace.assign, d_pre)
+    grads["enc_b1"] = d_pre.sum(axis=(0, 1))
 
     if config.ablation != "single_view":
+        d_assign = np.einsum("kbh,bh->bk", d_pre, trace.enc_proj)
         # Tempered softmax back to the logits; Gumbel noise is additive
         # and constant, so the logit gradient passes straight through.
         d_logits = softmax_rows_grad(trace.assign, d_assign, config.tau)

@@ -254,6 +254,18 @@ def test_exit_code_two_on_bad_inputs(tmp_path):
                "--out", tmp_path / "p") == 2
 
 
+def test_malformed_split_line_names_file(tmp_path, capsys):
+    out = prepared_dir(tmp_path)
+    split = out / "splits" / "s_valid.tsv"
+    lines = split.read_text().splitlines()
+    lines[1] += "\textra"
+    split.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run("train", "--out", out, "--epochs", 1, "--quiet") == 2
+    err = capsys.readouterr().err
+    assert f"{split}:2:" in err and "got 3" in err
+
+
 def test_exit_code_three_on_divergence(tmp_path):
     out = prepared_dir(tmp_path)
     assert run("train", "--out", out, "--epochs", 2, "--patience", 2,

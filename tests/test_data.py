@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mdap.data import (InteractionDataset, InteractionRecord, SyntheticSpec,
-                       batch_rows, build_dataset, densify, generate_synthetic,
+                       batch_rows, build_dataset, generate_synthetic,
                        k_core_filter, load_domain, split_counts,
                        synthetic_records, view_blocks, write_domain_file)
 from mdap.errors import DataError, ParameterError, ParseError
@@ -211,15 +211,17 @@ def test_build_dataset_rejects_empty_domain():
         build_dataset([rec("u1", "s1")], [rec("u1", "t1", 0.1)], Rng(0), threshold=1.0)
 
 
-def test_densify_matches_pairs():
+def test_batch_rows_match_pairs():
     records_s, records_t = two_domain_records()
     ds = build_dataset(records_s, records_t, Rng(1))
-    view = densify(ds, "s", "train")
-    assert view.matrix.shape == (ds.n_users, ds.n_items("s"))
-    expect = np.zeros_like(view.matrix)
-    for u, i in ds.pairs[("s", "train")]:
-        expect[u, i] = 1.0
-    assert np.array_equal(view.matrix, expect)
+    users = np.array([2, 0, 1])
+    rows = batch_rows(ds, users, "train")
+    n_s = ds.n_items("s")
+    expect = np.zeros((ds.n_users, n_s + ds.n_items("t")))
+    for domain, offset in (("s", 0), ("t", n_s)):
+        for u, i in ds.pairs[(domain, "train")]:
+            expect[u, offset + i] = 1.0
+    assert np.array_equal(rows, expect[users])
 
 
 def test_batch_rows_concatenates_domains():

@@ -1,10 +1,13 @@
+import json
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mdap.errors import CheckpointError, ParameterError
-from mdap.model import (ModelConfig, PARAM_FIELDS, category_logits,
+from mdap.model import (ABLATIONS, CHECKPOINT_MAGIC, ModelConfig, PARAM_FIELDS,
                         combine_views, decode, encode_rows, forward,
                         gate_weights, glorot_uniform, gumbel_softmax_assign,
                         init_params, load_checkpoint, save_checkpoint,
@@ -53,10 +56,13 @@ def test_init_params_shapes():
     assert params.gate.shape == (2, 3)
 
 
-def test_category_logits_zero_row_is_zero():
+def test_forward_zero_row_logits_are_zero():
     config, params = toy_params()
-    logits = category_logits(params, np.zeros((1, 11)))
-    assert np.array_equal(logits, np.zeros((1, 3)))
+    x = Rng(4).uniform(3, 11)
+    x[1] = 0.0
+    for training in (False, True):
+        trace = forward(params, config, x, Rng(5), training=training)
+        assert np.array_equal(trace.logits[1], np.zeros(3))
 
 
 def test_assign_eval_closed_form():
@@ -92,15 +98,23 @@ def test_view_inputs_recompose_input():
 
 
 def test_encode_decode_formulas():
-    # tanh hidden layer, linear output layer on both sides
+    # tanh hidden layer, linear output layer on both sides; view i's
+    # encoder input is x scaled by assignment column i
     config, params = toy_params()
     x = Rng(7).uniform(4, 11)
-    hidden, emb = encode_rows(params, x)
-    assert np.allclose(hidden, np.tanh(x @ params.enc_w1 + params.enc_b1))
-    assert np.allclose(emb, hidden @ params.enc_w2 + params.enc_b2)
-    dh, scores = decode(params, emb)
-    assert np.allclose(dh, np.tanh(emb @ params.dec_w1 + params.dec_b1))
-    assert np.allclose(scores, dh @ params.dec_w2 + params.dec_b2)
+    assign = softmax_rows(Rng(8).uniform(4, 3), 1.0)
+    hidden, emb = encode_rows(params, x @ params.enc_w1, assign)
+    assert hidden.shape == (3, 4, 16) and emb.shape == (3, 4, 8)
+    for i in range(3):
+        view = x * assign[:, i:i + 1]
+        assert np.allclose(hidden[i], np.tanh(view @ params.enc_w1 + params.enc_b1))
+        assert np.allclose(emb[i], hidden[i] @ params.enc_w2 + params.enc_b2)
+    z = emb[0]
+    for domain, cols in (("s", slice(0, 6)), ("t", slice(6, 11))):
+        dh, scores = decode(params, z, domain)
+        assert np.allclose(dh, np.tanh(z @ params.dec_w1 + params.dec_b1))
+        assert scores.shape == (4, cols.stop - cols.start)
+        assert np.allclose(scores, (dh @ params.dec_w2 + params.dec_b2)[:, cols])
 
 
 def test_gate_weights_hand_value():
@@ -149,6 +163,65 @@ def test_forward_shared_corruption_feeds_both_paths():
     # the dropped input the views decompose is the one the logits saw
     assert np.max(np.abs(sum(trace.views) - trace.x)) < 1e-9
     assert np.array_equal(trace.x, trace.input_mask.apply(trace.x_norm))
+
+
+def test_forward_without_dropout_keeps_input():
+    config, params = toy_params()
+    x = Rng(4).uniform(5, 11)
+    no_drop = ModelConfig(k=3, embed_dim=8, hidden=16, keep_prob=1.0)
+    for cfg, training in ((config, False), (no_drop, True)):
+        trace = forward(params, cfg, x, Rng(9), training=training)
+        assert trace.input_mask is None
+        assert np.array_equal(trace.x, trace.x_norm)
+
+
+@pytest.mark.parametrize("training", [False, True])
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_forward_matches_per_view_reference(ablation, training):
+    # The factored encoder and per-domain decoder against the paper's
+    # per-view model: encode each view input diag(a_i)·x, mix, decode all
+    # items, then slice each domain.
+    for k in range(1, 6):
+        config, params = toy_params(k=k, seed=k, ablation=ablation)
+        params.gate[:] = Rng(k).uniform(2, params.gate.shape[1])
+        x = (Rng(20 + k).uniform(6, 11) < 0.5).astype(float)
+        x[3] = 0.0
+        trace = forward(params, config, x, Rng(40 + k), training=training)
+        worst = 0.0
+        embs = []
+        for i, view in enumerate(trace.views):
+            hidden = np.tanh(view @ params.enc_w1 + params.enc_b1)
+            embs.append(hidden @ params.enc_w2 + params.enc_b2)
+            worst = max(worst, np.abs(trace.enc_hidden[i] - hidden).max(),
+                        np.abs(trace.view_embs[i] - embs[i]).max())
+        for gate, recon, cols in ((trace.gate_s, trace.recon_s, slice(0, 6)),
+                                  (trace.gate_t, trace.recon_t, slice(6, 11))):
+            z = sum(w * e for w, e in zip(gate, embs))
+            dec_hidden = np.tanh(z @ params.dec_w1 + params.dec_b1)
+            scores = dec_hidden @ params.dec_w2 + params.dec_b2
+            worst = max(worst, np.abs(recon - scores[:, cols]).max())
+        assert worst <= 1e-12, (k, worst)
+
+
+def forward_peak_bytes(k):
+    """Peak traced bytes of one training forward, B = 64 and N = 2000."""
+    config = ModelConfig(k=k, embed_dim=32, hidden=64)
+    params = init_params(config, 1200, 800, Rng(0))
+    x = (Rng(1).uniform(64, 2000) < 0.05).astype(float)
+    tracemalloc.start()
+    try:
+        forward(params, config, x, Rng(2), training=True)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_forward_memory_does_not_scale_with_views_times_items():
+    # No per-view (B, N) input copy: going from 1 to 8 views may add only
+    # per-view (B, hidden) state, well under one (B, N) array.
+    one_array = 64 * 2000 * 8
+    growth = forward_peak_bytes(8) - forward_peak_bytes(1)
+    assert growth < one_array, growth / one_array
 
 
 def test_forward_k1_matches_single_view():
@@ -234,6 +307,62 @@ def test_checkpoint_rejects_corruption(tmp_path):
     padded.write_bytes(blob + b"\x00")
     with pytest.raises(CheckpointError):
         load_checkpoint(str(padded))
+
+
+def rewrite_header(path, edit):
+    """Rewrite a checkpoint's JSON header through edit(header)."""
+    blob = path.read_bytes()
+    off = len(CHECKPOINT_MAGIC) + 4
+    (length,) = struct.unpack_from("<Q", blob, off)
+    header = json.loads(blob[off + 8:off + 8 + length])
+    edit(header)
+    new = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(blob[:off] + struct.pack("<Q", len(new)) + new
+                     + blob[off + 8 + length:])
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda h: h.pop("config"), id="no_config"),
+    pytest.param(lambda h: h.pop("shapes"), id="no_shapes"),
+    pytest.param(lambda h: h.pop("n_items_s"), id="no_n_items_s"),
+    pytest.param(lambda h: h.pop("n_items_t"), id="no_n_items_t"),
+    pytest.param(lambda h: h["shapes"].pop("enc_w1"), id="no_shape_entry"),
+    pytest.param(lambda h: h["config"].update(bogus=1), id="unknown_config_key"),
+    pytest.param(lambda h: h["config"].update(ablation="bogus"), id="bad_config_value"),
+    pytest.param(lambda h: h["shapes"].update(enc_b1=16), id="shape_not_list"),
+    pytest.param(lambda h: h["shapes"].update(enc_b1="16"), id="shape_string"),
+    pytest.param(lambda h: h["shapes"].update(enc_b1=[-16]), id="negative_dim"),
+    pytest.param(lambda h: h.update(n_items_s="six"), id="n_items_not_int"),
+])
+def test_checkpoint_rejects_bad_header(tmp_path, edit):
+    config, params = toy_params()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(str(path), params, config)
+    rewrite_header(path, edit)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(str(path))
+
+
+def test_checkpoint_bit_flips_in_header_raise_checkpoint_error(tmp_path):
+    # Every single-bit flip in the header either still loads or fails
+    # with CheckpointError, never with a stray KeyError/TypeError.
+    config, params = toy_params()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(str(path), params, config, extra={"epoch": 3})
+    blob = path.read_bytes()
+    start = len(CHECKPOINT_MAGIC) + 12
+    (length,) = struct.unpack_from("<Q", blob, start - 8)
+    rejected = 0
+    for pos in range(start, start + length):
+        for bit in range(8):
+            flipped = bytearray(blob)
+            flipped[pos] ^= 1 << bit
+            path.write_bytes(flipped)
+            try:
+                load_checkpoint(str(path))
+            except CheckpointError:
+                rejected += 1
+    assert rejected > 0
 
 
 def test_params_copy_is_deep():

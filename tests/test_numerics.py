@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from mdap.errors import ParameterError, ShapeError
-from mdap.numerics import (DropoutMask, Rng, adam_step, dropout,
-                           gumbel_from_uniform, matmul, row_l2_normalize,
-                           row_l2_normalize_grad, sample_dropout_mask,
-                           sample_gumbel, softmax_rows, softmax_rows_grad)
+from mdap.numerics import (DropoutMask, Rng, adam_step, gumbel_from_uniform,
+                           matmul, row_l2_normalize, row_l2_normalize_grad,
+                           sample_dropout_mask, sample_gumbel, softmax_rows,
+                           softmax_rows_grad)
 
 EULER_MASCHERONI = 0.5772156649015329
 
@@ -168,22 +168,23 @@ def test_softmax_grad_matches_finite_differences():
 
 def test_dropout_identity_cases():
     m = Rng(8).uniform(5, 5)
-    assert np.array_equal(dropout(m, 1.0, Rng(0), training=True), m)
-    assert np.array_equal(dropout(m, 0.5, Rng(0), training=False), m)
+    mask = sample_dropout_mask(Rng(0), 5, 5, 1.0)
+    assert mask.scale == 1.0 and mask.mask.all()
+    assert np.array_equal(mask.apply(m), m)
 
 
 def test_dropout_preserves_expectation():
     m = np.ones((1000, 100))
-    out = dropout(m, 0.5, Rng(21), training=True)
+    out = sample_dropout_mask(Rng(21), 1000, 100, 0.5).apply(m)
     assert set(np.unique(out)).issubset({0.0, 2.0})
     assert abs(float(out.mean()) - 1.0) < 0.01
 
 
 def test_dropout_rejects_bad_keep_prob():
     with pytest.raises(ParameterError):
-        dropout(np.ones((2, 2)), 0.0, Rng(0), training=True)
+        sample_dropout_mask(Rng(0), 2, 2, 0.0)
     with pytest.raises(ParameterError):
-        dropout(np.ones((2, 2)), 1.2, Rng(0), training=True)
+        sample_dropout_mask(Rng(0), 2, 2, 1.2)
 
 
 def test_dropout_mask_apply_matches_scale():
