@@ -22,13 +22,11 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from .data import (InteractionDataset, SyntheticSpec, build_dataset, k_core_filter,
-                   load_domain, synthetic_records, write_domain_file)
+from .data import (InteractionDataset, SyntheticSpec, build_dataset, index_pairs,
+                   k_core_filter, load_domain, synthetic_records, write_domain_file)
 from .errors import DataError, MdapError, ParameterError, TrainingDivergedError
 from .evaluation import evaluate
-from .model import ModelConfig, save_checkpoint
+from .model import ABLATIONS, ModelConfig, save_checkpoint, variant_config
 from .numerics import Rng
 from .training import TrainConfig, run_ablation, train
 from . import __version__
@@ -143,14 +141,14 @@ def run_payload(command: str, options: dict, extra: dict | None = None) -> dict:
     return payload
 
 
-def model_config_from(options: dict, ablation: str | None = None) -> ModelConfig:
+def model_config_from(options: dict) -> ModelConfig:
     dropout = options["dropout"]
     if not 0.0 <= dropout < 1.0:
         raise ParameterError(f"dropout must be in [0, 1), got {dropout}")
     return ModelConfig(
         k=options["k"], embed_dim=options["embed_dim"], hidden=options["hidden"],
         tau=options["tau"], keep_prob=1.0 - dropout, lam=options["lambda"],
-        ablation=ablation if ablation is not None else options["ablation"])
+        ablation=options["ablation"])
 
 
 def train_config_from(options: dict, model: ModelConfig | None = None) -> TrainConfig:
@@ -177,15 +175,26 @@ def write_prepared(out: str, dataset: InteractionDataset, payload: dict):
         "seed": dataset.seed,
         "threshold": dataset.threshold,
         "k_core": dataset.k_core,
-        "n_users": dataset.n_users,
-        "n_items_s": dataset.n_items("s"),
-        "n_items_t": dataset.n_items("t"),
-        "splits": {d: {sp: dataset.split_size(d, sp) for sp in ("train", "valid", "test")}
-                   for d in ("s", "t")},
+        **manifest_sizes(dataset),
         "config_hash": payload["config_hash"],
     }
     write_json(os.path.join(out, "manifest.json"), manifest)
     write_json(os.path.join(out, "config_prepare.json"), payload)
+
+
+def manifest_sizes(dataset: InteractionDataset) -> dict:
+    return {"n_users": dataset.n_users, "n_items_s": dataset.n_items("s"),
+            "n_items_t": dataset.n_items("t"),
+            "splits": {d: {sp: dataset.split_size(d, sp) for sp in ("train", "valid", "test")}
+                       for d in ("s", "t")}}
+
+
+def manifest_field(manifest, path: str, key: str, types: tuple):
+    if not isinstance(manifest, dict) or key not in manifest:
+        raise DataError(f"{path}: missing key {key!r}")
+    if isinstance(manifest[key], bool) or not isinstance(manifest[key], types):
+        raise DataError(f"{path}: bad value for {key!r}: {manifest[key]!r}")
+    return manifest[key]
 
 
 def load_prepared(out: str) -> InteractionDataset:
@@ -194,47 +203,32 @@ def load_prepared(out: str) -> InteractionDataset:
     if not os.path.exists(manifest_path):
         raise DataError(f"{out} has no manifest.json; run prepare first")
     with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    raw: dict[tuple[str, str], list[tuple[str, str]]] = {}
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{manifest_path}: {exc}") from None
+    threshold = manifest_field(manifest, manifest_path, "threshold", (int, float))
+    seed = manifest_field(manifest, manifest_path, "seed", (int, type(None)))
+    k_core = manifest_field(manifest, manifest_path, "k_core", (int,))
+    raw: dict[tuple[str, str], list[list[str]]] = {}
     for domain, split in SPLIT_FILES:
         path = split_file_path(out, domain, split)
         if not os.path.exists(path):
             raise DataError(f"missing split file {path}")
-        pairs = []
         with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                try:
-                    user_id, item_id = line.split("\t")
-                except ValueError:
-                    n_fields = line.count("\t") + 1
-                    raise DataError(f"{path}:{lineno}: expected 2 tab-separated fields, "
-                                    f"got {n_fields}") from None
-                pairs.append((user_id, item_id))
-        raw[(domain, split)] = pairs
-    users = sorted({u for pairs in raw.values() for u, _ in pairs})
-    user_index = {u: idx for idx, u in enumerate(users)}
-    dataset_pairs = {}
-    items = {}
-    for domain in ("s", "t"):
-        ids = sorted({i for sp in ("train", "valid", "test")
-                      for _, i in raw[(domain, sp)]})
-        items[domain] = ids
-        item_index = {i: idx for idx, i in enumerate(ids)}
-        for split in ("train", "valid", "test"):
-            dataset_pairs[(domain, split)] = np.asarray(
-                [[user_index[u], item_index[i]] for u, i in raw[(domain, split)]],
-                dtype=np.int64).reshape(-1, 2)
-    dataset = InteractionDataset(
-        users, items["s"], items["t"], dataset_pairs,
-        threshold=manifest["threshold"], seed=manifest["seed"],
-        k_core=manifest["k_core"])
-    for domain in ("s", "t"):
-        for split in ("train", "valid", "test"):
-            if dataset.split_size(domain, split) != manifest["splits"][domain][split]:
-                raise DataError(f"split {domain}/{split} does not match the manifest")
+            rows = [line.rstrip("\n").split("\t") for line in fh]
+        for lineno, fields in enumerate(rows, start=1):
+            if len(fields) != 2 and fields != [""]:
+                raise DataError(f"{path}:{lineno}: expected 2 tab-separated fields, "
+                                f"got {len(fields)}")
+        raw[(domain, split)] = [fields for fields in rows if len(fields) == 2]
+    users, items, pairs = index_pairs(raw)
+    dataset = InteractionDataset(users, items["s"], items["t"], pairs,
+                                 threshold=threshold, seed=seed, k_core=k_core)
+    for key, size in manifest_sizes(dataset).items():
+        if manifest.get(key) != size:
+            raise DataError(f"{manifest_path}: {key} is {manifest.get(key)!r}, "
+                            f"but the split files give {size!r}")
     return dataset
 
 
@@ -311,7 +305,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         tag = name.lower().replace("-", "_")
         log.write(os.path.join(args.out, "logs", f"ablation_{tag}.jsonl"))
         save_checkpoint(os.path.join(args.out, "checkpoints", f"ablation_{tag}.ckpt"),
-                        params, model_config_from(options, ablation=row["ablation"]),
+                        params, variant_config(config.model, row["ablation"]),
                         extra={"config_hash": payload["config_hash"], "seed": config.seed})
     write_json(os.path.join(args.out, "reports", "ablation.json"),
                {**report.to_dict(), "config_hash": payload["config_hash"]})
@@ -460,7 +454,7 @@ def add_shared_options(parser: argparse.ArgumentParser, names: list[str]):
         kwargs = {"type": typ, "default": None, "dest": name,
                   "help": f"{flag_help[name]} (default {default})"}
         if name == "ablation":
-            kwargs["choices"] = ("full", "no_gumbel", "single_view", "no_gate")
+            kwargs["choices"] = ABLATIONS
             del kwargs["type"]
         parser.add_argument("--" + name.replace("_", "-"), **kwargs)
 

@@ -11,6 +11,7 @@ the split ratios, with at least one training interaction guaranteed.
 import logging
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -34,8 +35,8 @@ class InteractionRecord:
     timestamp: int | None = None
 
     def __post_init__(self):
-        if not self.user_id or not self.item_id:
-            raise DataError("user_id and item_id must be non-empty")
+        if not self.user_id or not self.item_id or "\0" in self.user_id + self.item_id:
+            raise DataError("user_id and item_id must be non-empty and hold no NUL")
 
 
 def load_domain(path: str, delimiter: str = "\t", strict: bool = True) -> list[InteractionRecord]:
@@ -60,8 +61,8 @@ def load_domain(path: str, delimiter: str = "\t", strict: bool = True) -> list[I
                 problem = f"expected 3 or 4 fields, got {len(fields)}"
             else:
                 user_id, item_id = fields[0].strip(), fields[1].strip()
-                if not user_id or not item_id:
-                    problem = "empty user or item id"
+                if not user_id or not item_id or "\0" in user_id + item_id:
+                    problem = "empty user or item id, or one holding NUL"
                 else:
                     try:
                         rating = float(fields[2])
@@ -138,12 +139,39 @@ def split_counts(n: int, ratios: tuple[float, float, float] = DEFAULT_RATIOS) ->
     return counts[0], counts[1], counts[2]
 
 
+def index_pairs(id_pairs: dict[tuple[str, ...], list[tuple[str, str]]]) -> tuple[
+        list[str], dict[str, list[str]], dict[tuple[str, ...], np.ndarray]]:
+    """Index string id pairs: the one place the id order is decided.
+
+    id_pairs maps keys whose first element is a domain, e.g. (domain,
+    split), to (user id, item id) pairs. Users are indexed over all keys,
+    items per domain, both in lexicographic id order. Returns (users,
+    items by domain, int64 (n, 2) index pairs under each key).
+    """
+    id_pairs = {key: np.asarray(ids, dtype=str).reshape(-1, 2) for key, ids in id_pairs.items()}
+
+    def vocabulary(keys: list, col: int) -> tuple[list[str], dict]:
+        vocab, codes = np.unique(np.concatenate([id_pairs[key][:, col] for key in keys]),
+                                 return_inverse=True)
+        bounds = np.cumsum([len(id_pairs[key]) for key in keys])[:-1]
+        return vocab.tolist(), dict(zip(keys, np.split(codes.astype(np.int64), bounds)))
+
+    users, user_codes = vocabulary(list(id_pairs), 0)
+    items, indexed = {}, {}
+    for domain in DOMAINS:
+        items[domain], item_codes = vocabulary([k for k in id_pairs if k[0] == domain], 1)
+        for key, codes in item_codes.items():
+            indexed[key] = np.stack([user_codes[key], codes], axis=1)
+    return users, items, indexed
+
+
 class InteractionDataset:
     """Immutable indexed dataset over two domains with fixed splits.
 
     Split membership is stored as (user_index, item_index) pair arrays
-    per domain and split, sorted lexicographically. Treat instances as
-    read-only; all derived structures are cached.
+    per domain and split, sorted lexicographically; user u owns rows
+    offsets[key][u]:offsets[key][u + 1] of pairs[key]. Treat instances
+    as read-only.
     """
 
     def __init__(self, users: list[str], items_s: list[str], items_t: list[str],
@@ -157,31 +185,29 @@ class InteractionDataset:
         self.pairs: dict[tuple[str, str], np.ndarray] = {}
         for domain in DOMAINS:
             for split in SPLITS:
-                arr = np.asarray(pairs.get((domain, split), np.zeros((0, 2), dtype=np.int64)),
-                                 dtype=np.int64).reshape(-1, 2)
+                arr = np.asarray(pairs.get((domain, split), ()), dtype=np.int64).reshape(-1, 2)
                 order = np.lexsort((arr[:, 1], arr[:, 0]))
                 self.pairs[(domain, split)] = arr[order]
-        self._user_item_cache: dict[tuple[str, str], list[np.ndarray]] = {}
         self._validate()
+        self.offsets = {key: np.searchsorted(arr[:, 0], np.arange(self.n_users + 1))
+                        for key, arr in self.pairs.items()}
 
     def _validate(self):
         n_users = len(self.users)
         for domain in DOMAINS:
             n_items = len(self.items[domain])
-            seen: set[tuple[int, int]] = set()
-            for split in SPLITS:
-                arr = self.pairs[(domain, split)]
+            arrays = [self.pairs[(domain, split)] for split in SPLITS]
+            for split, arr in zip(SPLITS, arrays):
                 if arr.size:
                     if arr[:, 0].min() < 0 or arr[:, 0].max() >= n_users:
                         raise DataError(f"user index out of range in {domain}/{split}")
                     if arr[:, 1].min() < 0 or arr[:, 1].max() >= n_items:
                         raise DataError(f"item index out of range in {domain}/{split}")
-                for u, i in arr:
-                    key = (int(u), int(i))
-                    if key in seen:
-                        raise DataError(
-                            f"pair {key} appears in more than one split of domain {domain}")
-                    seen.add(key)
+            codes = np.sort(np.concatenate([arr[:, 0] * n_items + arr[:, 1] for arr in arrays]))
+            repeated = codes[1:][codes[1:] == codes[:-1]]
+            if repeated.size:
+                key = divmod(int(repeated[0]), n_items)
+                raise DataError(f"pair {key} appears more than once in domain {domain}")
 
     @property
     def n_users(self) -> int:
@@ -196,12 +222,7 @@ class InteractionDataset:
     def user_item_arrays(self, domain: str, split: str) -> list[np.ndarray]:
         """Per-user sorted item index arrays for one domain and split."""
         key = (domain, split)
-        if key not in self._user_item_cache:
-            buckets: list[list[int]] = [[] for _ in range(self.n_users)]
-            for u, i in self.pairs[key]:
-                buckets[int(u)].append(int(i))
-            self._user_item_cache[key] = [np.asarray(b, dtype=np.int64) for b in buckets]
-        return self._user_item_cache[key]
+        return np.split(self.pairs[key][:, 1], self.offsets[key][1:-1])
 
 
 def build_dataset(records_s: list[InteractionRecord], records_t: list[InteractionRecord],
@@ -218,61 +239,54 @@ def build_dataset(records_s: list[InteractionRecord], records_t: list[Interactio
     """
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ParameterError(f"split ratios must sum to 1, got {ratios}")
-    by_domain: dict[str, dict[str, set[str]]] = {}
+    positive: dict[tuple[str, ...], np.ndarray] = {}
     for domain, records in (("s", records_s), ("t", records_t)):
-        per_user: dict[str, set[str]] = {}
-        for r in records:
-            if r.rating >= threshold:
-                per_user.setdefault(r.user_id, set()).add(r.item_id)
-        if not per_user:
+        rating = np.fromiter(map(attrgetter("rating"), records), np.float64, len(records))
+        ids = np.asarray(list(map(attrgetter("user_id", "item_id"), records)), dtype=str)
+        positive[(domain,)] = ids.reshape(-1, 2)[rating >= threshold]
+        if not len(positive[(domain,)]):
             raise DataError(f"domain {domain} has no interactions at threshold {threshold}")
-        by_domain[domain] = per_user
+    users, items, indexed = index_pairs(positive)
 
-    users = sorted(set(by_domain["s"]) | set(by_domain["t"]))
-    user_index = {u: idx for idx, u in enumerate(users)}
-    items = {d: sorted({i for its in by_domain[d].values() for i in its}) for d in DOMAINS}
-    item_index = {d: {i: idx for idx, i in enumerate(items[d])} for d in DOMAINS}
-
-    pairs: dict[tuple[str, str], list[list[int]]] = {
-        (d, sp): [] for d in DOMAINS for sp in SPLITS}
+    pairs: dict[tuple[str, str], np.ndarray] = {}
     for domain in DOMAINS:
-        for user in users:
-            owned = by_domain[domain].get(user)
-            if not owned:
-                continue
-            idx = sorted(item_index[domain][i] for i in owned)
-            n = len(idx)
-            n_train, n_valid, n_test = split_counts(n, ratios)
-            perm = rng.permutation(n)
-            shuffled = [idx[p] for p in perm]
-            u = user_index[user]
-            for item in shuffled[:n_train]:
-                pairs[(domain, "train")].append([u, item])
-            for item in shuffled[n_train:n_train + n_valid]:
-                pairs[(domain, "valid")].append([u, item])
-            for item in shuffled[n_train + n_valid:]:
-                pairs[(domain, "test")].append([u, item])
+        # (user, item) codes sorted, duplicates dropped: each user's items
+        # become one slice in item order
+        n_items = len(items[domain])
+        coded = indexed[(domain,)]
+        code = np.sort(coded[:, 0] * n_items + coded[:, 1])
+        code = code[np.diff(code, prepend=-1) != 0]
+        owned = np.stack(np.divmod(code, n_items), axis=1)
+        starts = np.searchsorted(owned[:, 0], np.arange(len(users) + 1))
+        # one permutation per user with items, in user order, domain s
+        # before t: this call order fixes the split files for a seed
+        label = np.empty(len(owned), dtype=np.int64)
+        for start, n in zip(starts[:-1].tolist(), np.diff(starts).tolist()):
+            if n:
+                label[start + rng.permutation(n)] = np.repeat(
+                    np.arange(len(SPLITS)), split_counts(n, ratios))
+        for j, split in enumerate(SPLITS):
+            pairs[(domain, split)] = owned[label == j]
 
     return InteractionDataset(
-        users, items["s"], items["t"],
-        {key: np.asarray(val, dtype=np.int64) for key, val in pairs.items()},
+        users, items["s"], items["t"], pairs,
         threshold=threshold, seed=rng.seed, k_core=k_core)
 
 
 def batch_rows(dataset: InteractionDataset, user_indices: np.ndarray,
                split: str = "train") -> np.ndarray:
     """Concatenated dense rows [domain s | domain t] for a batch of users."""
-    n_s = dataset.n_items("s")
-    n_t = dataset.n_items("t")
-    rows = np.zeros((len(user_indices), n_s + n_t), dtype=np.float64)
-    items_s = dataset.user_item_arrays("s", split)
-    items_t = dataset.user_item_arrays("t", split)
-    for pos, u in enumerate(user_indices):
-        u = int(u)
-        if items_s[u].size:
-            rows[pos, items_s[u]] = 1.0
-        if items_t[u].size:
-            rows[pos, n_s + items_t[u]] = 1.0
+    users = np.asarray(user_indices, dtype=np.int64)
+    rows = np.zeros((len(users), dataset.n_items("s") + dataset.n_items("t")))
+    col0 = 0
+    for domain in DOMAINS:
+        key = (domain, split)
+        start = dataset.offsets[key][users]
+        counts = dataset.offsets[key][users + 1] - start
+        # rows of pairs[key] holding each batch user's items, user by user
+        at = np.arange(counts.sum()) + np.repeat(start - np.cumsum(counts) + counts, counts)
+        rows[np.repeat(np.arange(len(users)), counts), col0 + dataset.pairs[key][at, 1]] = 1.0
+        col0 += dataset.n_items(domain)
     return rows
 
 
@@ -311,15 +325,7 @@ def view_blocks(n_items: int, k_true: int) -> list[np.ndarray]:
     if k_true < 1 or n_items < k_true:
         raise ParameterError(
             f"cannot split {n_items} items into {k_true} non-empty blocks")
-    base = n_items // k_true
-    extra = n_items % k_true
-    blocks = []
-    start = 0
-    for b in range(k_true):
-        size = base + (1 if b < extra else 0)
-        blocks.append(np.arange(start, start + size, dtype=np.int64))
-        start += size
-    return blocks
+    return np.array_split(np.arange(n_items, dtype=np.int64), k_true)
 
 
 def synthetic_records(spec: SyntheticSpec, rng: Rng) -> tuple[

@@ -415,6 +415,4 @@ def load_checkpoint(path: str) -> tuple[ModelParams, ModelConfig, dict]:
 
 def variant_config(base: ModelConfig, ablation: str) -> ModelConfig:
     """Base config re-targeted at an ablation (single_view drops k to 1)."""
-    if ablation == "single_view":
-        return replace(base, ablation=ablation, k=1)
     return replace(base, ablation=ablation)

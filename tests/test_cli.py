@@ -2,11 +2,14 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
-from mdap.cli import (OPTION_TABLE, PRESETS, build_parser, main,
+from mdap.cli import (OPTION_TABLE, PRESETS, build_parser, load_prepared, main,
                       parse_config_file, parse_grid, resolve_options)
+from mdap.data import build_dataset, load_domain
 from mdap.errors import ParameterError
+from mdap.numerics import Rng
 
 
 def file_hash(path):
@@ -264,6 +267,39 @@ def test_malformed_split_line_names_file(tmp_path, capsys):
     assert run("train", "--out", out, "--epochs", 1, "--quiet") == 2
     err = capsys.readouterr().err
     assert f"{split}:2:" in err and "got 3" in err
+
+
+def drop_splits_t(manifest):
+    del manifest["splits"]["t"]
+    return json.dumps(manifest)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: json.dumps([m]),
+    lambda m: json.dumps({**m, "threshold": None}),
+    drop_splits_t,
+    lambda m: json.dumps({**m, "n_users": m["n_users"] + 1}),
+    lambda m: json.dumps(m)[:-2],
+], ids=["list", "null-threshold", "no-splits-t", "n-users-off-by-one", "truncated"])
+def test_malformed_manifest_names_file(tmp_path, capsys, edit):
+    out = prepared_dir(tmp_path)
+    path = out / "manifest.json"
+    path.write_text(edit(json.loads(path.read_text())))
+    capsys.readouterr()
+    assert run("train", "--out", out, "--epochs", 1, "--quiet") == 2
+    err = capsys.readouterr().err
+    assert "manifest.json" in err and "Traceback" not in err
+
+
+def test_load_prepared_rebuilds_the_prepared_dataset(tmp_path):
+    out = prepared_dir(tmp_path, seed=5)
+    syn = tmp_path / "syn"
+    built = build_dataset(load_domain(str(syn / "domain_s.tsv")),
+                          load_domain(str(syn / "domain_t.tsv")), Rng(5))
+    loaded = load_prepared(str(out))
+    assert loaded.users == built.users and loaded.items == built.items
+    for key in built.pairs:
+        assert np.array_equal(loaded.pairs[key], built.pairs[key]), key
 
 
 def test_exit_code_three_on_divergence(tmp_path):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mdap.data import (InteractionDataset, InteractionRecord, SyntheticSpec,
+from mdap.data import (SPLITS, InteractionDataset, InteractionRecord, SyntheticSpec,
                        batch_rows, build_dataset, generate_synthetic,
                        k_core_filter, load_domain, split_counts,
                        synthetic_records, view_blocks, write_domain_file)
@@ -21,6 +21,8 @@ def test_record_rejects_empty_ids():
         InteractionRecord("", "i1", 1.0)
     with pytest.raises(DataError):
         InteractionRecord("u1", "", 1.0)
+    with pytest.raises(DataError):  # numpy strings would drop a trailing NUL
+        InteractionRecord("u1\0", "i1", 1.0)
 
 
 def test_load_domain_parses_comments_blanks_timestamps(tmp_path):
@@ -40,11 +42,11 @@ def test_load_domain_parses_comments_blanks_timestamps(tmp_path):
 
 def test_load_domain_strict_reports_line_numbers(tmp_path):
     path = tmp_path / "d.tsv"
-    path.write_text("u1\ti1\t1.0\nhalf a line\nu2\ti2\tNaN\nu3\ti3\tx\n")
+    path.write_text("u1\ti1\t1.0\nhalf a line\nu2\ti2\tNaN\nu3\ti3\tx\nu4\0\ti4\t1\n")
     with pytest.raises(ParseError) as err:
         load_domain(str(path))
     msg = str(err.value)
-    assert "line 2" in msg and "line 3" in msg and "line 4" in msg
+    assert "line 2" in msg and "line 3" in msg and "line 4" in msg and "line 5" in msg
 
 
 def test_load_domain_strict_caps_report_at_ten_lines(tmp_path):
@@ -211,6 +213,67 @@ def test_build_dataset_rejects_empty_domain():
         build_dataset([rec("u1", "s1")], [rec("u1", "t1", 0.1)], Rng(0), threshold=1.0)
 
 
+def build_dataset_reference(records_s, records_t, rng, threshold, ratios):
+    """Per-user split assignment with Python lists: build_dataset's oracle.
+
+    Returns (users, items by domain, sorted pair lists by (domain, split)).
+    """
+    by_domain = {}
+    for domain, records in (("s", records_s), ("t", records_t)):
+        by_domain[domain] = {}
+        for r in records:
+            if r.rating >= threshold:
+                by_domain[domain].setdefault(r.user_id, set()).add(r.item_id)
+    users = sorted(set(by_domain["s"]) | set(by_domain["t"]))
+    items = {d: sorted({i for its in by_domain[d].values() for i in its}) for d in ("s", "t")}
+    pairs = {(d, sp): [] for d in ("s", "t") for sp in SPLITS}
+    for domain in ("s", "t"):
+        item_index = {i: idx for idx, i in enumerate(items[domain])}
+        for u, user in enumerate(users):
+            owned = by_domain[domain].get(user)
+            if not owned:
+                continue
+            idx = sorted(item_index[i] for i in owned)
+            n_train, n_valid, _ = split_counts(len(idx), ratios)
+            shuffled = [idx[p] for p in rng.permutation(len(idx))]
+            pairs[(domain, "train")] += [[u, i] for i in shuffled[:n_train]]
+            pairs[(domain, "valid")] += [[u, i] for i in shuffled[n_train:n_train + n_valid]]
+            pairs[(domain, "test")] += [[u, i] for i in shuffled[n_train + n_valid:]]
+    return users, items, {key: sorted(val) for key, val in pairs.items()}
+
+
+def awkward_records(seed):
+    """Records with unpadded ids (lexicographic order differs from
+    numeric), single-domain users, one-item users, duplicate records and
+    users whose every rating falls below threshold 1.0."""
+    rng = np.random.default_rng(seed)
+    records = {"s": [], "t": []}
+    for u in range(40):
+        for domain, n_items in (("s", 25), ("t", 12)):
+            if (domain == "s" and u % 5 == 1) or (domain == "t" and u % 5 == 2):
+                continue  # single-domain users
+            n = 1 if u % 7 == 3 else int(rng.integers(1, 15))
+            for i in rng.integers(0, n_items, n):
+                rating = 0.5 if u % 11 == 4 else float(rng.choice([0.5, 1.0, 3.0]))
+                records[domain].append(rec(f"u{u}", f"{domain}{i}", rating))
+        if u % 3 == 0:
+            records["s"].append(records["s"][-1])  # exact duplicate
+    return records["s"], records["t"]
+
+
+@pytest.mark.parametrize("ratios", [(0.8, 0.1, 0.1), (0.5, 0.3, 0.2)])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+def test_build_dataset_matches_per_user_reference(seed, ratios):
+    records_s, records_t = awkward_records(seed)
+    ds = build_dataset(records_s, records_t, Rng(seed), threshold=1.0, ratios=ratios)
+    users, items, pairs = build_dataset_reference(records_s, records_t, Rng(seed), 1.0, ratios)
+    assert list(ds.users) == users
+    assert "u4" not in users  # every rating below threshold
+    assert {d: list(ds.items[d]) for d in ("s", "t")} == items
+    for key, expect in pairs.items():
+        assert ds.pairs[key].tolist() == expect, key
+
+
 def test_batch_rows_match_pairs():
     records_s, records_t = two_domain_records()
     ds = build_dataset(records_s, records_t, Rng(1))
@@ -317,11 +380,34 @@ def test_generate_synthetic_builds_consistent_dataset():
                 assert pairs[:, 1].max() < ds.n_items(domain)
 
 
-def test_dataset_validates_cross_split_overlap():
+@pytest.mark.parametrize("bad, message", [
+    ({("s", "valid"): [[0, 0]]}, r"pair \(0, 0\) appears"),
+    ({("s", "train"): [[0, 0], [0, 0]]}, r"pair \(0, 0\) appears"),
+    ({("t", "test"): [[1, 0]]}, "user index out of range"),
+    ({("t", "valid"): [[0, 1]]}, "item index out of range"),
+], ids=["cross-split", "within-split", "user-range", "item-range"])
+def test_dataset_validates_cross_split_overlap(bad, message):
     pairs = {(d, sp): np.zeros((0, 2), dtype=np.int64)
              for d in ("s", "t") for sp in ("train", "valid", "test")}
     pairs[("s", "train")] = np.array([[0, 0]], dtype=np.int64)
-    pairs[("s", "valid")] = np.array([[0, 0]], dtype=np.int64)
     pairs[("t", "train")] = np.array([[0, 0]], dtype=np.int64)
-    with pytest.raises(DataError):
+    pairs.update({key: np.array(val, dtype=np.int64) for key, val in bad.items()})
+    with pytest.raises(DataError, match=message):
         InteractionDataset(["u1"], ["s1"], ["t1"], pairs)
+
+
+def test_user_item_arrays_match_bucket_loop(fixture_dataset):
+    ds = fixture_dataset
+    for domain in ("s", "t"):
+        for split in SPLITS:
+            buckets = [[] for _ in range(ds.n_users)]
+            for u, i in ds.pairs[(domain, split)]:
+                buckets[int(u)].append(int(i))
+            got = ds.user_item_arrays(domain, split)
+            assert len(got) == ds.n_users
+            assert [a.tolist() for a in got] == buckets
+            assert all(a.dtype == np.int64 for a in got)
+            assert got[-1].tolist() == buckets[-1]
+    # single-domain users own nothing in the other domain
+    assert any(not a.size for a in ds.user_item_arrays("s", "train"))
+    assert any(not a.size for a in ds.user_item_arrays("t", "train"))
