@@ -7,7 +7,7 @@ row. Training minimizes reconstruction error plus a penalty that keeps
 the two domains' gate vectors from collapsing onto the same views.
 """
 
-from .data import (InteractionDataset, InteractionRecord, SyntheticSpec,
+from .data import (InteractionDataset, SyntheticSpec,
                    build_dataset, generate_synthetic, k_core_filter, load_domain,
                    split_counts, synthetic_records, view_blocks)
 from .errors import (CheckpointError, DataError, MdapError, ParameterError,
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AblationReport", "CheckpointError", "DataError", "ForwardTrace",
-    "InteractionDataset", "InteractionRecord", "MdapError", "MetricsReport",
+    "InteractionDataset", "MdapError", "MetricsReport",
     "ModelConfig", "ModelParams", "ParameterError", "ParseError", "Rng",
     "ShapeError", "SyntheticSpec", "TrainConfig", "TrainLog",
     "TrainingDivergedError", "backward", "build_dataset", "evaluate",

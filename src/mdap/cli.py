@@ -23,7 +23,8 @@ import os
 import sys
 
 from .data import (InteractionDataset, SyntheticSpec, build_dataset, index_pairs,
-                   k_core_filter, load_domain, synthetic_records, write_domain_file)
+                   k_core_filter, load_domain, read_text, synthetic_records,
+                   write_domain_file)
 from .errors import DataError, MdapError, ParameterError, TrainingDivergedError
 from .evaluation import evaluate
 from .model import ABLATIONS, ModelConfig, save_checkpoint, variant_config
@@ -72,18 +73,17 @@ SPLIT_FILES = [(d, sp) for d in ("s", "t") for sp in ("train", "valid", "test")]
 def parse_config_file(path: str) -> dict[str, str]:
     """Read a flat key=value options file. '#' starts a comment."""
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParameterError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            key = key.strip().replace("-", "_")
-            if key not in OPTION_TABLE:
-                raise ParameterError(f"{path}:{lineno}: unknown option {key!r}")
-            values[key] = value.strip()
+    for lineno, raw in enumerate(read_text(path, ParameterError).split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParameterError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, value = line.split("=", 1)
+        key = key.strip().replace("-", "_")
+        if key not in OPTION_TABLE:
+            raise ParameterError(f"{path}:{lineno}: unknown option {key!r}")
+        values[key] = value.strip()
     return values
 
 
@@ -165,12 +165,12 @@ def split_file_path(out: str, domain: str, split: str) -> str:
 
 def write_prepared(out: str, dataset: InteractionDataset, payload: dict):
     os.makedirs(os.path.join(out, "splits"), exist_ok=True)
+    users = dataset.users
     for domain, split in SPLIT_FILES:
-        users = dataset.users
         items = dataset.items[domain]
         with open(split_file_path(out, domain, split), "w", encoding="utf-8") as fh:
-            for u, i in dataset.pairs[(domain, split)]:
-                fh.write(f"{users[int(u)]}\t{items[int(i)]}\n")
+            fh.writelines(f"{users[u]}\t{items[i]}\n"
+                          for u, i in dataset.pairs[(domain, split)].tolist())
     manifest = {
         "seed": dataset.seed,
         "threshold": dataset.threshold,
@@ -202,11 +202,10 @@ def load_prepared(out: str) -> InteractionDataset:
     manifest_path = os.path.join(out, "manifest.json")
     if not os.path.exists(manifest_path):
         raise DataError(f"{out} has no manifest.json; run prepare first")
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{manifest_path}: {exc}") from None
+    try:
+        manifest = json.loads(read_text(manifest_path, DataError))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{manifest_path}: {exc}") from None
     threshold = manifest_field(manifest, manifest_path, "threshold", (int, float))
     seed = manifest_field(manifest, manifest_path, "seed", (int, type(None)))
     k_core = manifest_field(manifest, manifest_path, "k_core", (int,))
@@ -215,8 +214,7 @@ def load_prepared(out: str) -> InteractionDataset:
         path = split_file_path(out, domain, split)
         if not os.path.exists(path):
             raise DataError(f"missing split file {path}")
-        with open(path, "r", encoding="utf-8") as fh:
-            rows = [line.rstrip("\n").split("\t") for line in fh]
+        rows = [line.split("\t") for line in read_text(path, DataError).split("\n")]
         for lineno, fields in enumerate(rows, start=1):
             if len(fields) != 2 and fields != [""]:
                 raise DataError(f"{path}:{lineno}: expected 2 tab-separated fields, "
@@ -238,26 +236,25 @@ def cmd_synth(args: argparse.Namespace) -> int:
         n_users=options["n_users"], n_items_s=options["n_items_s"],
         n_items_t=options["n_items_t"], k_true=options["k_true"],
         overlap=options["overlap"], noise=options["noise"])
-    records_s, records_t, planted = synthetic_records(spec, Rng(options["seed"]).derive(0))
+    domain_s, domain_t, planted = synthetic_records(spec, Rng(options["seed"]).derive(0))
     payload = run_payload("synth", options)
     os.makedirs(args.out, exist_ok=True)
-    write_domain_file(os.path.join(args.out, "domain_s.tsv"), records_s)
-    write_domain_file(os.path.join(args.out, "domain_t.tsv"), records_t)
+    write_domain_file(os.path.join(args.out, "domain_s.tsv"), domain_s)
+    write_domain_file(os.path.join(args.out, "domain_t.tsv"), domain_t)
     with open(os.path.join(args.out, "planted_views.tsv"), "w", encoding="utf-8") as fh:
         for uid in sorted(planted):
             fh.write(f"{uid}\t{planted[uid]}\n")
     write_json(os.path.join(args.out, "config_synth.json"), payload)
-    print(f"wrote {len(records_s)} + {len(records_t)} interactions to {args.out}")
+    print(f"wrote {len(domain_s[0])} + {len(domain_t[0])} interactions to {args.out}")
     return 0
 
 
 def cmd_prepare(args: argparse.Namespace) -> int:
     options = resolve_options(args)
-    records_s = load_domain(args.domain_s, strict=args.strict)
-    records_t = load_domain(args.domain_t, strict=args.strict)
-    records_s = k_core_filter(records_s, options["min_interactions"])
-    records_t = k_core_filter(records_t, options["min_interactions"])
-    dataset = build_dataset(records_s, records_t, Rng(options["seed"]),
+    domain_s, domain_t = (k_core_filter(load_domain(path, strict=args.strict),
+                                        options["min_interactions"])
+                          for path in (args.domain_s, args.domain_t))
+    dataset = build_dataset(domain_s, domain_t, Rng(options["seed"]),
                             threshold=options["threshold"],
                             k_core=options["min_interactions"])
     payload = run_payload("prepare", options,
@@ -524,7 +521,7 @@ def main(argv: list[str] | None = None) -> int:
     except TrainingDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (MdapError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (MdapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,11 +11,10 @@ the split ratios, with at least one training interaction guaranteed.
 import logging
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
-from .errors import DataError, ParameterError, ParseError
+from .errors import DataError, MdapError, ParameterError, ParseError
 from .numerics import Rng
 
 log = logging.getLogger(__name__)
@@ -25,91 +24,92 @@ SPLITS = ("train", "valid", "test")
 DEFAULT_RATIOS = (0.8, 0.1, 0.1)
 
 
-@dataclass(frozen=True)
-class InteractionRecord:
-    """One observed user-item interaction."""
-
-    user_id: str
-    item_id: str
-    rating: float
-    timestamp: int | None = None
-
-    def __post_init__(self):
-        if not self.user_id or not self.item_id or "\0" in self.user_id + self.item_id:
-            raise DataError("user_id and item_id must be non-empty and hold no NUL")
+# One domain's interactions in file order: an (n, 2) string array of
+# user and item ids and a float64 array of their ratings.
+Interactions = tuple[np.ndarray, np.ndarray]
 
 
-def load_domain(path: str, delimiter: str = "\t", strict: bool = True) -> list[InteractionRecord]:
+def read_text(path: str, error: type[MdapError]) -> str:
+    """The whole of a UTF-8 text file; other bytes raise `error` naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def load_domain(path: str, strict: bool = True) -> Interactions:
     """Read one domain's interaction file.
 
     Expected line format: user_id, item_id, rating and an optional
-    timestamp, separated by `delimiter`. Blank lines and lines starting
-    with '#' are skipped. In strict mode any malformed line aborts the
-    load with a ParseError listing the first 10 offenders; otherwise
-    malformed lines are logged as warnings and dropped.
+    timestamp, separated by tabs. Ids must be non-empty and hold no NUL
+    (numpy string arrays would drop a trailing one); timestamps are
+    checked but not kept. Blank lines and lines starting with '#' are
+    skipped. In strict mode any malformed line aborts the load with a
+    ParseError listing the first 10 offenders; otherwise malformed lines
+    are logged as warnings and dropped.
     """
-    records: list[InteractionRecord] = []
+    users: list[str] = []
+    items: list[str] = []
+    ratings: list[float] = []
     bad: list[tuple[int, str]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.split(delimiter)
-            problem = None
-            if len(fields) < 3 or len(fields) > 4:
-                problem = f"expected 3 or 4 fields, got {len(fields)}"
+    for lineno, line in enumerate(read_text(path, ParseError).split("\n"), start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        fields = line.split("\t")
+        problem = None
+        if len(fields) < 3 or len(fields) > 4:
+            problem = f"expected 3 or 4 fields, got {len(fields)}"
+        else:
+            user_id, item_id = fields[0].strip(), fields[1].strip()
+            if not user_id or not item_id or "\0" in user_id + item_id:
+                problem = "empty user or item id, or one holding NUL"
             else:
-                user_id, item_id = fields[0].strip(), fields[1].strip()
-                if not user_id or not item_id or "\0" in user_id + item_id:
-                    problem = "empty user or item id, or one holding NUL"
+                try:
+                    rating = float(fields[2])
+                except ValueError:
+                    problem = f"bad rating {fields[2]!r}"
                 else:
-                    try:
-                        rating = float(fields[2])
-                    except ValueError:
-                        problem = f"bad rating {fields[2]!r}"
-                    else:
-                        timestamp = None
-                        if len(fields) == 4 and fields[3].strip():
-                            try:
-                                timestamp = int(fields[3])
-                            except ValueError:
-                                problem = f"bad timestamp {fields[3]!r}"
-                        if problem is None and not math.isfinite(rating):
-                            problem = f"non-finite rating {fields[2]!r}"
-            if problem is None:
-                records.append(InteractionRecord(user_id, item_id, rating, timestamp))
-            else:
-                bad.append((lineno, problem))
-                if not strict:
-                    log.warning("%s:%d skipped: %s", path, lineno, problem)
+                    if len(fields) == 4 and fields[3].strip():
+                        try:
+                            int(fields[3])
+                        except ValueError:
+                            problem = f"bad timestamp {fields[3]!r}"
+                    if problem is None and not math.isfinite(rating):
+                        problem = f"non-finite rating {fields[2]!r}"
+        if problem is None:
+            users.append(user_id)
+            items.append(item_id)
+            ratings.append(rating)
+        else:
+            bad.append((lineno, problem))
+            if not strict:
+                log.warning("%s:%d skipped: %s", path, lineno, problem)
     if strict and bad:
         shown = "; ".join(f"line {n}: {p}" for n, p in bad[:10])
         more = f" (+{len(bad) - 10} more)" if len(bad) > 10 else ""
         raise ParseError(f"{path}: {len(bad)} malformed line(s): {shown}{more}")
-    return records
+    return np.array([users, items], dtype=str).T, np.array(ratings, dtype=np.float64)
 
 
-def k_core_filter(records: list[InteractionRecord], k: int) -> list[InteractionRecord]:
+def k_core_filter(domain: Interactions, k: int) -> Interactions:
     """Drop users and items with fewer than k interactions, to a fixpoint.
 
-    k <= 1 returns the records unchanged. Filtering is per domain; pass
-    one domain's records at a time.
+    Every record counts, duplicates included, and survivors keep their
+    order. k <= 1 returns the domain unchanged. Filtering is per domain;
+    pass one domain at a time.
     """
+    ids, ratings = domain
     if k <= 1:
-        return list(records)
-    kept = list(records)
+        return domain
+    codes = [np.unique(ids[:, col], return_inverse=True)[1] for col in (0, 1)]
+    keep = np.ones(len(ids), dtype=bool)
     while True:
-        user_count: dict[str, int] = {}
-        item_count: dict[str, int] = {}
-        for r in kept:
-            user_count[r.user_id] = user_count.get(r.user_id, 0) + 1
-            item_count[r.item_id] = item_count.get(r.item_id, 0) + 1
-        next_kept = [r for r in kept
-                     if user_count[r.user_id] >= k and item_count[r.item_id] >= k]
-        if len(next_kept) == len(kept):
-            return kept
-        kept = next_kept
+        strong = [np.bincount(code, weights=keep)[code] >= k for code in codes]
+        next_keep = keep & strong[0] & strong[1]
+        if np.array_equal(next_keep, keep):
+            return ids[keep], ratings[keep]
+        keep = next_keep
 
 
 def split_counts(n: int, ratios: tuple[float, float, float] = DEFAULT_RATIOS) -> tuple[int, int, int]:
@@ -225,27 +225,27 @@ class InteractionDataset:
         return np.split(self.pairs[key][:, 1], self.offsets[key][1:-1])
 
 
-def build_dataset(records_s: list[InteractionRecord], records_t: list[InteractionRecord],
-                  rng: Rng, threshold: float = 1.0,
+def build_dataset(domain_s: Interactions, domain_t: Interactions, rng: Rng,
+                  threshold: float = 1.0,
                   ratios: tuple[float, float, float] = DEFAULT_RATIOS,
                   k_core: int = 1) -> InteractionDataset:
-    """Binarize, index and split two domains' records into a dataset.
+    """Binarize, index and split two domains' interactions into a dataset.
 
     Ratings >= threshold become positive interactions, the rest are
     dropped. Duplicate (user, item) pairs collapse to one. Assignment of
     a user's items to splits is random (driven by rng) but the split
-    sizes follow split_counts. Raises DataError if either domain ends up
-    empty after binarization.
+    sizes follow split_counts. k_core is the level the caller's core
+    filter used, recorded on the dataset. Raises DataError if either
+    domain ends up empty after binarization.
     """
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ParameterError(f"split ratios must sum to 1, got {ratios}")
     positive: dict[tuple[str, ...], np.ndarray] = {}
-    for domain, records in (("s", records_s), ("t", records_t)):
-        rating = np.fromiter(map(attrgetter("rating"), records), np.float64, len(records))
-        ids = np.asarray(list(map(attrgetter("user_id", "item_id"), records)), dtype=str)
-        positive[(domain,)] = ids.reshape(-1, 2)[rating >= threshold]
+    for domain, (ids, ratings) in zip(DOMAINS, (domain_s, domain_t)):
+        positive[(domain,)] = ids[ratings >= threshold]
         if not len(positive[(domain,)]):
-            raise DataError(f"domain {domain} has no interactions at threshold {threshold}")
+            raise DataError(f"domain {domain} has no interactions left at threshold "
+                            f"{threshold} after the {k_core}-core filter")
     users, items, indexed = index_pairs(positive)
 
     pairs: dict[tuple[str, str], np.ndarray] = {}
@@ -329,15 +329,15 @@ def view_blocks(n_items: int, k_true: int) -> list[np.ndarray]:
 
 
 def synthetic_records(spec: SyntheticSpec, rng: Rng) -> tuple[
-        list[InteractionRecord], list[InteractionRecord], dict[str, int]]:
-    """Generate raw interaction records with planted view structure.
+        Interactions, Interactions, dict[str, int]]:
+    """Generate raw interactions with planted view structure.
 
     Users get ids u0000..; the first round(overlap * n_users) belong to
     both domains, the rest alternate between s-only and t-only. Each
     user's planted view is user_index mod k_true. Within a domain the
     user interacts with each item of their view's block with probability
-    1 - noise and with each item outside it with probability noise.
-    Returns (records_s, records_t, planted view by user id).
+    1 - noise and with each item outside it with probability noise; every
+    rating is 1. Returns (domain s, domain t, planted view by user id).
     """
     width = max(4, len(str(spec.n_users - 1)))
     user_ids = [f"u{idx:0{width}d}" for idx in range(spec.n_users)]
@@ -353,45 +353,43 @@ def synthetic_records(spec: SyntheticSpec, rng: Rng) -> tuple[
     planted = {uid: idx % spec.k_true for idx, uid in enumerate(user_ids)}
 
     item_ids = {
-        "s": [f"s{idx:04d}" for idx in range(spec.n_items_s)],
-        "t": [f"t{idx:04d}" for idx in range(spec.n_items_t)],
+        "s": np.array([f"s{idx:04d}" for idx in range(spec.n_items_s)]),
+        "t": np.array([f"t{idx:04d}" for idx in range(spec.n_items_t)]),
     }
     blocks = {
         "s": view_blocks(spec.n_items_s, spec.k_true),
         "t": view_blocks(spec.n_items_t, spec.k_true),
     }
-    records: dict[str, list[InteractionRecord]] = {"s": [], "t": []}
-    for idx, uid in enumerate(user_ids):
-        in_s, in_t = membership[uid]
-        for domain, present in (("s", in_s), ("t", in_t)):
+    ids: dict[str, list[np.ndarray]] = {d: [np.empty((0, 2), dtype=str)] for d in DOMAINS}
+    for uid in user_ids:
+        for domain, present in zip(DOMAINS, membership[uid]):
             if not present:
                 continue
             n_items = len(item_ids[domain])
             p = np.full(n_items, spec.noise)
             p[blocks[domain][planted[uid]]] = 1.0 - spec.noise
             draws = rng.uniform(1, n_items)[0]
-            for item_idx in np.nonzero(draws < p)[0]:
-                records[domain].append(
-                    InteractionRecord(uid, item_ids[domain][int(item_idx)], 1.0))
-    return records["s"], records["t"], planted
+            chosen = item_ids[domain][draws < p]
+            ids[domain].append(np.stack([np.full(len(chosen), uid), chosen], axis=1))
+    domain_s, domain_t = (np.concatenate(ids[d]) for d in DOMAINS)
+    return (domain_s, np.ones(len(domain_s))), (domain_t, np.ones(len(domain_t))), planted
 
 
 def generate_synthetic(spec: SyntheticSpec, rng: Rng) -> tuple[InteractionDataset, dict[str, int]]:
     """Synthetic dataset plus the planted view assignment per user id.
 
-    Record generation and split assignment use derived sub-streams of
+    Interaction generation and split assignment use derived sub-streams of
     rng, so the result is a pure function of the seed and the spec.
     """
-    records_s, records_t, planted = synthetic_records(spec, rng.derive(0))
-    dataset = build_dataset(records_s, records_t, rng.derive(1))
+    domain_s, domain_t, planted = synthetic_records(spec, rng.derive(0))
+    dataset = build_dataset(domain_s, domain_t, rng.derive(1))
     return dataset, planted
 
 
-def write_domain_file(path: str, records: list[InteractionRecord]):
-    """Write records in the standard tab-separated format."""
+def write_domain_file(path: str, domain: Interactions):
+    """Write interactions in the standard tab-separated format, each
+    rating in the shortest text that reads back as the same float."""
+    ids, ratings = domain
     with open(path, "w", encoding="utf-8") as fh:
-        for r in records:
-            if r.timestamp is None:
-                fh.write(f"{r.user_id}\t{r.item_id}\t{r.rating:g}\n")
-            else:
-                fh.write(f"{r.user_id}\t{r.item_id}\t{r.rating:g}\t{r.timestamp}\n")
+        fh.writelines(f"{user}\t{item}\t{np.format_float_positional(rating, trim='-')}\n"
+                      for (user, item), rating in zip(ids.tolist(), ratings.tolist()))

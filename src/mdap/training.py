@@ -233,7 +233,7 @@ def train(dataset: InteractionDataset, config: TrainConfig, eval_fn=None,
 
     for epoch in range(1, config.epochs_max + 1):
         perm = shuffle_rng.permutation(dataset.n_users)
-        sums = {"total": 0.0, "rec_s": 0.0, "rec_t": 0.0, "orth": 0.0}
+        sums = {"rec_s": 0.0, "rec_t": 0.0, "orth": 0.0}
         # overflow inside the epoch is not an error condition by itself: a
         # diverged run is caught by the loss finiteness check below
         with np.errstate(over="ignore", invalid="ignore"):
@@ -248,8 +248,7 @@ def train(dataset: InteractionDataset, config: TrainConfig, eval_fn=None,
                     raise TrainingDivergedError(epoch)
                 grads = backward(trace, targets_s, targets_t, params, config.model)
                 opt.step(params, grads)
-                sums["total"] += total
-                for key in ("rec_s", "rec_t", "orth"):
+                for key in sums:
                     sums[key] += parts[key]
 
             metrics = eval_fn(params, epoch)

@@ -5,15 +5,18 @@ import os
 import numpy as np
 import pytest
 
-from mdap.cli import (OPTION_TABLE, PRESETS, build_parser, load_prepared, main,
-                      parse_config_file, parse_grid, resolve_options)
+import mdap
+from mdap.cli import (OPTION_TABLE, PRESETS, SPLIT_FILES, build_parser, load_prepared, main,
+                      parse_config_file, parse_grid, resolve_options, split_file_path,
+                      write_prepared)
 from mdap.data import build_dataset, load_domain
 from mdap.errors import ParameterError
 from mdap.numerics import Rng
 
 
 def file_hash(path):
-    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def run(*argv):
@@ -88,7 +91,7 @@ def test_prepare_is_reproducible(tmp_path):
             assert file_hash(out_a / rel) == file_hash(out_b / rel)
 
 
-def test_prepare_min_interactions_filters(tmp_path):
+def test_prepare_min_interactions_filters(tmp_path, capsys):
     syn = tmp_path / "syn"
     assert run(*synth_args(syn)) == 0
     out = tmp_path / "core"
@@ -97,6 +100,12 @@ def test_prepare_min_interactions_filters(tmp_path):
                "--min-interactions", 3) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["k_core"] == 3
+    # a level that empties a domain names the filter, not only the threshold
+    capsys.readouterr()
+    assert run("prepare", "--domain-s", syn / "domain_s.tsv",
+               "--domain-t", syn / "domain_t.tsv", "--out", tmp_path / "empty",
+               "--min-interactions", 1000) == 2
+    assert "threshold 1.0 after the 1000-core filter" in capsys.readouterr().err
 
 
 def test_train_writes_artifacts(tmp_path, capsys):
@@ -291,6 +300,49 @@ def test_malformed_manifest_names_file(tmp_path, capsys, edit):
     assert "manifest.json" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("kind", ["domain", "split", "manifest", "config"])
+def test_non_utf8_file_names_path(tmp_path, capsys, kind):
+    out = prepared_dir(tmp_path)
+    syn = tmp_path / "syn"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("epochs = 1\n")
+    path = {"domain": syn / "domain_s.tsv", "split": out / "splits" / "t_test.tsv",
+            "manifest": out / "manifest.json", "config": cfg}[kind]
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+    capsys.readouterr()
+    if kind == "domain":
+        code = run("prepare", "--domain-s", path, "--domain-t", syn / "domain_t.tsv",
+                   "--out", tmp_path / "again")
+    else:
+        code = run("train", "--out", out, "--config", cfg, "--quiet")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "not UTF-8" in err and "Traceback" not in err
+
+
+def write_prepared_reference(out, dataset):
+    """The per-pair split file writer write_prepared replaced."""
+    os.makedirs(os.path.join(out, "splits"))
+    for domain, split in SPLIT_FILES:
+        users = dataset.users
+        items = dataset.items[domain]
+        with open(split_file_path(out, domain, split), "w", encoding="utf-8") as fh:
+            for u, i in dataset.pairs[(domain, split)]:
+                fh.write(f"{users[int(u)]}\t{items[int(i)]}\n")
+
+
+def test_write_prepared_matches_per_pair_writer(tmp_path, fixture_dataset):
+    odd_ids = np.array([["ü 1", "é#"], ["ü 1", "x y"], ["b", "é#"], ["ü 1", "z"]])
+    odd = build_dataset((odd_ids, np.ones(4)), (odd_ids[:2], np.ones(2)), Rng(1))
+    for n, dataset in enumerate((fixture_dataset, odd)):
+        write_prepared(str(tmp_path / f"new{n}"), dataset, {"config_hash": "0"})
+        write_prepared_reference(str(tmp_path / f"ref{n}"), dataset)
+        for domain, split in SPLIT_FILES:
+            new = split_file_path(str(tmp_path / f"new{n}"), domain, split)
+            assert file_hash(new) == file_hash(
+                split_file_path(str(tmp_path / f"ref{n}"), domain, split)), new
+
+
 def test_load_prepared_rebuilds_the_prepared_dataset(tmp_path):
     out = prepared_dir(tmp_path, seed=5)
     syn = tmp_path / "syn"
@@ -320,6 +372,10 @@ def test_version_flag(capsys):
         run("--version")
     assert exc.value.code == 0
     assert "mdap" in capsys.readouterr().out
+
+
+def test_package_exports_resolve():
+    assert [name for name in mdap.__all__ if not hasattr(mdap, name)] == []
 
 
 def test_option_table_covers_all_preset_keys():

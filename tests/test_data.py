@@ -4,25 +4,24 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mdap.data import (SPLITS, InteractionDataset, InteractionRecord, SyntheticSpec,
-                       batch_rows, build_dataset, generate_synthetic,
-                       k_core_filter, load_domain, split_counts,
-                       synthetic_records, view_blocks, write_domain_file)
+from mdap.data import (SPLITS, InteractionDataset, SyntheticSpec, batch_rows,
+                       build_dataset, generate_synthetic, k_core_filter, load_domain,
+                       split_counts, synthetic_records, view_blocks, write_domain_file)
 from mdap.errors import DataError, ParameterError, ParseError
 from mdap.numerics import Rng
 
 
-def rec(u, i, r=1.0, t=None):
-    return InteractionRecord(u, i, r, t)
+def dom(*rows):
+    """One domain's (ids, ratings) from (user, item[, rating]) rows; the
+    rating defaults to 1."""
+    ids = np.array([row[:2] for row in rows], dtype=str).reshape(-1, 2)
+    return ids, np.array([row[2] if len(row) > 2 else 1.0 for row in rows])
 
 
-def test_record_rejects_empty_ids():
-    with pytest.raises(DataError):
-        InteractionRecord("", "i1", 1.0)
-    with pytest.raises(DataError):
-        InteractionRecord("u1", "", 1.0)
-    with pytest.raises(DataError):  # numpy strings would drop a trailing NUL
-        InteractionRecord("u1\0", "i1", 1.0)
+def rows_of(domain):
+    """(user, item, rating) tuples of one domain, in order."""
+    ids, ratings = domain
+    return [(u, i, r) for (u, i), r in zip(ids.tolist(), ratings.tolist())]
 
 
 def test_load_domain_parses_comments_blanks_timestamps(tmp_path):
@@ -33,20 +32,22 @@ def test_load_domain_parses_comments_blanks_timestamps(tmp_path):
                     "u2\ti2\t3\n"
                     "   \n"
                     "u3\ti1\t1.0\t\n")
-    records = load_domain(str(path))
-    assert len(records) == 3
-    assert records[0] == InteractionRecord("u1", "i1", 4.5, 1609459200)
-    assert records[1].timestamp is None
-    assert records[2].timestamp is None
+    ids, ratings = load_domain(str(path))
+    assert ids.shape == (3, 2) and ratings.dtype == np.float64
+    assert rows_of((ids, ratings)) == [("u1", "i1", 4.5), ("u2", "i2", 3.0), ("u3", "i1", 1.0)]
 
 
 def test_load_domain_strict_reports_line_numbers(tmp_path):
     path = tmp_path / "d.tsv"
-    path.write_text("u1\ti1\t1.0\nhalf a line\nu2\ti2\tNaN\nu3\ti3\tx\nu4\0\ti4\t1\n")
+    path.write_text("u1\ti1\t1.0\nhalf a line\nu2\ti2\tNaN\nu3\ti3\tx\nu4\0\ti4\t1\n"
+                    "\ti5\t1\nu6\t\t1\nu7\ti7\0\t1\nu8\ti8\t1\tnoon\nu9\ti9\t1\t12\n")
     with pytest.raises(ParseError) as err:
         load_domain(str(path))
     msg = str(err.value)
-    assert "line 2" in msg and "line 3" in msg and "line 4" in msg and "line 5" in msg
+    assert "8 malformed" in msg
+    assert all(f"line {n}:" in msg for n in range(2, 10))
+    assert "line 1:" not in msg and "line 10:" not in msg
+    assert "bad timestamp 'noon'" in msg
 
 
 def test_load_domain_strict_caps_report_at_ten_lines(tmp_path):
@@ -63,16 +64,21 @@ def test_load_domain_lenient_skips_and_warns(tmp_path, caplog):
     path = tmp_path / "d.tsv"
     path.write_text("u1\ti1\t1.0\nbroken\nu2\ti2\t2.0\n")
     with caplog.at_level(logging.WARNING, logger="mdap.data"):
-        records = load_domain(str(path), strict=False)
-    assert [r.user_id for r in records] == ["u1", "u2"]
+        ids, _ = load_domain(str(path), strict=False)
+    assert ids[:, 0].tolist() == ["u1", "u2"]
     assert any("skipped" in m for m in caplog.messages)
 
 
 def test_write_then_load_round_trip(tmp_path):
-    records = [rec("u1", "i1", 1.0, 7), rec("u2", "i2", 0.5)]
+    domain = dom(("u1", "i1", 1.0), ("u2", "i2", 0.5), ("u3", "i3", 0.9999999),
+                 ("u4", "i4", 1234567.0), ("u5", "i5", 0.1))
     path = tmp_path / "out.tsv"
-    write_domain_file(str(path), records)
-    assert load_domain(str(path)) == records
+    write_domain_file(str(path), domain)
+    assert path.read_text().startswith("u1\ti1\t1\n")  # what `mdap synth` writes
+    assert rows_of(load_domain(str(path))) == rows_of(domain)
+    # 0.9999999 must not be rounded up past a threshold of 1
+    ds = build_dataset(load_domain(str(path)), dom(("u1", "t1")), Rng(0), threshold=1.0)
+    assert sum(ds.split_size("s", sp) for sp in SPLITS) == 2
 
 
 def k_core_oracle(records, k):
@@ -80,16 +86,16 @@ def k_core_oracle(records, k):
     kept = list(records)
     while True:
         users, items = {}, {}
-        for r in kept:
-            users[r.user_id] = users.get(r.user_id, 0) + 1
-            items[r.item_id] = items.get(r.item_id, 0) + 1
+        for u, i, _ in kept:
+            users[u] = users.get(u, 0) + 1
+            items[i] = items.get(i, 0) + 1
         weak_user = next((u for u in sorted(users) if users[u] < k), None)
         if weak_user is not None:
-            kept = [r for r in kept if r.user_id != weak_user]
+            kept = [r for r in kept if r[0] != weak_user]
             continue
         weak_item = next((i for i in sorted(items) if items[i] < k), None)
         if weak_item is not None:
-            kept = [r for r in kept if r.item_id != weak_item]
+            kept = [r for r in kept if r[1] != weak_item]
             continue
         return kept
 
@@ -97,29 +103,30 @@ def k_core_oracle(records, k):
 @pytest.mark.parametrize("k", [2, 3])
 def test_k_core_matches_one_at_a_time_oracle(k):
     rng = np.random.default_rng(17)
-    records = []
+    draws, distinct = [], []
     seen = set()
-    for _ in range(120):
+    for n in range(120):
         u, i = rng.integers(0, 14), rng.integers(0, 18)
+        draws.append((f"u{u}", f"i{i}", float(n)))  # ratings tell records apart
         if (u, i) not in seen:
             seen.add((u, i))
-            records.append(rec(f"u{u}", f"i{i}"))
-    got = k_core_filter(records, k)
-    expect = k_core_oracle(records, k)
-    assert sorted((r.user_id, r.item_id) for r in got) == \
-        sorted((r.user_id, r.item_id) for r in expect)
-    # every survivor meets the degree bound
-    users, items = {}, {}
-    for r in got:
-        users[r.user_id] = users.get(r.user_id, 0) + 1
-        items[r.item_id] = items.get(r.item_id, 0) + 1
-    assert all(c >= k for c in users.values())
-    assert all(c >= k for c in items.values())
+            distinct.append(draws[-1])
+    assert len(distinct) < len(draws)
+    # duplicate records count towards the degree, as separate records
+    for records in (distinct, draws):
+        got = rows_of(k_core_filter(dom(*records), k))
+        assert got == k_core_oracle(records, k)  # same records, same order
+        users, items = {}, {}
+        for u, i, _ in got:
+            users[u] = users.get(u, 0) + 1
+            items[i] = items.get(i, 0) + 1
+        assert all(c >= k for c in users.values())
+        assert all(c >= k for c in items.values())
 
 
 def test_k_core_level_one_is_identity():
-    records = [rec("u1", "i1"), rec("u2", "i2")]
-    assert k_core_filter(records, 1) == records
+    domain = dom(("u1", "i1"), ("u2", "i2"))
+    assert rows_of(k_core_filter(domain, 1)) == rows_of(domain)
 
 
 def split_counts_oracle(n, ratios):
@@ -158,11 +165,11 @@ def test_split_counts_rejects_negative():
 
 
 def two_domain_records():
-    records_s = [rec("ua", f"s{i}") for i in range(8)] + \
-                [rec("ub", f"s{i}", 2.0) for i in range(4)] + \
-                [rec("uc", "s0", 0.5)]
-    records_t = [rec("ub", f"t{i}") for i in range(6)] + \
-                [rec("ud", f"t{i}") for i in range(3)]
+    records_s = dom(*[("ua", f"s{i}") for i in range(8)],
+                    *[("ub", f"s{i}", 2.0) for i in range(4)],
+                    ("uc", "s0", 0.5))
+    records_t = dom(*[("ub", f"t{i}") for i in range(6)],
+                    *[("ud", f"t{i}") for i in range(3)])
     return records_s, records_t
 
 
@@ -170,8 +177,8 @@ def test_build_dataset_user_union_and_item_order():
     records_s, records_t = two_domain_records()
     ds = build_dataset(records_s, records_t, Rng(0), threshold=1.0)
     assert list(ds.users) == ["ua", "ub", "ud"]  # uc falls below threshold
-    assert list(ds.items["s"]) == sorted({r.item_id for r in records_s if r.rating >= 1.0})
-    assert list(ds.items["t"]) == sorted({r.item_id for r in records_t})
+    assert list(ds.items["s"]) == sorted({i for _, i, r in rows_of(records_s) if r >= 1.0})
+    assert list(ds.items["t"]) == sorted({i for _, i, _ in rows_of(records_t)})
 
 
 def test_build_dataset_split_disjoint_and_conserving():
@@ -199,9 +206,9 @@ def test_build_dataset_deterministic():
 
 
 def test_build_dataset_threshold_and_dedupe():
-    records_s = [rec("u1", "s1", 0.4), rec("u1", "s2", 5.0), rec("u1", "s2", 5.0),
-                 rec("u1", "s3", 3.0)]
-    records_t = [rec("u1", "t1", 3.5)]
+    records_s = dom(("u1", "s1", 0.4), ("u1", "s2", 5.0), ("u1", "s2", 5.0),
+                    ("u1", "s3", 3.0))
+    records_t = dom(("u1", "t1", 3.5))
     ds = build_dataset(records_s, records_t, Rng(0), threshold=3.0)
     assert list(ds.items["s"]) == ["s2", "s3"]
     total = sum(len(ds.pairs[("s", sp)]) for sp in ("train", "valid", "test"))
@@ -209,8 +216,8 @@ def test_build_dataset_threshold_and_dedupe():
 
 
 def test_build_dataset_rejects_empty_domain():
-    with pytest.raises(DataError):
-        build_dataset([rec("u1", "s1")], [rec("u1", "t1", 0.1)], Rng(0), threshold=1.0)
+    with pytest.raises(DataError, match="domain t has no interactions left at threshold 1.0"):
+        build_dataset(dom(("u1", "s1")), dom(("u1", "t1", 0.1)), Rng(0), threshold=1.0)
 
 
 def build_dataset_reference(records_s, records_t, rng, threshold, ratios):
@@ -221,9 +228,9 @@ def build_dataset_reference(records_s, records_t, rng, threshold, ratios):
     by_domain = {}
     for domain, records in (("s", records_s), ("t", records_t)):
         by_domain[domain] = {}
-        for r in records:
-            if r.rating >= threshold:
-                by_domain[domain].setdefault(r.user_id, set()).add(r.item_id)
+        for user, item, rating in rows_of(records):
+            if rating >= threshold:
+                by_domain[domain].setdefault(user, set()).add(item)
     users = sorted(set(by_domain["s"]) | set(by_domain["t"]))
     items = {d: sorted({i for its in by_domain[d].values() for i in its}) for d in ("s", "t")}
     pairs = {(d, sp): [] for d in ("s", "t") for sp in SPLITS}
@@ -255,10 +262,10 @@ def awkward_records(seed):
             n = 1 if u % 7 == 3 else int(rng.integers(1, 15))
             for i in rng.integers(0, n_items, n):
                 rating = 0.5 if u % 11 == 4 else float(rng.choice([0.5, 1.0, 3.0]))
-                records[domain].append(rec(f"u{u}", f"{domain}{i}", rating))
+                records[domain].append((f"u{u}", f"{domain}{i}", rating))
         if u % 3 == 0:
             records["s"].append(records["s"][-1])  # exact duplicate
-    return records["s"], records["t"]
+    return dom(*records["s"]), dom(*records["t"])
 
 
 @pytest.mark.parametrize("ratios", [(0.8, 0.1, 0.1), (0.5, 0.3, 0.2)])
@@ -315,14 +322,14 @@ def test_synthetic_noiseless_interactions_stay_in_block():
     records_s, records_t, planted = synthetic_records(spec, Rng(2))
     blocks_s = view_blocks(20, 4)
     blocks_t = view_blocks(12, 4)
-    users_s = {r.user_id for r in records_s}
-    users_t = {r.user_id for r in records_t}
+    users_s = {u for u, _, _ in rows_of(records_s)}
+    users_t = {u for u, _, _ in rows_of(records_t)}
     assert users_s == users_t == set(planted)
     for records, blocks, prefix in ((records_s, blocks_s, "s"), (records_t, blocks_t, "t")):
-        for r in records:
-            idx = int(r.item_id[1:])
-            assert idx in set(blocks[planted[r.user_id]].tolist())
-            assert r.item_id.startswith(prefix)
+        for user, item, rating in rows_of(records):
+            idx = int(item[1:])
+            assert idx in set(blocks[planted[user]].tolist())
+            assert item.startswith(prefix) and rating == 1.0
 
 
 def test_synthetic_views_rotate_over_users():
@@ -337,7 +344,7 @@ def test_synthetic_zero_overlap_separates_users():
     spec = SyntheticSpec(n_users=30, n_items_s=12, n_items_t=12,
                          k_true=3, overlap=0.0, noise=0.0)
     records_s, records_t, _ = synthetic_records(spec, Rng(4))
-    assert not ({r.user_id for r in records_s} & {r.user_id for r in records_t})
+    assert not (set(records_s[0][:, 0].tolist()) & set(records_t[0][:, 0].tolist()))
 
 
 def test_synthetic_off_block_rate_near_noise():
@@ -353,8 +360,8 @@ def test_synthetic_off_block_rate_near_noise():
                 block_of[i] = view
         in_block_count = {u: len(blocks[planted[u]]) for u in planted}
         total_off_slots += sum(n_items - in_block_count[u] for u in planted)
-        off += sum(1 for r in records
-                   if block_of[int(r.item_id[1:])] != planted[r.user_id])
+        off += sum(1 for user, item, _ in rows_of(records)
+                   if block_of[int(item[1:])] != planted[user])
     rate = off / total_off_slots
     assert 0.03 < rate < 0.07
 
@@ -363,7 +370,8 @@ def test_synthetic_deterministic():
     spec = SyntheticSpec(n_users=25, n_items_s=10, n_items_t=10, k_true=2)
     a = synthetic_records(spec, Rng(13))
     b = synthetic_records(spec, Rng(13))
-    assert a == b
+    assert rows_of(a[0]) == rows_of(b[0]) and rows_of(a[1]) == rows_of(b[1])
+    assert a[2] == b[2]
 
 
 def test_generate_synthetic_builds_consistent_dataset():
