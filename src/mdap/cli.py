@@ -19,6 +19,7 @@ success, 2 for usage/config/data problems, 3 when training diverges.
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -251,6 +252,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_prepare(args: argparse.Namespace) -> int:
     options = resolve_options(args)
+    if not math.isfinite(options["threshold"]):
+        raise ParameterError(f"threshold must be a finite number, got {options['threshold']}")
+    if options["min_interactions"] < 0:
+        raise ParameterError(
+            f"min_interactions must be >= 0, got {options['min_interactions']}")
     domain_s, domain_t = (k_core_filter(load_domain(path, strict=args.strict),
                                         options["min_interactions"])
                           for path in (args.domain_s, args.domain_t))

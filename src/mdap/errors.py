@@ -26,7 +26,7 @@ class CheckpointError(MdapError):
 
 
 class TrainingDivergedError(MdapError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss or gradient."""
 
     def __init__(self, epoch: int, message: str | None = None):
         self.epoch = epoch

@@ -23,7 +23,10 @@ def top_k(scores: np.ndarray, train_items: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k highest-scoring items outside the training set.
 
     Equal scores rank by ascending item index. If fewer than k items are
-    eligible the list is just shorter.
+    eligible the list is just shorter. This is the scalar oracle of the
+    ranking rule: score_matrix_metrics calls it only for rows that its
+    block path cannot rank exactly; otherwise tests and the benchmark's
+    metric check use it.
     """
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
@@ -36,7 +39,11 @@ def top_k(scores: np.ndarray, train_items: np.ndarray, k: int) -> np.ndarray:
 
 
 def recall_at_k(ranked: np.ndarray, truth: set[int], k: int) -> float:
-    """Fraction of the truth set that appears in the top k. Truth must be non-empty."""
+    """Fraction of the truth set that appears in the top k. Truth must be non-empty.
+
+    Scalar oracle: used by tests, by the benchmark's metric check and by
+    score_matrix_metrics for the rows that fall back to top_k.
+    """
     if not truth:
         raise ParameterError("recall is undefined for an empty truth set")
     hits = sum(1 for item in ranked[:k] if int(item) in truth)
@@ -44,7 +51,11 @@ def recall_at_k(ranked: np.ndarray, truth: set[int], k: int) -> float:
 
 
 def ndcg_at_k(ranked: np.ndarray, truth: set[int], k: int) -> float:
-    """Binary-gain NDCG: DCG over hit positions, ideal DCG over min(k, |truth|)."""
+    """Binary-gain NDCG: DCG over hit positions, ideal DCG over min(k, |truth|).
+
+    Scalar oracle: used by tests, by the benchmark's metric check and by
+    score_matrix_metrics for the rows that fall back to top_k.
+    """
     if not truth:
         raise ParameterError("ndcg is undefined for an empty truth set")
     dcg = 0.0
@@ -55,6 +66,12 @@ def ndcg_at_k(ranked: np.ndarray, truth: set[int], k: int) -> float:
     return dcg / idcg
 
 
+def _scatter_index(lists: list[np.ndarray], rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fancy index that puts the items of lists[rows[i]] into row i of a block."""
+    cols = np.concatenate([lists[u] for u in rows]).astype(np.intp, copy=False)
+    return np.repeat(np.arange(len(rows)), [lists[u].size for u in rows]), cols
+
+
 def score_matrix_metrics(scores: np.ndarray, train_lists: list[np.ndarray],
                          truth_lists: list[np.ndarray], k: int) -> tuple[float, float, int]:
     """Mean recall and NDCG over the users with non-empty truth.
@@ -63,21 +80,62 @@ def score_matrix_metrics(scores: np.ndarray, train_lists: list[np.ndarray],
     user's training and ground-truth item indices. Returns
     (mean recall, mean ndcg, users evaluated); means are 0.0 when no
     user qualifies.
+
+    The evaluated users are ranked EVAL_BATCH_USERS rows at a time. Each
+    block is negated, its training items set to +inf, and the K smallest
+    entries taken with argpartition and ordered by (value, item index),
+    which is top_k's rule whenever those K entries are exactly the row's
+    K best. A row falls back to top_k when that cannot be guaranteed:
+    the row holds more entries equal to its K-th value than the K
+    candidates do (a tie cut at K), or the K-th value is not finite
+    (fewer than K eligible items, or a NaN score). Every per-user value
+    and both means are computed in the oracle's order of operations, so
+    the results equal the per-user recall_at_k/ndcg_at_k loop bit for bit.
     """
-    recall_sum = 0.0
-    ndcg_sum = 0.0
-    n_eval = 0
-    for u in range(scores.shape[0]):
-        if truth_lists[u].size == 0:
-            continue
-        truth = {int(i) for i in truth_lists[u]}
-        ranked = top_k(scores[u], train_lists[u], k)
-        recall_sum += recall_at_k(ranked, truth, k)
-        ndcg_sum += ndcg_at_k(ranked, truth, k)
-        n_eval += 1
+    if k < 1:
+        raise ParameterError(f"k must be >= 1, got {k}")
+    n_items = scores.shape[1]
+    eval_users = np.flatnonzero([truth.size > 0 for truth in truth_lists])
+    n_eval = len(eval_users)
     if n_eval == 0:
         return 0.0, 0.0, 0
-    return recall_sum / n_eval, ndcg_sum / n_eval, n_eval
+    kk = min(k, n_items)
+    disc = np.array([1.0 / math.log2(pos + 1) for pos in range(1, kk + 1)])
+    idcg = np.array([sum(1.0 / math.log2(pos + 1) for pos in range(1, m + 1))
+                     for m in range(kk + 1)])
+    recall = np.empty(n_eval)
+    ndcg = np.empty(n_eval)
+    for start in range(0, n_eval, EVAL_BATCH_USERS):
+        rows = eval_users[start:start + EVAL_BATCH_USERS]
+        block = scores[rows]
+        np.negative(block, out=block)
+        block[_scatter_index(train_lists, rows)] = np.inf
+        if kk < n_items:
+            cand = np.argpartition(block, kk - 1, axis=1)[:, :kk]
+        else:
+            cand = np.broadcast_to(np.arange(n_items), block.shape)
+        cand_scores = np.take_along_axis(block, cand, axis=1)
+        order = np.lexsort((cand, cand_scores), axis=1)
+        top = np.take_along_axis(cand, order, axis=1)
+        kth = np.take_along_axis(cand_scores, order[:, -1:], axis=1)
+        fallback = ((np.count_nonzero(block == kth, axis=1)
+                     > np.count_nonzero(cand_scores == kth, axis=1))
+                    | ~np.isfinite(kth[:, 0]))
+
+        truth = np.zeros(block.shape, dtype=bool)
+        truth[_scatter_index(truth_lists, rows)] = True
+        truth_len = np.count_nonzero(truth, axis=1)
+        hits = truth[np.arange(len(rows))[:, None], top]
+        dcg = np.cumsum(hits * disc, axis=1)[:, -1]
+        recall[start:start + len(rows)] = np.count_nonzero(hits, axis=1) / truth_len
+        ndcg[start:start + len(rows)] = dcg / idcg[np.minimum(k, truth_len)]
+        for i in np.flatnonzero(fallback):
+            ranked = top_k(scores[rows[i]], train_lists[rows[i]], k)
+            truth_set = {int(item) for item in truth_lists[rows[i]]}
+            recall[start + i] = recall_at_k(ranked, truth_set, k)
+            ndcg[start + i] = ndcg_at_k(ranked, truth_set, k)
+    return (float(np.cumsum(recall)[-1]) / n_eval,
+            float(np.cumsum(ndcg)[-1]) / n_eval, n_eval)
 
 
 @dataclass

@@ -210,7 +210,8 @@ def train(dataset: InteractionDataset, config: TrainConfig, eval_fn=None,
     backward over user batches, applies Adam, then scores the validation
     split. Early stopping watches the mean of the two domains' NDCG and
     keeps a snapshot of the best-epoch parameters, which are returned.
-    A non-finite loss aborts with TrainingDivergedError.
+    A non-finite loss, or a non-finite gradient before the Adam step,
+    aborts with TrainingDivergedError.
 
     eval_fn(params, epoch) may replace the validation callback; it must
     return a dict with recall_s/recall_t/ndcg_s/ndcg_t.
@@ -235,7 +236,7 @@ def train(dataset: InteractionDataset, config: TrainConfig, eval_fn=None,
         perm = shuffle_rng.permutation(dataset.n_users)
         sums = {"rec_s": 0.0, "rec_t": 0.0, "orth": 0.0}
         # overflow inside the epoch is not an error condition by itself: a
-        # diverged run is caught by the loss finiteness check below
+        # diverged run is caught by the loss and gradient finiteness checks
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, dataset.n_users, config.batch_users):
                 batch = perm[start:start + config.batch_users]
@@ -247,6 +248,10 @@ def train(dataset: InteractionDataset, config: TrainConfig, eval_fn=None,
                 if not np.isfinite(total):
                     raise TrainingDivergedError(epoch)
                 grads = backward(trace, targets_s, targets_t, params, config.model)
+                for name, grad in grads.items():
+                    if not np.isfinite(grad).all():
+                        raise TrainingDivergedError(
+                            epoch, f"non-finite gradient of {name} at epoch {epoch}")
                 opt.step(params, grads)
                 for key in sums:
                     sums[key] += parts[key]

@@ -266,6 +266,31 @@ def test_exit_code_two_on_bad_inputs(tmp_path):
                "--out", tmp_path / "p") == 2
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("threshold", "nan", "threshold must be a finite number, got nan"),
+    ("threshold", "inf", "threshold must be a finite number, got inf"),
+    ("threshold", "-inf", "threshold must be a finite number, got -inf"),
+    ("min_interactions", "-5", "min_interactions must be >= 0, got -5"),
+], ids=["threshold-nan", "threshold-inf", "threshold-minus-inf", "min-interactions-minus-5"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_prepare_rejects_bad_filter_options(tmp_path, capsys, option, value, message, source):
+    syn = tmp_path / "syn"
+    assert run(*synth_args(syn)) == 0
+    out = tmp_path / "out"
+    argv = ["prepare", "--domain-s", syn / "domain_s.tsv",
+            "--domain-t", syn / "domain_t.tsv", "--out", out]
+    if source == "flag":
+        argv.append(f"--{option.replace('_', '-')}={value}")
+    else:
+        cfg = tmp_path / "prepare.cfg"
+        cfg.write_text(f"{option} = {value}\n")
+        argv += ["--config", cfg]
+    capsys.readouterr()
+    assert run(*argv) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_malformed_split_line_names_file(tmp_path, capsys):
     out = prepared_dir(tmp_path)
     split = out / "splits" / "s_valid.tsv"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mdap import evaluation
 from mdap.errors import ParameterError
 from mdap.evaluation import (evaluate, model_scores, ndcg_at_k, recall_at_k,
                              score_matrix_metrics, top_k)
@@ -118,6 +119,75 @@ def test_score_matrix_metrics_all_empty_returns_zero():
     recall, ndcg, n_eval = score_matrix_metrics(
         scores, [np.array([], dtype=np.int64)], [np.array([], dtype=np.int64)], 2)
     assert (recall, ndcg, n_eval) == (0.0, 0.0, 0)
+
+
+def per_user_metrics(scores, train_lists, truth_lists, k):
+    """The per-user loop score_matrix_metrics replaced, kept as its reference."""
+    recall_sum = 0.0
+    ndcg_sum = 0.0
+    n_eval = 0
+    for u in range(scores.shape[0]):
+        if truth_lists[u].size == 0:
+            continue
+        truth = {int(i) for i in truth_lists[u]}
+        ranked = top_k(scores[u], train_lists[u], k)
+        recall_sum += recall_at_k(ranked, truth, k)
+        ndcg_sum += ndcg_at_k(ranked, truth, k)
+        n_eval += 1
+    if n_eval == 0:
+        return 0.0, 0.0, 0
+    return recall_sum / n_eval, ndcg_sum / n_eval, n_eval
+
+
+def random_instance(rng, rounding):
+    """Scores plus per-user train/truth lists; some users have no train
+    items, no truth, or fewer eligible items than the cutoff."""
+    n_users = int(rng.integers(1, 40))
+    n_items = int(rng.integers(1, 60))
+    scores = rng.standard_normal((n_users, n_items))
+    if rounding == "nonfinite":
+        cells = rng.random(scores.shape)
+        scores[cells < 0.05] = np.nan
+        scores[(cells >= 0.05) & (cells < 0.1)] = np.inf
+        scores[(cells >= 0.1) & (cells < 0.15)] = -np.inf
+    elif rounding is not None:
+        scores = np.round(scores, rounding)
+    train_lists, truth_lists = [], []
+    for _ in range(n_users):
+        items = rng.permutation(n_items)
+        n_train = 0 if rng.random() < 0.3 else int(rng.integers(0, n_items + 1))
+        n_truth = int(rng.integers(0, n_items - n_train + 1))
+        train_lists.append(np.sort(items[:n_train]))
+        truth_lists.append(np.sort(items[n_train:n_train + n_truth]))
+    return scores, train_lists, truth_lists
+
+
+@pytest.mark.parametrize("rounding", [None, 1, 0, "nonfinite"],
+                         ids=["continuous", "one-decimal", "integer", "nonfinite"])
+def test_score_matrix_metrics_equals_per_user_loop(monkeypatch, rounding):
+    # small blocks so that instances span several of them
+    monkeypatch.setattr(evaluation, "EVAL_BATCH_USERS", 7)
+    rng = np.random.default_rng(31)
+    for _ in range(150):
+        scores, train_lists, truth_lists = random_instance(rng, rounding)
+        k = int(rng.integers(1, 30))  # often above the item count
+        got = score_matrix_metrics(scores, train_lists, truth_lists, k)
+        assert got == per_user_metrics(scores, train_lists, truth_lists, k)
+
+
+def test_score_matrix_metrics_breaks_tie_at_cutoff_by_index():
+    # item 9 leads; items 0..8 tie for the remaining two places, so the
+    # cut falls inside the tie and items 0 and 1 must take them
+    scores = np.zeros((2, 10))
+    scores[:, 9] = 1.0
+    train_lists = [np.array([], dtype=np.int64), np.array([0])]
+    truth_lists = [np.array([1, 8]), np.array([2, 8])]
+    recall, ndcg, n_eval = score_matrix_metrics(scores, train_lists, truth_lists, 3)
+    # each user hits one of two truth items, at rank 3
+    per_user = (1.0 / math.log2(4)) / (1.0 + 1.0 / math.log2(3))
+    assert (recall, n_eval) == (0.5, 2)
+    assert ndcg == (per_user + per_user) / 2
+    assert (recall, ndcg, n_eval) == per_user_metrics(scores, train_lists, truth_lists, 3)
 
 
 def hypergeometric_expectation(dataset, domain, split, k):

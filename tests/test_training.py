@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from mdap import training
 from mdap.errors import TrainingDivergedError
 from mdap.model import (ForwardTrace, ModelConfig, PARAM_FIELDS, forward,
                         init_params, variant_config)
@@ -195,6 +196,24 @@ def test_divergence_raises_with_epoch(small_dataset):
         train(small_dataset, config, eval_fn=metric_schedule([0.5]))
     assert 1 <= err.value.epoch <= 3
     assert str(err.value.epoch) in str(err.value)
+
+
+def test_non_finite_gradient_raises_before_the_step(small_dataset, monkeypatch):
+    real_backward = training.backward
+    steps = []
+
+    def inf_backward(*args, **kwargs):
+        grads = real_backward(*args, **kwargs)
+        grads["dec_b1"][0] = np.inf
+        return grads
+
+    monkeypatch.setattr(training, "backward", inf_backward)
+    monkeypatch.setattr(AdamOptimizer, "step", lambda self, *args: steps.append(1))
+    config = small_train_config(epochs=3, patience=3)
+    with pytest.raises(TrainingDivergedError, match="non-finite gradient of dec_b1") as err:
+        train(small_dataset, config, eval_fn=metric_schedule([0.5]))
+    assert err.value.epoch == 1
+    assert steps == []
 
 
 def test_run_ablation_covers_all_variants(small_dataset):
