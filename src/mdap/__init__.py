@@ -9,26 +9,26 @@ the two domains' gate vectors from collapsing onto the same views.
 
 from .data import (InteractionDataset, SyntheticSpec,
                    build_dataset, generate_synthetic, k_core_filter, load_domain,
-                   split_counts, synthetic_records, view_blocks)
+                   sparse_batch, split_counts, synthetic_records, view_blocks)
 from .errors import (CheckpointError, DataError, MdapError, ParameterError,
                      ParseError, ShapeError, TrainingDivergedError)
 from .evaluation import MetricsReport, evaluate, ndcg_at_k, recall_at_k, top_k
 from .model import (ModelConfig, ModelParams, ForwardTrace, forward, init_params,
                     load_checkpoint, save_checkpoint)
-from .numerics import Rng
+from .numerics import CsrRows, Rng
 from .training import (AblationReport, TrainConfig, TrainLog, backward, loss,
                        run_ablation, train)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AblationReport", "CheckpointError", "DataError", "ForwardTrace",
+    "AblationReport", "CheckpointError", "CsrRows", "DataError", "ForwardTrace",
     "InteractionDataset", "MdapError", "MetricsReport",
     "ModelConfig", "ModelParams", "ParameterError", "ParseError", "Rng",
     "ShapeError", "SyntheticSpec", "TrainConfig", "TrainLog",
     "TrainingDivergedError", "backward", "build_dataset", "evaluate",
     "forward", "generate_synthetic", "init_params", "k_core_filter",
     "load_checkpoint", "load_domain", "loss", "ndcg_at_k", "recall_at_k",
-    "run_ablation", "save_checkpoint", "split_counts", "synthetic_records",
-    "top_k", "train", "view_blocks",
+    "run_ablation", "save_checkpoint", "sparse_batch", "split_counts",
+    "synthetic_records", "top_k", "train", "view_blocks",
 ]

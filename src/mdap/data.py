@@ -1,5 +1,5 @@
 """Interaction data: file ingestion, core filtering, split construction,
-dense views and a planted-structure synthetic generator.
+sparse user batches and a planted-structure synthetic generator.
 
 A dataset covers two domains, "s" and "t". Users are indexed over the
 union of both domains' user sets (lexicographic id order); items are
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, MdapError, ParameterError, ParseError
-from .numerics import Rng
+from .numerics import CsrRows, Rng
 
 log = logging.getLogger(__name__)
 
@@ -273,21 +273,28 @@ def build_dataset(domain_s: Interactions, domain_t: Interactions, rng: Rng,
         threshold=threshold, seed=rng.seed, k_core=k_core)
 
 
-def batch_rows(dataset: InteractionDataset, user_indices: np.ndarray,
-               split: str = "train") -> np.ndarray:
-    """Concatenated dense rows [domain s | domain t] for a batch of users."""
+def sparse_batch(dataset: InteractionDataset, user_indices: np.ndarray,
+                 split: str = "train") -> CsrRows:
+    """Concatenated rows [domain s | domain t] for a batch of users, in CSR
+    form read straight from the dataset's offsets. Every value is 1.0 and
+    each row's columns ascend."""
     users = np.asarray(user_indices, dtype=np.int64)
-    rows = np.zeros((len(users), dataset.n_items("s") + dataset.n_items("t")))
-    col0 = 0
+    spans = []
     for domain in DOMAINS:
-        key = (domain, split)
-        start = dataset.offsets[key][users]
-        counts = dataset.offsets[key][users + 1] - start
-        # rows of pairs[key] holding each batch user's items, user by user
-        at = np.arange(counts.sum()) + np.repeat(start - np.cumsum(counts) + counts, counts)
-        rows[np.repeat(np.arange(len(users)), counts), col0 + dataset.pairs[key][at, 1]] = 1.0
+        start = dataset.offsets[(domain, split)][users]
+        spans.append((start, dataset.offsets[(domain, split)][users + 1] - start))
+    indptr = np.concatenate(([0], np.cumsum(spans[0][1] + spans[1][1])))
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    dest = indptr[:-1]  # where each user's next domain segment goes
+    col0 = 0
+    for domain, (start, counts) in zip(DOMAINS, spans):
+        # position of each entry inside its user's segment
+        within = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        items = dataset.pairs[(domain, split)][np.repeat(start, counts) + within, 1]
+        indices[np.repeat(dest, counts) + within] = col0 + items
+        dest = dest + counts
         col0 += dataset.n_items(domain)
-    return rows
+    return CsrRows(indptr, indices, np.ones(len(indices)), col0)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import batch_rows
+from .data import sparse_batch
 from .errors import ParameterError
 from .model import ModelConfig, ModelParams, forward
 
@@ -44,6 +44,8 @@ def recall_at_k(ranked: np.ndarray, truth: set[int], k: int) -> float:
     Scalar oracle: used by tests, by the benchmark's metric check and by
     score_matrix_metrics for the rows that fall back to top_k.
     """
+    if k < 1:
+        raise ParameterError(f"k must be >= 1, got {k}")
     if not truth:
         raise ParameterError("recall is undefined for an empty truth set")
     hits = sum(1 for item in ranked[:k] if int(item) in truth)
@@ -56,6 +58,8 @@ def ndcg_at_k(ranked: np.ndarray, truth: set[int], k: int) -> float:
     Scalar oracle: used by tests, by the benchmark's metric check and by
     score_matrix_metrics for the rows that fall back to top_k.
     """
+    if k < 1:
+        raise ParameterError(f"k must be >= 1, got {k}")
     if not truth:
         raise ParameterError("ndcg is undefined for an empty truth set")
     dcg = 0.0
@@ -174,8 +178,7 @@ def model_scores(params: ModelParams, config: ModelConfig, dataset,
     }
     for start in range(0, n_users, batch_users):
         idx = np.arange(start, min(start + batch_users, n_users))
-        rows = batch_rows(dataset, idx, "train")
-        trace = forward(params, config, rows, training=False)
+        trace = forward(params, config, sparse_batch(dataset, idx, "train"), training=False)
         out["s"][idx] = trace.recon_s
         out["t"][idx] = trace.recon_t
     return out

@@ -2,9 +2,10 @@
 gates, plus checkpoint serialization.
 
 A batch of users enters as concatenated interaction rows over both
-domains' items. The rows are L2-normalized and corrupted once by
-dropout; that corrupted input drives both the view-assignment logits
-and the per-view encoder inputs. Soft view assignments come from a
+domains' items, in CSR form. The stored entries of each row are
+L2-normalized and corrupted once by dropout; that corrupted input,
+scattered once into a dense array, drives both the view-assignment
+logits and the per-view encoder inputs. Soft view assignments come from a
 Gumbel-Softmax over similarity logits between the user rows and a set
 of view anchors in item-embedding space. Each view's masked input
 diag(a_i)·x is encoded by a shared MLP, the per-domain gate mixes the
@@ -27,8 +28,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import CheckpointError, ParameterError, ShapeError
-from .numerics import (DropoutMask, Rng, matmul, row_l2_normalize, sample_dropout_mask,
-                       sample_gumbel, softmax_rows)
+from .numerics import (CsrRows, DropoutMask, Rng, matmul, row_l2_normalize,
+                       sample_dropout_mask, sample_gumbel, softmax_rows)
 
 ABLATIONS = ("full", "no_gumbel", "single_view", "no_gate")
 
@@ -235,7 +236,9 @@ def decode(params: ModelParams, z: np.ndarray, domain: str) -> tuple[np.ndarray,
     """
     cols = params.domain_slice(domain)
     hidden = np.tanh(matmul(z, params.dec_w1) + params.dec_b1)
-    return hidden, matmul(hidden, params.dec_w2[:, cols]) + params.dec_b2[cols]
+    scores = matmul(hidden, params.dec_w2[:, cols])
+    scores += params.dec_b2[cols]  # in place: a second (B, items) array costs more than the add
+    return hidden, scores
 
 
 @dataclass
@@ -244,15 +247,16 @@ class ForwardTrace:
 
     Noise and dropout masks are stored so the backward pass can treat
     them as constants, and so a finite-difference probe can replay the
-    exact same stochastic pass.
+    exact same stochastic pass. The input batch and its normalized values
+    stay sparse; raw_rows and x_norm are built dense on access.
     """
 
     config: ModelConfig
     training: bool
-    raw_rows: np.ndarray
-    x_norm: np.ndarray
-    input_mask: DropoutMask | None
-    x: np.ndarray                      # normalized, dropout-corrupted input
+    batch: CsrRows
+    norm_values: np.ndarray            # batch entries after row L2 normalization
+    input_mask: DropoutMask | None     # over the batch entries
+    x: np.ndarray                      # normalized, dropout-corrupted input, dense
     item_norm: np.ndarray | None
     core_norm: np.ndarray | None
     proj: np.ndarray | None            # x @ item_norm
@@ -272,17 +276,29 @@ class ForwardTrace:
     recon_t: np.ndarray | None = None
 
     @property
+    def raw_rows(self) -> np.ndarray:
+        """The input rows, built dense on access."""
+        return self.batch.scatter(self.batch.data)
+
+    @property
+    def x_norm(self) -> np.ndarray:
+        """The row-normalized input before dropout, built dense on access."""
+        return self.batch.scatter(self.norm_values)
+
+    @property
     def views(self) -> list[np.ndarray]:
         """The per-view encoder inputs diag(a_i)·x, built on access."""
         return view_inputs(self.x, self.assign)
 
 
-def forward(params: ModelParams, config: ModelConfig, raw_rows: np.ndarray,
+def forward(params: ModelParams, config: ModelConfig, batch: CsrRows,
             rng: Rng | None = None, training: bool = False,
             gumbel: np.ndarray | None = None,
             input_mask: DropoutMask | None = None) -> ForwardTrace:
     """Run the full model on a batch of concatenated interaction rows.
 
+    Only the batch's stored entries are normalized and masked; the
+    result is the dense row_l2_normalize -> dropout input bit for bit.
     The normalized input is corrupted by one shared dropout mask that
     feeds both the assignment logits and the view encoder, so the view
     inputs still sum to the corrupted input exactly. Evaluation mode is
@@ -290,21 +306,31 @@ def forward(params: ModelParams, config: ModelConfig, raw_rows: np.ndarray,
     override fresh sampling with frozen values (used by gradient
     checks); sampling order is input mask first, then Gumbel noise.
     """
-    if raw_rows.ndim != 2 or raw_rows.shape[1] != params.n_items_total:
-        raise ShapeError(
-            f"expected rows of width {params.n_items_total}, got {raw_rows.shape}")
-    b = raw_rows.shape[0]
-    x_norm = row_l2_normalize(raw_rows)
+    n = params.n_items_total
+    if batch.n_cols != n:
+        raise ShapeError(f"expected rows of width {n}, got {batch.n_cols}")
+    b = batch.n_rows
+    entries = batch.flat_index()
+    # The squares are summed in a dense array: numpy's pairwise row sum
+    # groups entries by column, so a sum over the packed values alone can
+    # differ from row_l2_normalize's norm in the last bit. The same array
+    # then receives the corrupted input x.
+    x = np.zeros((b, n))
+    np.put(x, entries, batch.data * batch.data)
+    norms = np.sqrt(np.add.reduce(x, axis=1))
+    norm_values = batch.data / np.repeat(np.where(norms > 0.0, norms, 1.0),
+                                         np.diff(batch.indptr))
 
     mask = None
-    x = x_norm
+    values = norm_values
     if training and config.keep_prob < 1.0:
         mask = input_mask
         if mask is None:
             if rng is None:
                 raise ParameterError("training-mode forward needs an Rng")
-            mask = sample_dropout_mask(rng, b, x_norm.shape[1], config.keep_prob)
-        x = mask.apply(x_norm)
+            mask = sample_dropout_mask(rng, b, n, config.keep_prob, entries)
+        values = mask.apply(norm_values)
+    np.put(x, entries, values)
 
     if config.ablation == "single_view":
         assign = np.ones((b, 1))
@@ -327,7 +353,7 @@ def forward(params: ModelParams, config: ModelConfig, raw_rows: np.ndarray,
     dec_hidden_t, recon_t = decode(params, z_t, "t")
 
     return ForwardTrace(
-        config=config, training=training, raw_rows=raw_rows, x_norm=x_norm,
+        config=config, training=training, batch=batch, norm_values=norm_values,
         input_mask=mask, x=x, item_norm=item_norm, core_norm=core_norm, proj=proj,
         logits=logits, gumbel=noise, assign=assign, enc_proj=enc_proj,
         enc_hidden=enc_hidden, view_embs=view_embs, gate_s=gate_s, gate_t=gate_t,

@@ -1,5 +1,5 @@
 """Elementary numeric operations: deterministic RNG, matrix kernels,
-stochastic layers and the Adam update.
+sparse row batches, stochastic layers and the Adam update.
 
 Everything works on float64 numpy arrays in C (row major) order. The
 stochastic pieces draw from an explicit Rng so that a run is fully
@@ -15,6 +15,10 @@ from .errors import ParameterError, ShapeError
 # Uniform draws are clamped into this closed interval so that log() and
 # log(-log()) stay finite no matter what the generator returns.
 UNIFORM_EPS = 1e-12
+
+# Elements adam_step updates per pass: 256 KiB of float64 per array, so a
+# chunk of param, grad, m, v and two temporaries fits in a 2 MiB cache.
+ADAM_CHUNK = 32768
 
 
 class Rng:
@@ -43,6 +47,15 @@ class Rng:
         u = self._gen.random((rows, cols))
         return np.clip(u, UNIFORM_EPS, 1.0 - UNIFORM_EPS)
 
+    def uniform_entries(self, rows: int, cols: int, entries: np.ndarray) -> np.ndarray:
+        """uniform(rows, cols) read at the flat row-major positions `entries`.
+
+        The whole block is drawn, so the stream advances exactly as it
+        does for uniform(rows, cols); only the entries read are clamped.
+        """
+        u = self._gen.random((rows, cols)).reshape(-1)[entries]
+        return np.clip(u, UNIFORM_EPS, 1.0 - UNIFORM_EPS)
+
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 
@@ -54,6 +67,44 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
     return a @ b
+
+
+@dataclass(frozen=True)
+class CsrRows:
+    """A batch of rows in compressed sparse row form.
+
+    Row r stores data[indptr[r]:indptr[r + 1]] at the columns
+    indices[indptr[r]:indptr[r + 1]], no column twice; every other entry
+    of the dense (n_rows, n_cols) array is zero.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    n_cols: int
+
+    def __post_init__(self):
+        if self.indptr.ndim != 1 or len(self.indptr) < 1 or self.indptr[0] != 0:
+            raise ShapeError("indptr must be a 1-d array starting at 0")
+        if not len(self.indices) == len(self.data) == self.indptr[-1]:
+            raise ShapeError(
+                f"indptr ends at {self.indptr[-1]} but there are {len(self.indices)} "
+                f"indices and {len(self.data)} values")
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.indptr) - 1
+
+    def flat_index(self) -> np.ndarray:
+        """Row-major position of each stored entry in the dense array."""
+        rows = np.repeat(np.arange(self.n_rows), np.diff(self.indptr))
+        return rows * self.n_cols + self.indices
+
+    def scatter(self, values: np.ndarray) -> np.ndarray:
+        """Dense (n_rows, n_cols) array holding `values` at the stored entries."""
+        out = np.zeros((self.n_rows, self.n_cols))
+        np.put(out, self.flat_index(), values)
+        return out
 
 
 def row_l2_normalize(m: np.ndarray) -> np.ndarray:
@@ -104,29 +155,43 @@ def softmax_rows_grad(s: np.ndarray, grad_s: np.ndarray, tau: float = 1.0) -> np
 
 @dataclass
 class DropoutMask:
-    """Inverted-dropout mask: 0/1 pattern plus the 1/keep_prob scale."""
+    """Inverted-dropout mask over a set of entries: 0/1 pattern plus the
+    1/keep_prob scale."""
 
     keep_prob: float
     mask: np.ndarray
     scale: float
 
-    def apply(self, m: np.ndarray) -> np.ndarray:
-        return m * self.mask * self.scale
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        return values * self.mask * self.scale
 
 
-def sample_dropout_mask(rng: Rng, rows: int, cols: int, keep_prob: float) -> DropoutMask:
+def sample_dropout_mask(rng: Rng, rows: int, cols: int, keep_prob: float,
+                        entries: np.ndarray) -> DropoutMask:
+    """Dropout mask over the flat row-major positions `entries` of a
+    (rows, cols) matrix.
+
+    One uniform is drawn per matrix entry, in row-major order, and an
+    entry is kept when its draw is < keep_prob: the mask is the dense
+    mask read at `entries`, and the stream advances by rows * cols draws.
+    """
     if not 0.0 < keep_prob <= 1.0:
         raise ParameterError(f"keep_prob must be in (0, 1], got {keep_prob}")
-    mask = (rng.uniform(rows, cols) < keep_prob).astype(np.float64)
+    mask = (rng.uniform_entries(rows, cols, entries) < keep_prob).astype(np.float64)
     return DropoutMask(keep_prob=keep_prob, mask=mask, scale=1.0 / keep_prob)
 
 
 def adam_step(param: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
               t: int, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One bias-corrected Adam update. Returns (param, m, v) as new arrays.
+    """One bias-corrected Adam update, made in place on param, m and v.
 
-    t is the 1-based step count including this step.
+    Returns (param, m, v), the arrays passed in. t is the 1-based step
+    count including this step. Each operation is the one the textbook
+    formula performs, in its order, so the result is bit for bit that of
+    the out-of-place expression. The arrays are updated ADAM_CHUNK
+    elements at a time (whole leading-axis rows), so that the dozen
+    elementwise passes run over a chunk that stays in cache.
     """
     if t < 1:
         raise ParameterError(f"step index must be >= 1, got {t}")
@@ -134,9 +199,30 @@ def adam_step(param: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
         raise ShapeError(
             f"adam_step shape mismatch: param {param.shape}, grad {grad.shape}, "
             f"m {m.shape}, v {v.shape}")
-    m = beta1 * m + (1.0 - beta1) * grad
-    v = beta2 * v + (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1 ** t)
-    v_hat = v / (1.0 - beta2 ** t)
-    param = param - lr * m_hat / (np.sqrt(v_hat) + eps)
+    m_scale, v_scale = 1.0 - beta1 ** t, 1.0 - beta2 ** t
+    arrays = np.atleast_1d(param, grad, m, v)  # views, so a 0-d param updates too
+    n = len(arrays[0])
+    rows = max(1, ADAM_CHUNK * n // max(param.size, 1))
+    term = np.empty_like(arrays[0][:rows])
+    denom = np.empty_like(term)
+    for start in range(0, n, rows):
+        p, g, mc, vc = (a[start:start + rows] for a in arrays)
+        tc, dc = term[:len(p)], denom[:len(p)]
+        # m = beta1 * m + (1 - beta1) * grad
+        np.multiply(g, 1.0 - beta1, out=tc)
+        mc *= beta1
+        mc += tc
+        # v = beta2 * v + (1 - beta2) * grad * grad
+        np.multiply(g, 1.0 - beta2, out=tc)
+        tc *= g
+        vc *= beta2
+        vc += tc
+        # param -= lr * m_hat / (sqrt(v_hat) + eps)
+        np.divide(vc, v_scale, out=dc)
+        np.sqrt(dc, out=dc)
+        dc += eps
+        np.divide(mc, m_scale, out=tc)
+        tc *= lr
+        tc /= dc
+        p -= tc
     return param, m, v

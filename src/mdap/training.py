@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import InteractionDataset, batch_rows
+from .data import InteractionDataset, sparse_batch
 from .errors import ParameterError, ShapeError, TrainingDivergedError
 from .evaluation import evaluate
 from .model import (ModelConfig, ModelParams, forward, gate_weights, init_params,
@@ -29,6 +29,12 @@ ABLATION_VARIANTS = (("MDAP", "full"), ("MDAP-GS", "no_gumbel"),
                      ("MDAP-MV", "single_view"), ("MDAP-DG", "no_gate"))
 
 
+def squared_error(targets: np.ndarray, recon: np.ndarray) -> float:
+    """sum((targets - recon) ** 2), squaring the (B, items) residual in place."""
+    residual = targets - recon
+    return float(np.sum(np.square(residual, out=residual)))
+
+
 def loss(trace, targets_s: np.ndarray, targets_t: np.ndarray,
          lam: float) -> tuple[float, dict[str, float]]:
     """Total loss and its breakdown {rec_s, rec_t, orth}.
@@ -41,8 +47,8 @@ def loss(trace, targets_s: np.ndarray, targets_t: np.ndarray,
         raise ShapeError(
             f"target shapes {targets_s.shape}/{targets_t.shape} do not match "
             f"reconstructions {trace.recon_s.shape}/{trace.recon_t.shape}")
-    rec_s = float(np.sum((targets_s - trace.recon_s) ** 2))
-    rec_t = float(np.sum((targets_t - trace.recon_t) ** 2))
+    rec_s = squared_error(targets_s, trace.recon_s)
+    rec_t = squared_error(targets_t, trace.recon_t)
     orth = float(lam * np.dot(trace.gate_s, trace.gate_t))
     total = rec_s + rec_t + orth
     return total, {"rec_s": rec_s, "rec_t": rec_t, "orth": orth}
@@ -58,7 +64,7 @@ def backward(trace, targets_s: np.ndarray, targets_t: np.ndarray,
     """
     if not trace.training:
         raise ParameterError("backward needs a trace from forward(training=True)")
-    if trace.raw_rows.shape[1] != params.n_items_total:
+    if trace.x.shape[1] != params.n_items_total:
         raise ShapeError("trace and params disagree on the item count")
     grads = {name: np.zeros_like(arr) for name, arr in params.arrays()}
 
@@ -68,7 +74,8 @@ def backward(trace, targets_s: np.ndarray, targets_t: np.ndarray,
             ("s", targets_s, trace.recon_s, trace.dec_hidden_s, trace.z_s),
             ("t", targets_t, trace.recon_t, trace.dec_hidden_t, trace.z_t)):
         cols = params.domain_slice(domain)
-        d_recon = 2.0 * (recon - targets)
+        d_recon = recon - targets
+        d_recon *= 2.0
         grads["dec_w2"][:, cols] += dec_hidden.T @ d_recon
         grads["dec_b2"][cols] += d_recon.sum(axis=0)
         d_hidden = d_recon @ params.dec_w2[:, cols].T
@@ -117,7 +124,8 @@ def backward(trace, targets_s: np.ndarray, targets_t: np.ndarray,
 
 
 class AdamOptimizer:
-    """Per-array Adam state over a ModelParams instance."""
+    """Per-array Adam state over a ModelParams instance; step() updates the
+    params' arrays in place."""
 
     def __init__(self, params: ModelParams, lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -132,10 +140,8 @@ class AdamOptimizer:
     def step(self, params: ModelParams, grads: dict[str, np.ndarray]):
         self.t += 1
         for name, arr in params.arrays():
-            updated, self.m[name], self.v[name] = adam_step(
-                arr, grads[name], self.m[name], self.v[name], self.t,
-                lr=self.lr, beta1=self.beta1, beta2=self.beta2, eps=self.eps)
-            setattr(params, name, updated)
+            adam_step(arr, grads[name], self.m[name], self.v[name], self.t,
+                      lr=self.lr, beta1=self.beta1, beta2=self.beta2, eps=self.eps)
 
 
 @dataclass(frozen=True)
@@ -239,11 +245,11 @@ def train(dataset: InteractionDataset, config: TrainConfig, eval_fn=None,
         # diverged run is caught by the loss and gradient finiteness checks
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, dataset.n_users, config.batch_users):
-                batch = perm[start:start + config.batch_users]
-                rows = batch_rows(dataset, batch, "train")
-                targets_s = rows[:, :n_s]
-                targets_t = rows[:, n_s:]
-                trace = forward(params, config.model, rows, noise_rng, training=True)
+                batch = sparse_batch(dataset, perm[start:start + config.batch_users], "train")
+                targets = batch.scatter(batch.data)
+                targets_s = targets[:, :n_s]
+                targets_t = targets[:, n_s:]
+                trace = forward(params, config.model, batch, noise_rng, training=True)
                 total, parts = loss(trace, targets_s, targets_t, config.model.lam)
                 if not np.isfinite(total):
                     raise TrainingDivergedError(epoch)

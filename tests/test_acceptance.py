@@ -18,6 +18,7 @@ from mdap.model import (ModelConfig, PARAM_FIELDS, forward, gate_weights,
                         save_checkpoint, variant_config)
 from mdap.numerics import Rng, softmax_rows
 from mdap.training import TrainConfig, backward, loss, train
+from sparse_rows import csr
 
 CUTOFF = 20
 
@@ -49,11 +50,12 @@ def test_criterion_1_gradient_correctness():
     x[2, 0] = 1.0
     x[4] = 0.0  # one padded user row
     targets_s, targets_t = x[:, :4], x[:, 4:]
-    trace = forward(params, config, x, rng.derive(2), training=True)
+    batch = csr(x)
+    trace = forward(params, config, batch, rng.derive(2), training=True)
     grads = backward(trace, targets_s, targets_t, params, config)
 
     def loss_with(p):
-        replay = forward(p, config, x, training=True,
+        replay = forward(p, config, batch, training=True,
                          gumbel=trace.gumbel, input_mask=trace.input_mask)
         return loss(replay, targets_s, targets_t, config.lam)[0]
 
@@ -124,9 +126,9 @@ def test_criterion_3_decomposition_completeness():
         n_s, n_t = 5 + batch % 7, 4 + batch % 5
         params = init_params(config, n_s, n_t, rng.derive(batch, 0))
         x = (rng.derive(batch, 1).uniform(6, n_s + n_t) < 0.4).astype(float)
-        trace = forward(params, config, x)
+        trace = forward(params, config, csr(x))
         worst = max(worst, float(np.abs(sum(trace.views) - trace.x_norm).max()))
-        trained = forward(params, config, x, rng.derive(batch, 2), training=True)
+        trained = forward(params, config, csr(x), rng.derive(batch, 2), training=True)
         worst = max(worst, float(np.abs(sum(trained.views) - trained.x).max()))
     ok = worst < 1e-9
     report(3, "decomposition completeness", ok, f"max residual {worst:.2e}")

@@ -4,8 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mdap.data import (SPLITS, InteractionDataset, SyntheticSpec, batch_rows,
-                       build_dataset, generate_synthetic, k_core_filter, load_domain,
+from mdap.data import (SPLITS, InteractionDataset, SyntheticSpec, build_dataset,
+                       generate_synthetic, k_core_filter, load_domain, sparse_batch,
                        split_counts, synthetic_records, view_blocks, write_domain_file)
 from mdap.errors import DataError, ParameterError, ParseError
 from mdap.numerics import Rng
@@ -281,26 +281,35 @@ def test_build_dataset_matches_per_user_reference(seed, ratios):
         assert ds.pairs[key].tolist() == expect, key
 
 
-def test_batch_rows_match_pairs():
+def test_sparse_batch_match_pairs():
     records_s, records_t = two_domain_records()
     ds = build_dataset(records_s, records_t, Rng(1))
     users = np.array([2, 0, 1])
-    rows = batch_rows(ds, users, "train")
+    batch = sparse_batch(ds, users, "train")
+    rows = batch.scatter(batch.data)
     n_s = ds.n_items("s")
     expect = np.zeros((ds.n_users, n_s + ds.n_items("t")))
     for domain, offset in (("s", 0), ("t", n_s)):
         for u, i in ds.pairs[(domain, "train")]:
             expect[u, offset + i] = 1.0
     assert np.array_equal(rows, expect[users])
+    # CSR form: one row per user, columns ascending, every value 1.0
+    assert batch.n_rows == 3 and batch.n_cols == expect.shape[1]
+    assert np.array_equal(np.diff(batch.indptr), np.count_nonzero(expect[users], axis=1))
+    for r in range(batch.n_rows):
+        cols = batch.indices[batch.indptr[r]:batch.indptr[r + 1]]
+        assert np.array_equal(cols, np.flatnonzero(expect[users[r]]))
+    assert np.array_equal(batch.data, np.ones(len(batch.indices)))
 
 
-def test_batch_rows_concatenates_domains():
+def test_sparse_batch_concatenates_domains():
     records_s, records_t = two_domain_records()
     ds = build_dataset(records_s, records_t, Rng(1))
-    rows = batch_rows(ds, np.array([0, 2]), "train")
-    assert rows.shape == (2, ds.n_items("s") + ds.n_items("t"))
-    full = batch_rows(ds, np.arange(ds.n_users), "train")
-    assert int(full.sum()) == len(ds.pairs[("s", "train")]) + len(ds.pairs[("t", "train")])
+    batch = sparse_batch(ds, np.array([0, 2]), "train")
+    assert batch.scatter(batch.data).shape == (2, ds.n_items("s") + ds.n_items("t"))
+    full = sparse_batch(ds, np.arange(ds.n_users), "train")
+    assert int(full.scatter(full.data).sum()) == \
+        len(ds.pairs[("s", "train")]) + len(ds.pairs[("t", "train")])
 
 
 def test_view_blocks_partition():

@@ -44,6 +44,18 @@ def test_recall_rejects_empty_truth():
         recall_at_k(np.arange(5), set(), 5)
 
 
+@pytest.mark.parametrize("k", [0, -3])
+def test_recall_rejects_cutoff_below_one(k):
+    with pytest.raises(ParameterError):
+        recall_at_k(np.arange(5), {1}, k)
+
+
+@pytest.mark.parametrize("k", [0, -3])
+def test_ndcg_rejects_cutoff_below_one(k):
+    with pytest.raises(ParameterError):
+        ndcg_at_k(np.arange(5), {1}, k)
+
+
 def test_ndcg_hand_values():
     assert ndcg_at_k(np.array([7, 1, 2]), {7}, 20) == 1.0
     assert ndcg_at_k(np.array([1, 2, 3]), {9}, 20) == 0.0

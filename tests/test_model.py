@@ -6,13 +6,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mdap.errors import CheckpointError, ParameterError
-from mdap.model import (ABLATIONS, CHECKPOINT_MAGIC, ModelConfig, PARAM_FIELDS,
-                        combine_views, decode, encode_rows, forward,
+from mdap.errors import CheckpointError, ParameterError, ShapeError
+from mdap.model import (ABLATIONS, CHECKPOINT_MAGIC, ForwardTrace, ModelConfig,
+                        PARAM_FIELDS, combine_views, decode, encode_rows, forward,
                         gate_weights, glorot_uniform, gumbel_softmax_assign,
                         init_params, load_checkpoint, save_checkpoint,
                         variant_config, view_inputs)
 from mdap.numerics import Rng, row_l2_normalize, softmax_rows
+from mdap.training import backward
+from sparse_rows import csr
 
 
 def toy_params(k=3, embed=8, hidden=16, n_s=6, n_t=5, seed=0, ablation="full"):
@@ -61,7 +63,7 @@ def test_forward_zero_row_logits_are_zero():
     x = Rng(4).uniform(3, 11)
     x[1] = 0.0
     for training in (False, True):
-        trace = forward(params, config, x, Rng(5), training=training)
+        trace = forward(params, config, csr(x), Rng(5), training=training)
         assert np.array_equal(trace.logits[1], np.zeros(3))
 
 
@@ -139,8 +141,8 @@ def test_combine_views_weighted_sum():
 def test_forward_eval_is_deterministic():
     config, params = toy_params()
     x = Rng(4).uniform(5, 11)
-    a = forward(params, config, x)
-    b = forward(params, config, x)
+    a = forward(params, config, csr(x))
+    b = forward(params, config, csr(x))
     assert np.array_equal(a.recon_s, b.recon_s)
     assert np.array_equal(a.recon_t, b.recon_t)
     assert a.input_mask is None and a.gumbel is None
@@ -149,9 +151,9 @@ def test_forward_eval_is_deterministic():
 def test_forward_training_reproducible_by_seed():
     config, params = toy_params()
     x = Rng(4).uniform(5, 11)
-    a = forward(params, config, x, Rng(9), training=True)
-    b = forward(params, config, x, Rng(9), training=True)
-    c = forward(params, config, x, Rng(10), training=True)
+    a = forward(params, config, csr(x), Rng(9), training=True)
+    b = forward(params, config, csr(x), Rng(9), training=True)
+    c = forward(params, config, csr(x), Rng(10), training=True)
     assert np.array_equal(a.recon_s, b.recon_s)
     assert not np.array_equal(a.recon_s, c.recon_s)
 
@@ -159,10 +161,11 @@ def test_forward_training_reproducible_by_seed():
 def test_forward_shared_corruption_feeds_both_paths():
     config, params = toy_params()
     x = Rng(4).uniform(5, 11)
-    trace = forward(params, config, x, Rng(9), training=True)
+    trace = forward(params, config, csr(x), Rng(9), training=True)
     # the dropped input the views decompose is the one the logits saw
     assert np.max(np.abs(sum(trace.views) - trace.x)) < 1e-9
-    assert np.array_equal(trace.x, trace.input_mask.apply(trace.x_norm))
+    masked = trace.input_mask.apply(trace.norm_values)
+    assert np.array_equal(trace.x, trace.batch.scatter(masked))
 
 
 def test_forward_without_dropout_keeps_input():
@@ -170,7 +173,7 @@ def test_forward_without_dropout_keeps_input():
     x = Rng(4).uniform(5, 11)
     no_drop = ModelConfig(k=3, embed_dim=8, hidden=16, keep_prob=1.0)
     for cfg, training in ((config, False), (no_drop, True)):
-        trace = forward(params, cfg, x, Rng(9), training=training)
+        trace = forward(params, cfg, csr(x), Rng(9), training=training)
         assert trace.input_mask is None
         assert np.array_equal(trace.x, trace.x_norm)
 
@@ -186,7 +189,7 @@ def test_forward_matches_per_view_reference(ablation, training):
         params.gate[:] = Rng(k).uniform(2, params.gate.shape[1])
         x = (Rng(20 + k).uniform(6, 11) < 0.5).astype(float)
         x[3] = 0.0
-        trace = forward(params, config, x, Rng(40 + k), training=training)
+        trace = forward(params, config, csr(x), Rng(40 + k), training=training)
         worst = 0.0
         embs = []
         for i, view in enumerate(trace.views):
@@ -203,14 +206,106 @@ def test_forward_matches_per_view_reference(ablation, training):
         assert worst <= 1e-12, (k, worst)
 
 
+def dense_reference_forward(params, config, raw, rng, training):
+    """The dense forward the sparse input stage replaced: row_l2_normalize,
+    a dropout mask drawn as one (B, N) block of uniforms and applied as
+    x_norm * mask * scale, then the model on the dense x. Returns
+    (x_norm, mask or None, x, trace)."""
+    b = raw.shape[0]
+    x_norm = row_l2_normalize(raw)
+    x = x_norm
+    mask = None
+    if training and config.keep_prob < 1.0:
+        mask = (rng.uniform(b, raw.shape[1]) < config.keep_prob).astype(np.float64)
+        x = x_norm * mask * (1.0 / config.keep_prob)
+    item_norm = core_norm = proj = logits = noise = None
+    if config.ablation == "single_view":
+        assign = np.ones((b, 1))
+    else:
+        item_norm = row_l2_normalize(params.item_emb)
+        core_norm = row_l2_normalize(params.core_emb)
+        proj = x @ item_norm
+        logits = proj @ core_norm.T
+        assign, noise = gumbel_softmax_assign(logits, config.tau, rng, training,
+                                              config.ablation)
+    enc_proj = x @ params.enc_w1
+    enc_hidden, view_embs = encode_rows(params, enc_proj, assign)
+    gate_s = gate_weights(params, "s", config.ablation)
+    gate_t = gate_weights(params, "t", config.ablation)
+    z_s, z_t = combine_views(view_embs, gate_s), combine_views(view_embs, gate_t)
+    dec_hidden_s, recon_s = decode(params, z_s, "s")
+    dec_hidden_t, recon_t = decode(params, z_t, "t")
+    trace = ForwardTrace(
+        config=config, training=training, batch=None, norm_values=None, input_mask=None,
+        x=x, item_norm=item_norm, core_norm=core_norm, proj=proj, logits=logits,
+        gumbel=noise, assign=assign, enc_proj=enc_proj, enc_hidden=enc_hidden,
+        view_embs=view_embs, gate_s=gate_s, gate_t=gate_t, z_s=z_s, z_t=z_t,
+        dec_hidden_s=dec_hidden_s, dec_hidden_t=dec_hidden_t,
+        recon_s=recon_s, recon_t=recon_t)
+    return x_norm, mask, x, trace
+
+
+def random_raw_rows(gen, b, n, binary):
+    """Rows of mixed density, one all-zero and one with a single entry."""
+    density = gen.choice([0.02, 0.2, 0.6], size=(b, 1))
+    values = np.ones((b, n)) if binary else gen.standard_normal((b, n))
+    raw = np.where(gen.random((b, n)) < density, values, 0.0)
+    raw[0] = 0.0
+    raw[1] = 0.0
+    raw[1, gen.integers(n)] = 1.0 if binary else gen.standard_normal()
+    return raw
+
+
+@pytest.mark.parametrize("keep_prob", [1.0, 0.5, 0.2])
+@pytest.mark.parametrize("training", [False, True])
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_sparse_input_stage_equals_dense_reference(ablation, training, keep_prob):
+    # The batch enters sparse and only its entries are normalized and
+    # masked; x, x_norm, the kept entries, the reconstructions and the
+    # gradients must still equal the dense pipeline's exactly. Widths
+    # above 128 give numpy's pairwise row sums more than one block.
+    gen = np.random.default_rng([ABLATIONS.index(ablation), training, int(keep_prob * 10)])
+    for trial in range(6):
+        n_s, n_t = int(gen.integers(3, 120)), int(gen.integers(3, 120))
+        config = ModelConfig(k=int(gen.integers(1, 5)), embed_dim=5, hidden=7,
+                             keep_prob=keep_prob, ablation=ablation)
+        params = init_params(config, n_s, n_t, Rng(trial))
+        params.gate[:] = Rng(trial + 50).uniform(2, config.k)
+        raw = random_raw_rows(gen, int(gen.integers(2, 12)), n_s + n_t, binary=trial % 2 == 0)
+        trace = forward(params, config, csr(raw), Rng(trial), training=training)
+        x_norm, mask, x, ref = dense_reference_forward(params, config, raw, Rng(trial),
+                                                       training)
+        assert np.array_equal(trace.raw_rows, raw)
+        assert np.array_equal(trace.x_norm, x_norm)
+        assert np.array_equal(trace.x, x)
+        if mask is None:
+            assert trace.input_mask is None
+        else:
+            assert np.array_equal(trace.input_mask.mask, mask[np.nonzero(raw)])
+        assert np.array_equal(trace.recon_s, ref.recon_s)
+        assert np.array_equal(trace.recon_t, ref.recon_t)
+        if training:
+            targets_s, targets_t = raw[:, :n_s], raw[:, n_s:]
+            grads = backward(trace, targets_s, targets_t, params, config)
+            expect = backward(ref, targets_s, targets_t, params, config)
+            for name in PARAM_FIELDS:
+                assert np.array_equal(grads[name], expect[name]), (trial, name)
+
+
+def test_forward_rejects_wrong_width():
+    config, params = toy_params()
+    with pytest.raises(ShapeError):
+        forward(params, config, csr(np.ones((2, 10))))
+
+
 def forward_peak_bytes(k):
     """Peak traced bytes of one training forward, B = 64 and N = 2000."""
     config = ModelConfig(k=k, embed_dim=32, hidden=64)
     params = init_params(config, 1200, 800, Rng(0))
-    x = (Rng(1).uniform(64, 2000) < 0.05).astype(float)
+    batch = csr((Rng(1).uniform(64, 2000) < 0.05).astype(float))
     tracemalloc.start()
     try:
-        forward(params, config, x, Rng(2), training=True)
+        forward(params, config, batch, Rng(2), training=True)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -229,8 +324,8 @@ def test_forward_k1_matches_single_view():
     params = init_params(base, 6, 5, Rng(0))
     sv = variant_config(base, "single_view")
     x = Rng(4).uniform(5, 11)
-    a = forward(params, base, x)
-    b = forward(params, sv, x)
+    a = forward(params, base, csr(x))
+    b = forward(params, sv, csr(x))
     assert np.max(np.abs(a.recon_s - b.recon_s)) < 1e-9
     assert np.max(np.abs(a.recon_t - b.recon_t)) < 1e-9
 
@@ -239,14 +334,14 @@ def test_forward_padded_user_gets_uniform_assignment():
     config, params = toy_params(k=3)
     x = Rng(4).uniform(5, 11)
     x[2] = 0.0
-    trace = forward(params, config, x)
+    trace = forward(params, config, csr(x))
     assert np.allclose(trace.assign[2], np.full(3, 1 / 3), atol=1e-12)
 
 
 def test_forward_trace_shapes():
     config, params = toy_params(k=3, embed=8, hidden=16, n_s=6, n_t=5)
     x = Rng(1).uniform(4, 11)
-    trace = forward(params, config, x, Rng(2), training=True)
+    trace = forward(params, config, csr(x), Rng(2), training=True)
     assert trace.x_norm.shape == (4, 11)
     assert trace.logits.shape == (4, 3)
     assert trace.gumbel.shape == (4, 3)
@@ -263,7 +358,7 @@ def test_forward_single_view_skips_logit_path():
     config = ModelConfig(k=4, embed_dim=8, hidden=16, tau=0.2, keep_prob=0.5,
                          lam=0.5, ablation="single_view")
     params = init_params(config, 6, 5, Rng(0))
-    trace = forward(params, config, Rng(1).uniform(4, 11), Rng(2), training=True)
+    trace = forward(params, config, csr(Rng(1).uniform(4, 11)), Rng(2), training=True)
     assert trace.logits is None and trace.gumbel is None
     assert np.array_equal(trace.assign, np.ones((4, 1)))
 

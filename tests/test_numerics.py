@@ -167,42 +167,61 @@ def test_softmax_grad_matches_finite_differences():
 
 
 def test_dropout_identity_cases():
-    m = Rng(8).uniform(5, 5)
-    mask = sample_dropout_mask(Rng(0), 5, 5, 1.0)
+    m = Rng(8).uniform(5, 5).reshape(-1)
+    mask = sample_dropout_mask(Rng(0), 5, 5, 1.0, np.arange(25))
     assert mask.scale == 1.0 and mask.mask.all()
     assert np.array_equal(mask.apply(m), m)
 
 
 def test_dropout_preserves_expectation():
-    m = np.ones((1000, 100))
-    out = sample_dropout_mask(Rng(21), 1000, 100, 0.5).apply(m)
+    m = np.ones(1000 * 100)
+    out = sample_dropout_mask(Rng(21), 1000, 100, 0.5, np.arange(m.size)).apply(m)
     assert set(np.unique(out)).issubset({0.0, 2.0})
     assert abs(float(out.mean()) - 1.0) < 0.01
 
 
 def test_dropout_rejects_bad_keep_prob():
     with pytest.raises(ParameterError):
-        sample_dropout_mask(Rng(0), 2, 2, 0.0)
+        sample_dropout_mask(Rng(0), 2, 2, 0.0, np.arange(4))
     with pytest.raises(ParameterError):
-        sample_dropout_mask(Rng(0), 2, 2, 1.2)
+        sample_dropout_mask(Rng(0), 2, 2, 1.2, np.arange(4))
 
 
 def test_dropout_mask_apply_matches_scale():
-    mask = sample_dropout_mask(Rng(4), 50, 40, 0.25)
+    mask = sample_dropout_mask(Rng(4), 50, 40, 0.25, np.arange(2000))
     assert isinstance(mask, DropoutMask)
     assert mask.scale == 4.0
-    applied = mask.apply(np.full((50, 40), 3.0))
+    applied = mask.apply(np.full(2000, 3.0))
     assert set(np.unique(applied)).issubset({0.0, 12.0})
     kept = float(mask.mask.mean())
     assert 0.15 < kept < 0.35
+
+
+def test_dropout_mask_is_the_dense_mask_read_at_the_entries():
+    # One uniform per matrix entry, row major: the mask over a few entries
+    # is the dense mask at those positions, and the stream moves on by the
+    # whole matrix either way.
+    entries = np.array([0, 3, 17, 18, 40, 62])
+    rng, dense_rng = Rng(3), Rng(3)
+    mask = sample_dropout_mask(rng, 7, 9, 0.4, entries)
+    dense = (dense_rng.uniform(7, 9) < 0.4).astype(np.float64)
+    assert np.array_equal(mask.mask, dense.reshape(-1)[entries])
+    assert np.array_equal(rng.uniform(2, 3), dense_rng.uniform(2, 3))
+
+
+def test_uniform_entries_reads_the_uniform_block():
+    entries = np.array([5, 0, 11, 11])
+    assert np.array_equal(Rng(6).uniform_entries(3, 4, entries),
+                          Rng(6).uniform(3, 4).reshape(-1)[entries])
 
 
 def test_adam_zero_grad_is_identity():
     param = Rng(6).uniform(3, 3)
     m = np.zeros_like(param)
     v = np.zeros_like(param)
+    before = param.copy()  # adam_step updates param in place
     new_param, _, _ = adam_step(param, np.zeros_like(param), m, v, t=1)
-    assert np.array_equal(new_param, param)
+    assert np.array_equal(new_param, before)
 
 
 def test_adam_first_step_magnitude():
@@ -233,6 +252,44 @@ def test_adam_two_steps_match_scalar_oracle():
     assert abs(param[0, 0] - p_ref) < 1e-12
     assert abs(m[0, 0] - m_ref) < 1e-12
     assert abs(v[0, 0] - v_ref) < 1e-12
+
+
+def adam_out_of_place(param, grad, m, v, t, lr, beta1, beta2, eps):
+    """The textbook update as new arrays: the oracle of the in-place step."""
+    m = beta1 * m + (1.0 - beta1) * grad
+    v = beta2 * v + (1.0 - beta2) * grad * grad
+    m_hat = m / (1.0 - beta1 ** t)
+    v_hat = v / (1.0 - beta2 ** t)
+    return param - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (7,), (3, 5), (2, 4, 3), (3000, 23), (23, 3000)])
+@pytest.mark.parametrize("seed", range(3))
+def test_adam_in_place_equals_out_of_place_formula(shape, seed):
+    # (3000, 23) and (23, 3000) span several ADAM_CHUNK passes, the last
+    # one partial.
+    gen = np.random.default_rng([seed, len(shape)])
+    hyper = {"lr": float(gen.choice([1e-3, 1e-2, 0.3])), "beta1": 0.9,
+             "beta2": float(gen.choice([0.999, 0.99])), "eps": 1e-8}
+    param = gen.standard_normal(shape)
+    m, v = np.zeros(shape), np.zeros(shape)
+    ref = (param.copy(), m.copy(), v.copy())
+    for t in range(1, int(gen.integers(1, 12)) + 1):
+        grad = gen.standard_normal(shape) * 10.0 ** gen.integers(-6, 3)
+        out = adam_step(param, grad, m, v, t, **hyper)
+        ref = adam_out_of_place(ref[0], grad, ref[1], ref[2], t, **hyper)
+        assert out[0] is param and out[1] is m and out[2] is v
+        for got, expect in zip(out, ref):
+            assert np.array_equal(got, expect), t
+
+
+def test_adam_updates_a_strided_view_in_place():
+    base = Rng(2).uniform(40, 30)
+    param = base.T[::2]  # neither C nor F contiguous
+    grad = Rng(3).uniform(15, 40)
+    expect, _, _ = adam_out_of_place(param.copy(), grad, 0.0, 0.0, 1, 1e-3, 0.9, 0.999, 1e-8)
+    adam_step(param, grad, np.zeros((15, 40)), np.zeros((15, 40)), 1)
+    assert np.array_equal(base.T[::2], expect)
 
 
 def test_adam_shape_error():

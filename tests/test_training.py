@@ -10,11 +10,12 @@ from mdap.model import (ForwardTrace, ModelConfig, PARAM_FIELDS, forward,
 from mdap.numerics import Rng, softmax_rows_grad
 from mdap.training import (ABLATION_VARIANTS, LOG_KEYS, AdamOptimizer,
                            TrainConfig, backward, loss, run_ablation, train)
+from sparse_rows import csr
 
 
 def stub_trace(recon_s, recon_t, gate_s, gate_t):
     return ForwardTrace(
-        config=ModelConfig(), training=False, raw_rows=None, x_norm=None,
+        config=ModelConfig(), training=False, batch=None, norm_values=None,
         input_mask=None, x=None, item_norm=None, core_norm=None, proj=None,
         logits=None, gumbel=None, assign=None, gate_s=gate_s, gate_t=gate_t,
         recon_s=recon_s, recon_t=recon_t)
@@ -46,7 +47,7 @@ def test_loss_worked_example():
 
 def test_loss_breakdown_sums_to_total():
     config, params, x = toy_setup()
-    trace = forward(params, config, x, Rng(3), training=True)
+    trace = forward(params, config, csr(x), Rng(3), training=True)
     total, parts = loss(trace, x[:, :4], x[:, 4:], config.lam)
     assert abs(total - (parts["rec_s"] + parts["rec_t"] + parts["orth"])) < 1e-10
     assert 0.0 <= parts["orth"] <= config.lam
@@ -54,7 +55,7 @@ def test_loss_breakdown_sums_to_total():
 
 def test_perfect_reconstruction_gives_zero_gradients():
     config, params, x = toy_setup(lam=0.0)
-    trace = forward(params, config, x, Rng(3), training=True)
+    trace = forward(params, config, csr(x), Rng(3), training=True)
     grads = backward(trace, trace.recon_s.copy(), trace.recon_t.copy(), params, config)
     for field in PARAM_FIELDS:
         assert not np.any(grads[field]), field
@@ -66,7 +67,7 @@ def test_gate_gradient_orthogonality_coupling():
                              keep_prob=0.5, lam=0.7)
     params.gate[0] = [0.3, -0.1]
     params.gate[1] = [-0.2, 0.4]
-    trace = forward(params, config_lam, x, Rng(3), training=True)
+    trace = forward(params, config_lam, csr(x), Rng(3), training=True)
     # targets equal to the reconstruction leave only the lambda term
     grads = backward(trace, trace.recon_s.copy(), trace.recon_t.copy(),
                      params, config_lam)
@@ -84,11 +85,12 @@ def fd_max_rel_error(config, seed=0, h=1e-5):
     x[2, 0] = 1.0
     x[4] = 0.0
     targets_s, targets_t = x[:, :4], x[:, 4:]
-    trace = forward(params, config, x, rng.derive(2), training=True)
+    batch = csr(x)
+    trace = forward(params, config, batch, rng.derive(2), training=True)
     grads = backward(trace, targets_s, targets_t, params, config)
 
     def loss_with(p):
-        replay = forward(p, config, x, training=True,
+        replay = forward(p, config, batch, training=True,
                          gumbel=trace.gumbel, input_mask=trace.input_mask)
         return loss(replay, targets_s, targets_t, config.lam)[0]
 
@@ -118,7 +120,7 @@ def test_gradients_match_finite_differences(ablation):
 
 def test_adam_optimizer_moves_every_field():
     config, params, x = toy_setup()
-    trace = forward(params, config, x, Rng(3), training=True)
+    trace = forward(params, config, csr(x), Rng(3), training=True)
     grads = backward(trace, x[:, :4], x[:, 4:], params, config)
     before = {f: getattr(params, f).copy() for f in PARAM_FIELDS}
     opt = AdamOptimizer(params, lr=1e-2)
@@ -160,6 +162,24 @@ def test_best_epoch_snapshot_is_returned(small_dataset):
     for field in PARAM_FIELDS:
         assert np.array_equal(getattr(params_long, field),
                               getattr(params_short, field)), field
+
+
+def test_best_epoch_snapshot_is_untouched_by_later_steps(small_dataset):
+    # Adam updates the live params in place; the returned best-epoch
+    # snapshot must not share their arrays.
+    snapshots = {}
+
+    def eval_fn(params, epoch):
+        snapshots[epoch] = params.copy()
+        v = 0.9 if epoch == 1 else 0.1
+        return {"recall_s": v, "recall_t": v, "ndcg_s": v, "ndcg_t": v}
+
+    params, log = train(small_dataset, small_train_config(epochs=3, patience=10),
+                        eval_fn=eval_fn)
+    assert log.best_epoch == 1 and len(log.records) == 3
+    for field in PARAM_FIELDS:
+        assert np.array_equal(getattr(params, field), getattr(snapshots[1], field)), field
+    assert not np.array_equal(params.dec_w2, snapshots[3].dec_w2)
 
 
 def test_training_is_deterministic(small_dataset):
