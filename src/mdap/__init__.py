@@ -17,7 +17,7 @@ from .model import (ModelConfig, ModelParams, ForwardTrace, forward, init_params
                     load_checkpoint, save_checkpoint)
 from .numerics import CsrRows, Rng
 from .training import (AblationReport, TrainConfig, TrainLog, backward, loss,
-                       run_ablation, train)
+                       residuals, run_ablation, train)
 
 __version__ = "0.1.0"
 
@@ -29,6 +29,6 @@ __all__ = [
     "TrainingDivergedError", "backward", "build_dataset", "evaluate",
     "forward", "generate_synthetic", "init_params", "k_core_filter",
     "load_checkpoint", "load_domain", "loss", "ndcg_at_k", "recall_at_k",
-    "run_ablation", "save_checkpoint", "sparse_batch", "split_counts",
+    "residuals", "run_ablation", "save_checkpoint", "sparse_batch", "split_counts",
     "synthetic_records", "top_k", "train", "view_blocks",
 ]

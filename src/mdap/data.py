@@ -171,7 +171,7 @@ class InteractionDataset:
     Split membership is stored as (user_index, item_index) pair arrays
     per domain and split, sorted lexicographically; user u owns rows
     offsets[key][u]:offsets[key][u + 1] of pairs[key]. Treat instances
-    as read-only.
+    as read-only: user_item_arrays() caches what it builds.
     """
 
     def __init__(self, users: list[str], items_s: list[str], items_t: list[str],
@@ -191,6 +191,7 @@ class InteractionDataset:
         self._validate()
         self.offsets = {key: np.searchsorted(arr[:, 0], np.arange(self.n_users + 1))
                         for key, arr in self.pairs.items()}
+        self._item_arrays: dict[tuple[str, str], tuple[np.ndarray, ...]] = {}
 
     def _validate(self):
         n_users = len(self.users)
@@ -219,10 +220,22 @@ class InteractionDataset:
     def split_size(self, domain: str, split: str) -> int:
         return int(self.pairs[(domain, split)].shape[0])
 
-    def user_item_arrays(self, domain: str, split: str) -> list[np.ndarray]:
-        """Per-user sorted item index arrays for one domain and split."""
+    def user_item_arrays(self, domain: str, split: str) -> tuple[np.ndarray, ...]:
+        """Per-user sorted item index arrays for one domain and split.
+
+        Built on the first call and returned as the same read-only
+        arrays on every later one.
+        """
         key = (domain, split)
-        return np.split(self.pairs[key][:, 1], self.offsets[key][1:-1])
+        if key not in self._item_arrays:
+            items = self.pairs[key][:, 1]
+            items.flags.writeable = False  # this view only; its slices inherit it
+            bounds = self.offsets[key].tolist()
+            # plain slices: np.split builds each piece far more slowly
+            # and holds it in a larger object
+            self._item_arrays[key] = tuple(
+                items[start:end] for start, end in zip(bounds[:-1], bounds[1:]))
+        return self._item_arrays[key]
 
 
 def build_dataset(domain_s: Interactions, domain_t: Interactions, rng: Rng,
@@ -277,8 +290,15 @@ def sparse_batch(dataset: InteractionDataset, user_indices: np.ndarray,
                  split: str = "train") -> CsrRows:
     """Concatenated rows [domain s | domain t] for a batch of users, in CSR
     form read straight from the dataset's offsets. Every value is 1.0 and
-    each row's columns ascend."""
+    each row's columns ascend. An unknown split or a user index outside
+    [0, n_users) raises ParameterError."""
+    if split not in SPLITS:
+        raise ParameterError(f"unknown split {split!r}, expected one of {SPLITS}")
     users = np.asarray(user_indices, dtype=np.int64)
+    if users.size and (users.min() < 0 or users.max() >= dataset.n_users):
+        raise ParameterError(
+            f"user indices must lie in [0, {dataset.n_users}), got "
+            f"{users.min()}..{users.max()}")
     spans = []
     for domain in DOMAINS:
         start = dataset.offsets[(domain, split)][users]

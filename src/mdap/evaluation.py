@@ -8,6 +8,7 @@ their ground-truth set for the evaluated split is non-empty.
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,14 +71,15 @@ def ndcg_at_k(ranked: np.ndarray, truth: set[int], k: int) -> float:
     return dcg / idcg
 
 
-def _scatter_index(lists: list[np.ndarray], rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _scatter_index(lists: Sequence[np.ndarray],
+                   rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Fancy index that puts the items of lists[rows[i]] into row i of a block."""
     cols = np.concatenate([lists[u] for u in rows]).astype(np.intp, copy=False)
     return np.repeat(np.arange(len(rows)), [lists[u].size for u in rows]), cols
 
 
-def score_matrix_metrics(scores: np.ndarray, train_lists: list[np.ndarray],
-                         truth_lists: list[np.ndarray], k: int) -> tuple[float, float, int]:
+def score_matrix_metrics(scores: np.ndarray, train_lists: Sequence[np.ndarray],
+                         truth_lists: Sequence[np.ndarray], k: int) -> tuple[float, float, int]:
     """Mean recall and NDCG over the users with non-empty truth.
 
     scores is (n_users, n_items); train_lists/truth_lists give each
@@ -170,7 +172,10 @@ def model_scores(params: ModelParams, config: ModelConfig, dataset,
     """Evaluation-mode reconstruction scores for every user, per domain.
 
     Model input is each user's training row over both domains.
+    batch_users must be >= 1.
     """
+    if batch_users < 1:
+        raise ParameterError(f"batch_users must be >= 1, got {batch_users}")
     n_users = dataset.n_users
     out = {
         "s": np.zeros((n_users, dataset.n_items("s"))),

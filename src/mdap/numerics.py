@@ -119,13 +119,18 @@ def row_l2_normalize_grad(original: np.ndarray, normalized: np.ndarray,
     """Backprop through row_l2_normalize.
 
     original is the input rows, normalized the forward output, grad_out
-    the gradient wrt the output. Zero rows get zero gradient.
+    the gradient wrt the output. Zero rows get zero gradient. Computes
+    (grad_out - inner * normalized) / norm in one work array.
     """
     norms = np.linalg.norm(original, axis=1, keepdims=True)
-    safe = np.where(norms > 0.0, norms, 1.0)
-    inner = np.sum(grad_out * normalized, axis=1, keepdims=True)
-    grad = (grad_out - inner * normalized) / safe
-    return np.where(norms > 0.0, grad, 0.0)
+    positive = norms > 0.0
+    grad = grad_out * normalized
+    inner = np.sum(grad, axis=1, keepdims=True)
+    np.multiply(inner, normalized, out=grad)
+    np.subtract(grad_out, grad, out=grad)
+    grad /= np.where(positive, norms, 1.0)
+    grad[~positive[:, 0]] = 0.0
+    return grad
 
 
 def gumbel_from_uniform(u: np.ndarray) -> np.ndarray:

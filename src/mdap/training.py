@@ -17,9 +17,9 @@ import numpy as np
 from .data import InteractionDataset, sparse_batch
 from .errors import ParameterError, ShapeError, TrainingDivergedError
 from .evaluation import evaluate
-from .model import (ModelConfig, ModelParams, forward, gate_weights, init_params,
-                    variant_config)
-from .numerics import Rng, adam_step, row_l2_normalize_grad, softmax_rows_grad
+from .model import (PARAM_FIELDS, ModelConfig, ModelParams, forward, gate_weights,
+                    init_params, variant_config)
+from .numerics import CsrRows, Rng, adam_step, row_l2_normalize_grad, softmax_rows_grad
 
 # Exact key order of one serialized training-log record.
 LOG_KEYS = ("epoch", "loss_total", "loss_rec_s", "loss_rec_t", "loss_orth",
@@ -29,56 +29,81 @@ ABLATION_VARIANTS = (("MDAP", "full"), ("MDAP-GS", "no_gumbel"),
                      ("MDAP-MV", "single_view"), ("MDAP-DG", "no_gate"))
 
 
-def squared_error(targets: np.ndarray, recon: np.ndarray) -> float:
-    """sum((targets - recon) ** 2), squaring the (B, items) residual in place."""
-    residual = targets - recon
-    return float(np.sum(np.square(residual, out=residual)))
+def residuals(trace, targets: CsrRows) -> tuple[np.ndarray, np.ndarray]:
+    """Each domain's reconstruction residual recon - targets, formed once.
+
+    targets holds the batch's stored entries over both domains' columns
+    (a training step passes the batch itself). Everywhere else the target
+    is 0 and recon - 0 is recon exactly, so each residual is a copy of its
+    reconstruction with recon - value written at the stored entries only:
+    no dense targets are built. loss() and backward() both read the pair.
+    """
+    n_s = trace.recon_s.shape[1]
+    if (targets.n_rows, targets.n_cols) != (trace.recon_s.shape[0],
+                                            n_s + trace.recon_t.shape[1]):
+        raise ShapeError(
+            f"targets of shape {(targets.n_rows, targets.n_cols)} do not match "
+            f"reconstructions {trace.recon_s.shape}/{trace.recon_t.shape}")
+    rows = np.repeat(np.arange(targets.n_rows), np.diff(targets.indptr))
+    in_s = targets.indices < n_s
+    out = []
+    for recon, at, col0 in ((trace.recon_s, in_s, 0), (trace.recon_t, ~in_s, n_s)):
+        r = recon.copy()
+        r[rows[at], targets.indices[at] - col0] -= targets.data[at]
+        out.append(r)
+    return out[0], out[1]
 
 
-def loss(trace, targets_s: np.ndarray, targets_t: np.ndarray,
+def loss(trace, residuals: tuple[np.ndarray, np.ndarray],
          lam: float) -> tuple[float, dict[str, float]]:
     """Total loss and its breakdown {rec_s, rec_t, orth}.
 
-    Reconstruction terms are sums of squared errors over every entry of
-    the batch rows, zeros included. The orthogonality term is
-    lam * (gate_s . gate_t).
+    residuals is the (r_s, r_t) pair from residuals(). Reconstruction
+    terms are sums of squared errors over every entry of the batch rows,
+    zeros included. The orthogonality term is lam * (gate_s . gate_t).
     """
-    if trace.recon_s.shape != targets_s.shape or trace.recon_t.shape != targets_t.shape:
+    r_s, r_t = residuals
+    if r_s.shape != trace.recon_s.shape or r_t.shape != trace.recon_t.shape:
         raise ShapeError(
-            f"target shapes {targets_s.shape}/{targets_t.shape} do not match "
+            f"residual shapes {r_s.shape}/{r_t.shape} do not match "
             f"reconstructions {trace.recon_s.shape}/{trace.recon_t.shape}")
-    rec_s = squared_error(targets_s, trace.recon_s)
-    rec_t = squared_error(targets_t, trace.recon_t)
+    # squared into a fresh array: backward() still reads the residuals
+    rec_s = float(np.sum(np.square(r_s)))
+    rec_t = float(np.sum(np.square(r_t)))
     orth = float(lam * np.dot(trace.gate_s, trace.gate_t))
     total = rec_s + rec_t + orth
     return total, {"rec_s": rec_s, "rec_t": rec_t, "orth": orth}
 
 
-def backward(trace, targets_s: np.ndarray, targets_t: np.ndarray,
+def backward(trace, residuals: tuple[np.ndarray, np.ndarray],
              params: ModelParams, config: ModelConfig) -> dict[str, np.ndarray]:
     """Exact loss gradients for every parameter array.
 
-    Requires a training-mode trace. Returns {field name: gradient} over
-    all PARAM_FIELDS; fields outside the active ablation's compute path
-    get zero gradients.
+    Requires a training-mode trace and its residuals() pair. Returns
+    {field name: gradient} in PARAM_FIELDS order; fields outside the
+    active ablation's compute path get zero gradients.
     """
     if not trace.training:
         raise ParameterError("backward needs a trace from forward(training=True)")
     if trace.x.shape[1] != params.n_items_total:
         raise ShapeError("trace and params disagree on the item count")
-    grads = {name: np.zeros_like(arr) for name, arr in params.arrays()}
+    # Zeros only where a gradient accumulates or may stay unused.
+    grads = {"dec_w1": np.zeros_like(params.dec_w1), "dec_b1": np.zeros_like(params.dec_b1),
+             "dec_w2": np.empty_like(params.dec_w2), "dec_b2": np.empty_like(params.dec_b2),
+             "gate": np.zeros_like(params.gate)}
 
+    # The loss gradient wrt recon is 2 * r. Doubling is exact, so it is
+    # applied to the small products rather than to the (B, items) residual.
     d_z = {}
     gate_recon_grad = {}
-    for domain, targets, recon, dec_hidden, z in (
-            ("s", targets_s, trace.recon_s, trace.dec_hidden_s, trace.z_s),
-            ("t", targets_t, trace.recon_t, trace.dec_hidden_t, trace.z_t)):
+    for domain, r, dec_hidden, z in (
+            ("s", residuals[0], trace.dec_hidden_s, trace.z_s),
+            ("t", residuals[1], trace.dec_hidden_t, trace.z_t)):
         cols = params.domain_slice(domain)
-        d_recon = recon - targets
-        d_recon *= 2.0
-        grads["dec_w2"][:, cols] += dec_hidden.T @ d_recon
-        grads["dec_b2"][cols] += d_recon.sum(axis=0)
-        d_hidden = d_recon @ params.dec_w2[:, cols].T
+        np.multiply(dec_hidden.T @ r, 2.0, out=grads["dec_w2"][:, cols])
+        np.multiply(r.sum(axis=0), 2.0, out=grads["dec_b2"][cols])
+        d_hidden = r @ params.dec_w2[:, cols].T
+        d_hidden *= 2.0
         d_pre = d_hidden * (1.0 - dec_hidden ** 2)
         grads["dec_w1"] += z.T @ d_pre
         grads["dec_b1"] += d_pre.sum(axis=0)
@@ -106,21 +131,29 @@ def backward(trace, targets_s: np.ndarray, targets_t: np.ndarray,
     d_pre = d_emb @ params.enc_w2.T
     d_pre *= 1.0 - hidden ** 2
     d_pre = d_pre.reshape(k, b, h)
-    grads["enc_w1"] = trace.x.T @ np.einsum("bk,kbh->bh", trace.assign, d_pre)
     grads["enc_b1"] = d_pre.sum(axis=(0, 1))
+    d_enc = np.einsum("bk,kbh->bh", trace.assign, d_pre)
 
-    if config.ablation != "single_view":
+    if config.ablation == "single_view":
+        grads["enc_w1"] = trace.x.T @ d_enc
+        grads["item_emb"] = np.zeros_like(params.item_emb)
+        grads["core_emb"] = np.zeros_like(params.core_emb)
+    else:
         d_assign = np.einsum("kbh,bh->bk", d_pre, trace.enc_proj)
         # Tempered softmax back to the logits; Gumbel noise is additive
         # and constant, so the logit gradient passes straight through.
         d_logits = softmax_rows_grad(trace.assign, d_assign, config.tau)
         d_proj = d_logits @ trace.core_norm
-        d_core_norm = d_logits.T @ trace.proj
-        d_item_norm = trace.x.T @ d_proj
-        grads["core_emb"] = row_l2_normalize_grad(params.core_emb, trace.core_norm, d_core_norm)
-        grads["item_emb"] = row_l2_normalize_grad(params.item_emb, trace.item_norm, d_item_norm)
+        # x is read once: x^T [d_enc | d_proj] gives the enc_w1 gradient
+        # and item_norm's in one GEMM, with the same bits as two products
+        x_grads = trace.x.T @ np.concatenate((d_enc, d_proj), axis=1)
+        grads["enc_w1"] = x_grads[:, :h]
+        grads["core_emb"] = row_l2_normalize_grad(params.core_emb, trace.core_norm,
+                                                  d_logits.T @ trace.proj)
+        grads["item_emb"] = row_l2_normalize_grad(params.item_emb, trace.item_norm,
+                                                  x_grads[:, h:])
 
-    return grads
+    return {name: grads[name] for name in PARAM_FIELDS}
 
 
 class AdamOptimizer:
@@ -227,8 +260,7 @@ def train(dataset: InteractionDataset, config: TrainConfig, eval_fn=None,
     shuffle_rng = rng.derive(1)
     noise_rng = rng.derive(2)
 
-    n_s = dataset.n_items("s")
-    params = init_params(config.model, n_s, dataset.n_items("t"), init_rng)
+    params = init_params(config.model, dataset.n_items("s"), dataset.n_items("t"), init_rng)
     opt = AdamOptimizer(params, lr=config.lr)
     if eval_fn is None:
         eval_fn = default_validator(dataset, config)
@@ -246,14 +278,13 @@ def train(dataset: InteractionDataset, config: TrainConfig, eval_fn=None,
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, dataset.n_users, config.batch_users):
                 batch = sparse_batch(dataset, perm[start:start + config.batch_users], "train")
-                targets = batch.scatter(batch.data)
-                targets_s = targets[:, :n_s]
-                targets_t = targets[:, n_s:]
                 trace = forward(params, config.model, batch, noise_rng, training=True)
-                total, parts = loss(trace, targets_s, targets_t, config.model.lam)
+                # the batch's own entries are the targets
+                r = residuals(trace, batch)
+                total, parts = loss(trace, r, config.model.lam)
                 if not np.isfinite(total):
                     raise TrainingDivergedError(epoch)
-                grads = backward(trace, targets_s, targets_t, params, config.model)
+                grads = backward(trace, r, params, config.model)
                 for name, grad in grads.items():
                     if not np.isfinite(grad).all():
                         raise TrainingDivergedError(

@@ -17,7 +17,7 @@ from mdap.model import (ModelConfig, PARAM_FIELDS, forward, gate_weights,
                         gumbel_softmax_assign, init_params, load_checkpoint,
                         save_checkpoint, variant_config)
 from mdap.numerics import Rng, softmax_rows
-from mdap.training import TrainConfig, backward, loss, train
+from mdap.training import TrainConfig, backward, loss, residuals, train
 from sparse_rows import csr
 
 CUTOFF = 20
@@ -49,15 +49,14 @@ def test_criterion_1_gradient_correctness():
     x = (rng.derive(1).uniform(5, 7) < 0.5).astype(float)
     x[2, 0] = 1.0
     x[4] = 0.0  # one padded user row
-    targets_s, targets_t = x[:, :4], x[:, 4:]
     batch = csr(x)
     trace = forward(params, config, batch, rng.derive(2), training=True)
-    grads = backward(trace, targets_s, targets_t, params, config)
+    grads = backward(trace, residuals(trace, batch), params, config)
 
     def loss_with(p):
         replay = forward(p, config, batch, training=True,
                          gumbel=trace.gumbel, input_mask=trace.input_mask)
-        return loss(replay, targets_s, targets_t, config.lam)[0]
+        return loss(replay, residuals(replay, batch), config.lam)[0]
 
     h = 1e-5
     worst = 0.0

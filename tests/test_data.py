@@ -312,6 +312,19 @@ def test_sparse_batch_concatenates_domains():
         len(ds.pairs[("s", "train")]) + len(ds.pairs[("t", "train")])
 
 
+@pytest.mark.parametrize("users, split, message", [
+    ([0, 1], "validation", "unknown split"),
+    ([0, 3], "train", r"\[0, 3\)"),
+    ([-1], "train", r"\[0, 3\)"),
+], ids=["unknown-split", "index-past-end", "negative-index"])
+def test_sparse_batch_rejects_bad_split_and_users(users, split, message):
+    records_s, records_t = two_domain_records()
+    ds = build_dataset(records_s, records_t, Rng(1))
+    assert ds.n_users == 3
+    with pytest.raises(ParameterError, match=message):
+        sparse_batch(ds, np.array(users), split)
+
+
 def test_view_blocks_partition():
     blocks = view_blocks(10, 4)
     assert [b.tolist() for b in blocks] == [[0, 1, 2], [3, 4, 5], [6, 7], [8, 9]]
@@ -428,3 +441,17 @@ def test_user_item_arrays_match_bucket_loop(fixture_dataset):
     # single-domain users own nothing in the other domain
     assert any(not a.size for a in ds.user_item_arrays("s", "train"))
     assert any(not a.size for a in ds.user_item_arrays("t", "train"))
+
+
+def test_user_item_arrays_built_once_and_read_only(fixture_dataset):
+    ds = fixture_dataset
+    for domain in ("s", "t"):
+        for split in SPLITS:
+            first = ds.user_item_arrays(domain, split)
+            again = ds.user_item_arrays(domain, split)
+            assert again is first
+            assert isinstance(first, tuple)
+            assert all(not a.flags.writeable for a in first)
+            with pytest.raises(ValueError):
+                first[0][...] = 0
+    assert ds.user_item_arrays("s", "train") is not ds.user_item_arrays("s", "test")

@@ -274,3 +274,16 @@ def test_evaluate_rejects_unknown_split(fixture_dataset):
                          fixture_dataset.n_items("t"), Rng(0))
     with pytest.raises(ParameterError):
         evaluate(params, config, fixture_dataset, "holdout")
+
+
+@pytest.mark.parametrize("batch_users", [0, -5])
+def test_non_positive_batch_users_raise(fixture_dataset, batch_users):
+    # 0 used to fail inside range(); -5 scored no user and returned
+    # metrics computed from all-zero scores.
+    config = ModelConfig(k=2, embed_dim=8, hidden=16)
+    params = init_params(config, fixture_dataset.n_items("s"),
+                         fixture_dataset.n_items("t"), Rng(0))
+    with pytest.raises(ParameterError, match="batch_users"):
+        model_scores(params, config, fixture_dataset, batch_users=batch_users)
+    with pytest.raises(ParameterError, match="batch_users"):
+        evaluate(params, config, fixture_dataset, "test", batch_users=batch_users)

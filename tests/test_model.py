@@ -13,7 +13,7 @@ from mdap.model import (ABLATIONS, CHECKPOINT_MAGIC, ForwardTrace, ModelConfig,
                         init_params, load_checkpoint, save_checkpoint,
                         variant_config, view_inputs)
 from mdap.numerics import Rng, row_l2_normalize, softmax_rows
-from mdap.training import backward
+from mdap.training import backward, residuals
 from sparse_rows import csr
 
 
@@ -285,9 +285,9 @@ def test_sparse_input_stage_equals_dense_reference(ablation, training, keep_prob
         assert np.array_equal(trace.recon_s, ref.recon_s)
         assert np.array_equal(trace.recon_t, ref.recon_t)
         if training:
-            targets_s, targets_t = raw[:, :n_s], raw[:, n_s:]
-            grads = backward(trace, targets_s, targets_t, params, config)
-            expect = backward(ref, targets_s, targets_t, params, config)
+            targets = csr(raw)
+            grads = backward(trace, residuals(trace, targets), params, config)
+            expect = backward(ref, residuals(ref, targets), params, config)
             for name in PARAM_FIELDS:
                 assert np.array_equal(grads[name], expect[name]), (trial, name)
 

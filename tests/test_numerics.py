@@ -107,6 +107,23 @@ def test_normalize_grad_zero_row_is_zero():
     assert np.array_equal(grad[1], np.zeros(3))
 
 
+def test_normalize_grad_equals_out_of_place_formula():
+    # Zero rows, a NaN row and widths past one pairwise block; the
+    # gradient may be a strided view, as backward() passes it.
+    gen = np.random.default_rng(5)
+    for n, width in ((7, 3), (40, 32), (9, 150)):
+        m = gen.standard_normal((n, width))
+        m[1] = 0.0
+        m[3, 0] = np.nan
+        norm = row_l2_normalize(m)
+        w = gen.standard_normal((n, width + 4))[:, 2:-2]
+        norms = np.linalg.norm(m, axis=1, keepdims=True)
+        inner = np.sum(w * norm, axis=1, keepdims=True)
+        expect = np.where(norms > 0.0, (w - inner * norm) / np.where(norms > 0.0, norms, 1.0),
+                          0.0)
+        assert row_l2_normalize_grad(m, norm, w).tobytes() == expect.tobytes()
+
+
 def test_gumbel_fixed_points():
     assert abs(gumbel_from_uniform(np.array([math.exp(-1.0)]))[0]) < 1e-12
     # -log(log 2)

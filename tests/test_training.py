@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from mdap import training
-from mdap.errors import TrainingDivergedError
-from mdap.model import (ForwardTrace, ModelConfig, PARAM_FIELDS, forward,
+from mdap.errors import ShapeError, TrainingDivergedError
+from mdap.model import (ABLATIONS, ForwardTrace, ModelConfig, PARAM_FIELDS, forward,
                         init_params, variant_config)
-from mdap.numerics import Rng, softmax_rows_grad
+from mdap.numerics import CsrRows, Rng, row_l2_normalize_grad, softmax_rows_grad
 from mdap.training import (ABLATION_VARIANTS, LOG_KEYS, AdamOptimizer,
-                           TrainConfig, backward, loss, run_ablation, train)
+                           TrainConfig, backward, loss, residuals, run_ablation,
+                           train)
 from sparse_rows import csr
 
 
@@ -38,7 +39,7 @@ def test_loss_worked_example():
     recon_t = np.zeros((2, 2))
     recon_t[1, 1] = -0.5
     trace = stub_trace(recon_s, recon_t, np.array([0.5, 0.5]), np.array([0.5, 0.5]))
-    total, parts = loss(trace, np.zeros((2, 3)), np.zeros((2, 2)), lam=0.5)
+    total, parts = loss(trace, residuals(trace, csr(np.zeros((2, 5)))), lam=0.5)
     assert abs(parts["rec_s"] - 0.25) < 1e-12
     assert abs(parts["rec_t"] - 0.25) < 1e-12
     assert abs(parts["orth"] - 0.25) < 1e-12  # 0.5 * (w_s . w_t) = 0.5 * 0.5
@@ -48,7 +49,7 @@ def test_loss_worked_example():
 def test_loss_breakdown_sums_to_total():
     config, params, x = toy_setup()
     trace = forward(params, config, csr(x), Rng(3), training=True)
-    total, parts = loss(trace, x[:, :4], x[:, 4:], config.lam)
+    total, parts = loss(trace, residuals(trace, csr(x)), config.lam)
     assert abs(total - (parts["rec_s"] + parts["rec_t"] + parts["orth"])) < 1e-10
     assert 0.0 <= parts["orth"] <= config.lam
 
@@ -56,7 +57,8 @@ def test_loss_breakdown_sums_to_total():
 def test_perfect_reconstruction_gives_zero_gradients():
     config, params, x = toy_setup(lam=0.0)
     trace = forward(params, config, csr(x), Rng(3), training=True)
-    grads = backward(trace, trace.recon_s.copy(), trace.recon_t.copy(), params, config)
+    targets = csr(np.hstack((trace.recon_s, trace.recon_t)))
+    grads = backward(trace, residuals(trace, targets), params, config)
     for field in PARAM_FIELDS:
         assert not np.any(grads[field]), field
 
@@ -69,8 +71,8 @@ def test_gate_gradient_orthogonality_coupling():
     params.gate[1] = [-0.2, 0.4]
     trace = forward(params, config_lam, csr(x), Rng(3), training=True)
     # targets equal to the reconstruction leave only the lambda term
-    grads = backward(trace, trace.recon_s.copy(), trace.recon_t.copy(),
-                     params, config_lam)
+    targets = csr(np.hstack((trace.recon_s, trace.recon_t)))
+    grads = backward(trace, residuals(trace, targets), params, config_lam)
     w_s, w_t = trace.gate_s, trace.gate_t
     expect_s = softmax_rows_grad(w_s[None, :], 0.7 * w_t[None, :])[0]
     expect_t = softmax_rows_grad(w_t[None, :], 0.7 * w_s[None, :])[0]
@@ -84,15 +86,14 @@ def fd_max_rel_error(config, seed=0, h=1e-5):
     x = (rng.derive(1).uniform(5, 7) < 0.5).astype(float)
     x[2, 0] = 1.0
     x[4] = 0.0
-    targets_s, targets_t = x[:, :4], x[:, 4:]
     batch = csr(x)
     trace = forward(params, config, batch, rng.derive(2), training=True)
-    grads = backward(trace, targets_s, targets_t, params, config)
+    grads = backward(trace, residuals(trace, batch), params, config)
 
     def loss_with(p):
         replay = forward(p, config, batch, training=True,
                          gumbel=trace.gumbel, input_mask=trace.input_mask)
-        return loss(replay, targets_s, targets_t, config.lam)[0]
+        return loss(replay, residuals(replay, batch), config.lam)[0]
 
     worst = 0.0
     for field in PARAM_FIELDS:
@@ -118,10 +119,147 @@ def test_gradients_match_finite_differences(ablation):
     assert fd_max_rel_error(config) < 1e-4
 
 
+def oracle_loss(trace, targets_s, targets_t, lam):
+    """The loss from dense targets: sum((targets - recon) ** 2) per domain."""
+    def squared_error(targets, recon):
+        residual = targets - recon
+        return float(np.sum(np.square(residual, out=residual)))
+    rec_s = squared_error(targets_s, trace.recon_s)
+    rec_t = squared_error(targets_t, trace.recon_t)
+    orth = float(lam * np.dot(trace.gate_s, trace.gate_t))
+    return rec_s + rec_t + orth, {"rec_s": rec_s, "rec_t": rec_t, "orth": orth}
+
+
+def oracle_backward(trace, targets_s, targets_t, params, config):
+    """backward() from dense targets, with d_recon = 2 * (recon - targets),
+    zero-filled gradients and separate x^T products."""
+    grads = {name: np.zeros_like(arr) for name, arr in params.arrays()}
+    d_z, gate_recon_grad = {}, {}
+    for domain, targets, recon, dec_hidden, z in (
+            ("s", targets_s, trace.recon_s, trace.dec_hidden_s, trace.z_s),
+            ("t", targets_t, trace.recon_t, trace.dec_hidden_t, trace.z_t)):
+        cols = params.domain_slice(domain)
+        d_recon = recon - targets
+        d_recon *= 2.0
+        grads["dec_w2"][:, cols] += dec_hidden.T @ d_recon
+        grads["dec_b2"][cols] += d_recon.sum(axis=0)
+        d_hidden = d_recon @ params.dec_w2[:, cols].T
+        d_pre = d_hidden * (1.0 - dec_hidden ** 2)
+        grads["dec_w1"] += z.T @ d_pre
+        grads["dec_b1"] += d_pre.sum(axis=0)
+        d_z[domain] = d_pre @ params.dec_w1.T
+        gate_recon_grad[domain] = np.einsum("kbl,bl->k", trace.view_embs, d_z[domain])
+    if config.ablation != "no_gate":
+        d_gate_s = gate_recon_grad["s"] + config.lam * trace.gate_t
+        d_gate_t = gate_recon_grad["t"] + config.lam * trace.gate_s
+        grads["gate"][0] = softmax_rows_grad(trace.gate_s[None, :], d_gate_s[None, :])[0]
+        grads["gate"][1] = softmax_rows_grad(trace.gate_t[None, :], d_gate_t[None, :])[0]
+    k, b, h = trace.enc_hidden.shape
+    hidden = trace.enc_hidden.reshape(k * b, h)
+    d_emb = (trace.gate_s[:, None, None] * d_z["s"]
+             + trace.gate_t[:, None, None] * d_z["t"]).reshape(k * b, -1)
+    grads["enc_w2"] = hidden.T @ d_emb
+    grads["enc_b2"] = d_emb.sum(axis=0)
+    d_pre = d_emb @ params.enc_w2.T
+    d_pre *= 1.0 - hidden ** 2
+    d_pre = d_pre.reshape(k, b, h)
+    grads["enc_w1"] = trace.x.T @ np.einsum("bk,kbh->bh", trace.assign, d_pre)
+    grads["enc_b1"] = d_pre.sum(axis=(0, 1))
+    if config.ablation != "single_view":
+        d_assign = np.einsum("kbh,bh->bk", d_pre, trace.enc_proj)
+        d_logits = softmax_rows_grad(trace.assign, d_assign, config.tau)
+        d_proj = d_logits @ trace.core_norm
+        grads["core_emb"] = row_l2_normalize_grad(params.core_emb, trace.core_norm,
+                                                  d_logits.T @ trace.proj)
+        grads["item_emb"] = row_l2_normalize_grad(params.item_emb, trace.item_norm,
+                                                  trace.x.T @ d_proj)
+    return grads
+
+
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_residual_loss_and_backward_equal_dense_target_oracles(ablation):
+    # Real-valued targets with empty rows, -0.0 planted in the
+    # reconstructions, widths past numpy's 128-element pairwise block.
+    gen = np.random.default_rng(ABLATIONS.index(ablation))
+    for trial in range(8):
+        n_s, n_t = int(gen.integers(2, 200)), int(gen.integers(2, 200))
+        b = int(gen.integers(2, 14))
+        config = ModelConfig(k=int(gen.integers(1, 5)), embed_dim=5, hidden=7,
+                             keep_prob=0.5, lam=0.3, ablation=ablation)
+        params = init_params(config, n_s, n_t, Rng(trial))
+        params.gate[:] = Rng(trial + 50).uniform(2, config.k)
+        raw = np.where(gen.random((b, n_s + n_t)) < 0.2,
+                       gen.standard_normal((b, n_s + n_t)), 0.0)
+        raw[0] = 0.0
+        trace = forward(params, config, csr((raw != 0).astype(float)), Rng(trial),
+                        training=True)
+        trace.recon_s[gen.random(trace.recon_s.shape) < 0.1] = -0.0
+        trace.recon_t[gen.random(trace.recon_t.shape) < 0.1] = -0.0
+        targets_s, targets_t = raw[:, :n_s], raw[:, n_s:]
+
+        r_s, r_t = residuals(trace, csr(raw))
+        assert r_s.tobytes() == (trace.recon_s - targets_s).tobytes()
+        assert r_t.tobytes() == (trace.recon_t - targets_t).tobytes()
+        assert loss(trace, (r_s, r_t), config.lam) == oracle_loss(
+            trace, targets_s, targets_t, config.lam)
+        grads = backward(trace, (r_s, r_t), params, config)
+        expect = oracle_backward(trace, targets_s, targets_t, params, config)
+        assert list(grads) == list(PARAM_FIELDS)
+        for name in PARAM_FIELDS:
+            assert grads[name].shape == expect[name].shape, (trial, name)
+            assert np.array_equal(grads[name], expect[name]), (trial, name)
+
+
+def test_residuals_reject_mismatched_targets():
+    config, params, x = toy_setup()
+    trace = forward(params, config, csr(x), Rng(3), training=True)
+    with pytest.raises(ShapeError):
+        residuals(trace, csr(x[:, :-1]))
+    with pytest.raises(ShapeError):
+        residuals(trace, csr(x[:-1]))
+    with pytest.raises(ShapeError):
+        loss(trace, (trace.recon_s, trace.recon_t[:, :-1]), config.lam)
+
+
+def test_train_step_forms_each_residual_once_from_the_batch(small_dataset, monkeypatch):
+    # Every step hands the one residual pair to loss and backward, and no
+    # dense targets are scattered.
+    formed, used = [], []
+    real_residuals, real_loss, real_backward = (
+        training.residuals, training.loss, training.backward)
+
+    def spy_residuals(trace, targets):
+        assert targets is trace.batch
+        formed.append(real_residuals(trace, targets))
+        return formed[-1]
+
+    def spy_loss(trace, r, lam):
+        used.append(("loss", r))
+        return real_loss(trace, r, lam)
+
+    def spy_backward(trace, r, params, config):
+        used.append(("backward", r))
+        return real_backward(trace, r, params, config)
+
+    def no_scatter(self, values):
+        raise AssertionError("a dense batch was built")
+
+    monkeypatch.setattr(training, "residuals", spy_residuals)
+    monkeypatch.setattr(training, "loss", spy_loss)
+    monkeypatch.setattr(training, "backward", spy_backward)
+    monkeypatch.setattr(CsrRows, "scatter", no_scatter)
+    config = small_train_config(epochs=2, patience=2)
+    train(small_dataset, config, eval_fn=metric_schedule([0.5]))
+    steps = 2 * -(-small_dataset.n_users // config.batch_users)
+    assert len(formed) == steps
+    assert [kind for kind, _ in used] == ["loss", "backward"] * steps
+    assert all(r is formed[i // 2] for i, (_, r) in enumerate(used))
+
+
 def test_adam_optimizer_moves_every_field():
     config, params, x = toy_setup()
     trace = forward(params, config, csr(x), Rng(3), training=True)
-    grads = backward(trace, x[:, :4], x[:, 4:], params, config)
+    grads = backward(trace, residuals(trace, csr(x)), params, config)
     before = {f: getattr(params, f).copy() for f in PARAM_FIELDS}
     opt = AdamOptimizer(params, lr=1e-2)
     opt.step(params, grads)
