@@ -33,33 +33,33 @@ from .numerics import Rng
 from .training import TrainConfig, run_ablation, train
 from . import __version__
 
-# name -> (python type, default). "lambda" maps to the lam field.
+# name -> (python type, default, --help text). "lambda" maps to the lam field.
 OPTION_TABLE = {
-    "seed": (int, 0),
-    "k": (int, 8),
-    "tau": (float, 0.2),
-    "lambda": (float, 0.5),
-    "dropout": (float, 0.5),
-    "epochs": (int, 1000),
-    "patience": (int, 20),
-    "batch_users": (int, 4096),
-    "lr": (float, 1e-3),
-    "embed_dim": (int, 64),
-    "hidden": (int, 256),
-    "ablation": (str, "full"),
-    "min_interactions": (int, 1),
-    "threshold": (float, 1.0),
-    "cutoff": (int, 20),
-    "n_users": (int, 200),
-    "n_items_s": (int, 40),
-    "n_items_t": (int, 30),
-    "k_true": (int, 4),
-    "overlap": (float, 0.5),
-    "noise": (float, 0.05),
-    "dropout_grid": (str, "0.5,0.7,0.9"),
-    "tau_grid": (str, "0.1,0.2,0.5"),
-    "k_grid": (str, "4,8,16"),
-    "lambda_grid": (str, "0.1,0.5,1.0"),
+    "seed": (int, 0, "random seed for every stochastic stage"),
+    "k": (int, 8, "number of preference views"),
+    "tau": (float, 0.2, "assignment softmax temperature"),
+    "lambda": (float, 0.5, "gate orthogonality weight"),
+    "dropout": (float, 0.5, "input dropout probability (keep prob is 1 - dropout)"),
+    "epochs": (int, 1000, "maximum training epochs"),
+    "patience": (int, 20, "early stopping patience in epochs"),
+    "batch_users": (int, 4096, "user rows per training batch"),
+    "lr": (float, 1e-3, "Adam learning rate"),
+    "embed_dim": (int, 64, "embedding width"),
+    "hidden": (int, 256, "encoder/decoder hidden width"),
+    "ablation": (str, "full", "model variant to train"),
+    "min_interactions": (int, 1, "per-domain core filter level (1 disables)"),
+    "threshold": (float, 1.0, "minimum rating that counts as an interaction"),
+    "cutoff": (int, 20, "ranking cutoff for recall/ndcg"),
+    "n_users": (int, 200, "synthetic user count"),
+    "n_items_s": (int, 40, "synthetic item count, domain s"),
+    "n_items_t": (int, 30, "synthetic item count, domain t"),
+    "k_true": (int, 4, "number of planted views"),
+    "overlap": (float, 0.5, "fraction of users present in both domains"),
+    "noise": (float, 0.05, "off-block interaction probability"),
+    "dropout_grid": (str, "0.5,0.7,0.9", "comma list of dropout values"),
+    "tau_grid": (str, "0.1,0.2,0.5", "comma list of tau values"),
+    "k_grid": (str, "4,8,16", "comma list of k values"),
+    "lambda_grid": (str, "0.1,0.5,1.0", "comma list of lambda values"),
 }
 
 PRESETS = {
@@ -90,7 +90,7 @@ def parse_config_file(path: str) -> dict[str, str]:
 
 def resolve_options(args: argparse.Namespace) -> dict:
     """Merge defaults, config file, preset and explicit flags."""
-    resolved = {name: default for name, (_, default) in OPTION_TABLE.items()}
+    resolved = {name: default for name, (_, default, _) in OPTION_TABLE.items()}
     config_path = getattr(args, "config", None)
     if config_path:
         for key, text in parse_config_file(config_path).items():
@@ -152,9 +152,9 @@ def model_config_from(options: dict) -> ModelConfig:
         ablation=options["ablation"])
 
 
-def train_config_from(options: dict, model: ModelConfig | None = None) -> TrainConfig:
+def train_config_from(options: dict) -> TrainConfig:
     return TrainConfig(
-        model=model if model is not None else model_config_from(options),
+        model=model_config_from(options),
         epochs_max=options["epochs"], patience=options["patience"],
         batch_users=options["batch_users"], lr=options["lr"],
         eval_k=options["cutoff"], seed=options["seed"])
@@ -320,10 +320,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def grid_run_once(dataset, options: dict, combo: dict, out: str, run_id: int,
-                  cache: dict, quiet: bool) -> dict:
-    key = (combo["dropout"], combo["tau"], combo["k"], combo["lambda"])
-    if key in cache:
-        return cache[key]
+                  quiet: bool) -> dict:
     merged = dict(options)
     merged.update(combo)
     config = train_config_from(merged)
@@ -344,7 +341,6 @@ def grid_run_once(dataset, options: dict, combo: dict, out: str, run_id: int,
     if not quiet:
         print(f"grid run {run_id:3d}: dropout={combo['dropout']:g} tau={combo['tau']:g} "
               f"k={combo['k']} lambda={combo['lambda']:g} -> val ndcg {best:.4f}")
-    cache[key] = result
     return result
 
 
@@ -358,19 +354,16 @@ def cmd_grid(args: argparse.Namespace) -> int:
     dataset = load_prepared(args.out)
     payload = run_payload("grid", options, {"full_grid": bool(args.full_grid)})
 
-    cache: dict[tuple, dict] = {}
-    runs: list[dict] = []
-    run_id = 0
+    # one result per combination, in run order: a repeated combination
+    # reuses its result and takes no run id
+    results: dict[tuple, dict] = {}
 
     def launch(combo: dict) -> dict:
-        nonlocal run_id
         key = (combo["dropout"], combo["tau"], combo["k"], combo["lambda"])
-        fresh = key not in cache
-        result = grid_run_once(dataset, options, combo, args.out, run_id, cache, args.quiet)
-        if fresh:
-            runs.append(result)
-            run_id += 1
-        return result
+        if key not in results:
+            results[key] = grid_run_once(dataset, options, combo, args.out,
+                                         len(results), args.quiet)
+        return results[key]
 
     if args.full_grid:
         for dropout in dropouts:
@@ -378,8 +371,8 @@ def cmd_grid(args: argparse.Namespace) -> int:
                 for k in ks:
                     for lam in lams:
                         launch({"dropout": dropout, "tau": tau, "k": k, "lambda": lam})
-        best = max(runs, key=lambda r: (r["val_ndcg_mean"], -r["run_id"]))
-        stages = [{"name": "full", "runs": [r["run_id"] for r in runs]}]
+        best = max(results.values(), key=lambda r: (r["val_ndcg_mean"], -r["run_id"]))
+        stages = [{"name": "full", "runs": [r["run_id"] for r in results.values()]}]
     else:
         # Stage 1 crosses dropout and tau at the base k/lambda, stage 2
         # sweeps k at the stage-1 best, stage 3 sweeps lambda on top.
@@ -399,6 +392,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
             {"name": "lambda", "runs": sorted({r["run_id"] for r in stage3})},
         ]
 
+    runs = list(results.values())
     os.makedirs(os.path.join(args.out, "reports"), exist_ok=True)
     summary = {
         "metric": "mean validation ndcg at cutoff over both domains",
@@ -425,37 +419,10 @@ def cmd_grid(args: argparse.Namespace) -> int:
 
 
 def add_shared_options(parser: argparse.ArgumentParser, names: list[str]):
-    flag_help = {
-        "seed": "random seed for every stochastic stage",
-        "k": "number of preference views",
-        "tau": "assignment softmax temperature",
-        "lambda": "gate orthogonality weight",
-        "dropout": "input dropout probability (keep prob is 1 - dropout)",
-        "epochs": "maximum training epochs",
-        "patience": "early stopping patience in epochs",
-        "batch_users": "user rows per training batch",
-        "lr": "Adam learning rate",
-        "embed_dim": "embedding width",
-        "hidden": "encoder/decoder hidden width",
-        "ablation": "model variant to train",
-        "min_interactions": "per-domain core filter level (1 disables)",
-        "threshold": "minimum rating that counts as an interaction",
-        "cutoff": "ranking cutoff for recall/ndcg",
-        "n_users": "synthetic user count",
-        "n_items_s": "synthetic item count, domain s",
-        "n_items_t": "synthetic item count, domain t",
-        "k_true": "number of planted views",
-        "overlap": "fraction of users present in both domains",
-        "noise": "off-block interaction probability",
-        "dropout_grid": "comma list of dropout values",
-        "tau_grid": "comma list of tau values",
-        "k_grid": "comma list of k values",
-        "lambda_grid": "comma list of lambda values",
-    }
     for name in names:
-        typ, default = OPTION_TABLE[name]
+        typ, default, text = OPTION_TABLE[name]
         kwargs = {"type": typ, "default": None, "dest": name,
-                  "help": f"{flag_help[name]} (default {default})"}
+                  "help": f"{text} (default {default})"}
         if name == "ablation":
             kwargs["choices"] = ABLATIONS
             del kwargs["type"]

@@ -239,20 +239,16 @@ class InteractionDataset:
 
 
 def build_dataset(domain_s: Interactions, domain_t: Interactions, rng: Rng,
-                  threshold: float = 1.0,
-                  ratios: tuple[float, float, float] = DEFAULT_RATIOS,
-                  k_core: int = 1) -> InteractionDataset:
+                  threshold: float = 1.0, k_core: int = 1) -> InteractionDataset:
     """Binarize, index and split two domains' interactions into a dataset.
 
     Ratings >= threshold become positive interactions, the rest are
     dropped. Duplicate (user, item) pairs collapse to one. Assignment of
     a user's items to splits is random (driven by rng) but the split
-    sizes follow split_counts. k_core is the level the caller's core
-    filter used, recorded on the dataset. Raises DataError if either
-    domain ends up empty after binarization.
+    sizes follow split_counts at DEFAULT_RATIOS. k_core is the level the
+    caller's core filter used, recorded on the dataset. Raises DataError
+    if either domain ends up empty after binarization.
     """
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ParameterError(f"split ratios must sum to 1, got {ratios}")
     positive: dict[tuple[str, ...], np.ndarray] = {}
     for domain, (ids, ratings) in zip(DOMAINS, (domain_s, domain_t)):
         positive[(domain,)] = ids[ratings >= threshold]
@@ -277,7 +273,7 @@ def build_dataset(domain_s: Interactions, domain_t: Interactions, rng: Rng,
         for start, n in zip(starts[:-1].tolist(), np.diff(starts).tolist()):
             if n:
                 label[start + rng.permutation(n)] = np.repeat(
-                    np.arange(len(SPLITS)), split_counts(n, ratios))
+                    np.arange(len(SPLITS)), split_counts(n))
         for j, split in enumerate(SPLITS):
             pairs[(domain, split)] = owned[label == j]
 
@@ -286,23 +282,22 @@ def build_dataset(domain_s: Interactions, domain_t: Interactions, rng: Rng,
         threshold=threshold, seed=rng.seed, k_core=k_core)
 
 
-def sparse_batch(dataset: InteractionDataset, user_indices: np.ndarray,
-                 split: str = "train") -> CsrRows:
-    """Concatenated rows [domain s | domain t] for a batch of users, in CSR
-    form read straight from the dataset's offsets. Every value is 1.0 and
-    each row's columns ascend. An unknown split or a user index outside
-    [0, n_users) raises ParameterError."""
-    if split not in SPLITS:
-        raise ParameterError(f"unknown split {split!r}, expected one of {SPLITS}")
-    users = np.asarray(user_indices, dtype=np.int64)
+def sparse_batch(dataset: InteractionDataset, user_indices: np.ndarray) -> CsrRows:
+    """Concatenated training rows [domain s | domain t] for a batch of
+    users, in CSR form read straight from the dataset's offsets. Every
+    value is 1.0 and each row's columns ascend. User indices that are not
+    integers, or that lie outside [0, n_users), raise ParameterError."""
+    users = np.asarray(user_indices)
+    if users.dtype.kind not in "iu":
+        raise ParameterError(f"user indices must be integers, got dtype {users.dtype}")
     if users.size and (users.min() < 0 or users.max() >= dataset.n_users):
         raise ParameterError(
             f"user indices must lie in [0, {dataset.n_users}), got "
             f"{users.min()}..{users.max()}")
     spans = []
     for domain in DOMAINS:
-        start = dataset.offsets[(domain, split)][users]
-        spans.append((start, dataset.offsets[(domain, split)][users + 1] - start))
+        offsets = dataset.offsets[(domain, "train")]
+        spans.append((offsets[users], offsets[users + 1] - offsets[users]))
     indptr = np.concatenate(([0], np.cumsum(spans[0][1] + spans[1][1])))
     indices = np.empty(indptr[-1], dtype=np.int64)
     dest = indptr[:-1]  # where each user's next domain segment goes
@@ -310,7 +305,7 @@ def sparse_batch(dataset: InteractionDataset, user_indices: np.ndarray,
     for domain, (start, counts) in zip(DOMAINS, spans):
         # position of each entry inside its user's segment
         within = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        items = dataset.pairs[(domain, split)][np.repeat(start, counts) + within, 1]
+        items = dataset.pairs[(domain, "train")][np.repeat(start, counts) + within, 1]
         indices[np.repeat(dest, counts) + within] = col0 + items
         dest = dest + counts
         col0 += dataset.n_items(domain)

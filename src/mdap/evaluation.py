@@ -167,31 +167,28 @@ class MetricsReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def model_scores(params: ModelParams, config: ModelConfig, dataset,
-                 batch_users: int = EVAL_BATCH_USERS) -> dict[str, np.ndarray]:
+def model_scores(params: ModelParams, config: ModelConfig, dataset) -> dict[str, np.ndarray]:
     """Evaluation-mode reconstruction scores for every user, per domain.
 
-    Model input is each user's training row over both domains.
-    batch_users must be >= 1.
+    Model input is each user's training row over both domains, run
+    EVAL_BATCH_USERS users at a time.
     """
-    if batch_users < 1:
-        raise ParameterError(f"batch_users must be >= 1, got {batch_users}")
     n_users = dataset.n_users
     out = {
         "s": np.zeros((n_users, dataset.n_items("s"))),
         "t": np.zeros((n_users, dataset.n_items("t"))),
     }
-    for start in range(0, n_users, batch_users):
-        idx = np.arange(start, min(start + batch_users, n_users))
-        trace = forward(params, config, sparse_batch(dataset, idx, "train"), training=False)
+    for start in range(0, n_users, EVAL_BATCH_USERS):
+        idx = np.arange(start, min(start + EVAL_BATCH_USERS, n_users))
+        trace = forward(params, config, sparse_batch(dataset, idx), training=False)
         out["s"][idx] = trace.recon_s
         out["t"][idx] = trace.recon_t
     return out
 
 
 def evaluate(params: ModelParams, config: ModelConfig, dataset, split: str,
-             k: int = 20, batch_users: int = EVAL_BATCH_USERS,
-             seed: int | None = None, checkpoint: str | None = None) -> MetricsReport:
+             k: int = 20, seed: int | None = None,
+             checkpoint: str | None = None) -> MetricsReport:
     """Rank every non-training item for every user and score one split.
 
     Deterministic: evaluating the same params twice gives bit-identical
@@ -199,7 +196,7 @@ def evaluate(params: ModelParams, config: ModelConfig, dataset, split: str,
     """
     if split not in ("train", "valid", "test"):
         raise ParameterError(f"unknown split {split!r}")
-    scores = model_scores(params, config, dataset, batch_users)
+    scores = model_scores(params, config, dataset)
     report = MetricsReport(split=split, cutoff=k, seed=seed, checkpoint=checkpoint)
     for domain in ("s", "t"):
         train_lists = dataset.user_item_arrays(domain, "train")

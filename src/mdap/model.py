@@ -28,8 +28,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import CheckpointError, ParameterError, ShapeError
-from .numerics import (CsrRows, DropoutMask, Rng, matmul, row_l2_normalize,
-                       sample_dropout_mask, sample_gumbel, softmax_rows)
+from .numerics import (CsrRows, Rng, matmul, row_l2_normalize, sample_dropout_mask,
+                       sample_gumbel, softmax_rows)
 
 ABLATIONS = ("full", "no_gumbel", "single_view", "no_gate")
 
@@ -156,21 +156,19 @@ def init_params(config: ModelConfig, n_items_s: int, n_items_t: int, rng: Rng) -
 
 
 def gumbel_softmax_assign(logits: np.ndarray, tau: float, rng: Rng | None = None,
-                          training: bool = False, ablation: str = "full",
-                          gumbel: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+                          training: bool = False,
+                          ablation: str = "full") -> tuple[np.ndarray, np.ndarray | None]:
     """Soft view assignment rows on the probability simplex.
 
     Training mode (ablation != no_gumbel) perturbs the logits with fresh
     standard Gumbel noise before the tempered softmax; evaluation and
-    no_gumbel use the logits as they are. Pass `gumbel` to reuse frozen
-    noise. Returns (assignment, noise or None).
+    no_gumbel use the logits as they are. Returns (assignment, noise or
+    None).
     """
-    noisy = ablation != "no_gumbel" and training
-    if noisy:
-        if gumbel is None:
-            if rng is None:
-                raise ParameterError("training-mode assignment needs an Rng")
-            gumbel = sample_gumbel(rng, logits.shape[0], logits.shape[1])
+    if ablation != "no_gumbel" and training:
+        if rng is None:
+            raise ParameterError("training-mode assignment needs an Rng")
+        gumbel = sample_gumbel(rng, logits.shape[0], logits.shape[1])
         return softmax_rows(logits + gumbel, tau), gumbel
     return softmax_rows(logits, tau), None
 
@@ -246,16 +244,17 @@ class ForwardTrace:
     """Every intermediate of one forward pass, kept for backprop.
 
     Noise and dropout masks are stored so the backward pass can treat
-    them as constants, and so a finite-difference probe can replay the
-    exact same stochastic pass. The input batch and its normalized values
-    stay sparse; raw_rows and x_norm are built dense on access.
+    them as constants; a finite-difference probe replays the same
+    stochastic pass by running forward again on a stream derived from the
+    same seed. The input batch and its normalized values stay sparse;
+    raw_rows and x_norm are built dense on access.
     """
 
     config: ModelConfig
     training: bool
     batch: CsrRows
     norm_values: np.ndarray            # batch entries after row L2 normalization
-    input_mask: DropoutMask | None     # over the batch entries
+    input_mask: np.ndarray | None      # 0/1 over the batch entries
     x: np.ndarray                      # normalized, dropout-corrupted input, dense
     item_norm: np.ndarray | None
     core_norm: np.ndarray | None
@@ -292,9 +291,7 @@ class ForwardTrace:
 
 
 def forward(params: ModelParams, config: ModelConfig, batch: CsrRows,
-            rng: Rng | None = None, training: bool = False,
-            gumbel: np.ndarray | None = None,
-            input_mask: DropoutMask | None = None) -> ForwardTrace:
+            rng: Rng | None = None, training: bool = False) -> ForwardTrace:
     """Run the full model on a batch of concatenated interaction rows.
 
     Only the batch's stored entries are normalized and masked; the
@@ -302,9 +299,9 @@ def forward(params: ModelParams, config: ModelConfig, batch: CsrRows,
     The normalized input is corrupted by one shared dropout mask that
     feeds both the assignment logits and the view encoder, so the view
     inputs still sum to the corrupted input exactly. Evaluation mode is
-    deterministic: no noise, no dropout. `gumbel` and `input_mask`
-    override fresh sampling with frozen values (used by gradient
-    checks); sampling order is input mask first, then Gumbel noise.
+    deterministic: no noise, no dropout. Training mode draws the input
+    mask first, then the Gumbel noise, so a stream derived from the same
+    seed replays the pass exactly.
     """
     n = params.n_items_total
     if batch.n_cols != n:
@@ -324,12 +321,10 @@ def forward(params: ModelParams, config: ModelConfig, batch: CsrRows,
     mask = None
     values = norm_values
     if training and config.keep_prob < 1.0:
-        mask = input_mask
-        if mask is None:
-            if rng is None:
-                raise ParameterError("training-mode forward needs an Rng")
-            mask = sample_dropout_mask(rng, b, n, config.keep_prob, entries)
-        values = mask.apply(norm_values)
+        if rng is None:
+            raise ParameterError("training-mode forward needs an Rng")
+        mask = sample_dropout_mask(rng, b, n, config.keep_prob, entries)
+        values = norm_values * mask * (1.0 / config.keep_prob)
     np.put(x, entries, values)
 
     if config.ablation == "single_view":
@@ -340,8 +335,8 @@ def forward(params: ModelParams, config: ModelConfig, batch: CsrRows,
         core_norm = row_l2_normalize(params.core_emb)
         proj = matmul(x, item_norm)
         logits = matmul(proj, core_norm.T)
-        assign, noise = gumbel_softmax_assign(
-            logits, config.tau, rng, training, config.ablation, gumbel=gumbel)
+        assign, noise = gumbel_softmax_assign(logits, config.tau, rng, training,
+                                              config.ablation)
 
     enc_proj = matmul(x, params.enc_w1)
     enc_hidden, view_embs = encode_rows(params, enc_proj, assign)

@@ -158,32 +158,19 @@ def softmax_rows_grad(s: np.ndarray, grad_s: np.ndarray, tau: float = 1.0) -> np
     return s * (grad_s - inner) / tau
 
 
-@dataclass
-class DropoutMask:
-    """Inverted-dropout mask over a set of entries: 0/1 pattern plus the
-    1/keep_prob scale."""
-
-    keep_prob: float
-    mask: np.ndarray
-    scale: float
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        return values * self.mask * self.scale
-
-
 def sample_dropout_mask(rng: Rng, rows: int, cols: int, keep_prob: float,
-                        entries: np.ndarray) -> DropoutMask:
-    """Dropout mask over the flat row-major positions `entries` of a
+                        entries: np.ndarray) -> np.ndarray:
+    """0/1 dropout mask over the flat row-major positions `entries` of a
     (rows, cols) matrix.
 
     One uniform is drawn per matrix entry, in row-major order, and an
-    entry is kept when its draw is < keep_prob: the mask is the dense
-    mask read at `entries`, and the stream advances by rows * cols draws.
+    entry is kept (1.0) when its draw is < keep_prob: the mask is the
+    dense mask read at `entries`, and the stream advances by rows * cols
+    draws. The caller applies it as values * mask * (1 / keep_prob).
     """
     if not 0.0 < keep_prob <= 1.0:
         raise ParameterError(f"keep_prob must be in (0, 1], got {keep_prob}")
-    mask = (rng.uniform_entries(rows, cols, entries) < keep_prob).astype(np.float64)
-    return DropoutMask(keep_prob=keep_prob, mask=mask, scale=1.0 / keep_prob)
+    return (rng.uniform_entries(rows, cols, entries) < keep_prob).astype(np.float64)
 
 
 def adam_step(param: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,

@@ -6,7 +6,7 @@ plus a penalty on the dot product of the two domains' gate vectors,
 which pushes the domains to rely on different views. Gradients are
 derived by hand against the ForwardTrace; dropout masks and Gumbel
 noise are treated as constants of the pass, so a finite-difference
-probe that replays the same noise must agree with backward().
+probe that replays the pass from the same seed must agree with backward().
 """
 
 import json
@@ -17,8 +17,8 @@ import numpy as np
 from .data import InteractionDataset, sparse_batch
 from .errors import ParameterError, ShapeError, TrainingDivergedError
 from .evaluation import evaluate
-from .model import (PARAM_FIELDS, ModelConfig, ModelParams, forward, gate_weights,
-                    init_params, variant_config)
+from .model import (PARAM_FIELDS, ModelConfig, ModelParams, forward, init_params,
+                    variant_config)
 from .numerics import CsrRows, Rng, adam_step, row_l2_normalize_grad, softmax_rows_grad
 
 # Exact key order of one serialized training-log record.
@@ -158,14 +158,10 @@ def backward(trace, residuals: tuple[np.ndarray, np.ndarray],
 
 class AdamOptimizer:
     """Per-array Adam state over a ModelParams instance; step() updates the
-    params' arrays in place."""
+    params' arrays in place with adam_step's default betas and eps."""
 
-    def __init__(self, params: ModelParams, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: ModelParams, lr: float = 1e-3):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {name: np.zeros_like(arr) for name, arr in params.arrays()}
         self.v = {name: np.zeros_like(arr) for name, arr in params.arrays()}
@@ -173,8 +169,7 @@ class AdamOptimizer:
     def step(self, params: ModelParams, grads: dict[str, np.ndarray]):
         self.t += 1
         for name, arr in params.arrays():
-            adam_step(arr, grads[name], self.m[name], self.v[name], self.t,
-                      lr=self.lr, beta1=self.beta1, beta2=self.beta2, eps=self.eps)
+            adam_step(arr, grads[name], self.m[name], self.v[name], self.t, lr=self.lr)
 
 
 @dataclass(frozen=True)
@@ -206,14 +201,10 @@ class TrainConfig:
 
 @dataclass
 class TrainLog:
-    """Per-epoch records plus the best-epoch marker.
-
-    records hold exactly the LOG_KEYS fields; gates keeps the epoch-end
-    gate vectors (not serialized) for diagnostics.
-    """
+    """Per-epoch records, each holding exactly the LOG_KEYS fields, plus
+    the best-epoch marker."""
 
     records: list[dict] = field(default_factory=list)
-    gates: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
     best_epoch: int = -1
 
     def to_jsonl(self) -> str:
@@ -277,7 +268,7 @@ def train(dataset: InteractionDataset, config: TrainConfig, eval_fn=None,
         # diverged run is caught by the loss and gradient finiteness checks
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, dataset.n_users, config.batch_users):
-                batch = sparse_batch(dataset, perm[start:start + config.batch_users], "train")
+                batch = sparse_batch(dataset, perm[start:start + config.batch_users])
                 trace = forward(params, config.model, batch, noise_rng, training=True)
                 # the batch's own entries are the targets
                 r = residuals(trace, batch)
@@ -305,8 +296,6 @@ def train(dataset: InteractionDataset, config: TrainConfig, eval_fn=None,
                 "val_ndcg20_s": metrics["ndcg_s"],
                 "val_ndcg20_t": metrics["ndcg_t"],
             })
-            log.gates.append((gate_weights(params, "s", config.model.ablation),
-                              gate_weights(params, "t", config.model.ablation)))
         if verbose:
             print(f"epoch {epoch:4d}  loss {log.records[-1]['loss_total']:.4f}  "
                   f"val ndcg s/t {metrics['ndcg_s']:.4f}/{metrics['ndcg_t']:.4f}")

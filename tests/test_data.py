@@ -4,9 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mdap.data import (SPLITS, InteractionDataset, SyntheticSpec, build_dataset,
-                       generate_synthetic, k_core_filter, load_domain, sparse_batch,
-                       split_counts, synthetic_records, view_blocks, write_domain_file)
+from mdap.data import (DEFAULT_RATIOS, SPLITS, InteractionDataset, SyntheticSpec,
+                       build_dataset, generate_synthetic, k_core_filter, load_domain,
+                       sparse_batch, split_counts, synthetic_records, view_blocks,
+                       write_domain_file)
 from mdap.errors import DataError, ParameterError, ParseError
 from mdap.numerics import Rng
 
@@ -220,7 +221,7 @@ def test_build_dataset_rejects_empty_domain():
         build_dataset(dom(("u1", "s1")), dom(("u1", "t1", 0.1)), Rng(0), threshold=1.0)
 
 
-def build_dataset_reference(records_s, records_t, rng, threshold, ratios):
+def build_dataset_reference(records_s, records_t, rng, threshold):
     """Per-user split assignment with Python lists: build_dataset's oracle.
 
     Returns (users, items by domain, sorted pair lists by (domain, split)).
@@ -241,7 +242,7 @@ def build_dataset_reference(records_s, records_t, rng, threshold, ratios):
             if not owned:
                 continue
             idx = sorted(item_index[i] for i in owned)
-            n_train, n_valid, _ = split_counts(len(idx), ratios)
+            n_train, n_valid, _ = split_counts(len(idx), DEFAULT_RATIOS)
             shuffled = [idx[p] for p in rng.permutation(len(idx))]
             pairs[(domain, "train")] += [[u, i] for i in shuffled[:n_train]]
             pairs[(domain, "valid")] += [[u, i] for i in shuffled[n_train:n_train + n_valid]]
@@ -268,12 +269,11 @@ def awkward_records(seed):
     return dom(*records["s"]), dom(*records["t"])
 
 
-@pytest.mark.parametrize("ratios", [(0.8, 0.1, 0.1), (0.5, 0.3, 0.2)])
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-def test_build_dataset_matches_per_user_reference(seed, ratios):
+def test_build_dataset_matches_per_user_reference(seed):
     records_s, records_t = awkward_records(seed)
-    ds = build_dataset(records_s, records_t, Rng(seed), threshold=1.0, ratios=ratios)
-    users, items, pairs = build_dataset_reference(records_s, records_t, Rng(seed), 1.0, ratios)
+    ds = build_dataset(records_s, records_t, Rng(seed), threshold=1.0)
+    users, items, pairs = build_dataset_reference(records_s, records_t, Rng(seed), 1.0)
     assert list(ds.users) == users
     assert "u4" not in users  # every rating below threshold
     assert {d: list(ds.items[d]) for d in ("s", "t")} == items
@@ -285,7 +285,7 @@ def test_sparse_batch_match_pairs():
     records_s, records_t = two_domain_records()
     ds = build_dataset(records_s, records_t, Rng(1))
     users = np.array([2, 0, 1])
-    batch = sparse_batch(ds, users, "train")
+    batch = sparse_batch(ds, users)
     rows = batch.scatter(batch.data)
     n_s = ds.n_items("s")
     expect = np.zeros((ds.n_users, n_s + ds.n_items("t")))
@@ -305,24 +305,24 @@ def test_sparse_batch_match_pairs():
 def test_sparse_batch_concatenates_domains():
     records_s, records_t = two_domain_records()
     ds = build_dataset(records_s, records_t, Rng(1))
-    batch = sparse_batch(ds, np.array([0, 2]), "train")
+    batch = sparse_batch(ds, np.array([0, 2]))
     assert batch.scatter(batch.data).shape == (2, ds.n_items("s") + ds.n_items("t"))
-    full = sparse_batch(ds, np.arange(ds.n_users), "train")
+    full = sparse_batch(ds, np.arange(ds.n_users))
     assert int(full.scatter(full.data).sum()) == \
         len(ds.pairs[("s", "train")]) + len(ds.pairs[("t", "train")])
 
 
-@pytest.mark.parametrize("users, split, message", [
-    ([0, 1], "validation", "unknown split"),
-    ([0, 3], "train", r"\[0, 3\)"),
-    ([-1], "train", r"\[0, 3\)"),
-], ids=["unknown-split", "index-past-end", "negative-index"])
-def test_sparse_batch_rejects_bad_split_and_users(users, split, message):
+@pytest.mark.parametrize("users, message", [
+    ([0, 3], r"\[0, 3\)"),
+    ([-1], r"\[0, 3\)"),
+    ([1.7, 2.2], "must be integers"),
+], ids=["index-past-end", "negative-index", "float-index"])
+def test_sparse_batch_rejects_bad_users(users, message):
     records_s, records_t = two_domain_records()
     ds = build_dataset(records_s, records_t, Rng(1))
     assert ds.n_users == 3
     with pytest.raises(ParameterError, match=message):
-        sparse_batch(ds, np.array(users), split)
+        sparse_batch(ds, np.array(users))
 
 
 def test_view_blocks_partition():

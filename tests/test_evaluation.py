@@ -249,12 +249,14 @@ def test_evaluate_is_deterministic(fixture_dataset):
         assert a.domains[domain]["n_users_evaluated"] > 0
 
 
-def test_evaluate_batching_invariant(fixture_dataset):
+def test_evaluate_batching_invariant(fixture_dataset, monkeypatch):
     config = ModelConfig(k=2, embed_dim=8, hidden=16, tau=0.2, keep_prob=0.5, lam=0.5)
     params = init_params(config, fixture_dataset.n_items("s"),
                          fixture_dataset.n_items("t"), Rng(4))
-    small = evaluate(params, config, fixture_dataset, "valid", k=20, batch_users=7)
-    big = evaluate(params, config, fixture_dataset, "valid", k=20, batch_users=1024)
+    monkeypatch.setattr(evaluation, "EVAL_BATCH_USERS", 7)
+    small = evaluate(params, config, fixture_dataset, "valid", k=20)
+    monkeypatch.setattr(evaluation, "EVAL_BATCH_USERS", 1024)
+    big = evaluate(params, config, fixture_dataset, "valid", k=20)
     assert small.to_json() == big.to_json()
 
 
@@ -262,7 +264,7 @@ def test_model_scores_shapes(fixture_dataset):
     config = ModelConfig(k=2, embed_dim=8, hidden=16, tau=0.2, keep_prob=0.5, lam=0.5)
     params = init_params(config, fixture_dataset.n_items("s"),
                          fixture_dataset.n_items("t"), Rng(0))
-    scores = model_scores(params, config, fixture_dataset, batch_users=64)
+    scores = model_scores(params, config, fixture_dataset)
     assert scores["s"].shape == (fixture_dataset.n_users, fixture_dataset.n_items("s"))
     assert scores["t"].shape == (fixture_dataset.n_users, fixture_dataset.n_items("t"))
     assert np.all(np.isfinite(scores["s"])) and np.all(np.isfinite(scores["t"]))
@@ -275,15 +277,3 @@ def test_evaluate_rejects_unknown_split(fixture_dataset):
     with pytest.raises(ParameterError):
         evaluate(params, config, fixture_dataset, "holdout")
 
-
-@pytest.mark.parametrize("batch_users", [0, -5])
-def test_non_positive_batch_users_raise(fixture_dataset, batch_users):
-    # 0 used to fail inside range(); -5 scored no user and returned
-    # metrics computed from all-zero scores.
-    config = ModelConfig(k=2, embed_dim=8, hidden=16)
-    params = init_params(config, fixture_dataset.n_items("s"),
-                         fixture_dataset.n_items("t"), Rng(0))
-    with pytest.raises(ParameterError, match="batch_users"):
-        model_scores(params, config, fixture_dataset, batch_users=batch_users)
-    with pytest.raises(ParameterError, match="batch_users"):
-        evaluate(params, config, fixture_dataset, "test", batch_users=batch_users)

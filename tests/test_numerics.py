@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mdap.errors import ParameterError, ShapeError
-from mdap.numerics import (DropoutMask, Rng, adam_step, gumbel_from_uniform,
+from mdap.numerics import (Rng, adam_step, gumbel_from_uniform,
                            matmul, row_l2_normalize, row_l2_normalize_grad,
                            sample_dropout_mask, sample_gumbel, softmax_rows,
                            softmax_rows_grad)
@@ -186,13 +186,13 @@ def test_softmax_grad_matches_finite_differences():
 def test_dropout_identity_cases():
     m = Rng(8).uniform(5, 5).reshape(-1)
     mask = sample_dropout_mask(Rng(0), 5, 5, 1.0, np.arange(25))
-    assert mask.scale == 1.0 and mask.mask.all()
-    assert np.array_equal(mask.apply(m), m)
+    assert mask.all()
+    assert np.array_equal(m * mask, m)
 
 
 def test_dropout_preserves_expectation():
     m = np.ones(1000 * 100)
-    out = sample_dropout_mask(Rng(21), 1000, 100, 0.5, np.arange(m.size)).apply(m)
+    out = m * sample_dropout_mask(Rng(21), 1000, 100, 0.5, np.arange(m.size)) * (1.0 / 0.5)
     assert set(np.unique(out)).issubset({0.0, 2.0})
     assert abs(float(out.mean()) - 1.0) < 0.01
 
@@ -206,11 +206,10 @@ def test_dropout_rejects_bad_keep_prob():
 
 def test_dropout_mask_apply_matches_scale():
     mask = sample_dropout_mask(Rng(4), 50, 40, 0.25, np.arange(2000))
-    assert isinstance(mask, DropoutMask)
-    assert mask.scale == 4.0
-    applied = mask.apply(np.full(2000, 3.0))
+    assert mask.dtype == np.float64 and set(np.unique(mask)).issubset({0.0, 1.0})
+    applied = np.full(2000, 3.0) * mask * (1.0 / 0.25)
     assert set(np.unique(applied)).issubset({0.0, 12.0})
-    kept = float(mask.mask.mean())
+    kept = float(mask.mean())
     assert 0.15 < kept < 0.35
 
 
@@ -222,7 +221,7 @@ def test_dropout_mask_is_the_dense_mask_read_at_the_entries():
     rng, dense_rng = Rng(3), Rng(3)
     mask = sample_dropout_mask(rng, 7, 9, 0.4, entries)
     dense = (dense_rng.uniform(7, 9) < 0.4).astype(np.float64)
-    assert np.array_equal(mask.mask, dense.reshape(-1)[entries])
+    assert np.array_equal(mask, dense.reshape(-1)[entries])
     assert np.array_equal(rng.uniform(2, 3), dense_rng.uniform(2, 3))
 
 
