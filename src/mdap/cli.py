@@ -18,6 +18,7 @@ success, 2 for usage/config/data problems, 3 when training diverges.
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -346,11 +347,13 @@ def grid_run_once(dataset, options: dict, combo: dict, out: str, run_id: int,
 
 def cmd_grid(args: argparse.Namespace) -> int:
     options = resolve_options(args)
-    dropouts = parse_grid(options["dropout_grid"], float)
-    taus = parse_grid(options["tau_grid"], float)
-    ks = parse_grid(options["k_grid"], int)
-    lams = parse_grid(options["lambda_grid"], float)
-    train_config_from(options)  # validate the shared options up front
+    grids = {"dropout": parse_grid(options["dropout_grid"], float),
+             "tau": parse_grid(options["tau_grid"], float),
+             "k": parse_grid(options["k_grid"], int),
+             "lambda": parse_grid(options["lambda_grid"], float)}
+    for axis, values in grids.items():  # reject a bad value before the first run
+        for value in values:
+            train_config_from({**options, axis: value})
     dataset = load_prepared(args.out)
     payload = run_payload("grid", options, {"full_grid": bool(args.full_grid)})
 
@@ -365,32 +368,23 @@ def cmd_grid(args: argparse.Namespace) -> int:
                                          len(results), args.quiet)
         return results[key]
 
+    # The staged search crosses dropout and tau at the base k/lambda, then
+    # sweeps k at the best so far, then lambda on top.
     if args.full_grid:
-        for dropout in dropouts:
-            for tau in taus:
-                for k in ks:
-                    for lam in lams:
-                        launch({"dropout": dropout, "tau": tau, "k": k, "lambda": lam})
-        best = max(results.values(), key=lambda r: (r["val_ndcg_mean"], -r["run_id"]))
-        stages = [{"name": "full", "runs": [r["run_id"] for r in results.values()]}]
+        stage_table = [("full", ("dropout", "tau", "k", "lambda"))]
     else:
-        # Stage 1 crosses dropout and tau at the base k/lambda, stage 2
-        # sweeps k at the stage-1 best, stage 3 sweeps lambda on top.
-        stage1 = [launch({"dropout": d, "tau": t, "k": options["k"],
-                          "lambda": options["lambda"]})
-                  for d in dropouts for t in taus]
-        best = max(stage1, key=lambda r: (r["val_ndcg_mean"], -r["run_id"]))
-        stage2 = [launch({"dropout": best["dropout"], "tau": best["tau"], "k": k,
-                          "lambda": options["lambda"]}) for k in ks]
-        best = max(stage2 + [best], key=lambda r: (r["val_ndcg_mean"], -r["run_id"]))
-        stage3 = [launch({"dropout": best["dropout"], "tau": best["tau"],
-                          "k": best["k"], "lambda": lam}) for lam in lams]
-        best = max(stage3 + [best], key=lambda r: (r["val_ndcg_mean"], -r["run_id"]))
-        stages = [
-            {"name": "dropout_tau", "runs": sorted({r["run_id"] for r in stage1})},
-            {"name": "k", "runs": sorted({r["run_id"] for r in stage2})},
-            {"name": "lambda", "runs": sorted({r["run_id"] for r in stage3})},
-        ]
+        stage_table = [("dropout_tau", ("dropout", "tau")), ("k", ("k",)),
+                       ("lambda", ("lambda",))]
+    base = {axis: options[axis] for axis in grids}
+    best = None
+    stages = []
+    for name, axes in stage_table:
+        runs = [launch({**base, **dict(zip(axes, values))})
+                for values in itertools.product(*(grids[axis] for axis in axes))]
+        best = max(runs + ([best] if best else []),
+                   key=lambda r: (r["val_ndcg_mean"], -r["run_id"]))
+        base = {axis: best[axis] for axis in grids}
+        stages.append({"name": name, "runs": sorted({r["run_id"] for r in runs})})
 
     runs = list(results.values())
     os.makedirs(os.path.join(args.out, "reports"), exist_ok=True)

@@ -170,8 +170,7 @@ class InteractionDataset:
 
     Split membership is stored as (user_index, item_index) pair arrays
     per domain and split, sorted lexicographically; user u owns rows
-    offsets[key][u]:offsets[key][u + 1] of pairs[key]. Treat instances
-    as read-only: user_item_arrays() caches what it builds.
+    offsets[key][u]:offsets[key][u + 1] of pairs[key].
     """
 
     def __init__(self, users: list[str], items_s: list[str], items_t: list[str],
@@ -191,7 +190,6 @@ class InteractionDataset:
         self._validate()
         self.offsets = {key: np.searchsorted(arr[:, 0], np.arange(self.n_users + 1))
                         for key, arr in self.pairs.items()}
-        self._item_arrays: dict[tuple[str, str], tuple[np.ndarray, ...]] = {}
 
     def _validate(self):
         n_users = len(self.users)
@@ -220,22 +218,16 @@ class InteractionDataset:
     def split_size(self, domain: str, split: str) -> int:
         return int(self.pairs[(domain, split)].shape[0])
 
-    def user_item_arrays(self, domain: str, split: str) -> tuple[np.ndarray, ...]:
-        """Per-user sorted item index arrays for one domain and split.
-
-        Built on the first call and returned as the same read-only
-        arrays on every later one.
+    def rows(self, domain: str, split: str) -> CsrRows:
+        """One domain's split as CSR rows, one row per user, holding 1.0
+        at each of the user's items in ascending order. indptr and
+        indices are read-only views of offsets and pairs; nothing is copied.
         """
         key = (domain, split)
-        if key not in self._item_arrays:
-            items = self.pairs[key][:, 1]
-            items.flags.writeable = False  # this view only; its slices inherit it
-            bounds = self.offsets[key].tolist()
-            # plain slices: np.split builds each piece far more slowly
-            # and holds it in a larger object
-            self._item_arrays[key] = tuple(
-                items[start:end] for start, end in zip(bounds[:-1], bounds[1:]))
-        return self._item_arrays[key]
+        indptr = self.offsets[key].view()
+        indices = self.pairs[key][:, 1]
+        indptr.flags.writeable = indices.flags.writeable = False
+        return CsrRows(indptr, indices, np.broadcast_to(1.0, indices.shape), self.n_items(domain))
 
 
 def build_dataset(domain_s: Interactions, domain_t: Interactions, rng: Rng,
@@ -284,7 +276,7 @@ def build_dataset(domain_s: Interactions, domain_t: Interactions, rng: Rng,
 
 def sparse_batch(dataset: InteractionDataset, user_indices: np.ndarray) -> CsrRows:
     """Concatenated training rows [domain s | domain t] for a batch of
-    users, in CSR form read straight from the dataset's offsets. Every
+    users, in CSR form taken from each domain's training rows. Every
     value is 1.0 and each row's columns ascend. User indices that are not
     integers, or that lie outside [0, n_users), raise ParameterError."""
     users = np.asarray(user_indices)
@@ -294,22 +286,15 @@ def sparse_batch(dataset: InteractionDataset, user_indices: np.ndarray) -> CsrRo
         raise ParameterError(
             f"user indices must lie in [0, {dataset.n_users}), got "
             f"{users.min()}..{users.max()}")
-    spans = []
-    for domain in DOMAINS:
-        offsets = dataset.offsets[(domain, "train")]
-        spans.append((offsets[users], offsets[users + 1] - offsets[users]))
-    indptr = np.concatenate(([0], np.cumsum(spans[0][1] + spans[1][1])))
+    s, t = (dataset.rows(domain, "train").take(users) for domain in DOMAINS)
+    indptr = s.indptr + t.indptr
     indices = np.empty(indptr[-1], dtype=np.int64)
-    dest = indptr[:-1]  # where each user's next domain segment goes
-    col0 = 0
-    for domain, (start, counts) in zip(DOMAINS, spans):
-        # position of each entry inside its user's segment
-        within = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        items = dataset.pairs[(domain, "train")][np.repeat(start, counts) + within, 1]
-        indices[np.repeat(dest, counts) + within] = col0 + items
-        dest = dest + counts
-        col0 += dataset.n_items(domain)
-    return CsrRows(indptr, indices, np.ones(len(indices)), col0)
+    # row r's s entries follow the t entries of rows before it; its t
+    # entries follow the s entries of rows up to and including it
+    indices[np.arange(len(s.indices)) + np.repeat(t.indptr[:-1], np.diff(s.indptr))] = s.indices
+    indices[np.arange(len(t.indices)) + np.repeat(s.indptr[1:], np.diff(t.indptr))] = (
+        t.indices + s.n_cols)
+    return CsrRows(indptr, indices, np.ones(len(indices)), s.n_cols + t.n_cols)
 
 
 @dataclass(frozen=True)

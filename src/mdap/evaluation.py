@@ -8,7 +8,6 @@ their ground-truth set for the evaluated split is non-empty.
 
 import json
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +15,7 @@ import numpy as np
 from .data import sparse_batch
 from .errors import ParameterError
 from .model import ModelConfig, ModelParams, forward
+from .numerics import CsrRows
 
 EVAL_BATCH_USERS = 1024
 
@@ -71,21 +71,14 @@ def ndcg_at_k(ranked: np.ndarray, truth: set[int], k: int) -> float:
     return dcg / idcg
 
 
-def _scatter_index(lists: Sequence[np.ndarray],
-                   rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fancy index that puts the items of lists[rows[i]] into row i of a block."""
-    cols = np.concatenate([lists[u] for u in rows]).astype(np.intp, copy=False)
-    return np.repeat(np.arange(len(rows)), [lists[u].size for u in rows]), cols
-
-
-def score_matrix_metrics(scores: np.ndarray, train_lists: Sequence[np.ndarray],
-                         truth_lists: Sequence[np.ndarray], k: int) -> tuple[float, float, int]:
+def score_matrix_metrics(scores: np.ndarray, train: CsrRows, truth: CsrRows,
+                         k: int) -> tuple[float, float, int]:
     """Mean recall and NDCG over the users with non-empty truth.
 
-    scores is (n_users, n_items); train_lists/truth_lists give each
-    user's training and ground-truth item indices. Returns
-    (mean recall, mean ndcg, users evaluated); means are 0.0 when no
-    user qualifies.
+    scores is (n_users, n_items); row u of train/truth holds user u's
+    training and ground-truth item indices, over the same n_items
+    columns. Returns (mean recall, mean ndcg, users evaluated); means are
+    0.0 when no user qualifies.
 
     The evaluated users are ranked EVAL_BATCH_USERS rows at a time. Each
     block is negated, its training items set to +inf, and the K smallest
@@ -101,7 +94,7 @@ def score_matrix_metrics(scores: np.ndarray, train_lists: Sequence[np.ndarray],
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     n_items = scores.shape[1]
-    eval_users = np.flatnonzero([truth.size > 0 for truth in truth_lists])
+    eval_users = np.flatnonzero(np.diff(truth.indptr))
     n_eval = len(eval_users)
     if n_eval == 0:
         return 0.0, 0.0, 0
@@ -115,7 +108,8 @@ def score_matrix_metrics(scores: np.ndarray, train_lists: Sequence[np.ndarray],
         rows = eval_users[start:start + EVAL_BATCH_USERS]
         block = scores[rows]
         np.negative(block, out=block)
-        block[_scatter_index(train_lists, rows)] = np.inf
+        banned = train.take(rows)
+        np.put(block, banned.flat_index(), np.inf)
         if kk < n_items:
             cand = np.argpartition(block, kk - 1, axis=1)[:, :kk]
         else:
@@ -128,16 +122,19 @@ def score_matrix_metrics(scores: np.ndarray, train_lists: Sequence[np.ndarray],
                      > np.count_nonzero(cand_scores == kth, axis=1))
                     | ~np.isfinite(kth[:, 0]))
 
-        truth = np.zeros(block.shape, dtype=bool)
-        truth[_scatter_index(truth_lists, rows)] = True
-        truth_len = np.count_nonzero(truth, axis=1)
-        hits = truth[np.arange(len(rows))[:, None], top]
+        wanted = truth.take(rows)
+        is_truth = np.zeros(block.shape, dtype=bool)
+        np.put(is_truth, wanted.flat_index(), True)
+        truth_len = np.diff(wanted.indptr)
+        hits = is_truth[np.arange(len(rows))[:, None], top]
         dcg = np.cumsum(hits * disc, axis=1)[:, -1]
         recall[start:start + len(rows)] = np.count_nonzero(hits, axis=1) / truth_len
         ndcg[start:start + len(rows)] = dcg / idcg[np.minimum(k, truth_len)]
         for i in np.flatnonzero(fallback):
-            ranked = top_k(scores[rows[i]], train_lists[rows[i]], k)
-            truth_set = {int(item) for item in truth_lists[rows[i]]}
+            train_items = banned.indices[banned.indptr[i]:banned.indptr[i + 1]]
+            truth_items = wanted.indices[wanted.indptr[i]:wanted.indptr[i + 1]]
+            ranked = top_k(scores[rows[i]], train_items, k)
+            truth_set = {int(item) for item in truth_items}
             recall[start + i] = recall_at_k(ranked, truth_set, k)
             ndcg[start + i] = ndcg_at_k(ranked, truth_set, k)
     return (float(np.cumsum(recall)[-1]) / n_eval,
@@ -199,9 +196,8 @@ def evaluate(params: ModelParams, config: ModelConfig, dataset, split: str,
     scores = model_scores(params, config, dataset)
     report = MetricsReport(split=split, cutoff=k, seed=seed, checkpoint=checkpoint)
     for domain in ("s", "t"):
-        train_lists = dataset.user_item_arrays(domain, "train")
-        truth_lists = dataset.user_item_arrays(domain, split)
-        recall, ndcg, n_eval = score_matrix_metrics(scores[domain], train_lists, truth_lists, k)
+        recall, ndcg, n_eval = score_matrix_metrics(
+            scores[domain], dataset.rows(domain, "train"), dataset.rows(domain, split), k)
         report.domains[domain] = {
             "recall": recall, "ndcg": ndcg, "n_users_evaluated": n_eval}
     return report

@@ -129,6 +129,15 @@ def glorot_uniform(rng: Rng, rows: int, cols: int) -> np.ndarray:
     return (2.0 * rng.uniform(rows, cols) - 1.0) * limit
 
 
+def param_shapes(config: ModelConfig, n_items_s: int, n_items_t: int) -> dict[str, tuple]:
+    """Shape of each parameter array, in PARAM_FIELDS order."""
+    n = n_items_s + n_items_t
+    l, h, k = config.embed_dim, config.hidden, config.k
+    return {"item_emb": (n, l), "core_emb": (k, l), "enc_w1": (n, h), "enc_b1": (h,),
+            "enc_w2": (h, l), "enc_b2": (l,), "dec_w1": (l, h), "dec_b1": (h,),
+            "dec_w2": (h, n), "dec_b2": (n,), "gate": (2, k)}
+
+
 def init_params(config: ModelConfig, n_items_s: int, n_items_t: int, rng: Rng) -> ModelParams:
     """Glorot-uniform weights and embeddings, zero biases and gate table.
 
@@ -136,23 +145,10 @@ def init_params(config: ModelConfig, n_items_s: int, n_items_t: int, rng: Rng) -
     """
     if n_items_s < 1 or n_items_t < 1:
         raise ParameterError("both domains need at least one item")
-    n = n_items_s + n_items_t
-    l, h, k = config.embed_dim, config.hidden, config.k
-    return ModelParams(
-        item_emb=glorot_uniform(rng, n, l),
-        core_emb=glorot_uniform(rng, k, l),
-        enc_w1=glorot_uniform(rng, n, h),
-        enc_b1=np.zeros(h),
-        enc_w2=glorot_uniform(rng, h, l),
-        enc_b2=np.zeros(l),
-        dec_w1=glorot_uniform(rng, l, h),
-        dec_b1=np.zeros(h),
-        dec_w2=glorot_uniform(rng, h, n),
-        dec_b2=np.zeros(n),
-        gate=np.zeros((2, k)),
-        n_items_s=n_items_s,
-        n_items_t=n_items_t,
-    )
+    arrays = {name: np.zeros(shape) if len(shape) == 1 or name == "gate"
+              else glorot_uniform(rng, *shape)
+              for name, shape in param_shapes(config, n_items_s, n_items_t).items()}
+    return ModelParams(n_items_s=n_items_s, n_items_t=n_items_t, **arrays)
 
 
 def gumbel_softmax_assign(logits: np.ndarray, tau: float, rng: Rng | None = None,
@@ -395,7 +391,8 @@ def load_checkpoint(path: str) -> tuple[ModelParams, ModelConfig, dict]:
     """Read a checkpoint written by save_checkpoint.
 
     Returns (params, config, extra metadata). Raises CheckpointError on
-    a bad magic, unsupported version, malformed header, or truncated data.
+    a bad magic, unsupported version, malformed header, a shape that
+    the config and item counts do not give, or truncated data.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -418,11 +415,15 @@ def load_checkpoint(path: str) -> tuple[ModelParams, ModelConfig, dict]:
         # ValueError covers undecodable UTF-8 and JSON as well.
         raise CheckpointError(f"{path}: corrupt header: {exc!r}") from exc
     off += header_len
+    expected = param_shapes(config, n_items_s, n_items_t)
     arrays = {}
     for name, shape in shapes.items():
         if not (isinstance(shape, list)
                 and all(type(dim) is int and dim >= 0 for dim in shape)):
             raise CheckpointError(f"{path}: bad shape {shape!r} for field {name}")
+        if tuple(shape) != expected[name]:
+            raise CheckpointError(f"{path}: field {name} has shape {shape}, but the header's "
+                                  f"config and item counts give {list(expected[name])}")
         nbytes = math.prod(shape) * 8
         if off + nbytes > len(raw):
             raise CheckpointError(f"{path}: truncated at field {name}")

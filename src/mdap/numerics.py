@@ -100,6 +100,15 @@ class CsrRows:
         rows = np.repeat(np.arange(self.n_rows), np.diff(self.indptr))
         return rows * self.n_cols + self.indices
 
+    def take(self, rows: np.ndarray) -> "CsrRows":
+        """The listed rows, in the order given, as a new CsrRows."""
+        rows = np.asarray(rows, dtype=np.int64)
+        starts = self.indptr[rows]
+        counts = self.indptr[rows + 1] - starts
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        pos = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], counts)
+        return CsrRows(indptr, self.indices[pos], self.data[pos], self.n_cols)
+
     def scatter(self, values: np.ndarray) -> np.ndarray:
         """Dense (n_rows, n_cols) array holding `values` at the stored entries."""
         out = np.zeros((self.n_rows, self.n_cols))

@@ -1,4 +1,5 @@
-"""Dense rows as a CsrRows batch, for tests that build model inputs by hand."""
+"""Dense rows or per-row column lists as CsrRows, for tests that build
+model inputs or ranking inputs by hand."""
 
 import numpy as np
 
@@ -10,3 +11,11 @@ def csr(dense: np.ndarray) -> CsrRows:
     rows, cols = np.nonzero(dense)
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=dense.shape[0]))))
     return CsrRows(indptr, cols, dense[rows, cols], dense.shape[1])
+
+
+def csr_lists(lists, n_cols: int) -> CsrRows:
+    """Per-row column lists as a CsrRows holding 1.0 at each listed column."""
+    indptr = np.concatenate(([0], np.cumsum([len(cols) for cols in lists], dtype=np.int64)))
+    indices = np.concatenate([np.zeros(0, dtype=np.int64)]
+                             + [np.asarray(cols, dtype=np.int64) for cols in lists])
+    return CsrRows(indptr, indices, np.ones(len(indices)), n_cols)

@@ -182,11 +182,12 @@ def random_ranking_recall(dataset, domain, k):
     """Closed-form mean recall of a uniformly random ranking."""
     n_items = dataset.n_items(domain)
     values = []
-    for train_items, truth in zip(dataset.user_item_arrays(domain, "train"),
-                                  dataset.user_item_arrays(domain, "test")):
-        if len(truth) == 0:
+    n_train = np.diff(dataset.rows(domain, "train").indptr)
+    n_truth = np.diff(dataset.rows(domain, "test").indptr)
+    for n, t in zip(n_train.tolist(), n_truth.tolist()):
+        if t == 0:
             continue
-        eligible = n_items - len(train_items)
+        eligible = n_items - n
         values.append(min(k, eligible) / eligible)
     return float(np.mean(values))
 
@@ -197,12 +198,9 @@ def ceiling_recall(dataset, domain, k):
     Ranked through score_matrix_metrics with the training-item masking
     that evaluate applies.
     """
-    train_lists = dataset.user_item_arrays(domain, "train")
-    truth_lists = dataset.user_item_arrays(domain, "test")
-    oracle = np.zeros((dataset.n_users, dataset.n_items(domain)))
-    for u, truth in enumerate(truth_lists):
-        oracle[u, truth] = 1.0
-    return score_matrix_metrics(oracle, train_lists, truth_lists, k)[0]
+    train, truth = dataset.rows(domain, "train"), dataset.rows(domain, "test")
+    oracle = truth.scatter(truth.data)
+    return score_matrix_metrics(oracle, train, truth, k)[0]
 
 
 # Criterion 6 asks for test recall at least FOLD times better than a

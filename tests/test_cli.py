@@ -256,6 +256,20 @@ def test_grid_full_cross_product(tmp_path):
     assert summary["stages"][0]["name"] == "full"
 
 
+@pytest.mark.parametrize("flag, values", [
+    ("--dropout-grid", "0.5,1.0"), ("--tau-grid", "0.2,-1"),
+    ("--k-grid", "4,0"), ("--lambda-grid", "0.5,-0.1"),
+], ids=["dropout", "tau", "k", "lambda"])
+def test_grid_rejects_bad_value_before_first_run(tmp_path, flag, values):
+    out = prepared_dir(tmp_path)
+    code = run("grid", "--out", out, "--epochs", 1, "--patience", 1,
+               "--embed-dim", 8, "--hidden", 16, "--quiet",
+               "--dropout-grid", "0.5", "--tau-grid", "0.2",
+               "--k-grid", "4", "--lambda-grid", "0.5", flag, values)
+    assert code == 2
+    assert not (out / "grid").exists()
+
+
 def test_exit_code_two_on_bad_inputs(tmp_path):
     assert run("train", "--out", tmp_path / "nowhere") == 2
     out = prepared_dir(tmp_path)

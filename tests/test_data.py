@@ -426,32 +426,31 @@ def test_dataset_validates_cross_split_overlap(bad, message):
         InteractionDataset(["u1"], ["s1"], ["t1"], pairs)
 
 
-def test_user_item_arrays_match_bucket_loop(fixture_dataset):
+def test_rows_match_bucket_loop(fixture_dataset):
     ds = fixture_dataset
     for domain in ("s", "t"):
         for split in SPLITS:
             buckets = [[] for _ in range(ds.n_users)]
             for u, i in ds.pairs[(domain, split)]:
                 buckets[int(u)].append(int(i))
-            got = ds.user_item_arrays(domain, split)
-            assert len(got) == ds.n_users
-            assert [a.tolist() for a in got] == buckets
-            assert all(a.dtype == np.int64 for a in got)
-            assert got[-1].tolist() == buckets[-1]
+            got = ds.rows(domain, split)
+            assert got.n_rows == ds.n_users and got.n_cols == ds.n_items(domain)
+            assert [got.indices[a:b].tolist()
+                    for a, b in zip(got.indptr[:-1], got.indptr[1:])] == buckets
+            assert got.indptr.dtype == np.int64 and got.indices.dtype == np.int64
+            assert np.array_equal(got.data, np.ones(len(got.indices)))
     # single-domain users own nothing in the other domain
-    assert any(not a.size for a in ds.user_item_arrays("s", "train"))
-    assert any(not a.size for a in ds.user_item_arrays("t", "train"))
+    assert (np.diff(ds.rows("s", "train").indptr) == 0).any()
+    assert (np.diff(ds.rows("t", "train").indptr) == 0).any()
 
 
-def test_user_item_arrays_built_once_and_read_only(fixture_dataset):
+def test_rows_are_read_only(fixture_dataset):
     ds = fixture_dataset
     for domain in ("s", "t"):
         for split in SPLITS:
-            first = ds.user_item_arrays(domain, split)
-            again = ds.user_item_arrays(domain, split)
-            assert again is first
-            assert isinstance(first, tuple)
-            assert all(not a.flags.writeable for a in first)
-            with pytest.raises(ValueError):
-                first[0][...] = 0
-    assert ds.user_item_arrays("s", "train") is not ds.user_item_arrays("s", "test")
+            rows = ds.rows(domain, split)
+            for arr in (rows.indptr, rows.indices):
+                with pytest.raises(ValueError):
+                    arr[...] = 0
+            assert np.shares_memory(rows.indptr, ds.offsets[(domain, split)])
+            assert np.shares_memory(rows.indices, ds.pairs[(domain, split)])

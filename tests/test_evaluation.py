@@ -9,6 +9,7 @@ from mdap.evaluation import (evaluate, model_scores, ndcg_at_k, recall_at_k,
                              score_matrix_metrics, top_k)
 from mdap.model import ModelConfig, init_params
 from mdap.numerics import Rng
+from sparse_rows import csr_lists
 
 
 def test_top_k_orders_by_score():
@@ -112,7 +113,8 @@ def test_score_matrix_metrics_perfect_scores():
     truth_lists = [np.array([1, 2]), np.array([5])]
     scores[0, [1, 2]] = 5.0
     scores[1, 5] = 5.0
-    recall, ndcg, n_eval = score_matrix_metrics(scores, train_lists, truth_lists, 3)
+    recall, ndcg, n_eval = score_matrix_metrics(
+        scores, csr_lists(train_lists, 6), csr_lists(truth_lists, 6), 3)
     assert recall == 1.0 and ndcg == 1.0 and n_eval == 2
 
 
@@ -121,15 +123,16 @@ def test_score_matrix_metrics_skips_empty_truth():
     train_lists = [np.array([], dtype=np.int64)] * 2
     truth_lists = [np.array([2]), np.array([], dtype=np.int64)]
     scores[0, 2] = 1.0
-    recall, ndcg, n_eval = score_matrix_metrics(scores, train_lists, truth_lists, 2)
+    recall, ndcg, n_eval = score_matrix_metrics(
+        scores, csr_lists(train_lists, 4), csr_lists(truth_lists, 4), 2)
     assert n_eval == 1
     assert recall == 1.0
 
 
 def test_score_matrix_metrics_all_empty_returns_zero():
     scores = np.zeros((1, 4))
-    recall, ndcg, n_eval = score_matrix_metrics(
-        scores, [np.array([], dtype=np.int64)], [np.array([], dtype=np.int64)], 2)
+    empty = csr_lists([np.array([], dtype=np.int64)], 4)
+    recall, ndcg, n_eval = score_matrix_metrics(scores, empty, empty, 2)
     assert (recall, ndcg, n_eval) == (0.0, 0.0, 0)
 
 
@@ -183,7 +186,9 @@ def test_score_matrix_metrics_equals_per_user_loop(monkeypatch, rounding):
     for _ in range(150):
         scores, train_lists, truth_lists = random_instance(rng, rounding)
         k = int(rng.integers(1, 30))  # often above the item count
-        got = score_matrix_metrics(scores, train_lists, truth_lists, k)
+        n_items = scores.shape[1]
+        got = score_matrix_metrics(scores, csr_lists(train_lists, n_items),
+                                   csr_lists(truth_lists, n_items), k)
         assert got == per_user_metrics(scores, train_lists, truth_lists, k)
 
 
@@ -194,7 +199,8 @@ def test_score_matrix_metrics_breaks_tie_at_cutoff_by_index():
     scores[:, 9] = 1.0
     train_lists = [np.array([], dtype=np.int64), np.array([0])]
     truth_lists = [np.array([1, 8]), np.array([2, 8])]
-    recall, ndcg, n_eval = score_matrix_metrics(scores, train_lists, truth_lists, 3)
+    recall, ndcg, n_eval = score_matrix_metrics(
+        scores, csr_lists(train_lists, 10), csr_lists(truth_lists, 10), 3)
     # each user hits one of two truth items, at rank 3
     per_user = (1.0 / math.log2(4)) / (1.0 + 1.0 / math.log2(3))
     assert (recall, n_eval) == (0.5, 2)
@@ -205,15 +211,14 @@ def test_score_matrix_metrics_breaks_tie_at_cutoff_by_index():
 def hypergeometric_expectation(dataset, domain, split, k):
     """Closed-form mean and variance of random-ranking recall per user."""
     n_items = dataset.n_items(domain)
-    train_lists = dataset.user_item_arrays(domain, "train")
-    truth_lists = dataset.user_item_arrays(domain, split)
+    n_train = np.diff(dataset.rows(domain, "train").indptr)
+    n_truth = np.diff(dataset.rows(domain, split).indptr)
     means, variances = [], []
-    for train_items, truth in zip(train_lists, truth_lists):
-        if len(truth) == 0:
+    for n, t in zip(n_train.tolist(), n_truth.tolist()):
+        if t == 0:
             continue
-        eligible = n_items - len(train_items)
+        eligible = n_items - n
         kk = min(k, eligible)
-        t = len(truth)
         means.append(kk * t / eligible / t)
         if eligible > 1:
             var_hits = kk * (t / eligible) * (1 - t / eligible) * (eligible - kk) / (eligible - 1)
@@ -228,10 +233,9 @@ def hypergeometric_expectation(dataset, domain, split, k):
 def test_random_scores_match_hypergeometric_oracle(fixture_dataset):
     rng = np.random.default_rng(2024)
     for domain in ("s", "t"):
-        train_lists = fixture_dataset.user_item_arrays(domain, "train")
-        truth_lists = fixture_dataset.user_item_arrays(domain, "test")
         scores = rng.random((fixture_dataset.n_users, fixture_dataset.n_items(domain)))
-        recall, _, _ = score_matrix_metrics(scores, train_lists, truth_lists, 20)
+        recall, _, _ = score_matrix_metrics(scores, fixture_dataset.rows(domain, "train"),
+                                            fixture_dataset.rows(domain, "test"), 20)
         mean, se = hypergeometric_expectation(fixture_dataset, domain, "test", 20)
         assert abs(recall - mean) <= 3.0 * se, (domain, recall, mean, se)
 

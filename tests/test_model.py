@@ -448,6 +448,21 @@ def test_checkpoint_rejects_bad_header(tmp_path, edit):
         load_checkpoint(str(path))
 
 
+@pytest.mark.parametrize("edit, field", [
+    pytest.param(lambda h: h["config"].update(k=2), "core_emb", id="k"),
+    pytest.param(lambda h: h["config"].update(hidden=15), "enc_w1", id="hidden"),
+    pytest.param(lambda h: h["config"].update(embed_dim=7), "item_emb", id="embed_dim"),
+    pytest.param(lambda h: h.update(n_items_t=4), "item_emb", id="n_items_t"),
+])
+def test_checkpoint_rejects_header_that_disagrees_with_shapes(tmp_path, edit, field):
+    config, params = toy_params()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(str(path), params, config)
+    rewrite_header(path, edit)
+    with pytest.raises(CheckpointError, match=f"field {field} has shape"):
+        load_checkpoint(str(path))
+
+
 def test_checkpoint_bit_flips_in_header_raise_checkpoint_error(tmp_path):
     # Every single-bit flip in the header either still loads or fails
     # with CheckpointError, never with a stray KeyError/TypeError.
