@@ -4,7 +4,7 @@ gates, plus checkpoint serialization.
 A batch of users enters as concatenated interaction rows over both
 domains' items, in CSR form. The stored entries of each row are
 L2-normalized and corrupted once by dropout; that corrupted input,
-scattered once into a dense array, drives both the view-assignment
+written once into a dense array, drives both the view-assignment
 logits and the per-view encoder inputs. Soft view assignments come from a
 Gumbel-Softmax over similarity logits between the user rows and a set
 of view anchors in item-embedding space. Each view's masked input
@@ -71,12 +71,12 @@ class ModelConfig:
             raise ParameterError(f"k must be >= 1, got {self.k}")
         if self.embed_dim < 1 or self.hidden < 1:
             raise ParameterError("embed_dim and hidden must be >= 1")
-        if self.tau <= 0.0:
-            raise ParameterError(f"tau must be positive, got {self.tau}")
+        if not 0.0 < self.tau < math.inf:
+            raise ParameterError(f"tau must be positive and finite, got {self.tau}")
         if not 0.0 < self.keep_prob <= 1.0:
             raise ParameterError(f"keep_prob must be in (0, 1], got {self.keep_prob}")
-        if self.lam < 0.0:
-            raise ParameterError(f"lam must be >= 0, got {self.lam}")
+        if not 0.0 <= self.lam < math.inf:
+            raise ParameterError(f"lam must be finite and >= 0, got {self.lam}")
 
 
 @dataclass
@@ -152,33 +152,18 @@ def init_params(config: ModelConfig, n_items_s: int, n_items_t: int, rng: Rng) -
 
 
 def gumbel_softmax_assign(logits: np.ndarray, tau: float, rng: Rng | None = None,
-                          training: bool = False,
-                          ablation: str = "full") -> tuple[np.ndarray, np.ndarray | None]:
+                          training: bool = False, ablation: str = "full") -> np.ndarray:
     """Soft view assignment rows on the probability simplex.
 
     Training mode (ablation != no_gumbel) perturbs the logits with fresh
     standard Gumbel noise before the tempered softmax; evaluation and
-    no_gumbel use the logits as they are. Returns (assignment, noise or
-    None).
+    no_gumbel use the logits as they are.
     """
     if ablation != "no_gumbel" and training:
         if rng is None:
             raise ParameterError("training-mode assignment needs an Rng")
-        gumbel = sample_gumbel(rng, logits.shape[0], logits.shape[1])
-        return softmax_rows(logits + gumbel, tau), gumbel
-    return softmax_rows(logits, tau), None
-
-
-def view_inputs(x: np.ndarray, assign: np.ndarray) -> list[np.ndarray]:
-    """Per-view masked copies of x: view i is x scaled by assignment column i.
-
-    Because assignment rows sum to one, the view inputs sum back to x.
-    forward() never builds them (see encode_rows); ForwardTrace.views
-    does, on access.
-    """
-    if x.shape[0] != assign.shape[0]:
-        raise ShapeError(f"x has {x.shape[0]} rows, assignment has {assign.shape[0]}")
-    return [x * assign[:, i:i + 1] for i in range(assign.shape[1])]
+        return softmax_rows(logits + sample_gumbel(rng, *logits.shape), tau)
+    return softmax_rows(logits, tau)
 
 
 def encode_rows(params: ModelParams, enc_proj: np.ndarray,
@@ -237,53 +222,32 @@ def decode(params: ModelParams, z: np.ndarray, domain: str) -> tuple[np.ndarray,
 
 @dataclass
 class ForwardTrace:
-    """Every intermediate of one forward pass, kept for backprop.
+    """The intermediates of one forward pass that backward, residuals and
+    loss read.
 
-    Noise and dropout masks are stored so the backward pass can treat
-    them as constants; a finite-difference probe replays the same
-    stochastic pass by running forward again on a stream derived from the
-    same seed. The input batch and its normalized values stay sparse;
-    raw_rows and x_norm are built dense on access.
+    Dropout masks and Gumbel noise are constants of the pass and are not
+    kept: a finite-difference probe or a test recovers them by replaying
+    the pass on a stream derived from the same seed. item_norm, core_norm
+    and proj are None under the single_view ablation.
     """
 
-    config: ModelConfig
     training: bool
-    batch: CsrRows
-    norm_values: np.ndarray            # batch entries after row L2 normalization
-    input_mask: np.ndarray | None      # 0/1 over the batch entries
     x: np.ndarray                      # normalized, dropout-corrupted input, dense
     item_norm: np.ndarray | None
     core_norm: np.ndarray | None
     proj: np.ndarray | None            # x @ item_norm
-    logits: np.ndarray | None
-    gumbel: np.ndarray | None
     assign: np.ndarray
-    enc_proj: np.ndarray | None = None    # x @ enc_w1, shared by every view
-    enc_hidden: np.ndarray | None = None  # (k, B, h)
-    view_embs: np.ndarray | None = None   # (k, B, l)
-    gate_s: np.ndarray | None = None
-    gate_t: np.ndarray | None = None
-    z_s: np.ndarray | None = None
-    z_t: np.ndarray | None = None
-    dec_hidden_s: np.ndarray | None = None
-    dec_hidden_t: np.ndarray | None = None
-    recon_s: np.ndarray | None = None
-    recon_t: np.ndarray | None = None
-
-    @property
-    def raw_rows(self) -> np.ndarray:
-        """The input rows, built dense on access."""
-        return self.batch.scatter(self.batch.data)
-
-    @property
-    def x_norm(self) -> np.ndarray:
-        """The row-normalized input before dropout, built dense on access."""
-        return self.batch.scatter(self.norm_values)
-
-    @property
-    def views(self) -> list[np.ndarray]:
-        """The per-view encoder inputs diag(a_i)·x, built on access."""
-        return view_inputs(self.x, self.assign)
+    enc_proj: np.ndarray               # x @ enc_w1, shared by every view
+    enc_hidden: np.ndarray             # (k, B, h)
+    view_embs: np.ndarray              # (k, B, l)
+    gate_s: np.ndarray
+    gate_t: np.ndarray
+    z_s: np.ndarray
+    z_t: np.ndarray
+    dec_hidden_s: np.ndarray
+    dec_hidden_t: np.ndarray
+    recon_s: np.ndarray
+    recon_t: np.ndarray
 
 
 def forward(params: ModelParams, config: ModelConfig, batch: CsrRows,
@@ -311,28 +275,24 @@ def forward(params: ModelParams, config: ModelConfig, batch: CsrRows,
     x = np.zeros((b, n))
     np.put(x, entries, batch.data * batch.data)
     norms = np.sqrt(np.add.reduce(x, axis=1))
-    norm_values = batch.data / np.repeat(np.where(norms > 0.0, norms, 1.0),
-                                         np.diff(batch.indptr))
-
-    mask = None
-    values = norm_values
+    values = batch.data / np.repeat(np.where(norms > 0.0, norms, 1.0),
+                                    np.diff(batch.indptr))
     if training and config.keep_prob < 1.0:
         if rng is None:
             raise ParameterError("training-mode forward needs an Rng")
         mask = sample_dropout_mask(rng, b, n, config.keep_prob, entries)
-        values = norm_values * mask * (1.0 / config.keep_prob)
+        values = values * mask * (1.0 / config.keep_prob)
     np.put(x, entries, values)
 
     if config.ablation == "single_view":
         assign = np.ones((b, 1))
-        item_norm = core_norm = proj = logits = noise = None
+        item_norm = core_norm = proj = None
     else:
         item_norm = row_l2_normalize(params.item_emb)
         core_norm = row_l2_normalize(params.core_emb)
         proj = matmul(x, item_norm)
-        logits = matmul(proj, core_norm.T)
-        assign, noise = gumbel_softmax_assign(logits, config.tau, rng, training,
-                                              config.ablation)
+        assign = gumbel_softmax_assign(matmul(proj, core_norm.T), config.tau, rng,
+                                       training, config.ablation)
 
     enc_proj = matmul(x, params.enc_w1)
     enc_hidden, view_embs = encode_rows(params, enc_proj, assign)
@@ -344,12 +304,10 @@ def forward(params: ModelParams, config: ModelConfig, batch: CsrRows,
     dec_hidden_t, recon_t = decode(params, z_t, "t")
 
     return ForwardTrace(
-        config=config, training=training, batch=batch, norm_values=norm_values,
-        input_mask=mask, x=x, item_norm=item_norm, core_norm=core_norm, proj=proj,
-        logits=logits, gumbel=noise, assign=assign, enc_proj=enc_proj,
-        enc_hidden=enc_hidden, view_embs=view_embs, gate_s=gate_s, gate_t=gate_t,
-        z_s=z_s, z_t=z_t, dec_hidden_s=dec_hidden_s, dec_hidden_t=dec_hidden_t,
-        recon_s=recon_s, recon_t=recon_t)
+        training=training, x=x, item_norm=item_norm, core_norm=core_norm, proj=proj,
+        assign=assign, enc_proj=enc_proj, enc_hidden=enc_hidden, view_embs=view_embs,
+        gate_s=gate_s, gate_t=gate_t, z_s=z_s, z_t=z_t, dec_hidden_s=dec_hidden_s,
+        dec_hidden_t=dec_hidden_t, recon_s=recon_s, recon_t=recon_t)
 
 
 def config_to_dict(config: ModelConfig) -> dict:

@@ -109,12 +109,6 @@ class CsrRows:
         pos = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], counts)
         return CsrRows(indptr, self.indices[pos], self.data[pos], self.n_cols)
 
-    def scatter(self, values: np.ndarray) -> np.ndarray:
-        """Dense (n_rows, n_cols) array holding `values` at the stored entries."""
-        out = np.zeros((self.n_rows, self.n_cols))
-        np.put(out, self.flat_index(), values)
-        return out
-
 
 def row_l2_normalize(m: np.ndarray) -> np.ndarray:
     """Scale each row to unit L2 norm. All-zero rows pass through unchanged."""

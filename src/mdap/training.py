@@ -10,6 +10,7 @@ probe that replays the pass from the same seed must agree with backward().
 """
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -191,8 +192,8 @@ class TrainConfig:
             raise ParameterError(f"patience must be >= 1, got {self.patience}")
         if self.batch_users < 1:
             raise ParameterError(f"batch_users must be >= 1, got {self.batch_users}")
-        if self.lr <= 0.0:
-            raise ParameterError(f"lr must be positive, got {self.lr}")
+        if not 0.0 < self.lr < math.inf:
+            raise ParameterError(f"lr must be positive and finite, got {self.lr}")
         if self.eval_k < 1:
             raise ParameterError(f"eval_k must be >= 1, got {self.eval_k}")
         if self.seed < 0:

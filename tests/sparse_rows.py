@@ -1,5 +1,6 @@
-"""Dense rows or per-row column lists as CsrRows, for tests that build
-model inputs or ranking inputs by hand."""
+"""Dense rows or per-row column lists as CsrRows, and CsrRows back as
+dense rows, for tests that build or check model inputs or ranking inputs
+by hand."""
 
 import numpy as np
 
@@ -19,3 +20,11 @@ def csr_lists(lists, n_cols: int) -> CsrRows:
     indices = np.concatenate([np.zeros(0, dtype=np.int64)]
                              + [np.asarray(cols, dtype=np.int64) for cols in lists])
     return CsrRows(indptr, indices, np.ones(len(indices)), n_cols)
+
+
+def dense(rows: CsrRows, values: np.ndarray | None = None) -> np.ndarray:
+    """Dense (n_rows, n_cols) array holding `values` (default: the stored
+    data) at the stored entries of `rows`, zero elsewhere."""
+    out = np.zeros((rows.n_rows, rows.n_cols))
+    np.put(out, rows.flat_index(), rows.data if values is None else values)
+    return out

@@ -16,9 +16,9 @@ from mdap.evaluation import (evaluate, ndcg_at_k, recall_at_k,
 from mdap.model import (ModelConfig, PARAM_FIELDS, forward, gate_weights,
                         gumbel_softmax_assign, init_params, load_checkpoint,
                         save_checkpoint, variant_config)
-from mdap.numerics import Rng, softmax_rows
+from mdap.numerics import Rng, row_l2_normalize, softmax_rows
 from mdap.training import TrainConfig, backward, loss, residuals, train
-from sparse_rows import csr
+from sparse_rows import csr, dense
 
 CUTOFF = 20
 
@@ -90,7 +90,7 @@ def test_criterion_2_simplex_invariants():
     for tau in (0.1, 0.2, 1.0, 5.0):
         for scale in (1.0, 10.0, 300.0):
             logits = (rng.uniform(600, 6) - 0.5) * 2.0 * scale
-            assign, _ = gumbel_softmax_assign(logits, tau, rng, training=True)
+            assign = gumbel_softmax_assign(logits, tau, rng, training=True)
             plain = softmax_rows(logits, tau)
             for s in (assign, plain):
                 worst_sum = max(worst_sum, float(np.abs(s.sum(axis=1) - 1.0).max()))
@@ -125,10 +125,13 @@ def test_criterion_3_decomposition_completeness():
         n_s, n_t = 5 + batch % 7, 4 + batch % 5
         params = init_params(config, n_s, n_t, rng.derive(batch, 0))
         x = (rng.derive(batch, 1).uniform(6, n_s + n_t) < 0.4).astype(float)
+        # view i's encoder input is diag(a_i)·x
         trace = forward(params, config, csr(x))
-        worst = max(worst, float(np.abs(sum(trace.views) - trace.x_norm).max()))
+        views = [trace.x * trace.assign[:, i:i + 1] for i in range(k)]
+        worst = max(worst, float(np.abs(sum(views) - row_l2_normalize(x)).max()))
         trained = forward(params, config, csr(x), rng.derive(batch, 2), training=True)
-        worst = max(worst, float(np.abs(sum(trained.views) - trained.x).max()))
+        views = [trained.x * trained.assign[:, i:i + 1] for i in range(k)]
+        worst = max(worst, float(np.abs(sum(views) - trained.x).max()))
     ok = worst < 1e-9
     report(3, "decomposition completeness", ok, f"max residual {worst:.2e}")
     assert worst < 1e-9
@@ -136,7 +139,7 @@ def test_criterion_3_decomposition_completeness():
 
 def test_criterion_4_gumbel_max_fidelity():
     logits = np.tile(np.array([[1.0, 0.0]]), (10000, 1))
-    assign, _ = gumbel_softmax_assign(logits, tau=0.2, rng=Rng(0), training=True)
+    assign = gumbel_softmax_assign(logits, tau=0.2, rng=Rng(0), training=True)
     freq = float((np.argmax(assign, axis=1) == 0).mean())
     expect = math.e / (1.0 + math.e)
     ok = abs(freq - expect) < 0.02
@@ -199,7 +202,7 @@ def ceiling_recall(dataset, domain, k):
     that evaluate applies.
     """
     train, truth = dataset.rows(domain, "train"), dataset.rows(domain, "test")
-    oracle = truth.scatter(truth.data)
+    oracle = dense(truth)
     return score_matrix_metrics(oracle, train, truth, k)[0]
 
 

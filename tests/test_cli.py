@@ -257,9 +257,9 @@ def test_grid_full_cross_product(tmp_path):
 
 
 @pytest.mark.parametrize("flag, values", [
-    ("--dropout-grid", "0.5,1.0"), ("--tau-grid", "0.2,-1"),
+    ("--dropout-grid", "0.5,1.0"), ("--tau-grid", "0.2,-1"), ("--tau-grid", "0.2,nan"),
     ("--k-grid", "4,0"), ("--lambda-grid", "0.5,-0.1"),
-], ids=["dropout", "tau", "k", "lambda"])
+], ids=["dropout", "tau", "tau-nan", "k", "lambda"])
 def test_grid_rejects_bad_value_before_first_run(tmp_path, flag, values):
     out = prepared_dir(tmp_path)
     code = run("grid", "--out", out, "--epochs", 1, "--patience", 1,
@@ -397,6 +397,21 @@ def test_exit_code_three_on_divergence(tmp_path):
     out = prepared_dir(tmp_path)
     assert run("train", "--out", out, "--epochs", 2, "--patience", 2,
                "--lr", 1e308, "--quiet") == 3
+
+
+@pytest.mark.parametrize("flag, value, name", [
+    ("--tau", "nan", "tau"), ("--tau", "inf", "tau"),
+    ("--lambda", "nan", "lam"), ("--lambda", "inf", "lam"),
+    ("--lr", "nan", "lr"), ("--lr", "inf", "lr"),
+], ids=["tau-nan", "tau-inf", "lambda-nan", "lambda-inf", "lr-nan", "lr-inf"])
+def test_train_rejects_non_finite_option(tmp_path, capsys, flag, value, name):
+    out = prepared_dir(tmp_path)
+    capsys.readouterr()
+    assert run("train", "--out", out, "--epochs", 1, "--patience", 1,
+               "--embed-dim", 8, "--hidden", 16, "--quiet", flag, value) == 2
+    assert f"error: {name} must be" in capsys.readouterr().err
+    for sub in ("checkpoints", "logs", "reports"):
+        assert not (out / sub).exists(), sub
 
 
 def test_failed_train_leaves_no_partial_artifacts(tmp_path):

@@ -10,6 +10,7 @@ from mdap.data import (DEFAULT_RATIOS, SPLITS, InteractionDataset, SyntheticSpec
                        write_domain_file)
 from mdap.errors import DataError, ParameterError, ParseError
 from mdap.numerics import Rng
+from sparse_rows import dense
 
 
 def dom(*rows):
@@ -286,7 +287,7 @@ def test_sparse_batch_match_pairs():
     ds = build_dataset(records_s, records_t, Rng(1))
     users = np.array([2, 0, 1])
     batch = sparse_batch(ds, users)
-    rows = batch.scatter(batch.data)
+    rows = dense(batch)
     n_s = ds.n_items("s")
     expect = np.zeros((ds.n_users, n_s + ds.n_items("t")))
     for domain, offset in (("s", 0), ("t", n_s)):
@@ -306,9 +307,9 @@ def test_sparse_batch_concatenates_domains():
     records_s, records_t = two_domain_records()
     ds = build_dataset(records_s, records_t, Rng(1))
     batch = sparse_batch(ds, np.array([0, 2]))
-    assert batch.scatter(batch.data).shape == (2, ds.n_items("s") + ds.n_items("t"))
+    assert dense(batch).shape == (2, ds.n_items("s") + ds.n_items("t"))
     full = sparse_batch(ds, np.arange(ds.n_users))
-    assert int(full.scatter(full.data).sum()) == \
+    assert int(dense(full).sum()) == \
         len(ds.pairs[("s", "train")]) + len(ds.pairs[("t", "train")])
 
 

@@ -11,10 +11,11 @@ from mdap.model import (ABLATIONS, CHECKPOINT_MAGIC, ForwardTrace, ModelConfig,
                         PARAM_FIELDS, combine_views, decode, encode_rows, forward,
                         gate_weights, glorot_uniform, gumbel_softmax_assign,
                         init_params, load_checkpoint, save_checkpoint,
-                        variant_config, view_inputs)
-from mdap.numerics import Rng, row_l2_normalize, softmax_rows
+                        variant_config)
+from mdap.numerics import (Rng, row_l2_normalize, sample_dropout_mask, sample_gumbel,
+                           softmax_rows)
 from mdap.training import backward, residuals
-from sparse_rows import csr
+from sparse_rows import csr, dense
 
 
 def toy_params(k=3, embed=8, hidden=16, n_s=6, n_t=5, seed=0, ablation="full"):
@@ -26,8 +27,12 @@ def toy_params(k=3, embed=8, hidden=16, n_s=6, n_t=5, seed=0, ablation="full"):
 def test_config_validation():
     with pytest.raises(ParameterError):
         ModelConfig(k=0)
-    with pytest.raises(ParameterError):
-        ModelConfig(tau=0.0)
+    for tau in (0.0, math.inf, math.nan):
+        with pytest.raises(ParameterError, match="tau"):
+            ModelConfig(tau=tau)
+    for lam in (-0.1, math.inf, math.nan):
+        with pytest.raises(ParameterError, match="lam"):
+            ModelConfig(lam=lam)
     with pytest.raises(ParameterError):
         ModelConfig(keep_prob=0.0)
     with pytest.raises(ParameterError):
@@ -64,39 +69,33 @@ def test_forward_zero_row_logits_are_zero():
     x[1] = 0.0
     for training in (False, True):
         trace = forward(params, config, csr(x), Rng(5), training=training)
-        assert np.array_equal(trace.logits[1], np.zeros(3))
+        logits = trace.proj @ trace.core_norm.T
+        assert np.array_equal(logits[1], np.zeros(3))
 
 
 def test_assign_eval_closed_form():
-    assign, noise = gumbel_softmax_assign(np.array([[1.0, 0.0]]), tau=0.2)
-    assert noise is None
+    assign = gumbel_softmax_assign(np.array([[1.0, 0.0]]), tau=0.2)
     # softmax([5, 0])
     assert np.allclose(assign, [[0.99330715, 0.00669285]], atol=1e-7)
 
 
 def test_assign_training_matches_gumbel_argmax_probability():
     logits = np.tile(np.array([[1.0, 0.0]]), (10000, 1))
-    assign, noise = gumbel_softmax_assign(logits, tau=0.2, rng=Rng(0), training=True)
-    assert noise is not None and noise.shape == assign.shape
+    assign = gumbel_softmax_assign(logits, tau=0.2, rng=Rng(0), training=True)
+    # the noise is one Gumbel draw per logit, added before the softmax
+    replay = softmax_rows(logits + sample_gumbel(Rng(0), *logits.shape), 0.2)
+    assert assign.tobytes() == replay.tobytes()
     freq = float((np.argmax(assign, axis=1) == 0).mean())
     assert abs(freq - math.e / (1 + math.e)) < 0.02
 
 
 def test_assign_no_gumbel_is_plain_softmax():
     logits = np.array([[0.3, -0.2, 0.1]])
-    assign, noise = gumbel_softmax_assign(logits, tau=0.5, rng=Rng(1),
-                                          training=True, ablation="no_gumbel")
-    assert noise is None
+    rng = Rng(1)
+    assign = gumbel_softmax_assign(logits, tau=0.5, rng=rng, training=True,
+                                   ablation="no_gumbel")
+    assert np.array_equal(rng.uniform(1, 3), Rng(1).uniform(1, 3))  # no noise drawn
     assert np.allclose(assign, softmax_rows(logits, 0.5))
-
-
-def test_view_inputs_recompose_input():
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal((7, 9))
-    assign = softmax_rows(rng.standard_normal((7, 4)), 1.0)
-    views = view_inputs(x, assign)
-    assert len(views) == 4
-    assert np.max(np.abs(sum(views) - x)) < 1e-12
 
 
 def test_encode_decode_formulas():
@@ -141,11 +140,13 @@ def test_combine_views_weighted_sum():
 def test_forward_eval_is_deterministic():
     config, params = toy_params()
     x = Rng(4).uniform(5, 11)
-    a = forward(params, config, csr(x))
+    rng = Rng(9)
+    a = forward(params, config, csr(x), rng)
     b = forward(params, config, csr(x))
     assert np.array_equal(a.recon_s, b.recon_s)
     assert np.array_equal(a.recon_t, b.recon_t)
-    assert a.input_mask is None and a.gumbel is None
+    # no dropout mask and no Gumbel noise: the stream is left untouched
+    assert np.array_equal(rng.uniform(1, 3), Rng(9).uniform(1, 3))
 
 
 def test_forward_training_reproducible_by_seed():
@@ -155,26 +156,35 @@ def test_forward_training_reproducible_by_seed():
     x = Rng(4).uniform(5, 11)
     for ablation in ABLATIONS:
         config, params = toy_params(ablation=ablation)
-        a = forward(params, config, csr(x), Rng(9).derive(2), training=True)
-        b = forward(params, config, csr(x), Rng(9).derive(2), training=True)
+        rng_a, rng_b = Rng(9).derive(2), Rng(9).derive(2)
+        a = forward(params, config, csr(x), rng_a, training=True)
+        b = forward(params, config, csr(x), rng_b, training=True)
         c = forward(params, config, csr(x), Rng(10).derive(2), training=True)
-        for name in ("x", "input_mask", "gumbel", "assign", "recon_s", "recon_t"):
+        for name in ("x", "assign", "recon_s", "recon_t"):
             got, expect = getattr(a, name), getattr(b, name)
-            if name == "gumbel" and ablation in ("no_gumbel", "single_view"):
-                assert got is None and expect is None
-            else:
-                assert got.tobytes() == expect.tobytes(), (ablation, name)
+            assert got.tobytes() == expect.tobytes(), (ablation, name)
+        # both passes drew the same number of values
+        assert np.array_equal(rng_a.uniform(1, 3), rng_b.uniform(1, 3)), ablation
         assert not np.array_equal(a.recon_s, c.recon_s), ablation
 
 
 def test_forward_shared_corruption_feeds_both_paths():
     config, params = toy_params()
     x = Rng(4).uniform(5, 11)
-    trace = forward(params, config, csr(x), Rng(9), training=True)
+    batch = csr(x)
+    trace = forward(params, config, batch, Rng(9), training=True)
+    # replay forward's draws in its order: the dropout mask, then the noise
+    rng = Rng(9)
+    mask = sample_dropout_mask(rng, 5, 11, config.keep_prob, batch.flat_index())
+    noise = sample_gumbel(rng, 5, config.k)
+    masked = row_l2_normalize(x) * dense(batch, mask) * (1.0 / config.keep_prob)
+    assert trace.x.tobytes() == masked.tobytes()
     # the dropped input the views decompose is the one the logits saw
-    assert np.max(np.abs(sum(trace.views) - trace.x)) < 1e-9
-    masked = trace.norm_values * trace.input_mask * (1.0 / config.keep_prob)
-    assert np.array_equal(trace.x, trace.batch.scatter(masked))
+    assert trace.proj.tobytes() == (trace.x @ trace.item_norm).tobytes()
+    logits = trace.proj @ trace.core_norm.T
+    assert trace.assign.tobytes() == softmax_rows(logits + noise, config.tau).tobytes()
+    views = [trace.x * trace.assign[:, i:i + 1] for i in range(config.k)]
+    assert np.max(np.abs(sum(views) - trace.x)) < 1e-9
 
 
 def test_forward_without_dropout_keeps_input():
@@ -182,9 +192,14 @@ def test_forward_without_dropout_keeps_input():
     x = Rng(4).uniform(5, 11)
     no_drop = ModelConfig(k=3, embed_dim=8, hidden=16, keep_prob=1.0)
     for cfg, training in ((config, False), (no_drop, True)):
-        trace = forward(params, cfg, csr(x), Rng(9), training=training)
-        assert trace.input_mask is None
-        assert np.array_equal(trace.x, trace.x_norm)
+        rng = Rng(9)
+        trace = forward(params, cfg, csr(x), rng, training=training)
+        assert np.array_equal(trace.x, row_l2_normalize(x))
+        # no dropout mask drawn: only a training pass's Gumbel noise was
+        replay = Rng(9)
+        if training:
+            sample_gumbel(replay, 5, cfg.k)
+        assert np.array_equal(rng.uniform(1, 3), replay.uniform(1, 3))
 
 
 @pytest.mark.parametrize("training", [False, True])
@@ -201,7 +216,8 @@ def test_forward_matches_per_view_reference(ablation, training):
         trace = forward(params, config, csr(x), Rng(40 + k), training=training)
         worst = 0.0
         embs = []
-        for i, view in enumerate(trace.views):
+        for i in range(trace.assign.shape[1]):
+            view = trace.x * trace.assign[:, i:i + 1]
             hidden = np.tanh(view @ params.enc_w1 + params.enc_b1)
             embs.append(hidden @ params.enc_w2 + params.enc_b2)
             worst = max(worst, np.abs(trace.enc_hidden[i] - hidden).max(),
@@ -218,25 +234,21 @@ def test_forward_matches_per_view_reference(ablation, training):
 def dense_reference_forward(params, config, raw, rng, training):
     """The dense forward the sparse input stage replaced: row_l2_normalize,
     a dropout mask drawn as one (B, N) block of uniforms and applied as
-    x_norm * mask * scale, then the model on the dense x. Returns
-    (x_norm, mask or None, x, trace)."""
+    x_norm * mask * scale, then the model on the dense x. Returns the trace."""
     b = raw.shape[0]
-    x_norm = row_l2_normalize(raw)
-    x = x_norm
-    mask = None
+    x = row_l2_normalize(raw)
     if training and config.keep_prob < 1.0:
         mask = (rng.uniform(b, raw.shape[1]) < config.keep_prob).astype(np.float64)
-        x = x_norm * mask * (1.0 / config.keep_prob)
-    item_norm = core_norm = proj = logits = noise = None
+        x = x * mask * (1.0 / config.keep_prob)
+    item_norm = core_norm = proj = None
     if config.ablation == "single_view":
         assign = np.ones((b, 1))
     else:
         item_norm = row_l2_normalize(params.item_emb)
         core_norm = row_l2_normalize(params.core_emb)
         proj = x @ item_norm
-        logits = proj @ core_norm.T
-        assign, noise = gumbel_softmax_assign(logits, config.tau, rng, training,
-                                              config.ablation)
+        assign = gumbel_softmax_assign(proj @ core_norm.T, config.tau, rng, training,
+                                       config.ablation)
     enc_proj = x @ params.enc_w1
     enc_hidden, view_embs = encode_rows(params, enc_proj, assign)
     gate_s = gate_weights(params, "s", config.ablation)
@@ -244,14 +256,11 @@ def dense_reference_forward(params, config, raw, rng, training):
     z_s, z_t = combine_views(view_embs, gate_s), combine_views(view_embs, gate_t)
     dec_hidden_s, recon_s = decode(params, z_s, "s")
     dec_hidden_t, recon_t = decode(params, z_t, "t")
-    trace = ForwardTrace(
-        config=config, training=training, batch=None, norm_values=None, input_mask=None,
-        x=x, item_norm=item_norm, core_norm=core_norm, proj=proj, logits=logits,
-        gumbel=noise, assign=assign, enc_proj=enc_proj, enc_hidden=enc_hidden,
-        view_embs=view_embs, gate_s=gate_s, gate_t=gate_t, z_s=z_s, z_t=z_t,
-        dec_hidden_s=dec_hidden_s, dec_hidden_t=dec_hidden_t,
-        recon_s=recon_s, recon_t=recon_t)
-    return x_norm, mask, x, trace
+    return ForwardTrace(
+        training=training, x=x, item_norm=item_norm, core_norm=core_norm, proj=proj,
+        assign=assign, enc_proj=enc_proj, enc_hidden=enc_hidden, view_embs=view_embs,
+        gate_s=gate_s, gate_t=gate_t, z_s=z_s, z_t=z_t, dec_hidden_s=dec_hidden_s,
+        dec_hidden_t=dec_hidden_t, recon_s=recon_s, recon_t=recon_t)
 
 
 def random_raw_rows(gen, b, n, binary):
@@ -270,8 +279,9 @@ def random_raw_rows(gen, b, n, binary):
 @pytest.mark.parametrize("ablation", ABLATIONS)
 def test_sparse_input_stage_equals_dense_reference(ablation, training, keep_prob):
     # The batch enters sparse and only its entries are normalized and
-    # masked; x, x_norm, the kept entries, the reconstructions and the
-    # gradients must still equal the dense pipeline's exactly. Widths
+    # masked; x (so the normalized rows and the kept entries), the
+    # reconstructions and the gradients must still equal the dense
+    # pipeline's exactly. Widths
     # above 128 give numpy's pairwise row sums more than one block.
     gen = np.random.default_rng([ABLATIONS.index(ablation), training, int(keep_prob * 10)])
     for trial in range(6):
@@ -282,15 +292,8 @@ def test_sparse_input_stage_equals_dense_reference(ablation, training, keep_prob
         params.gate[:] = Rng(trial + 50).uniform(2, config.k)
         raw = random_raw_rows(gen, int(gen.integers(2, 12)), n_s + n_t, binary=trial % 2 == 0)
         trace = forward(params, config, csr(raw), Rng(trial), training=training)
-        x_norm, mask, x, ref = dense_reference_forward(params, config, raw, Rng(trial),
-                                                       training)
-        assert np.array_equal(trace.raw_rows, raw)
-        assert np.array_equal(trace.x_norm, x_norm)
-        assert np.array_equal(trace.x, x)
-        if mask is None:
-            assert trace.input_mask is None
-        else:
-            assert np.array_equal(trace.input_mask, mask[np.nonzero(raw)])
+        ref = dense_reference_forward(params, config, raw, Rng(trial), training)
+        assert np.array_equal(trace.x, ref.x)
         assert np.array_equal(trace.recon_s, ref.recon_s)
         assert np.array_equal(trace.recon_t, ref.recon_t)
         if training:
@@ -351,11 +354,9 @@ def test_forward_trace_shapes():
     config, params = toy_params(k=3, embed=8, hidden=16, n_s=6, n_t=5)
     x = Rng(1).uniform(4, 11)
     trace = forward(params, config, csr(x), Rng(2), training=True)
-    assert trace.x_norm.shape == (4, 11)
-    assert trace.logits.shape == (4, 3)
-    assert trace.gumbel.shape == (4, 3)
+    assert trace.x.shape == (4, 11)
+    assert trace.proj.shape == (4, 8)
     assert trace.assign.shape == (4, 3)
-    assert len(trace.views) == 3 and trace.views[0].shape == (4, 11)
     assert len(trace.view_embs) == 3 and trace.view_embs[0].shape == (4, 8)
     assert trace.gate_s.shape == (3,) and trace.gate_t.shape == (3,)
     assert trace.z_s.shape == (4, 8) and trace.z_t.shape == (4, 8)
@@ -368,7 +369,7 @@ def test_forward_single_view_skips_logit_path():
                          lam=0.5, ablation="single_view")
     params = init_params(config, 6, 5, Rng(0))
     trace = forward(params, config, csr(Rng(1).uniform(4, 11)), Rng(2), training=True)
-    assert trace.logits is None and trace.gumbel is None
+    assert trace.item_norm is None and trace.core_norm is None and trace.proj is None
     assert np.array_equal(trace.assign, np.ones((4, 1)))
 
 
@@ -403,10 +404,22 @@ def test_checkpoint_rejects_corruption(tmp_path):
     with pytest.raises(CheckpointError):
         load_checkpoint(str(bad_magic))
 
+    # Truncation: every length through the header and 8 bytes into the
+    # first array, each array boundary and its neighbours, and a stride
+    # over the array bytes.
+    (length,) = struct.unpack_from("<Q", blob, len(CHECKPOINT_MAGIC) + 4)
+    edge = len(CHECKPOINT_MAGIC) + 12 + length
+    cuts = set(range(edge + 9)) | set(range(edge, len(blob), 61)) | {len(blob) - 16}
+    for _, arr in params.arrays():
+        cuts.update((edge - 1, edge, edge + 1))
+        edge += arr.nbytes
+    cuts.update((edge - 1, edge))
+    assert edge == len(blob)
     truncated = tmp_path / "short.ckpt"
-    truncated.write_bytes(blob[:-16])
-    with pytest.raises(CheckpointError):
-        load_checkpoint(str(truncated))
+    for cut in sorted(cuts - {len(blob)}):
+        truncated.write_bytes(blob[:cut])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(str(truncated))
 
     padded = tmp_path / "padded.ckpt"
     padded.write_bytes(blob + b"\x00")

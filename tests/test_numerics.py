@@ -8,7 +8,7 @@ from mdap.numerics import (Rng, adam_step, gumbel_from_uniform,
                            matmul, row_l2_normalize, row_l2_normalize_grad,
                            sample_dropout_mask, sample_gumbel, softmax_rows,
                            softmax_rows_grad)
-from sparse_rows import csr
+from sparse_rows import csr, dense
 
 EULER_MASCHERONI = 0.5772156649015329
 
@@ -17,13 +17,13 @@ def test_csr_take_equals_dense_rows():
     rng = np.random.default_rng(5)
     for _ in range(50):
         n_rows, n_cols = int(rng.integers(1, 12)), int(rng.integers(1, 9))
-        dense = rng.standard_normal((n_rows, n_cols)) * (rng.random((n_rows, n_cols)) < 0.4)
-        dense[rng.integers(n_rows)] = 0.0  # at least one row with no entries
-        batch = csr(dense)
+        full = rng.standard_normal((n_rows, n_cols)) * (rng.random((n_rows, n_cols)) < 0.4)
+        full[rng.integers(n_rows)] = 0.0  # at least one row with no entries
+        batch = csr(full)
         repeated = rng.integers(0, n_rows, size=int(rng.integers(1, 20)))  # unsorted
         for rows in ([], repeated, [n_rows - 1, 0, n_rows - 1]):
             taken = batch.take(rows)
-            assert np.array_equal(taken.scatter(taken.data), dense[rows])
+            assert np.array_equal(dense(taken), full[rows])
             assert taken.indptr.dtype == np.int64 and taken.indices.dtype == np.int64
 
 

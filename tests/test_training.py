@@ -1,13 +1,14 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from mdap import training
 from mdap.errors import ShapeError, TrainingDivergedError
-from mdap.model import (ABLATIONS, ForwardTrace, ModelConfig, PARAM_FIELDS, forward,
-                        init_params, variant_config)
-from mdap.numerics import CsrRows, Rng, row_l2_normalize_grad, softmax_rows_grad
+from mdap.model import (ABLATIONS, ModelConfig, PARAM_FIELDS, forward, init_params,
+                        variant_config)
+from mdap.numerics import Rng, row_l2_normalize_grad, softmax_rows_grad
 from mdap.training import (ABLATION_VARIANTS, LOG_KEYS, AdamOptimizer,
                            TrainConfig, backward, loss, residuals, run_ablation,
                            train)
@@ -15,11 +16,8 @@ from sparse_rows import csr
 
 
 def stub_trace(recon_s, recon_t, gate_s, gate_t):
-    return ForwardTrace(
-        config=ModelConfig(), training=False, batch=None, norm_values=None,
-        input_mask=None, x=None, item_norm=None, core_norm=None, proj=None,
-        logits=None, gumbel=None, assign=None, gate_s=gate_s, gate_t=gate_t,
-        recon_s=recon_s, recon_t=recon_t)
+    """The four trace fields that residuals and loss read."""
+    return SimpleNamespace(recon_s=recon_s, recon_t=recon_t, gate_s=gate_s, gate_t=gate_t)
 
 
 def toy_setup(ablation="full", tau=0.5, keep_prob=0.5, lam=0.5, seed=0):
@@ -222,14 +220,18 @@ def test_residuals_reject_mismatched_targets():
 
 
 def test_train_step_forms_each_residual_once_from_the_batch(small_dataset, monkeypatch):
-    # Every step hands the one residual pair to loss and backward, and no
-    # dense targets are scattered.
-    formed, used = [], []
-    real_residuals, real_loss, real_backward = (
-        training.residuals, training.loss, training.backward)
+    # Every step forms one residual pair against the batch it just built
+    # and hands that pair to loss and backward.
+    batches, formed, used = [], [], []
+    real_batch, real_residuals, real_loss, real_backward = (
+        training.sparse_batch, training.residuals, training.loss, training.backward)
+
+    def spy_batch(dataset, users):
+        batches.append(real_batch(dataset, users))
+        return batches[-1]
 
     def spy_residuals(trace, targets):
-        assert targets is trace.batch
+        assert targets is batches[-1]
         formed.append(real_residuals(trace, targets))
         return formed[-1]
 
@@ -241,17 +243,14 @@ def test_train_step_forms_each_residual_once_from_the_batch(small_dataset, monke
         used.append(("backward", r))
         return real_backward(trace, r, params, config)
 
-    def no_scatter(self, values):
-        raise AssertionError("a dense batch was built")
-
+    monkeypatch.setattr(training, "sparse_batch", spy_batch)
     monkeypatch.setattr(training, "residuals", spy_residuals)
     monkeypatch.setattr(training, "loss", spy_loss)
     monkeypatch.setattr(training, "backward", spy_backward)
-    monkeypatch.setattr(CsrRows, "scatter", no_scatter)
     config = small_train_config(epochs=2, patience=2)
     train(small_dataset, config, eval_fn=metric_schedule([0.5]))
     steps = 2 * -(-small_dataset.n_users // config.batch_users)
-    assert len(formed) == steps
+    assert len(batches) == len(formed) == steps
     assert [kind for kind, _ in used] == ["loss", "backward"] * steps
     assert all(r is formed[i // 2] for i, (_, r) in enumerate(used))
 
