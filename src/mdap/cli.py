@@ -24,8 +24,8 @@ import math
 import os
 import sys
 
-from .data import (InteractionDataset, SyntheticSpec, build_dataset, index_pairs,
-                   k_core_filter, load_domain, read_text, synthetic_records,
+from .data import (InteractionDataset, SyntheticSpec, atomic_open, build_dataset,
+                   index_pairs, k_core_filter, load_domain, read_text, synthetic_records,
                    write_domain_file)
 from .errors import DataError, MdapError, ParameterError, TrainingDivergedError
 from .evaluation import evaluate
@@ -131,7 +131,7 @@ def config_hash(payload: dict) -> str:
 
 
 def write_json(path: str, payload: dict):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
@@ -170,7 +170,7 @@ def write_prepared(out: str, dataset: InteractionDataset, payload: dict):
     users = dataset.users
     for domain, split in SPLIT_FILES:
         items = dataset.items[domain]
-        with open(split_file_path(out, domain, split), "w", encoding="utf-8") as fh:
+        with atomic_open(split_file_path(out, domain, split)) as fh:
             fh.writelines(f"{users[u]}\t{items[i]}\n"
                           for u, i in dataset.pairs[(domain, split)].tolist())
     manifest = {
@@ -243,7 +243,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     os.makedirs(args.out, exist_ok=True)
     write_domain_file(os.path.join(args.out, "domain_s.tsv"), domain_s)
     write_domain_file(os.path.join(args.out, "domain_t.tsv"), domain_t)
-    with open(os.path.join(args.out, "planted_views.tsv"), "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(args.out, "planted_views.tsv")) as fh:
         for uid in sorted(planted):
             fh.write(f"{uid}\t{planted[uid]}\n")
     write_json(os.path.join(args.out, "config_synth.json"), payload)
@@ -313,7 +313,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
                         extra={"config_hash": payload["config_hash"], "seed": config.seed})
     write_json(os.path.join(args.out, "reports", "ablation.json"),
                {**report.to_dict(), "config_hash": payload["config_hash"]})
-    with open(os.path.join(args.out, "reports", "ablation.txt"), "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(args.out, "reports", "ablation.txt")) as fh:
         fh.write(report.format_table() + "\n")
     if not args.quiet:
         print(report.format_table())
@@ -404,7 +404,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
                      f"{r['lambda']:>7g} {r['seed']:>6} {r['val_ndcg_mean']:>9.4f}")
     lines.append(f"best: run {best['run_id']} (dropout={best['dropout']:g}, "
                  f"tau={best['tau']:g}, k={best['k']}, lambda={best['lambda']:g})")
-    with open(os.path.join(args.out, "reports", "grid.txt"), "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(args.out, "reports", "grid.txt")) as fh:
         fh.write("\n".join(lines) + "\n")
     write_json(os.path.join(args.out, "config_grid.json"), payload)
     if not args.quiet:

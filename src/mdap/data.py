@@ -8,8 +8,10 @@ split per domain into train/valid/test by largest-remainder rounding of
 the split ratios, with at least one training interaction guaranteed.
 """
 
+import contextlib
 import logging
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +38,23 @@ def read_text(path: str, error: type[MdapError]) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text: {exc}") from None
+
+
+@contextlib.contextmanager
+def atomic_open(path: str, mode: str = "w"):
+    """Write a file all at once: the caller writes to a temp file in the
+    same directory, which replaces path only when the block completes.
+    On any failure or interrupt the temp file is deleted, so path is left
+    as it was and no partial file remains. Text modes write UTF-8."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def load_domain(path: str, strict: bool = True) -> Interactions:
@@ -397,6 +416,6 @@ def write_domain_file(path: str, domain: Interactions):
     """Write interactions in the standard tab-separated format, each
     rating in the shortest text that reads back as the same float."""
     ids, ratings = domain
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.writelines(f"{user}\t{item}\t{np.format_float_positional(rating, trim='-')}\n"
                       for (user, item), rating in zip(ids.tolist(), ratings.tolist()))

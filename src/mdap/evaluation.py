@@ -17,7 +17,13 @@ from .errors import ParameterError
 from .model import ModelConfig, ModelParams, forward
 from .numerics import CsrRows
 
-EVAL_BATCH_USERS = 1024
+# Users per evaluation block, shared by model_scores and
+# score_matrix_metrics. At 256 rows every per-block array (the dense x,
+# recon_s/recon_t, the encoder's (k, B, hidden) layer, the negated ranking
+# block, argpartition's output and the masks) stays under glibc's 32 MiB
+# mmap ceiling up to 16k items, so a freed block is reused from the heap
+# instead of being mapped and faulted in afresh for the next one.
+EVAL_BATCH_USERS = 256
 
 
 def top_k(scores: np.ndarray, train_items: np.ndarray, k: int) -> np.ndarray:
@@ -171,15 +177,15 @@ def model_scores(params: ModelParams, config: ModelConfig, dataset) -> dict[str,
     EVAL_BATCH_USERS users at a time.
     """
     n_users = dataset.n_users
-    out = {
-        "s": np.zeros((n_users, dataset.n_items("s"))),
-        "t": np.zeros((n_users, dataset.n_items("t"))),
-    }
+    # every row is written below
+    out = {"s": np.empty((n_users, dataset.n_items("s"))),
+           "t": np.empty((n_users, dataset.n_items("t")))}
     for start in range(0, n_users, EVAL_BATCH_USERS):
-        idx = np.arange(start, min(start + EVAL_BATCH_USERS, n_users))
-        trace = forward(params, config, sparse_batch(dataset, idx), training=False)
-        out["s"][idx] = trace.recon_s
-        out["t"][idx] = trace.recon_t
+        stop = min(start + EVAL_BATCH_USERS, n_users)
+        trace = forward(params, config, sparse_batch(dataset, np.arange(start, stop)),
+                        training=False)
+        out["s"][start:stop] = trace.recon_s
+        out["t"][start:stop] = trace.recon_t
     return out
 
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from .data import atomic_open
 from .errors import CheckpointError, ParameterError, ShapeError
 from .numerics import (CsrRows, Rng, matmul, row_l2_normalize, sample_dropout_mask,
                        sample_gumbel, softmax_rows)
@@ -336,7 +337,7 @@ def save_checkpoint(path: str, params: ModelParams, config: ModelConfig,
     if extra:
         header["extra"] = extra
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<Q", len(blob)))

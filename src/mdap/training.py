@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import InteractionDataset, sparse_batch
+from .data import InteractionDataset, atomic_open, sparse_batch
 from .errors import ParameterError, ShapeError, TrainingDivergedError
 from .evaluation import evaluate
 from .model import (PARAM_FIELDS, ModelConfig, ModelParams, forward, init_params,
@@ -216,7 +216,7 @@ class TrainLog:
         return "\n".join(lines) + ("\n" if lines else "")
 
     def write(self, path: str):
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path) as fh:
             fh.write(self.to_jsonl())
 
 
@@ -285,6 +285,9 @@ def train(dataset: InteractionDataset, config: TrainConfig, eval_fn=None,
                 for key in sums:
                     sums[key] += parts[key]
 
+            # the last step's arrays would otherwise stay alive through
+            # validation; rebinding (not del) also holds for zero steps
+            batch = trace = r = grads = grad = None
             metrics = eval_fn(params, epoch)
             log.records.append({
                 "epoch": epoch,

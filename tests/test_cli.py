@@ -9,8 +9,9 @@ import mdap
 from mdap.cli import (OPTION_TABLE, PRESETS, SPLIT_FILES, build_parser, load_prepared, main,
                       parse_config_file, parse_grid, resolve_options, split_file_path,
                       write_prepared)
-from mdap.data import build_dataset, load_domain
+from mdap.data import atomic_open, build_dataset, load_domain, write_domain_file
 from mdap.errors import ParameterError
+from mdap.model import ModelConfig, init_params, save_checkpoint
 from mdap.numerics import Rng
 
 
@@ -419,6 +420,39 @@ def test_failed_train_leaves_no_partial_artifacts(tmp_path):
     assert run("train", "--out", out, "--tau", 0) == 2
     assert not (out / "checkpoints").exists()
     assert not (out / "logs").exists()
+
+
+def checkpoint_failing_at_last_array(path):
+    config = ModelConfig(k=2, embed_dim=3, hidden=4)
+    params = init_params(config, 40, 30, Rng(0))
+    params.gate = np.array([["not a float"] * 2] * 2)  # gate is written last
+    save_checkpoint(path, params, config)
+
+
+def domain_file_failing_at_last_line(path):
+    # enough lines that the failure comes after the write buffer was flushed
+    ids = np.array([[f"u{i}", f"i{i}"] for i in range(5000)])
+    write_domain_file(path, (ids, np.array([1.0] * 4999 + ["not a float"], dtype=object)))
+
+
+def interrupted_write(path):
+    with atomic_open(path) as fh:
+        fh.write("partial\n")
+        raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("writer, error", [
+    (checkpoint_failing_at_last_array, ValueError),
+    (domain_file_failing_at_last_line, TypeError),
+    (interrupted_write, KeyboardInterrupt),
+], ids=["checkpoint", "domain-file", "interrupt"])
+def test_failed_write_leaves_no_partial_or_temp_file(tmp_path, writer, error):
+    target = tmp_path / "artifact"
+    target.write_bytes(b"previous run\n")
+    with pytest.raises(error):
+        writer(str(target))
+    assert os.listdir(tmp_path) == ["artifact"]
+    assert target.read_bytes() == b"previous run\n"
 
 
 def test_version_flag(capsys):

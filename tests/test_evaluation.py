@@ -1,14 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from mdap import evaluation
+from mdap import Rng, SyntheticSpec, evaluation, generate_synthetic
 from mdap.errors import ParameterError
 from mdap.evaluation import (evaluate, model_scores, ndcg_at_k, recall_at_k,
                              score_matrix_metrics, top_k)
 from mdap.model import ModelConfig, init_params
-from mdap.numerics import Rng
 from sparse_rows import csr_lists
 
 
@@ -257,11 +257,53 @@ def test_evaluate_batching_invariant(fixture_dataset, monkeypatch):
     config = ModelConfig(k=2, embed_dim=8, hidden=16, tau=0.2, keep_prob=0.5, lam=0.5)
     params = init_params(config, fixture_dataset.n_items("s"),
                          fixture_dataset.n_items("t"), Rng(4))
+    reports = []
+    # a partial last block, the production block and one block for all users
+    for block in (7, evaluation.EVAL_BATCH_USERS, fixture_dataset.n_users + 1):
+        monkeypatch.setattr(evaluation, "EVAL_BATCH_USERS", block)
+        reports.append(evaluate(params, config, fixture_dataset, "valid", k=20).to_json())
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_model_scores_fill_every_row(fixture_dataset, monkeypatch):
+    # The outputs start uninitialized and garbage can be finite, so every
+    # row is checked against a single-block run; 200 users in blocks of 7
+    # end on a partial block.
+    config = ModelConfig(k=2, embed_dim=8, hidden=16, tau=0.2, keep_prob=0.5, lam=0.5)
+    params = init_params(config, fixture_dataset.n_items("s"),
+                         fixture_dataset.n_items("t"), Rng(0))
+    monkeypatch.setattr(evaluation, "EVAL_BATCH_USERS", fixture_dataset.n_users)
+    whole = model_scores(params, config, fixture_dataset)
     monkeypatch.setattr(evaluation, "EVAL_BATCH_USERS", 7)
-    small = evaluate(params, config, fixture_dataset, "valid", k=20)
-    monkeypatch.setattr(evaluation, "EVAL_BATCH_USERS", 1024)
-    big = evaluate(params, config, fixture_dataset, "valid", k=20)
-    assert small.to_json() == big.to_json()
+    blocked = model_scores(params, config, fixture_dataset)
+    for domain in ("s", "t"):
+        assert np.array_equal(blocked[domain], whole[domain]), domain
+
+
+def evaluate_peak_bytes(n_users):
+    """Peak traced bytes of evaluate in blocks of 8 users over 300 + 200
+    items, less its two (n_users, 500) score matrices."""
+    spec = SyntheticSpec(n_users=n_users, n_items_s=300, n_items_t=200, k_true=4)
+    dataset, _ = generate_synthetic(spec, Rng(7))
+    assert (dataset.n_users, dataset.n_items("s"), dataset.n_items("t")) == (n_users, 300, 200)
+    config = ModelConfig(k=4, embed_dim=16, hidden=32)
+    params = init_params(config, 300, 200, Rng(0))
+    tracemalloc.start()
+    try:
+        evaluate(params, config, dataset, "test", k=20)
+        return tracemalloc.get_traced_memory()[1] - n_users * 500 * 8
+    finally:
+        tracemalloc.stop()
+
+
+def test_evaluate_memory_is_bounded_by_the_block(monkeypatch):
+    # Beyond the two score matrices model_scores hands to evaluate,
+    # evaluation holds only per-block arrays: going from 32 to 256 users
+    # may add less than one (block, N) array.
+    monkeypatch.setattr(evaluation, "EVAL_BATCH_USERS", 8)
+    one_block = 8 * 500 * 8
+    growth = evaluate_peak_bytes(256) - evaluate_peak_bytes(32)
+    assert growth < one_block, growth / one_block
 
 
 def test_model_scores_shapes(fixture_dataset):

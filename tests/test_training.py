@@ -1,10 +1,12 @@
 import json
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from mdap import training
+from mdap.data import InteractionDataset
 from mdap.errors import ShapeError, TrainingDivergedError
 from mdap.model import (ABLATIONS, ModelConfig, PARAM_FIELDS, forward, init_params,
                         variant_config)
@@ -253,6 +255,49 @@ def test_train_step_forms_each_residual_once_from_the_batch(small_dataset, monke
     assert len(batches) == len(formed) == steps
     assert [kind for kind, _ in used] == ["loss", "backward"] * steps
     assert all(r is formed[i // 2] for i, (_, r) in enumerate(used))
+
+
+def test_train_frees_the_last_step_before_validation(small_dataset, monkeypatch):
+    # Validation runs with none of the last step's trace, residuals or
+    # gradients alive, so they do not add to its peak memory.
+    refs, validated = [], []
+    real_forward, real_residuals, real_backward = (
+        training.forward, training.residuals, training.backward)
+
+    def spy_forward(*args, **kwargs):
+        trace = real_forward(*args, **kwargs)
+        refs.append(weakref.ref(trace))
+        return trace
+
+    def spy_residuals(trace, targets):
+        r = real_residuals(trace, targets)
+        refs.extend(weakref.ref(a) for a in r)
+        return r
+
+    def spy_backward(trace, r, params, config):
+        grads = real_backward(trace, r, params, config)
+        refs.extend(weakref.ref(g) for g in grads.values())
+        return grads
+
+    def eval_fn(params, epoch):
+        alive = [ref() for ref in refs if ref() is not None]
+        assert refs and not alive, f"{len(alive)} of {len(refs)} still alive"
+        validated.append(epoch)
+        return metric_schedule([0.5])(params, epoch)
+
+    monkeypatch.setattr(training, "forward", spy_forward)
+    monkeypatch.setattr(training, "residuals", spy_residuals)
+    monkeypatch.setattr(training, "backward", spy_backward)
+    train(small_dataset, small_train_config(epochs=2, patience=2), eval_fn=eval_fn)
+    assert validated == [1, 2]
+
+
+def test_train_runs_an_epoch_without_users():
+    # An epoch with no steps still validates and logs
+    empty = InteractionDataset([], ["s0", "s1"], ["t0"], {})
+    params, log = train(empty, small_train_config(epochs=1, patience=1))
+    assert [rec["epoch"] for rec in log.records] == [1] and log.best_epoch == 1
+    assert log.records[0]["loss_total"] == 0.0
 
 
 def test_adam_optimizer_moves_every_field():
