@@ -3,7 +3,7 @@
 Commands share one output directory with a fixed layout:
 
   out/
-    manifest.json        dataset provenance (written by prepare)
+    manifest.json        dataset provenance and split file sha256 (written by prepare)
     config_<cmd>.json    resolved options + hash of each command run
     splits/              <domain>_<split>.tsv pair files
     checkpoints/         model checkpoints
@@ -23,13 +23,14 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 from .data import (InteractionDataset, SyntheticSpec, atomic_open, build_dataset,
-                   index_pairs, k_core_filter, load_domain, read_text, synthetic_records,
-                   write_domain_file)
+                   decode_text, index_pairs, k_core_filter, load_domain, read_text,
+                   synthetic_records, write_domain_file)
 from .errors import DataError, MdapError, ParameterError, TrainingDivergedError
 from .evaluation import evaluate
-from .model import ABLATIONS, ModelConfig, save_checkpoint, variant_config
+from .model import ABLATIONS, ModelConfig, save_checkpoint
 from .numerics import Rng
 from .training import TrainConfig, run_ablation, train
 from . import __version__
@@ -166,18 +167,23 @@ def split_file_path(out: str, domain: str, split: str) -> str:
 
 
 def write_prepared(out: str, dataset: InteractionDataset, payload: dict):
+    """Split files, then manifest.json with counts and each split file's sha256."""
     os.makedirs(os.path.join(out, "splits"), exist_ok=True)
     users = dataset.users
+    digests = {}
     for domain, split in SPLIT_FILES:
         items = dataset.items[domain]
-        with atomic_open(split_file_path(out, domain, split)) as fh:
-            fh.writelines(f"{users[u]}\t{items[i]}\n"
-                          for u, i in dataset.pairs[(domain, split)].tolist())
+        raw = "".join(f"{users[u]}\t{items[i]}\n"
+                      for u, i in dataset.pairs[(domain, split)].tolist()).encode("utf-8")
+        with atomic_open(split_file_path(out, domain, split), "wb") as fh:
+            fh.write(raw)
+        digests[f"{domain}_{split}"] = hashlib.sha256(raw).hexdigest()
     manifest = {
         "seed": dataset.seed,
         "threshold": dataset.threshold,
         "k_core": dataset.k_core,
         **manifest_sizes(dataset),
+        "split_sha256": digests,
         "config_hash": payload["config_hash"],
     }
     write_json(os.path.join(out, "manifest.json"), manifest)
@@ -200,7 +206,8 @@ def manifest_field(manifest, path: str, key: str, types: tuple):
 
 
 def load_prepared(out: str) -> InteractionDataset:
-    """Rebuild the dataset from manifest.json and the split files."""
+    """Rebuild the dataset from manifest.json and the split files, whose
+    sha256 digests and counts must match the manifest's (or DataError)."""
     manifest_path = os.path.join(out, "manifest.json")
     if not os.path.exists(manifest_path):
         raise DataError(f"{out} has no manifest.json; run prepare first")
@@ -211,18 +218,23 @@ def load_prepared(out: str) -> InteractionDataset:
     threshold = manifest_field(manifest, manifest_path, "threshold", (int, float))
     seed = manifest_field(manifest, manifest_path, "seed", (int, type(None)))
     k_core = manifest_field(manifest, manifest_path, "k_core", (int,))
-    raw: dict[tuple[str, str], list[list[str]]] = {}
+    digests = manifest_field(manifest, manifest_path, "split_sha256", (dict,))
+    records: dict[tuple[str, str], list[list[str]]] = {}
     for domain, split in SPLIT_FILES:
         path = split_file_path(out, domain, split)
         if not os.path.exists(path):
             raise DataError(f"missing split file {path}")
-        rows = [line.split("\t") for line in read_text(path, DataError).split("\n")]
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        rows = [line.split("\t") for line in decode_text(raw, path, DataError).split("\n")]
         for lineno, fields in enumerate(rows, start=1):
             if len(fields) != 2 and fields != [""]:
                 raise DataError(f"{path}:{lineno}: expected 2 tab-separated fields, "
                                 f"got {len(fields)}")
-        raw[(domain, split)] = [fields for fields in rows if len(fields) == 2]
-    users, items, pairs = index_pairs(raw)
+        if hashlib.sha256(raw).hexdigest() != digests.get(f"{domain}_{split}"):
+            raise DataError(f"{path}: contents differ from the sha256 in {manifest_path}")
+        records[(domain, split)] = [fields for fields in rows if len(fields) == 2]
+    users, items, pairs = index_pairs(records)
     dataset = InteractionDataset(users, items["s"], items["t"], pairs,
                                  threshold=threshold, seed=seed, k_core=k_core)
     for key, size in manifest_sizes(dataset).items():
@@ -309,7 +321,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         tag = name.lower().replace("-", "_")
         log.write(os.path.join(args.out, "logs", f"ablation_{tag}.jsonl"))
         save_checkpoint(os.path.join(args.out, "checkpoints", f"ablation_{tag}.ckpt"),
-                        params, variant_config(config.model, row["ablation"]),
+                        params, replace(config.model, ablation=row["ablation"]),
                         extra={"config_hash": payload["config_hash"], "seed": config.seed})
     write_json(os.path.join(args.out, "reports", "ablation.json"),
                {**report.to_dict(), "config_hash": payload["config_hash"]})

@@ -33,11 +33,18 @@ Interactions = tuple[np.ndarray, np.ndarray]
 
 def read_text(path: str, error: type[MdapError]) -> str:
     """The whole of a UTF-8 text file; other bytes raise `error` naming the path."""
+    with open(path, "rb") as fh:
+        return decode_text(fh.read(), path, error)
+
+
+def decode_text(raw: bytes, path: str, error: type[MdapError]) -> str:
+    """The bytes raw of the file at path as UTF-8 text, CR LF and lone CR
+    read as LF (universal newlines); other bytes raise `error` naming path."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text: {exc}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 @contextlib.contextmanager
@@ -238,15 +245,15 @@ class InteractionDataset:
         return int(self.pairs[(domain, split)].shape[0])
 
     def rows(self, domain: str, split: str) -> CsrRows:
-        """One domain's split as CSR rows, one row per user, holding 1.0
-        at each of the user's items in ascending order. indptr and
-        indices are read-only views of offsets and pairs; nothing is copied.
+        """One domain's split as CSR rows, one row per user, with the
+        user's items in ascending order. indptr and indices are read-only
+        views of offsets and pairs; nothing is copied.
         """
         key = (domain, split)
         indptr = self.offsets[key].view()
         indices = self.pairs[key][:, 1]
         indptr.flags.writeable = indices.flags.writeable = False
-        return CsrRows(indptr, indices, np.broadcast_to(1.0, indices.shape), self.n_items(domain))
+        return CsrRows(indptr, indices, self.n_items(domain))
 
 
 def build_dataset(domain_s: Interactions, domain_t: Interactions, rng: Rng,
@@ -295,9 +302,9 @@ def build_dataset(domain_s: Interactions, domain_t: Interactions, rng: Rng,
 
 def sparse_batch(dataset: InteractionDataset, user_indices: np.ndarray) -> CsrRows:
     """Concatenated training rows [domain s | domain t] for a batch of
-    users, in CSR form taken from each domain's training rows. Every
-    value is 1.0 and each row's columns ascend. User indices that are not
-    integers, or that lie outside [0, n_users), raise ParameterError."""
+    users, in CSR form taken from each domain's training rows. Each row's
+    columns ascend. User indices that are not integers, or that lie
+    outside [0, n_users), raise ParameterError."""
     users = np.asarray(user_indices)
     if users.dtype.kind not in "iu":
         raise ParameterError(f"user indices must be integers, got dtype {users.dtype}")
@@ -313,7 +320,7 @@ def sparse_batch(dataset: InteractionDataset, user_indices: np.ndarray) -> CsrRo
     indices[np.arange(len(s.indices)) + np.repeat(t.indptr[:-1], np.diff(s.indptr))] = s.indices
     indices[np.arange(len(t.indices)) + np.repeat(s.indptr[1:], np.diff(t.indptr))] = (
         t.indices + s.n_cols)
-    return CsrRows(indptr, indices, np.ones(len(indices)), s.n_cols + t.n_cols)
+    return CsrRows(indptr, indices, s.n_cols + t.n_cols)
 
 
 @dataclass(frozen=True)

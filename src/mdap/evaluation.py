@@ -6,7 +6,6 @@ ascending item index. A user counts toward a domain's averages only if
 their ground-truth set for the evaluated split is non-empty.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -165,9 +164,6 @@ class MetricsReport:
             "seed": self.seed,
             "checkpoint": self.checkpoint,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def model_scores(params: ModelParams, config: ModelConfig, dataset) -> dict[str, np.ndarray]:

@@ -23,7 +23,7 @@ Ablations:
 import json
 import math
 import struct
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -255,34 +255,30 @@ def forward(params: ModelParams, config: ModelConfig, batch: CsrRows,
             rng: Rng | None = None, training: bool = False) -> ForwardTrace:
     """Run the full model on a batch of concatenated interaction rows.
 
-    Only the batch's stored entries are normalized and masked; the
-    result is the dense row_l2_normalize -> dropout input bit for bit.
-    The normalized input is corrupted by one shared dropout mask that
-    feeds both the assignment logits and the view encoder, so the view
-    inputs still sum to the corrupted input exactly. Evaluation mode is
-    deterministic: no noise, no dropout. Training mode draws the input
-    mask first, then the Gumbel noise, so a stream derived from the same
-    seed replays the pass exactly.
+    A 0/1 row with c entries has L2 norm sqrt(c) exactly, so only the
+    stored entries are normalized and masked, and the result is the dense
+    row_l2_normalize -> dropout input bit for bit. The normalized input is
+    corrupted by one shared dropout mask that feeds both the assignment
+    logits and the view encoder, so the view inputs still sum to the
+    corrupted input exactly. Evaluation mode is deterministic: no noise,
+    no dropout. Training mode draws the input mask first, then the Gumbel
+    noise, so a stream derived from the same seed replays the pass exactly.
     """
     n = params.n_items_total
     if batch.n_cols != n:
         raise ShapeError(f"expected rows of width {n}, got {batch.n_cols}")
     b = batch.n_rows
     entries = batch.flat_index()
-    # The squares are summed in a dense array: numpy's pairwise row sum
-    # groups entries by column, so a sum over the packed values alone can
-    # differ from row_l2_normalize's norm in the last bit. The same array
-    # then receives the corrupted input x.
-    x = np.zeros((b, n))
-    np.put(x, entries, batch.data * batch.data)
-    norms = np.sqrt(np.add.reduce(x, axis=1))
-    values = batch.data / np.repeat(np.where(norms > 0.0, norms, 1.0),
-                                    np.diff(batch.indptr))
+    if np.any(np.diff(entries) <= 0):  # a repeated column would spoil the count
+        raise ShapeError("each row's columns must ascend strictly")
+    counts = np.diff(batch.indptr)
+    values = 1.0 / np.sqrt(np.repeat(counts, counts))
     if training and config.keep_prob < 1.0:
         if rng is None:
             raise ParameterError("training-mode forward needs an Rng")
         mask = sample_dropout_mask(rng, b, n, config.keep_prob, entries)
         values = values * mask * (1.0 / config.keep_prob)
+    x = np.zeros((b, n))
     np.put(x, entries, values)
 
     if config.ablation == "single_view":
@@ -311,14 +307,6 @@ def forward(params: ModelParams, config: ModelConfig, batch: CsrRows,
         dec_hidden_t=dec_hidden_t, recon_s=recon_s, recon_t=recon_t)
 
 
-def config_to_dict(config: ModelConfig) -> dict:
-    return {f.name: getattr(config, f.name) for f in fields(config)}
-
-
-def config_from_dict(d: dict) -> ModelConfig:
-    return ModelConfig(**d)
-
-
 def save_checkpoint(path: str, params: ModelParams, config: ModelConfig,
                     extra: dict | None = None):
     """Write params + config to a versioned binary file.
@@ -329,7 +317,7 @@ def save_checkpoint(path: str, params: ModelParams, config: ModelConfig,
     order. Round-trips bit exactly.
     """
     header = {
-        "config": config_to_dict(config),
+        "config": asdict(config),
         "n_items_s": params.n_items_s,
         "n_items_t": params.n_items_t,
         "shapes": {name: list(arr.shape) for name, arr in params.arrays()},
@@ -366,7 +354,7 @@ def load_checkpoint(path: str) -> tuple[ModelParams, ModelConfig, dict]:
     off += 8
     try:
         header = json.loads(raw[off:off + header_len].decode("utf-8"))
-        config = config_from_dict(header["config"])
+        config = ModelConfig(**header["config"])
         shapes = {name: header["shapes"][name] for name in PARAM_FIELDS}
         n_items_s, n_items_t = int(header["n_items_s"]), int(header["n_items_t"])
         extra = header.get("extra", {})
@@ -392,8 +380,3 @@ def load_checkpoint(path: str) -> tuple[ModelParams, ModelConfig, dict]:
         raise CheckpointError(f"{path}: {len(raw) - off} trailing bytes")
     params = ModelParams(n_items_s=n_items_s, n_items_t=n_items_t, **arrays)
     return params, config, extra
-
-
-def variant_config(base: ModelConfig, ablation: str) -> ModelConfig:
-    """Base config re-targeted at an ablation (single_view drops k to 1)."""
-    return replace(base, ablation=ablation)

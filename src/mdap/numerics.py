@@ -71,25 +71,26 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CsrRows:
-    """A batch of rows in compressed sparse row form.
+    """The pattern of a batch of 0/1 rows in compressed sparse row form.
 
-    Row r stores data[indptr[r]:indptr[r + 1]] at the columns
-    indices[indptr[r]:indptr[r + 1]], no column twice; every other entry
-    of the dense (n_rows, n_cols) array is zero.
+    Row r holds 1.0 at the columns indices[indptr[r]:indptr[r + 1]],
+    strictly ascending within [0, n_cols); every other entry of the dense
+    (n_rows, n_cols) array is zero.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
-    data: np.ndarray
     n_cols: int
 
     def __post_init__(self):
-        if self.indptr.ndim != 1 or len(self.indptr) < 1 or self.indptr[0] != 0:
-            raise ShapeError("indptr must be a 1-d array starting at 0")
-        if not len(self.indices) == len(self.data) == self.indptr[-1]:
+        if (self.indptr.ndim != 1 or len(self.indptr) < 1 or self.indptr[0] != 0
+                or np.any(np.diff(self.indptr) < 0)):
+            raise ShapeError("indptr must be a 1-d non-decreasing array starting at 0")
+        if len(self.indices) != self.indptr[-1]:
             raise ShapeError(
-                f"indptr ends at {self.indptr[-1]} but there are {len(self.indices)} "
-                f"indices and {len(self.data)} values")
+                f"indptr ends at {self.indptr[-1]} but there are {len(self.indices)} indices")
+        if len(self.indices) and not 0 <= self.indices.min() <= self.indices.max() < self.n_cols:
+            raise ShapeError(f"column indices must lie in [0, {self.n_cols})")
 
     @property
     def n_rows(self) -> int:
@@ -107,7 +108,7 @@ class CsrRows:
         counts = self.indptr[rows + 1] - starts
         indptr = np.concatenate(([0], np.cumsum(counts)))
         pos = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], counts)
-        return CsrRows(indptr, self.indices[pos], self.data[pos], self.n_cols)
+        return CsrRows(indptr, self.indices[pos], self.n_cols)
 
 
 def row_l2_normalize(m: np.ndarray) -> np.ndarray:

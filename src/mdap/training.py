@@ -18,8 +18,7 @@ import numpy as np
 from .data import InteractionDataset, atomic_open, sparse_batch
 from .errors import ParameterError, ShapeError, TrainingDivergedError
 from .evaluation import evaluate
-from .model import (PARAM_FIELDS, ModelConfig, ModelParams, forward, init_params,
-                    variant_config)
+from .model import PARAM_FIELDS, ModelConfig, ModelParams, forward, init_params
 from .numerics import CsrRows, Rng, adam_step, row_l2_normalize_grad, softmax_rows_grad
 
 # Exact key order of one serialized training-log record.
@@ -33,11 +32,11 @@ ABLATION_VARIANTS = (("MDAP", "full"), ("MDAP-GS", "no_gumbel"),
 def residuals(trace, targets: CsrRows) -> tuple[np.ndarray, np.ndarray]:
     """Each domain's reconstruction residual recon - targets, formed once.
 
-    targets holds the batch's stored entries over both domains' columns
-    (a training step passes the batch itself). Everywhere else the target
-    is 0 and recon - 0 is recon exactly, so each residual is a copy of its
-    reconstruction with recon - value written at the stored entries only:
-    no dense targets are built. loss() and backward() both read the pair.
+    targets are 0/1 rows over both domains' columns (a training step
+    passes the batch itself). Off the stored entries the target is 0 and
+    recon - 0 is recon exactly, so each residual is a copy of its
+    reconstruction with recon - 1 written at the stored entries only: no
+    dense targets are built. loss() and backward() both read the pair.
     """
     n_s = trace.recon_s.shape[1]
     if (targets.n_rows, targets.n_cols) != (trace.recon_s.shape[0],
@@ -50,7 +49,7 @@ def residuals(trace, targets: CsrRows) -> tuple[np.ndarray, np.ndarray]:
     out = []
     for recon, at, col0 in ((trace.recon_s, in_s, 0), (trace.recon_t, ~in_s, n_s)):
         r = recon.copy()
-        r[rows[at], targets.indices[at] - col0] -= targets.data[at]
+        r[rows[at], targets.indices[at] - col0] -= 1.0
         out.append(r)
     return out[0], out[1]
 
@@ -347,7 +346,7 @@ def run_ablation(dataset: InteractionDataset, config: TrainConfig,
     report = AblationReport(seed=config.seed)
     artifacts: dict[str, tuple] = {}
     for name, ablation in ABLATION_VARIANTS:
-        variant = replace(config, model=variant_config(config.model, ablation))
+        variant = replace(config, model=replace(config.model, ablation=ablation))
         if verbose:
             print(f"[ablation] training {name} ({ablation})")
         params, log = train(dataset, variant, verbose=False)

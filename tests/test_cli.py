@@ -329,7 +329,9 @@ def drop_splits_t(manifest):
     drop_splits_t,
     lambda m: json.dumps({**m, "n_users": m["n_users"] + 1}),
     lambda m: json.dumps(m)[:-2],
-], ids=["list", "null-threshold", "no-splits-t", "n-users-off-by-one", "truncated"])
+    lambda m: json.dumps({key: v for key, v in m.items() if key != "split_sha256"}),
+], ids=["list", "null-threshold", "no-splits-t", "n-users-off-by-one", "truncated",
+        "no-digests"])
 def test_malformed_manifest_names_file(tmp_path, capsys, edit):
     out = prepared_dir(tmp_path)
     path = out / "manifest.json"
@@ -338,6 +340,29 @@ def test_malformed_manifest_names_file(tmp_path, capsys, edit):
     assert run("train", "--out", out, "--epochs", 1, "--quiet") == 2
     err = capsys.readouterr().err
     assert "manifest.json" in err and "Traceback" not in err
+
+
+def test_split_file_edit_that_keeps_counts_is_rejected(tmp_path, capsys):
+    # Swap the items of two users' lines: every count in the manifest
+    # still holds, only the digest of the file's bytes tells.
+    out = prepared_dir(tmp_path)
+    split = out / "splits" / "s_train.tsv"
+    lines = [line.split("\t") for line in split.read_text().splitlines()]
+    owned = {tuple(line.split("\t")) for sp in ("train", "valid", "test")
+             for line in (out / "splits" / f"s_{sp}.tsv").read_text().splitlines()}
+    i, j = next((i, j) for i in range(len(lines)) for j in range(i)
+                if (lines[i][0], lines[j][1]) not in owned
+                and (lines[j][0], lines[i][1]) not in owned)
+    lines[i][1], lines[j][1] = lines[j][1], lines[i][1]
+    split.write_text("".join("\t".join(fields) + "\n" for fields in lines))
+    capsys.readouterr()
+    assert run("train", "--out", out, "--epochs", 1, "--quiet") == 2
+    assert f"error: {split}: contents differ from the sha256" in capsys.readouterr().err
+    # with the edited file's digest recorded, the counts check passes
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["split_sha256"]["s_train"] = file_hash(split)
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    assert load_prepared(str(out)).split_size("s", "train") == len(lines)
 
 
 @pytest.mark.parametrize("kind", ["domain", "split", "manifest", "config"])

@@ -246,7 +246,7 @@ def test_evaluate_is_deterministic(fixture_dataset):
                          fixture_dataset.n_items("t"), Rng(1))
     a = evaluate(params, config, fixture_dataset, "test", k=20, seed=3)
     b = evaluate(params, config, fixture_dataset, "test", k=20, seed=3)
-    assert a.to_json() == b.to_json()
+    assert a.to_dict() == b.to_dict()
     assert a.split == "test" and a.cutoff == 20 and a.seed == 3
     for domain in ("s", "t"):
         assert 0.0 <= a.domains[domain]["recall"] <= 1.0
@@ -261,7 +261,7 @@ def test_evaluate_batching_invariant(fixture_dataset, monkeypatch):
     # a partial last block, the production block and one block for all users
     for block in (7, evaluation.EVAL_BATCH_USERS, fixture_dataset.n_users + 1):
         monkeypatch.setattr(evaluation, "EVAL_BATCH_USERS", block)
-        reports.append(evaluate(params, config, fixture_dataset, "valid", k=20).to_json())
+        reports.append(evaluate(params, config, fixture_dataset, "valid", k=20).to_dict())
     assert reports[0] == reports[1] == reports[2]
 
 

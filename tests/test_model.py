@@ -2,6 +2,7 @@ import json
 import math
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,12 +11,16 @@ from mdap.errors import CheckpointError, ParameterError, ShapeError
 from mdap.model import (ABLATIONS, CHECKPOINT_MAGIC, ForwardTrace, ModelConfig,
                         PARAM_FIELDS, combine_views, decode, encode_rows, forward,
                         gate_weights, glorot_uniform, gumbel_softmax_assign,
-                        init_params, load_checkpoint, save_checkpoint,
-                        variant_config)
-from mdap.numerics import (Rng, row_l2_normalize, sample_dropout_mask, sample_gumbel,
-                           softmax_rows)
+                        init_params, load_checkpoint, save_checkpoint)
+from mdap.numerics import (CsrRows, Rng, row_l2_normalize, sample_dropout_mask,
+                           sample_gumbel, softmax_rows)
 from mdap.training import backward, residuals
 from sparse_rows import csr, dense
+
+
+def binary_rows(seed, b, n=11):
+    """(b, n) rows of zeros and ones, each entry 1 with probability 1/2."""
+    return (Rng(seed).uniform(b, n) < 0.5).astype(float)
 
 
 def toy_params(k=3, embed=8, hidden=16, n_s=6, n_t=5, seed=0, ablation="full"):
@@ -65,7 +70,7 @@ def test_init_params_shapes():
 
 def test_forward_zero_row_logits_are_zero():
     config, params = toy_params()
-    x = Rng(4).uniform(3, 11)
+    x = binary_rows(4, 3)
     x[1] = 0.0
     for training in (False, True):
         trace = forward(params, config, csr(x), Rng(5), training=training)
@@ -139,7 +144,7 @@ def test_combine_views_weighted_sum():
 
 def test_forward_eval_is_deterministic():
     config, params = toy_params()
-    x = Rng(4).uniform(5, 11)
+    x = binary_rows(4, 5)
     rng = Rng(9)
     a = forward(params, config, csr(x), rng)
     b = forward(params, config, csr(x))
@@ -153,7 +158,7 @@ def test_forward_training_reproducible_by_seed():
     # Gradient checks replay a training pass by running forward again on
     # a stream derived from the same seed: every random draw and every
     # result must repeat bit for bit.
-    x = Rng(4).uniform(5, 11)
+    x = binary_rows(4, 5)
     for ablation in ABLATIONS:
         config, params = toy_params(ablation=ablation)
         rng_a, rng_b = Rng(9).derive(2), Rng(9).derive(2)
@@ -170,7 +175,7 @@ def test_forward_training_reproducible_by_seed():
 
 def test_forward_shared_corruption_feeds_both_paths():
     config, params = toy_params()
-    x = Rng(4).uniform(5, 11)
+    x = binary_rows(4, 5)
     batch = csr(x)
     trace = forward(params, config, batch, Rng(9), training=True)
     # replay forward's draws in its order: the dropout mask, then the noise
@@ -189,7 +194,7 @@ def test_forward_shared_corruption_feeds_both_paths():
 
 def test_forward_without_dropout_keeps_input():
     config, params = toy_params()
-    x = Rng(4).uniform(5, 11)
+    x = binary_rows(4, 5)
     no_drop = ModelConfig(k=3, embed_dim=8, hidden=16, keep_prob=1.0)
     for cfg, training in ((config, False), (no_drop, True)):
         rng = Rng(9)
@@ -211,7 +216,7 @@ def test_forward_matches_per_view_reference(ablation, training):
     for k in range(1, 6):
         config, params = toy_params(k=k, seed=k, ablation=ablation)
         params.gate[:] = Rng(k).uniform(2, params.gate.shape[1])
-        x = (Rng(20 + k).uniform(6, 11) < 0.5).astype(float)
+        x = binary_rows(20 + k, 6)
         x[3] = 0.0
         trace = forward(params, config, csr(x), Rng(40 + k), training=training)
         worst = 0.0
@@ -263,14 +268,13 @@ def dense_reference_forward(params, config, raw, rng, training):
         dec_hidden_t=dec_hidden_t, recon_s=recon_s, recon_t=recon_t)
 
 
-def random_raw_rows(gen, b, n, binary):
-    """Rows of mixed density, one all-zero and one with a single entry."""
+def random_raw_rows(gen, b, n):
+    """0/1 rows of mixed density, one all-zero and one with a single entry."""
     density = gen.choice([0.02, 0.2, 0.6], size=(b, 1))
-    values = np.ones((b, n)) if binary else gen.standard_normal((b, n))
-    raw = np.where(gen.random((b, n)) < density, values, 0.0)
+    raw = (gen.random((b, n)) < density).astype(float)
     raw[0] = 0.0
     raw[1] = 0.0
-    raw[1, gen.integers(n)] = 1.0 if binary else gen.standard_normal()
+    raw[1, gen.integers(n)] = 1.0
     return raw
 
 
@@ -281,8 +285,8 @@ def test_sparse_input_stage_equals_dense_reference(ablation, training, keep_prob
     # The batch enters sparse and only its entries are normalized and
     # masked; x (so the normalized rows and the kept entries), the
     # reconstructions and the gradients must still equal the dense
-    # pipeline's exactly. Widths
-    # above 128 give numpy's pairwise row sums more than one block.
+    # pipeline's exactly. Widths above 128 give the reference's pairwise
+    # row sums more than one block.
     gen = np.random.default_rng([ABLATIONS.index(ablation), training, int(keep_prob * 10)])
     for trial in range(6):
         n_s, n_t = int(gen.integers(3, 120)), int(gen.integers(3, 120))
@@ -290,7 +294,7 @@ def test_sparse_input_stage_equals_dense_reference(ablation, training, keep_prob
                              keep_prob=keep_prob, ablation=ablation)
         params = init_params(config, n_s, n_t, Rng(trial))
         params.gate[:] = Rng(trial + 50).uniform(2, config.k)
-        raw = random_raw_rows(gen, int(gen.integers(2, 12)), n_s + n_t, binary=trial % 2 == 0)
+        raw = random_raw_rows(gen, int(gen.integers(2, 12)), n_s + n_t)
         trace = forward(params, config, csr(raw), Rng(trial), training=training)
         ref = dense_reference_forward(params, config, raw, Rng(trial), training)
         assert np.array_equal(trace.x, ref.x)
@@ -308,6 +312,16 @@ def test_forward_rejects_wrong_width():
     config, params = toy_params()
     with pytest.raises(ShapeError):
         forward(params, config, csr(np.ones((2, 10))))
+
+
+@pytest.mark.parametrize("columns", [[1, 1], [2, 1]], ids=["repeated", "descending"])
+def test_forward_rejects_columns_that_do_not_ascend(columns):
+    # A row is normalized by its entry count, which a repeated column
+    # would inflate; only strictly ascending columns rule that out.
+    config, params = toy_params()
+    batch = CsrRows(np.array([0, 2]), np.array(columns, dtype=np.int64), 11)
+    with pytest.raises(ShapeError, match="ascend strictly"):
+        forward(params, config, batch)
 
 
 def forward_peak_bytes(k):
@@ -334,8 +348,8 @@ def test_forward_memory_does_not_scale_with_views_times_items():
 def test_forward_k1_matches_single_view():
     base = ModelConfig(k=1, embed_dim=8, hidden=16, tau=0.2, keep_prob=0.5, lam=0.5)
     params = init_params(base, 6, 5, Rng(0))
-    sv = variant_config(base, "single_view")
-    x = Rng(4).uniform(5, 11)
+    sv = replace(base, ablation="single_view")
+    x = binary_rows(4, 5)
     a = forward(params, base, csr(x))
     b = forward(params, sv, csr(x))
     assert np.max(np.abs(a.recon_s - b.recon_s)) < 1e-9
@@ -344,7 +358,7 @@ def test_forward_k1_matches_single_view():
 
 def test_forward_padded_user_gets_uniform_assignment():
     config, params = toy_params(k=3)
-    x = Rng(4).uniform(5, 11)
+    x = binary_rows(4, 5)
     x[2] = 0.0
     trace = forward(params, config, csr(x))
     assert np.allclose(trace.assign[2], np.full(3, 1 / 3), atol=1e-12)
@@ -352,7 +366,7 @@ def test_forward_padded_user_gets_uniform_assignment():
 
 def test_forward_trace_shapes():
     config, params = toy_params(k=3, embed=8, hidden=16, n_s=6, n_t=5)
-    x = Rng(1).uniform(4, 11)
+    x = binary_rows(1, 4)
     trace = forward(params, config, csr(x), Rng(2), training=True)
     assert trace.x.shape == (4, 11)
     assert trace.proj.shape == (4, 8)
@@ -368,16 +382,17 @@ def test_forward_single_view_skips_logit_path():
     config = ModelConfig(k=4, embed_dim=8, hidden=16, tau=0.2, keep_prob=0.5,
                          lam=0.5, ablation="single_view")
     params = init_params(config, 6, 5, Rng(0))
-    trace = forward(params, config, csr(Rng(1).uniform(4, 11)), Rng(2), training=True)
+    trace = forward(params, config, csr(binary_rows(1, 4)), Rng(2), training=True)
     assert trace.item_norm is None and trace.core_norm is None and trace.proj is None
     assert np.array_equal(trace.assign, np.ones((4, 1)))
 
 
 def test_variant_config():
+    # a variant's config is the base with its ablation replaced
     base = ModelConfig(k=8)
-    assert variant_config(base, "no_gumbel").ablation == "no_gumbel"
-    assert variant_config(base, "single_view").k == 1
-    assert variant_config(base, "full") == base
+    assert replace(base, ablation="no_gumbel").ablation == "no_gumbel"
+    assert replace(base, ablation="single_view").k == 1
+    assert replace(base, ablation="full") == base
 
 
 def test_checkpoint_round_trip(tmp_path):

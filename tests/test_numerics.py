@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mdap.errors import ParameterError, ShapeError
-from mdap.numerics import (Rng, adam_step, gumbel_from_uniform,
+from mdap.numerics import (CsrRows, Rng, adam_step, gumbel_from_uniform,
                            matmul, row_l2_normalize, row_l2_normalize_grad,
                            sample_dropout_mask, sample_gumbel, softmax_rows,
                            softmax_rows_grad)
@@ -17,7 +17,7 @@ def test_csr_take_equals_dense_rows():
     rng = np.random.default_rng(5)
     for _ in range(50):
         n_rows, n_cols = int(rng.integers(1, 12)), int(rng.integers(1, 9))
-        full = rng.standard_normal((n_rows, n_cols)) * (rng.random((n_rows, n_cols)) < 0.4)
+        full = (rng.random((n_rows, n_cols)) < 0.4).astype(float)
         full[rng.integers(n_rows)] = 0.0  # at least one row with no entries
         batch = csr(full)
         repeated = rng.integers(0, n_rows, size=int(rng.integers(1, 20)))  # unsorted
@@ -25,6 +25,17 @@ def test_csr_take_equals_dense_rows():
             taken = batch.take(rows)
             assert np.array_equal(dense(taken), full[rows])
             assert taken.indptr.dtype == np.int64 and taken.indices.dtype == np.int64
+
+
+@pytest.mark.parametrize("indptr, indices, message", [
+    ([0, 1, 1], [5], r"\[0, 5\)"),
+    ([0, 1, 1], [-1], r"\[0, 5\)"),
+    ([0, 2, 1], [0], "non-decreasing"),
+], ids=["column-past-end", "negative-column", "decreasing-indptr"])
+def test_csr_rows_reject_bad_pattern(indptr, indices, message):
+    # Each would put an entry in the wrong row or column of forward's input.
+    with pytest.raises(ShapeError, match=message):
+        CsrRows(np.array(indptr), np.array(indices, dtype=np.int64), 5)
 
 
 def test_rng_same_seed_same_draws():

@@ -1,5 +1,6 @@
 import json
 import weakref
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,8 +9,7 @@ import pytest
 from mdap import training
 from mdap.data import InteractionDataset
 from mdap.errors import ShapeError, TrainingDivergedError
-from mdap.model import (ABLATIONS, ModelConfig, PARAM_FIELDS, forward, init_params,
-                        variant_config)
+from mdap.model import ABLATIONS, ModelConfig, PARAM_FIELDS, forward, init_params
 from mdap.numerics import Rng, row_l2_normalize_grad, softmax_rows_grad
 from mdap.training import (ABLATION_VARIANTS, LOG_KEYS, AdamOptimizer,
                            TrainConfig, backward, loss, residuals, run_ablation,
@@ -57,8 +57,8 @@ def test_loss_breakdown_sums_to_total():
 def test_perfect_reconstruction_gives_zero_gradients():
     config, params, x = toy_setup(lam=0.0)
     trace = forward(params, config, csr(x), Rng(3), training=True)
-    targets = csr(np.hstack((trace.recon_s, trace.recon_t)))
-    grads = backward(trace, residuals(trace, targets), params, config)
+    zero = (np.zeros_like(trace.recon_s), np.zeros_like(trace.recon_t))
+    grads = backward(trace, zero, params, config)
     for field in PARAM_FIELDS:
         assert not np.any(grads[field]), field
 
@@ -70,9 +70,10 @@ def test_gate_gradient_orthogonality_coupling():
     params.gate[0] = [0.3, -0.1]
     params.gate[1] = [-0.2, 0.4]
     trace = forward(params, config_lam, csr(x), Rng(3), training=True)
-    # targets equal to the reconstruction leave only the lambda term
-    targets = csr(np.hstack((trace.recon_s, trace.recon_t)))
-    grads = backward(trace, residuals(trace, targets), params, config_lam)
+    # a zero residual (targets equal to the reconstruction) leaves only
+    # the lambda term
+    zero = (np.zeros_like(trace.recon_s), np.zeros_like(trace.recon_t))
+    grads = backward(trace, zero, params, config_lam)
     w_s, w_t = trace.gate_s, trace.gate_t
     expect_s = softmax_rows_grad(w_s[None, :], 0.7 * w_t[None, :])[0]
     expect_t = softmax_rows_grad(w_t[None, :], 0.7 * w_s[None, :])[0]
@@ -178,8 +179,8 @@ def oracle_backward(trace, targets_s, targets_t, params, config):
 
 @pytest.mark.parametrize("ablation", ABLATIONS)
 def test_residual_loss_and_backward_equal_dense_target_oracles(ablation):
-    # Real-valued targets with empty rows, -0.0 planted in the
-    # reconstructions, widths past numpy's 128-element pairwise block.
+    # 0/1 targets with empty rows, -0.0 planted in the reconstructions,
+    # widths past numpy's 128-element pairwise block.
     gen = np.random.default_rng(ABLATIONS.index(ablation))
     for trial in range(8):
         n_s, n_t = int(gen.integers(2, 200)), int(gen.integers(2, 200))
@@ -188,11 +189,9 @@ def test_residual_loss_and_backward_equal_dense_target_oracles(ablation):
                              keep_prob=0.5, lam=0.3, ablation=ablation)
         params = init_params(config, n_s, n_t, Rng(trial))
         params.gate[:] = Rng(trial + 50).uniform(2, config.k)
-        raw = np.where(gen.random((b, n_s + n_t)) < 0.2,
-                       gen.standard_normal((b, n_s + n_t)), 0.0)
+        raw = (gen.random((b, n_s + n_t)) < 0.2).astype(float)
         raw[0] = 0.0
-        trace = forward(params, config, csr((raw != 0).astype(float)), Rng(trial),
-                        training=True)
+        trace = forward(params, config, csr(raw), Rng(trial), training=True)
         trace.recon_s[gen.random(trace.recon_s.shape) < 0.1] = -0.0
         trace.recon_t[gen.random(trace.recon_t.shape) < 0.1] = -0.0
         targets_s, targets_t = raw[:, :n_s], raw[:, n_s:]
@@ -448,7 +447,7 @@ def test_run_ablation_no_gate_logs_uniform_gates(small_dataset):
 
 def test_single_view_variant_trains_with_one_view(small_dataset):
     base = small_train_config(epochs=2, patience=2)
-    sv = TrainConfig(model=variant_config(base.model, "single_view"),
+    sv = TrainConfig(model=replace(base.model, ablation="single_view"),
                      epochs_max=2, patience=2, batch_users=64, lr=1e-3,
                      eval_k=20, seed=0)
     params, log = train(small_dataset, sv, eval_fn=metric_schedule([0.5, 0.6]))
