@@ -12,14 +12,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import sparse_batch
-from .errors import ParameterError
+from .errors import ParameterError, ShapeError
 from .model import ModelConfig, ModelParams, forward
 from .numerics import CsrRows
 
 # Users per evaluation block, shared by model_scores and
 # score_matrix_metrics. At 256 rows every per-block array (the dense x,
 # recon_s/recon_t, the encoder's (k, B, hidden) layer, the negated ranking
-# block, argpartition's output and the masks) stays under glibc's 32 MiB
+# block, partition's output and the masks) stays under glibc's 32 MiB
 # mmap ceiling up to 16k items, so a freed block is reused from the heap
 # instead of being mapped and faulted in afresh for the next one.
 EVAL_BATCH_USERS = 256
@@ -29,10 +29,9 @@ def top_k(scores: np.ndarray, train_items: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k highest-scoring items outside the training set.
 
     Equal scores rank by ascending item index. If fewer than k items are
-    eligible the list is just shorter. This is the scalar oracle of the
-    ranking rule: score_matrix_metrics calls it only for rows that its
-    block path cannot rank exactly; otherwise tests and the benchmark's
-    metric check use it.
+    eligible the list is just shorter. This is the scalar reference of
+    the ranking rule, which the tests and the benchmark's metric check
+    compare score_matrix_metrics against; no production code calls it.
     """
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
@@ -47,8 +46,7 @@ def top_k(scores: np.ndarray, train_items: np.ndarray, k: int) -> np.ndarray:
 def recall_at_k(ranked: np.ndarray, truth: set[int], k: int) -> float:
     """Fraction of the truth set that appears in the top k. Truth must be non-empty.
 
-    Scalar oracle: used by tests, by the benchmark's metric check and by
-    score_matrix_metrics for the rows that fall back to top_k.
+    Scalar reference for the tests and the benchmark's metric check.
     """
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
@@ -61,8 +59,7 @@ def recall_at_k(ranked: np.ndarray, truth: set[int], k: int) -> float:
 def ndcg_at_k(ranked: np.ndarray, truth: set[int], k: int) -> float:
     """Binary-gain NDCG: DCG over hit positions, ideal DCG over min(k, |truth|).
 
-    Scalar oracle: used by tests, by the benchmark's metric check and by
-    score_matrix_metrics for the rows that fall back to top_k.
+    Scalar reference for the tests and the benchmark's metric check.
     """
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
@@ -82,66 +79,64 @@ def score_matrix_metrics(scores: np.ndarray, train: CsrRows, truth: CsrRows,
 
     scores is (n_users, n_items); row u of train/truth holds user u's
     training and ground-truth item indices, over the same n_items
-    columns. Returns (mean recall, mean ndcg, users evaluated); means are
-    0.0 when no user qualifies.
+    columns (ShapeError otherwise). Returns (mean recall, mean ndcg,
+    users evaluated); means are 0.0 when no user qualifies.
 
-    The evaluated users are ranked EVAL_BATCH_USERS rows at a time. Each
-    block is negated, its training items set to +inf, and the K smallest
-    entries taken with argpartition and ordered by (value, item index),
-    which is top_k's rule whenever those K entries are exactly the row's
-    K best. A row falls back to top_k when that cannot be guaranteed:
-    the row holds more entries equal to its K-th value than the K
-    candidates do (a tie cut at K), or the K-th value is not finite
-    (fewer than K eligible items, or a NaN score). Every per-user value
-    and both means are computed in the oracle's order of operations, so
-    the results equal the per-user recall_at_k/ndcg_at_k loop bit for bit.
+    The evaluated users are ranked EVAL_BATCH_USERS rows at a time, in
+    one exact pass per block. The block is negated and its training
+    items set to +inf; np.partition gives each row's K-th smallest
+    value. The entries at or below it (every eligible entry of a row
+    whose K-th value is not finite: fewer than K eligible items, or a
+    NaN score) are sorted by (row, value) with a stable lexsort. They
+    are gathered in row-major order, so equal values keep ascending item
+    order, which is top_k's rule, and the first K of each row are its
+    ranking. Every per-user value and both means are computed in the
+    scalar references' order of operations, so the results equal the
+    per-user recall_at_k/ndcg_at_k loop bit for bit.
     """
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
+    for name, rows in (("train", train), ("truth", truth)):
+        if (rows.n_rows, rows.n_cols) != scores.shape:
+            raise ShapeError(f"{name} rows are {(rows.n_rows, rows.n_cols)} "
+                             f"but scores are {scores.shape}")
     n_items = scores.shape[1]
-    eval_users = np.flatnonzero(np.diff(truth.indptr))
+    truth_lens = np.diff(truth.indptr)
+    eval_users = np.flatnonzero(truth_lens)
     n_eval = len(eval_users)
     if n_eval == 0:
         return 0.0, 0.0, 0
     kk = min(k, n_items)
     disc = np.array([1.0 / math.log2(pos + 1) for pos in range(1, kk + 1)])
+    # only idcg[min(k, |truth|)] is read; the sum per entry matches
+    # ndcg_at_k's, which Python 3.12+ compensates
     idcg = np.array([sum(1.0 / math.log2(pos + 1) for pos in range(1, m + 1))
-                     for m in range(kk + 1)])
+                     for m in range(min(k, int(truth_lens.max())) + 1)])
     recall = np.empty(n_eval)
     ndcg = np.empty(n_eval)
     for start in range(0, n_eval, EVAL_BATCH_USERS):
         rows = eval_users[start:start + EVAL_BATCH_USERS]
+        b = len(rows)
         block = scores[rows]
         np.negative(block, out=block)
-        banned = train.take(rows)
-        np.put(block, banned.flat_index(), np.inf)
-        if kk < n_items:
-            cand = np.argpartition(block, kk - 1, axis=1)[:, :kk]
-        else:
-            cand = np.broadcast_to(np.arange(n_items), block.shape)
-        cand_scores = np.take_along_axis(block, cand, axis=1)
-        order = np.lexsort((cand, cand_scores), axis=1)
-        top = np.take_along_axis(cand, order, axis=1)
-        kth = np.take_along_axis(cand_scores, order[:, -1:], axis=1)
-        fallback = ((np.count_nonzero(block == kth, axis=1)
-                     > np.count_nonzero(cand_scores == kth, axis=1))
-                    | ~np.isfinite(kth[:, 0]))
+        banned = train.take(rows).flat_index()
+        np.put(block, banned, np.inf)
+        kth = np.partition(block, kk - 1, axis=1)[:, [kk - 1]]  # a copy: frees the rest
+        ranked = block <= kth
+        ranked[~np.isfinite(kth[:, 0])] = True
+        np.put(ranked, banned, False)
+        flat = np.flatnonzero(ranked)
+        row = flat // n_items  # ascending, so the lexsort below keeps it as is
+        flat = flat[np.lexsort((block.reshape(-1)[flat], row))]
+        rank = np.arange(len(flat)) - np.searchsorted(row, np.arange(b))[row]
 
-        wanted = truth.take(rows)
-        is_truth = np.zeros(block.shape, dtype=bool)
-        np.put(is_truth, wanted.flat_index(), True)
-        truth_len = np.diff(wanted.indptr)
-        hits = is_truth[np.arange(len(rows))[:, None], top]
-        dcg = np.cumsum(hits * disc, axis=1)[:, -1]
-        recall[start:start + len(rows)] = np.count_nonzero(hits, axis=1) / truth_len
-        ndcg[start:start + len(rows)] = dcg / idcg[np.minimum(k, truth_len)]
-        for i in np.flatnonzero(fallback):
-            train_items = banned.indices[banned.indptr[i]:banned.indptr[i + 1]]
-            truth_items = wanted.indices[wanted.indptr[i]:wanted.indptr[i + 1]]
-            ranked = top_k(scores[rows[i]], train_items, k)
-            truth_set = {int(item) for item in truth_items}
-            recall[start + i] = recall_at_k(ranked, truth_set, k)
-            ndcg[start + i] = ndcg_at_k(ranked, truth_set, k)
+        is_truth = np.zeros(block.size, dtype=bool)
+        np.put(is_truth, truth.take(rows).flat_index(), True)
+        hit = (rank < kk) & is_truth[flat]
+        truth_len = truth_lens[rows]
+        recall[start:start + b] = np.bincount(row[hit], minlength=b) / truth_len
+        dcg = np.bincount(row[hit], weights=disc[rank[hit]], minlength=b)
+        ndcg[start:start + b] = dcg / idcg[np.minimum(k, truth_len)]
     return (float(np.cumsum(recall)[-1]) / n_eval,
             float(np.cumsum(ndcg)[-1]) / n_eval, n_eval)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mdap import Rng, SyntheticSpec, evaluation, generate_synthetic
-from mdap.errors import ParameterError
+from mdap.errors import ParameterError, ShapeError
 from mdap.evaluation import (evaluate, model_scores, ndcg_at_k, recall_at_k,
                              score_matrix_metrics, top_k)
 from mdap.model import ModelConfig, init_params
@@ -182,6 +182,14 @@ def random_instance(rng, rounding):
 def test_score_matrix_metrics_equals_per_user_loop(monkeypatch, rounding):
     # small blocks so that instances span several of them
     monkeypatch.setattr(evaluation, "EVAL_BATCH_USERS", 7)
+
+    # the block ranking must not lean on the scalar references; this
+    # test's own per_user_metrics keeps its import-time bindings
+    def scalar_reference(*args):
+        raise AssertionError("score_matrix_metrics called a scalar reference")
+
+    for name in ("top_k", "recall_at_k", "ndcg_at_k"):
+        monkeypatch.setattr(evaluation, name, scalar_reference)
     rng = np.random.default_rng(31)
     for _ in range(150):
         scores, train_lists, truth_lists = random_instance(rng, rounding)
@@ -206,6 +214,20 @@ def test_score_matrix_metrics_breaks_tie_at_cutoff_by_index():
     assert (recall, n_eval) == (0.5, 2)
     assert ndcg == (per_user + per_user) / 2
     assert (recall, ndcg, n_eval) == per_user_metrics(scores, train_lists, truth_lists, 3)
+
+
+@pytest.mark.parametrize("train_shape, truth_shape", [
+    ((2, 6), (2, 5)),  # train over more columns: it would ban the wrong cells
+    ((2, 5), (3, 5)),  # truth has a row with no scores
+    ((3, 5), (2, 5)),  # train has a row with no scores
+], ids=["train-cols", "truth-rows", "train-rows"])
+def test_score_matrix_metrics_rejects_mismatched_rows(train_shape, truth_shape):
+    scores = np.arange(10.0).reshape(2, 5)
+    train = csr_lists([np.array([4])] + [np.array([], dtype=np.int64)] * (train_shape[0] - 1),
+                      train_shape[1])
+    truth = csr_lists([np.array([3])] * truth_shape[0], truth_shape[1])
+    with pytest.raises(ShapeError):
+        score_matrix_metrics(scores, train, truth, 1)
 
 
 def hypergeometric_expectation(dataset, domain, split, k):
