@@ -38,10 +38,11 @@ def read_text(path: str, error: type[MdapError]) -> str:
 
 
 def decode_text(raw: bytes, path: str, error: type[MdapError]) -> str:
-    """The bytes raw of the file at path as UTF-8 text, CR LF and lone CR
-    read as LF (universal newlines); other bytes raise `error` naming path."""
+    """The bytes raw of the file at path as UTF-8 text, a leading byte-order
+    mark dropped and CR LF and lone CR read as LF (universal newlines);
+    other bytes raise `error` naming path."""
     try:
-        text = raw.decode("utf-8")
+        text = raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text: {exc}") from None
     return text.replace("\r\n", "\n").replace("\r", "\n")

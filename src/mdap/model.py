@@ -16,7 +16,8 @@ a_i ⊙ (x @ enc_w1), so one product serves every view.
 Ablations:
   full        complete model
   no_gumbel   deterministic softmax assignment (no Gumbel noise)
-  single_view one view, no assignment step (k forced to 1)
+  single_view one view (k forced to 1): the softmax of one logit is
+              exactly 1, so the assignment is all-ones; no noise is drawn
   no_gate     uniform 1/k view mixing, gate table unused
 """
 
@@ -156,11 +157,13 @@ def gumbel_softmax_assign(logits: np.ndarray, tau: float, rng: Rng | None = None
                           training: bool = False, ablation: str = "full") -> np.ndarray:
     """Soft view assignment rows on the probability simplex.
 
-    Training mode (ablation != no_gumbel) perturbs the logits with fresh
-    standard Gumbel noise before the tempered softmax; evaluation and
-    no_gumbel use the logits as they are.
+    Training mode perturbs the logits with fresh standard Gumbel noise
+    before the tempered softmax; evaluation, no_gumbel and single_view use
+    the logits as they are. Noise cannot move a one-view assignment, so
+    single_view draws none and leaves the stream where the dropout mask
+    left it.
     """
-    if ablation != "no_gumbel" and training:
+    if training and ablation not in ("no_gumbel", "single_view"):
         if rng is None:
             raise ParameterError("training-mode assignment needs an Rng")
         return softmax_rows(logits + sample_gumbel(rng, *logits.shape), tau)
@@ -228,15 +231,14 @@ class ForwardTrace:
 
     Dropout masks and Gumbel noise are constants of the pass and are not
     kept: a finite-difference probe or a test recovers them by replaying
-    the pass on a stream derived from the same seed. item_norm, core_norm
-    and proj are None under the single_view ablation.
+    the pass on a stream derived from the same seed.
     """
 
     training: bool
     x: np.ndarray                      # normalized, dropout-corrupted input, dense
-    item_norm: np.ndarray | None
-    core_norm: np.ndarray | None
-    proj: np.ndarray | None            # x @ item_norm
+    item_norm: np.ndarray
+    core_norm: np.ndarray
+    proj: np.ndarray                   # x @ item_norm
     assign: np.ndarray
     enc_proj: np.ndarray               # x @ enc_w1, shared by every view
     enc_hidden: np.ndarray             # (k, B, h)
@@ -262,7 +264,8 @@ def forward(params: ModelParams, config: ModelConfig, batch: CsrRows,
     logits and the view encoder, so the view inputs still sum to the
     corrupted input exactly. Evaluation mode is deterministic: no noise,
     no dropout. Training mode draws the input mask first, then the Gumbel
-    noise, so a stream derived from the same seed replays the pass exactly.
+    noise (none under no_gumbel or single_view), so a stream derived from
+    the same seed replays the pass exactly.
     """
     n = params.n_items_total
     if batch.n_cols != n:
@@ -281,15 +284,11 @@ def forward(params: ModelParams, config: ModelConfig, batch: CsrRows,
     x = np.zeros((b, n))
     np.put(x, entries, values)
 
-    if config.ablation == "single_view":
-        assign = np.ones((b, 1))
-        item_norm = core_norm = proj = None
-    else:
-        item_norm = row_l2_normalize(params.item_emb)
-        core_norm = row_l2_normalize(params.core_emb)
-        proj = matmul(x, item_norm)
-        assign = gumbel_softmax_assign(matmul(proj, core_norm.T), config.tau, rng,
-                                       training, config.ablation)
+    item_norm = row_l2_normalize(params.item_emb)
+    core_norm = row_l2_normalize(params.core_emb)
+    proj = matmul(x, item_norm)
+    assign = gumbel_softmax_assign(matmul(proj, core_norm.T), config.tau, rng, training,
+                                   config.ablation)
 
     enc_proj = matmul(x, params.enc_w1)
     enc_hidden, view_embs = encode_rows(params, enc_proj, assign)

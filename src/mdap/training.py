@@ -133,25 +133,22 @@ def backward(trace, residuals: tuple[np.ndarray, np.ndarray],
     d_pre = d_pre.reshape(k, b, h)
     grads["enc_b1"] = d_pre.sum(axis=(0, 1))
     d_enc = np.einsum("bk,kbh->bh", trace.assign, d_pre)
-
-    if config.ablation == "single_view":
-        grads["enc_w1"] = trace.x.T @ d_enc
-        grads["item_emb"] = np.zeros_like(params.item_emb)
-        grads["core_emb"] = np.zeros_like(params.core_emb)
-    else:
-        d_assign = np.einsum("kbh,bh->bk", d_pre, trace.enc_proj)
-        # Tempered softmax back to the logits; Gumbel noise is additive
-        # and constant, so the logit gradient passes straight through.
-        d_logits = softmax_rows_grad(trace.assign, d_assign, config.tau)
-        d_proj = d_logits @ trace.core_norm
-        # x is read once: x^T [d_enc | d_proj] gives the enc_w1 gradient
-        # and item_norm's in one GEMM, with the same bits as two products
-        x_grads = trace.x.T @ np.concatenate((d_enc, d_proj), axis=1)
-        grads["enc_w1"] = x_grads[:, :h]
-        grads["core_emb"] = row_l2_normalize_grad(params.core_emb, trace.core_norm,
-                                                  d_logits.T @ trace.proj)
-        grads["item_emb"] = row_l2_normalize_grad(params.item_emb, trace.item_norm,
-                                                  x_grads[:, h:])
+    d_assign = np.einsum("kbh,bh->bk", d_pre, trace.enc_proj)
+    # Tempered softmax back to the logits; Gumbel noise is additive and
+    # constant, so the logit gradient passes straight through. With one
+    # view (single_view) the Jacobian s * (g - g) / tau is exactly 0, so
+    # item_emb and core_emb get exact zero gradients, as gate does above.
+    d_logits = softmax_rows_grad(trace.assign, d_assign, config.tau)
+    d_proj = d_logits @ trace.core_norm
+    # x is read once: x^T [d_enc | d_proj] gives the enc_w1 gradient and
+    # item_norm's in one GEMM. It is the only path for both; BLAS may round
+    # it unlike a lone x^T d_enc, as its kernel depends on the width.
+    x_grads = trace.x.T @ np.concatenate((d_enc, d_proj), axis=1)
+    grads["enc_w1"] = x_grads[:, :h]
+    grads["core_emb"] = row_l2_normalize_grad(params.core_emb, trace.core_norm,
+                                              d_logits.T @ trace.proj)
+    grads["item_emb"] = row_l2_normalize_grad(params.item_emb, trace.item_norm,
+                                              x_grads[:, h:])
 
     return {name: grads[name] for name in PARAM_FIELDS}
 

@@ -365,6 +365,16 @@ def test_split_file_edit_that_keeps_counts_is_rejected(tmp_path, capsys):
     assert load_prepared(str(out)).split_size("s", "train") == len(lines)
 
 
+def test_split_file_with_byte_order_mark_is_rejected(tmp_path, capsys):
+    # The text decodes as before, but the digest is of the file's bytes
+    out = prepared_dir(tmp_path)
+    split = out / "splits" / "t_valid.tsv"
+    split.write_bytes(b"\xef\xbb\xbf" + split.read_bytes())
+    capsys.readouterr()
+    assert run("train", "--out", out, "--epochs", 1, "--quiet") == 2
+    assert f"error: {split}: contents differ from the sha256" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("kind", ["domain", "split", "manifest", "config"])
 def test_non_utf8_file_names_path(tmp_path, capsys, kind):
     out = prepared_dir(tmp_path)

@@ -39,6 +39,19 @@ def test_load_domain_parses_comments_blanks_timestamps(tmp_path):
     assert rows_of((ids, ratings)) == [("u1", "i1", 4.5), ("u2", "i2", 3.0), ("u3", "i1", 1.0)]
 
 
+def test_load_domain_drops_a_utf8_byte_order_mark(tmp_path):
+    # The mark is not part of the first user id: read as one, 'u1' would
+    # be indexed twice, once as '\ufeffu1'.
+    text = b"u1\ti1\t5\nu2\ti1\t4\nu1\ti2\t3\n"
+    plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
+    plain.write_bytes(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text)
+    ids, ratings = load_domain(str(plain))
+    ids_marked, ratings_marked = load_domain(str(marked))
+    assert np.array_equal(ids_marked, ids) and np.array_equal(ratings_marked, ratings)
+    assert sorted(set(ids_marked[:, 0].tolist())) == ["u1", "u2"]
+
+
 def test_load_domain_strict_reports_line_numbers(tmp_path):
     path = tmp_path / "d.tsv"
     path.write_text("u1\ti1\t1.0\nhalf a line\nu2\ti2\tNaN\nu3\ti3\tx\nu4\0\ti4\t1\n"

@@ -245,13 +245,12 @@ def dense_reference_forward(params, config, raw, rng, training):
     if training and config.keep_prob < 1.0:
         mask = (rng.uniform(b, raw.shape[1]) < config.keep_prob).astype(np.float64)
         x = x * mask * (1.0 / config.keep_prob)
-    item_norm = core_norm = proj = None
+    item_norm = row_l2_normalize(params.item_emb)
+    core_norm = row_l2_normalize(params.core_emb)
+    proj = x @ item_norm
     if config.ablation == "single_view":
         assign = np.ones((b, 1))
     else:
-        item_norm = row_l2_normalize(params.item_emb)
-        core_norm = row_l2_normalize(params.core_emb)
-        proj = x @ item_norm
         assign = gumbel_softmax_assign(proj @ core_norm.T, config.tau, rng, training,
                                        config.ablation)
     enc_proj = x @ params.enc_w1
@@ -346,14 +345,27 @@ def test_forward_memory_does_not_scale_with_views_times_items():
 
 
 def test_forward_k1_matches_single_view():
-    base = ModelConfig(k=1, embed_dim=8, hidden=16, tau=0.2, keep_prob=0.5, lam=0.5)
-    params = init_params(base, 6, 5, Rng(0))
-    sv = replace(base, ablation="single_view")
-    x = binary_rows(4, 5)
-    a = forward(params, base, csr(x))
-    b = forward(params, sv, csr(x))
-    assert np.max(np.abs(a.recon_s - b.recon_s)) < 1e-9
-    assert np.max(np.abs(a.recon_t - b.recon_t)) < 1e-9
+    # single_view is k = 1 on the one forward/backward path, so both give
+    # the same bits, although only k = 1 draws Gumbel noise: noise cannot
+    # move a one-view assignment. Hidden widths up to 300 reach the BLAS
+    # kernels where a lone x^T d_enc rounds unlike x^T [d_enc | d_proj].
+    gen = np.random.default_rng(15)
+    for trial in range(200):
+        n_s, n_t = int(gen.integers(3, 200)), int(gen.integers(3, 200))
+        base = ModelConfig(k=1, embed_dim=int(gen.integers(1, 65)),
+                           hidden=int(gen.integers(1, 301)), tau=0.2, keep_prob=0.5, lam=0.5)
+        sv = replace(base, ablation="single_view")
+        params = init_params(base, n_s, n_t, Rng(trial))
+        batch = csr(random_raw_rows(gen, int(gen.integers(2, 64)), n_s + n_t))
+        for training in (False, True):
+            a = forward(params, base, batch, Rng(trial), training=training)
+            b = forward(params, sv, batch, Rng(trial), training=training)
+            assert np.array_equal(a.recon_s, b.recon_s), (trial, training)
+            assert np.array_equal(a.recon_t, b.recon_t), (trial, training)
+        grads_a = backward(a, residuals(a, batch), params, base)
+        grads_b = backward(b, residuals(b, batch), params, sv)
+        for name in PARAM_FIELDS:
+            assert np.array_equal(grads_a[name], grads_b[name]), (trial, name)
 
 
 def test_forward_padded_user_gets_uniform_assignment():
@@ -378,13 +390,24 @@ def test_forward_trace_shapes():
     assert trace.recon_t.shape == (4, 5)
 
 
-def test_forward_single_view_skips_logit_path():
+def test_forward_single_view_assigns_ones_without_noise_or_logit_gradients():
+    # One view: the softmax of one logit is exactly 1, no Gumbel noise is
+    # drawn, and the softmax Jacobian s * (g - g) / tau is exactly 0.
     config = ModelConfig(k=4, embed_dim=8, hidden=16, tau=0.2, keep_prob=0.5,
                          lam=0.5, ablation="single_view")
     params = init_params(config, 6, 5, Rng(0))
-    trace = forward(params, config, csr(binary_rows(1, 4)), Rng(2), training=True)
-    assert trace.item_norm is None and trace.core_norm is None and trace.proj is None
+    params.gate[:] = Rng(1).uniform(2, 1)
+    batch = csr(binary_rows(1, 4))
+    rng = Rng(2)
+    trace = forward(params, config, batch, rng, training=True)
     assert np.array_equal(trace.assign, np.ones((4, 1)))
+    # the stream moved by the dropout mask alone
+    replay = Rng(2)
+    sample_dropout_mask(replay, 4, 11, config.keep_prob, batch.flat_index())
+    assert np.array_equal(rng.uniform(1, 3), replay.uniform(1, 3))
+    grads = backward(trace, residuals(trace, batch), params, config)
+    for name in ("item_emb", "core_emb", "gate"):
+        assert not grads[name].any(), name
 
 
 def test_variant_config():
