@@ -14,14 +14,18 @@ import numpy as np
 from .data import sparse_batch
 from .errors import ParameterError, ShapeError
 from .model import ModelConfig, ModelParams, forward
-from .numerics import CsrRows
+from .numerics import CsrRows, buffer, reuse_buffers
 
 # Users per evaluation block, shared by model_scores and
-# score_matrix_metrics. At 256 rows every per-block array (the dense x,
-# recon_s/recon_t, the encoder's (k, B, hidden) layer, the negated ranking
-# block, partition's output and the masks) stays under glibc's 32 MiB
-# mmap ceiling up to 16k items, so a freed block is reused from the heap
-# instead of being mapped and faulted in afresh for the next one.
+# score_matrix_metrics; it bounds evaluation's working set to O(256 x N)
+# beyond the score matrices. Each function runs its blocks in one
+# reuse_buffers() scope, so the per-block arrays (the dense x, the
+# encoder's (k, B, hidden) layer, recon_s/recon_t, the negated ranking
+# block and its masks) are faulted in by the first block only: allocated
+# afresh, each block on 2000 items faulted in about 1,250 pages.
+# A user's scores are the same bits in any block of 2 or more rows. A
+# 1-row block, the tail when n_users mod 256 is 1, can differ in the
+# last bit: numpy multiplies a single row on its matrix-vector path.
 EVAL_BATCH_USERS = 256
 
 
@@ -114,29 +118,35 @@ def score_matrix_metrics(scores: np.ndarray, train: CsrRows, truth: CsrRows,
                      for m in range(min(k, int(truth_lens.max())) + 1)])
     recall = np.empty(n_eval)
     ndcg = np.empty(n_eval)
-    for start in range(0, n_eval, EVAL_BATCH_USERS):
-        rows = eval_users[start:start + EVAL_BATCH_USERS]
-        b = len(rows)
-        block = scores[rows]
-        np.negative(block, out=block)
-        banned = train.take(rows).flat_index()
-        np.put(block, banned, np.inf)
-        kth = np.partition(block, kk - 1, axis=1)[:, [kk - 1]]  # a copy: frees the rest
-        ranked = block <= kth
-        ranked[~np.isfinite(kth[:, 0])] = True
-        np.put(ranked, banned, False)
-        flat = np.flatnonzero(ranked)
-        row = flat // n_items  # ascending, so the lexsort below keeps it as is
-        flat = flat[np.lexsort((block.reshape(-1)[flat], row))]
-        rank = np.arange(len(flat)) - np.searchsorted(row, np.arange(b))[row]
+    with reuse_buffers():
+        for start in range(0, n_eval, EVAL_BATCH_USERS):
+            rows = eval_users[start:start + EVAL_BATCH_USERS]
+            b = len(rows)
+            # rows are in range: "clip" spares take() the temporary it
+            # makes under the default "raise"
+            block = np.take(scores, rows, axis=0, mode="clip",
+                            out=buffer("rank_block", (b, n_items)))
+            np.negative(block, out=block)
+            banned = train.take(rows).flat_index()
+            np.put(block, banned, np.inf)
+            kth = np.partition(block, kk - 1, axis=1)[:, [kk - 1]]  # a copy: frees the rest
+            ranked = np.less_equal(block, kth, out=buffer("rank_mask", (b, n_items), bool))
+            ranked[~np.isfinite(kth[:, 0])] = True
+            np.put(ranked, banned, False)
+            flat = np.flatnonzero(ranked)
+            row = flat // n_items  # ascending, so the lexsort below keeps it as is
+            flat = flat[np.lexsort((block.reshape(-1)[flat], row))]
+            rank = np.arange(len(flat)) - np.searchsorted(row, np.arange(b))[row]
 
-        is_truth = np.zeros(block.size, dtype=bool)
-        np.put(is_truth, truth.take(rows).flat_index(), True)
-        hit = (rank < kk) & is_truth[flat]
-        truth_len = truth_lens[rows]
-        recall[start:start + b] = np.bincount(row[hit], minlength=b) / truth_len
-        dcg = np.bincount(row[hit], weights=disc[rank[hit]], minlength=b)
-        ndcg[start:start + b] = dcg / idcg[np.minimum(k, truth_len)]
+            # ranked is not read again, so its memory holds the truth mask
+            is_truth = buffer("rank_mask", (block.size,), bool)
+            is_truth.fill(False)
+            np.put(is_truth, truth.take(rows).flat_index(), True)
+            hit = (rank < kk) & is_truth[flat]
+            truth_len = truth_lens[rows]
+            recall[start:start + b] = np.bincount(row[hit], minlength=b) / truth_len
+            dcg = np.bincount(row[hit], weights=disc[rank[hit]], minlength=b)
+            ndcg[start:start + b] = dcg / idcg[np.minimum(k, truth_len)]
     return (float(np.cumsum(recall)[-1]) / n_eval,
             float(np.cumsum(ndcg)[-1]) / n_eval, n_eval)
 
@@ -171,12 +181,14 @@ def model_scores(params: ModelParams, config: ModelConfig, dataset) -> dict[str,
     # every row is written below
     out = {"s": np.empty((n_users, dataset.n_items("s"))),
            "t": np.empty((n_users, dataset.n_items("t")))}
-    for start in range(0, n_users, EVAL_BATCH_USERS):
-        stop = min(start + EVAL_BATCH_USERS, n_users)
-        trace = forward(params, config, sparse_batch(dataset, np.arange(start, stop)),
-                        training=False)
-        out["s"][start:stop] = trace.recon_s
-        out["t"][start:stop] = trace.recon_t
+    # each block's forward reuses the previous block's memory
+    with reuse_buffers():
+        for start in range(0, n_users, EVAL_BATCH_USERS):
+            stop = min(start + EVAL_BATCH_USERS, n_users)
+            trace = forward(params, config, sparse_batch(dataset, np.arange(start, stop)),
+                            training=False)
+            out["s"][start:stop] = trace.recon_s
+            out["t"][start:stop] = trace.recon_t
     return out
 
 

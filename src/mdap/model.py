@@ -30,7 +30,7 @@ import numpy as np
 
 from .data import atomic_open
 from .errors import CheckpointError, ParameterError, ShapeError
-from .numerics import (CsrRows, Rng, matmul, row_l2_normalize, sample_dropout_mask,
+from .numerics import (CsrRows, Rng, buffer, matmul, row_l2_normalize, sample_dropout_mask,
                        sample_gumbel, softmax_rows)
 
 ABLATIONS = ("full", "no_gumbel", "single_view", "no_gate")
@@ -178,14 +178,18 @@ def encode_rows(params: ModelParams, enc_proj: np.ndarray,
     diag(a_i)·x, whose first-layer product is a_i ⊙ enc_proj, so no view
     input is built. Returns (hidden (k, B, h), embeddings (k, B, l)).
     """
-    # C order keeps the (k*B, h) reshape below a view, not a copy
-    hidden = np.multiply(assign.T[:, :, None], enc_proj, order="C")
+    b, h = enc_proj.shape
+    k = assign.shape[1]
+    # buffer() arrays are C order, so the (k*B, h) reshape below is a view
+    hidden = buffer("enc_hidden", (k, b, h))
+    np.multiply(assign.T[:, :, None], enc_proj, out=hidden)
     hidden += params.enc_b1
     np.tanh(hidden, out=hidden)
     # one (k*B, h) product: numpy runs a stacked matmul against a shared
     # 2-d operand far slower than the equivalent single GEMM
-    k, b, h = hidden.shape
-    emb = matmul(hidden.reshape(k * b, h), params.enc_w2) + params.enc_b2
+    emb = matmul(hidden.reshape(k * b, h), params.enc_w2,
+                 out=buffer("view_embs", (k * b, params.enc_w2.shape[1])))
+    emb += params.enc_b2
     return hidden, emb.reshape(k, b, -1)
 
 
@@ -218,8 +222,12 @@ def decode(params: ModelParams, z: np.ndarray, domain: str) -> tuple[np.ndarray,
     columns of dec_w2 and dec_b2 are multiplied.
     """
     cols = params.domain_slice(domain)
-    hidden = np.tanh(matmul(z, params.dec_w1) + params.dec_b1)
-    scores = matmul(hidden, params.dec_w2[:, cols])
+    b, h = len(z), params.dec_w1.shape[1]
+    hidden = matmul(z, params.dec_w1, out=buffer("dec_hidden_" + domain, (b, h)))
+    hidden += params.dec_b1
+    np.tanh(hidden, out=hidden)
+    scores = matmul(hidden, params.dec_w2[:, cols],
+                    out=buffer("recon_" + domain, (b, cols.stop - cols.start)))
     scores += params.dec_b2[cols]  # in place: a second (B, items) array costs more than the add
     return hidden, scores
 
@@ -281,16 +289,19 @@ def forward(params: ModelParams, config: ModelConfig, batch: CsrRows,
             raise ParameterError("training-mode forward needs an Rng")
         mask = sample_dropout_mask(rng, b, n, config.keep_prob, entries)
         values = values * mask * (1.0 / config.keep_prob)
-    x = np.zeros((b, n))
+    x = buffer("x", (b, n))
+    x.fill(0.0)
     np.put(x, entries, values)
 
     item_norm = row_l2_normalize(params.item_emb)
     core_norm = row_l2_normalize(params.core_emb)
-    proj = matmul(x, item_norm)
-    assign = gumbel_softmax_assign(matmul(proj, core_norm.T), config.tau, rng, training,
-                                   config.ablation)
+    proj = matmul(x, item_norm, out=buffer("proj", (b, item_norm.shape[1])))
+    # a C-order copy of core_norm^T: with the transposed view, OpenBLAS
+    # rounds a row differently in blocks of under ~155 rows
+    logits = matmul(proj, np.ascontiguousarray(core_norm.T))
+    assign = gumbel_softmax_assign(logits, config.tau, rng, training, config.ablation)
 
-    enc_proj = matmul(x, params.enc_w1)
+    enc_proj = matmul(x, params.enc_w1, out=buffer("enc_proj", (b, params.enc_w1.shape[1])))
     enc_hidden, view_embs = encode_rows(params, enc_proj, assign)
     gate_s = gate_weights(params, "s", config.ablation)
     gate_t = gate_weights(params, "t", config.ablation)

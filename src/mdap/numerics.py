@@ -4,8 +4,16 @@ sparse row batches, stochastic layers and the Adam update.
 Everything works on float64 numpy arrays in C (row major) order. The
 stochastic pieces draw from an explicit Rng so that a run is fully
 reproducible from its seed.
+
+The hot paths take their large arrays from buffer(). Inside a
+reuse_buffers() scope a name keeps its memory from one block or step to
+the next, so the working set is faulted in once per scope instead of
+once per call; outside a scope buffer() is np.empty.
 """
 
+import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +27,55 @@ UNIFORM_EPS = 1e-12
 # Elements adam_step updates per pass: 256 KiB of float64 per array, so a
 # chunk of param, grad, m, v and two temporaries fits in a 2 MiB cache.
 ADAM_CHUNK = 32768
+
+
+# The buffer() name of a short-lived work array (the dropout uniforms, the
+# squared residuals in the loss, tanh's derivative in backward): each is
+# dead before the next one is drawn, so all of them share one array.
+SCRATCH = "scratch"
+
+# The innermost open reuse_buffers() scope: name -> flat array. A context
+# variable, so each thread (and each asyncio task) sees its own scopes.
+_SCOPE: ContextVar[dict | None] = ContextVar("mdap_buffer_scope", default=None)
+
+
+@contextmanager
+def reuse_buffers():
+    """Scope in which buffer() hands out the same memory for the same name.
+
+    Every array drawn inside the scope is released when it exits, on
+    success or on an exception, unless a caller still holds it. A nested
+    scope starts an empty pool of its own, so code inside it cannot
+    overwrite an array the enclosing scope handed out; the enclosing
+    scope's arrays stay alive and are reused again once the inner scope
+    exits.
+    """
+    token = _SCOPE.set({})
+    try:
+        yield
+    finally:
+        _SCOPE.reset(token)
+
+
+def buffer(name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """An uninitialized C-order array of the given shape, for the caller to
+    overwrite in full.
+
+    Outside a reuse_buffers() scope it is np.empty(shape, dtype). Inside
+    one, it is a view of the scope's array for `name`, which grows to the
+    largest size requested so far: a smaller request, such as a short
+    tail block, gets the leading elements of the same memory. Whatever
+    the previous holder of `name` wrote is still there, so two arrays
+    that must coexist need two names.
+    """
+    pool = _SCOPE.get()
+    if pool is None:
+        return np.empty(shape, dtype)
+    size = math.prod(shape)
+    flat = pool.get(name)
+    if flat is None or flat.dtype != dtype or flat.size < size:
+        flat = pool[name] = np.empty(size, dtype)
+    return flat[:size].reshape(shape)
 
 
 class Rng:
@@ -53,20 +110,21 @@ class Rng:
         The whole block is drawn, so the stream advances exactly as it
         does for uniform(rows, cols); only the entries read are clamped.
         """
-        u = self._gen.random((rows, cols)).reshape(-1)[entries]
+        u = self._gen.random(out=buffer(SCRATCH, (rows * cols,)))[entries]
         return np.clip(u, UNIFORM_EPS, 1.0 - UNIFORM_EPS)
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
+def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Matrix product with an explicit shape check, written into out when
+    given (the same BLAS call, so the same bits as a fresh result)."""
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul needs 2-d operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
+    return np.matmul(a, b, out=out)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,8 @@ from .data import InteractionDataset, atomic_open, sparse_batch
 from .errors import ParameterError, ShapeError, TrainingDivergedError
 from .evaluation import evaluate
 from .model import PARAM_FIELDS, ModelConfig, ModelParams, forward, init_params
-from .numerics import CsrRows, Rng, adam_step, row_l2_normalize_grad, softmax_rows_grad
+from .numerics import (SCRATCH, CsrRows, Rng, adam_step, buffer, matmul, reuse_buffers,
+                       row_l2_normalize_grad, softmax_rows_grad)
 
 # Exact key order of one serialized training-log record.
 LOG_KEYS = ("epoch", "loss_total", "loss_rec_s", "loss_rec_t", "loss_orth",
@@ -47,8 +48,10 @@ def residuals(trace, targets: CsrRows) -> tuple[np.ndarray, np.ndarray]:
     rows = np.repeat(np.arange(targets.n_rows), np.diff(targets.indptr))
     in_s = targets.indices < n_s
     out = []
-    for recon, at, col0 in ((trace.recon_s, in_s, 0), (trace.recon_t, ~in_s, n_s)):
-        r = recon.copy()
+    for recon, at, col0, name in ((trace.recon_s, in_s, 0, "residual_s"),
+                                  (trace.recon_t, ~in_s, n_s, "residual_t")):
+        r = buffer(name, recon.shape)
+        np.copyto(r, recon)
         r[rows[at], targets.indices[at] - col0] -= 1.0
         out.append(r)
     return out[0], out[1]
@@ -67,12 +70,20 @@ def loss(trace, residuals: tuple[np.ndarray, np.ndarray],
         raise ShapeError(
             f"residual shapes {r_s.shape}/{r_t.shape} do not match "
             f"reconstructions {trace.recon_s.shape}/{trace.recon_t.shape}")
-    # squared into a fresh array: backward() still reads the residuals
-    rec_s = float(np.sum(np.square(r_s)))
-    rec_t = float(np.sum(np.square(r_t)))
+    # squared into a work array: backward() still reads the residuals
+    rec_s = float(np.sum(np.square(r_s, out=buffer(SCRATCH, r_s.shape))))
+    rec_t = float(np.sum(np.square(r_t, out=buffer(SCRATCH, r_t.shape))))
     orth = float(lam * np.dot(trace.gate_s, trace.gate_t))
     total = rec_s + rec_t + orth
     return total, {"rec_s": rec_s, "rec_t": rec_t, "orth": orth}
+
+
+def tanh_grad(hidden: np.ndarray) -> np.ndarray:
+    """1 - hidden ** 2, the derivative of tanh at its output hidden, in the
+    SCRATCH array: the caller uses it before anything draws SCRATCH again."""
+    factor = np.square(hidden, out=buffer(SCRATCH, hidden.shape))
+    np.subtract(1.0, factor, out=factor)
+    return factor
 
 
 def backward(trace, residuals: tuple[np.ndarray, np.ndarray],
@@ -100,11 +111,12 @@ def backward(trace, residuals: tuple[np.ndarray, np.ndarray],
             ("s", residuals[0], trace.dec_hidden_s, trace.z_s),
             ("t", residuals[1], trace.dec_hidden_t, trace.z_t)):
         cols = params.domain_slice(domain)
-        np.multiply(dec_hidden.T @ r, 2.0, out=grads["dec_w2"][:, cols])
+        matmul(dec_hidden.T, r, out=grads["dec_w2"][:, cols])
+        grads["dec_w2"][:, cols] *= 2.0
         np.multiply(r.sum(axis=0), 2.0, out=grads["dec_b2"][cols])
-        d_hidden = r @ params.dec_w2[:, cols].T
-        d_hidden *= 2.0
-        d_pre = d_hidden * (1.0 - dec_hidden ** 2)
+        d_pre = r @ params.dec_w2[:, cols].T
+        d_pre *= 2.0
+        d_pre *= tanh_grad(dec_hidden)
         grads["dec_w1"] += z.T @ d_pre
         grads["dec_b1"] += d_pre.sum(axis=0)
         d_z[domain] = d_pre @ params.dec_w1.T
@@ -128,8 +140,8 @@ def backward(trace, residuals: tuple[np.ndarray, np.ndarray],
              + trace.gate_t[:, None, None] * d_z["t"]).reshape(k * b, -1)
     grads["enc_w2"] = hidden.T @ d_emb
     grads["enc_b2"] = d_emb.sum(axis=0)
-    d_pre = d_emb @ params.enc_w2.T
-    d_pre *= 1.0 - hidden ** 2
+    d_pre = matmul(d_emb, params.enc_w2.T, out=buffer("enc_d_pre", (k * b, h)))
+    d_pre *= tanh_grad(hidden)
     d_pre = d_pre.reshape(k, b, h)
     grads["enc_b1"] = d_pre.sum(axis=(0, 1))
     d_enc = np.einsum("bk,kbh->bh", trace.assign, d_pre)
@@ -143,7 +155,8 @@ def backward(trace, residuals: tuple[np.ndarray, np.ndarray],
     # x is read once: x^T [d_enc | d_proj] gives the enc_w1 gradient and
     # item_norm's in one GEMM. It is the only path for both; BLAS may round
     # it unlike a lone x^T d_enc, as its kernel depends on the width.
-    x_grads = trace.x.T @ np.concatenate((d_enc, d_proj), axis=1)
+    x_grads = matmul(trace.x.T, np.concatenate((d_enc, d_proj), axis=1),
+                     out=buffer("x_grads", (params.n_items_total, h + d_proj.shape[1])))
     grads["enc_w1"] = x_grads[:, :h]
     grads["core_emb"] = row_l2_normalize_grad(params.core_emb, trace.core_norm,
                                               d_logits.T @ trace.proj)
@@ -264,22 +277,25 @@ def train(dataset: InteractionDataset, config: TrainConfig, eval_fn=None,
         # overflow inside the epoch is not an error condition by itself: a
         # diverged run is caught by the loss and gradient finiteness checks
         with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, dataset.n_users, config.batch_users):
-                batch = sparse_batch(dataset, perm[start:start + config.batch_users])
-                trace = forward(params, config.model, batch, noise_rng, training=True)
-                # the batch's own entries are the targets
-                r = residuals(trace, batch)
-                total, parts = loss(trace, r, config.model.lam)
-                if not np.isfinite(total):
-                    raise TrainingDivergedError(epoch)
-                grads = backward(trace, r, params, config.model)
-                for name, grad in grads.items():
-                    if not np.isfinite(grad).all():
-                        raise TrainingDivergedError(
-                            epoch, f"non-finite gradient of {name} at epoch {epoch}")
-                opt.step(params, grads)
-                for key in sums:
-                    sums[key] += parts[key]
+            # each step reuses the previous step's memory; the scope ends
+            # before validation, which must not hold it
+            with reuse_buffers():
+                for start in range(0, dataset.n_users, config.batch_users):
+                    batch = sparse_batch(dataset, perm[start:start + config.batch_users])
+                    trace = forward(params, config.model, batch, noise_rng, training=True)
+                    # the batch's own entries are the targets
+                    r = residuals(trace, batch)
+                    total, parts = loss(trace, r, config.model.lam)
+                    if not np.isfinite(total):
+                        raise TrainingDivergedError(epoch)
+                    grads = backward(trace, r, params, config.model)
+                    for name, grad in grads.items():
+                        if not np.isfinite(grad).all():
+                            raise TrainingDivergedError(
+                                epoch, f"non-finite gradient of {name} at epoch {epoch}")
+                    opt.step(params, grads)
+                    for key in sums:
+                        sums[key] += parts[key]
 
             # the last step's arrays would otherwise stay alive through
             # validation; rebinding (not del) also holds for zero steps

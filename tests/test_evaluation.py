@@ -288,18 +288,24 @@ def test_evaluate_batching_invariant(fixture_dataset, monkeypatch):
 
 
 def test_model_scores_fill_every_row(fixture_dataset, monkeypatch):
-    # The outputs start uninitialized and garbage can be finite, so every
-    # row is checked against a single-block run; 200 users in blocks of 7
-    # end on a partial block.
-    config = ModelConfig(k=2, embed_dim=8, hidden=16, tau=0.2, keep_prob=0.5, lam=0.5)
+    # The outputs start uninitialized and garbage can be finite, and a
+    # user's scores must not depend on the size of the block it falls in,
+    # so every row of every block size from 2 users up (most end on a
+    # partial block) is checked against a single-block run. 1-row blocks
+    # are the exception documented beside EVAL_BATCH_USERS: the row of a
+    # 1-row tail block (200 users in blocks of 199) is left out.
+    config = ModelConfig()
     params = init_params(config, fixture_dataset.n_items("s"),
                          fixture_dataset.n_items("t"), Rng(0))
-    monkeypatch.setattr(evaluation, "EVAL_BATCH_USERS", fixture_dataset.n_users)
+    n_users = fixture_dataset.n_users
+    monkeypatch.setattr(evaluation, "EVAL_BATCH_USERS", n_users)
     whole = model_scores(params, config, fixture_dataset)
-    monkeypatch.setattr(evaluation, "EVAL_BATCH_USERS", 7)
-    blocked = model_scores(params, config, fixture_dataset)
-    for domain in ("s", "t"):
-        assert np.array_equal(blocked[domain], whole[domain]), domain
+    for block in range(2, n_users):
+        monkeypatch.setattr(evaluation, "EVAL_BATCH_USERS", block)
+        blocked = model_scores(params, config, fixture_dataset)
+        rows = slice(0, n_users - 1 if n_users % block == 1 else n_users)
+        for domain in ("s", "t"):
+            assert np.array_equal(blocked[domain][rows], whole[domain][rows]), (block, domain)
 
 
 def evaluate_peak_bytes(n_users):

@@ -1,11 +1,13 @@
 import math
+import threading
+import weakref
 
 import numpy as np
 import pytest
 
 from mdap.errors import ParameterError, ShapeError
-from mdap.numerics import (CsrRows, Rng, adam_step, gumbel_from_uniform,
-                           matmul, row_l2_normalize, row_l2_normalize_grad,
+from mdap.numerics import (CsrRows, Rng, adam_step, buffer, gumbel_from_uniform,
+                           matmul, reuse_buffers, row_l2_normalize, row_l2_normalize_grad,
                            sample_dropout_mask, sample_gumbel, softmax_rows,
                            softmax_rows_grad)
 from sparse_rows import csr, dense
@@ -85,6 +87,12 @@ def test_matmul_triple_loop_oracle(shape_a, shape_b):
                 acc += a[i, p] * b[p, j]
             expect[i, j] = acc
     assert np.max(np.abs(matmul(a, b) - expect)) < 1e-10
+    # written into out, also a column slice of a wider array, it is the same product
+    wide = np.full((shape_a[0], shape_b[1] + 2), np.nan)
+    for out in (np.empty_like(expect), wide[:, 1:-1]):
+        assert matmul(a, b, out=out) is out
+        assert np.array_equal(out, matmul(a, b))
+    assert np.isnan(wide[:, [0, -1]]).all()
 
 
 def test_matmul_shape_error_names_both_shapes():
@@ -255,6 +263,12 @@ def test_uniform_entries_reads_the_uniform_block():
     entries = np.array([5, 0, 11, 11])
     assert np.array_equal(Rng(6).uniform_entries(3, 4, entries),
                           Rng(6).uniform(3, 4).reshape(-1)[entries])
+    # drawn into a reused block, a smaller draw after a larger one included
+    rng, fresh = Rng(6), Rng(6)
+    with reuse_buffers():
+        for rows in (3, 3, 2):
+            assert np.array_equal(rng.uniform_entries(rows, 4, entries[:2]),
+                                  fresh.uniform(rows, 4).reshape(-1)[entries[:2]])
 
 
 def test_adam_zero_grad_is_identity():
@@ -337,3 +351,80 @@ def test_adam_updates_a_strided_view_in_place():
 def test_adam_shape_error():
     with pytest.raises(ShapeError):
         adam_step(np.zeros((2, 2)), np.zeros((3, 2)), np.zeros((2, 2)), np.zeros((2, 2)), t=1)
+
+
+def test_buffer_outside_a_scope_is_a_fresh_array():
+    a, b = buffer("a", (3, 4)), buffer("a", (3, 4))
+    assert a.shape == (3, 4) and a.dtype == np.float64 and a.flags.c_contiguous
+    assert not np.shares_memory(a, b)
+    assert buffer("m", (5,), bool).dtype == bool
+
+
+def test_buffer_reuses_memory_per_name_within_a_scope():
+    with reuse_buffers():
+        a = buffer("a", (4, 6))
+        a[:] = 1.0
+        again = buffer("a", (4, 6))
+        tail = buffer("a", (2, 6))  # a short tail block: the leading rows
+        other = buffer("b", (4, 6))
+        assert again.ctypes.data == tail.ctypes.data == a.ctypes.data
+        assert tail.shape == (2, 6) and tail.flags.c_contiguous
+        assert np.array_equal(tail, a[:2])  # the previous contents are still there
+        assert not np.shares_memory(a, other)
+        grown = buffer("a", (8, 6))  # a larger request gets new memory
+        assert grown.shape == (8, 6) and not np.shares_memory(grown, a)
+        assert buffer("a", (3, 5)).ctypes.data == grown.ctypes.data  # any smaller shape fits
+        mask = buffer("a", (4, 6), bool)  # another dtype is another array
+        assert mask.dtype == bool and not np.shares_memory(mask, grown)
+
+
+def test_scope_releases_its_arrays_on_exit_and_on_error():
+    with reuse_buffers():
+        ref = weakref.ref(buffer("a", (16,)).base)
+        assert ref() is not None  # the scope holds it
+    assert ref() is None
+    with pytest.raises(RuntimeError):
+        with reuse_buffers():
+            ref = weakref.ref(buffer("a", (16,)).base)
+            raise RuntimeError("body failed")
+    assert ref() is None
+    with reuse_buffers():  # an array the caller still holds outlives the scope
+        kept = buffer("a", (4,))
+        kept[:] = 7.0
+    assert np.array_equal(kept, np.full(4, 7.0))
+
+
+def test_nested_scope_has_its_own_pool():
+    # Code in an inner scope can reuse a name without touching the array the
+    # outer scope handed out; the outer scope's arrays live on and come back
+    # when the inner scope exits, while the inner ones die with it.
+    with reuse_buffers():
+        outer = buffer("x", (3, 3))
+        outer[:] = 1.0
+        outer_ref = weakref.ref(outer.base)
+        with reuse_buffers():
+            inner = buffer("x", (3, 3))
+            inner[:] = 2.0
+            inner_ref = weakref.ref(inner.base)
+            assert not np.shares_memory(inner, outer)
+        del inner
+        assert inner_ref() is None and outer_ref() is not None
+        assert np.array_equal(outer, np.ones((3, 3)))
+        assert buffer("x", (3, 3)).ctypes.data == outer.ctypes.data
+    del outer
+    assert outer_ref() is None
+
+
+def test_scope_is_not_seen_by_another_thread():
+    seen = []
+
+    def draw_twice():
+        seen.append(np.shares_memory(buffer("a", (8,)), buffer("a", (8,))))
+
+    with reuse_buffers():
+        worker = threading.Thread(target=draw_twice)
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert np.shares_memory(buffer("a", (8,)), buffer("a", (8,)))
+    assert seen == [False]

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import weakref
 from dataclasses import replace
@@ -6,9 +7,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mdap import training
+from mdap import SyntheticSpec, evaluation, generate_synthetic, training
 from mdap.data import InteractionDataset
 from mdap.errors import ShapeError, TrainingDivergedError
+from mdap.evaluation import evaluate
 from mdap.model import ABLATIONS, ModelConfig, PARAM_FIELDS, forward, init_params
 from mdap.numerics import Rng, row_l2_normalize_grad, softmax_rows_grad
 from mdap.training import (ABLATION_VARIANTS, LOG_KEYS, AdamOptimizer,
@@ -289,6 +291,42 @@ def test_train_frees_the_last_step_before_validation(small_dataset, monkeypatch)
     monkeypatch.setattr(training, "backward", spy_backward)
     train(small_dataset, small_train_config(epochs=2, patience=2), eval_fn=eval_fn)
     assert validated == [1, 2]
+
+
+def test_buffer_reuse_leaves_training_and_evaluation_unchanged(monkeypatch):
+    # Every step and block reuses the memory of the one before; run with the
+    # scopes turned into no-ops, every array is fresh. 300 users give a
+    # short last batch (300 = 2 x 128 + 44) and a short tail evaluation
+    # block (256 + 44), which must not read what a longer one left behind.
+    spec = SyntheticSpec(n_users=300, n_items_s=24, n_items_t=18, k_true=3, overlap=0.5,
+                         noise=0.05)
+    dataset, _ = generate_synthetic(spec, Rng(5))
+    config = TrainConfig(model=ModelConfig(k=3, embed_dim=8, hidden=16), epochs_max=2,
+                         patience=2, batch_users=128, seed=4)
+    step_x = []
+    real_forward = training.forward
+
+    def spy_forward(*args, **kwargs):
+        trace = real_forward(*args, **kwargs)
+        step_x.append(trace.x)
+        return trace
+
+    def run():
+        step_x.clear()
+        params, log = train(dataset, config)
+        shared = np.shares_memory(step_x[0], step_x[1])
+        report = evaluate(params, config.model, dataset, "test", k=5).to_dict()
+        return params, log.to_jsonl(), report, shared
+
+    monkeypatch.setattr(training, "forward", spy_forward)
+    pooled = run()
+    monkeypatch.setattr(training, "reuse_buffers", contextlib.nullcontext)
+    monkeypatch.setattr(evaluation, "reuse_buffers", contextlib.nullcontext)
+    fresh = run()
+    assert pooled[3] and not fresh[3]  # the first run did reuse memory
+    assert pooled[1] == fresh[1] and pooled[2] == fresh[2]
+    for name, arr in pooled[0].arrays():
+        assert np.array_equal(arr, getattr(fresh[0], name)), name
 
 
 def test_train_runs_an_epoch_without_users():
