@@ -23,11 +23,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
+
+import numpy as np
 
 from .data import (InteractionDataset, SyntheticSpec, atomic_open, build_dataset,
-                   decode_text, index_pairs, k_core_filter, load_domain, read_text,
-                   synthetic_records, write_domain_file)
+                   decode_text, gather, index_pairs, k_core_filter, load_domain,
+                   read_text, synthetic_records, text_lines, write_domain_file)
 from .errors import DataError, MdapError, ParameterError, TrainingDivergedError
 from .evaluation import evaluate
 from .model import ABLATIONS, ModelConfig, save_checkpoint
@@ -169,23 +171,20 @@ def split_file_path(out: str, domain: str, split: str) -> str:
 def write_prepared(out: str, dataset: InteractionDataset, payload: dict):
     """Split files, then manifest.json with counts and each split file's sha256."""
     os.makedirs(os.path.join(out, "splits"), exist_ok=True)
-    users = dataset.users
-    digests = {}
+    users, digests = np.array(dataset.users, dtype=str), {}
     for domain, split in SPLIT_FILES:
-        items = dataset.items[domain]
-        raw = "".join(f"{users[u]}\t{items[i]}\n"
-                      for u, i in dataset.pairs[(domain, split)].tolist()).encode("utf-8")
+        pairs = dataset.pairs[(domain, split)]
+        # each pair's "user\titem\n" as code points, less the NULs that pad them
+        cells = np.stack([users[pairs[:, 0]], np.full(len(pairs), "\t"),
+                          np.array(dataset.items[domain], dtype=str)[pairs[:, 1]],
+                          np.full(len(pairs), "\n")], axis=1).view("u4")
+        raw = cells[cells != 0].astype("<u4").tobytes().decode("utf-32-le").encode("utf-8")
         with atomic_open(split_file_path(out, domain, split), "wb") as fh:
             fh.write(raw)
         digests[f"{domain}_{split}"] = hashlib.sha256(raw).hexdigest()
-    manifest = {
-        "seed": dataset.seed,
-        "threshold": dataset.threshold,
-        "k_core": dataset.k_core,
-        **manifest_sizes(dataset),
-        "split_sha256": digests,
-        "config_hash": payload["config_hash"],
-    }
+    manifest = {"seed": dataset.seed, "threshold": dataset.threshold, "k_core": dataset.k_core,
+                **manifest_sizes(dataset), "split_sha256": digests,
+                "config_hash": payload["config_hash"]}
     write_json(os.path.join(out, "manifest.json"), manifest)
     write_json(os.path.join(out, "config_prepare.json"), payload)
 
@@ -219,21 +218,23 @@ def load_prepared(out: str) -> InteractionDataset:
     seed = manifest_field(manifest, manifest_path, "seed", (int, type(None)))
     k_core = manifest_field(manifest, manifest_path, "k_core", (int,))
     digests = manifest_field(manifest, manifest_path, "split_sha256", (dict,))
-    records: dict[tuple[str, str], list[list[str]]] = {}
+    records: dict[tuple[str, str], np.ndarray] = {}
     for domain, split in SPLIT_FILES:
         path = split_file_path(out, domain, split)
         if not os.path.exists(path):
             raise DataError(f"missing split file {path}")
         with open(path, "rb") as fh:
             raw = fh.read()
-        rows = [line.split("\t") for line in decode_text(raw, path, DataError).split("\n")]
-        for lineno, fields in enumerate(rows, start=1):
-            if len(fields) != 2 and fields != [""]:
-                raise DataError(f"{path}:{lineno}: expected 2 tab-separated fields, "
-                                f"got {len(fields)}")
+        codes, sep, starts, ends, first, n_fields = text_lines(decode_text(raw, path, DataError))
+        bad = np.flatnonzero((n_fields != 2) & (ends > starts))
+        if bad.size:
+            raise DataError(f"{path}:{bad[0] + 1}: expected 2 tab-separated fields, "
+                            f"got {n_fields[bad[0]]}")
         if hashlib.sha256(raw).hexdigest() != digests.get(f"{domain}_{split}"):
             raise DataError(f"{path}: contents differ from the sha256 in {manifest_path}")
-        records[(domain, split)] = [fields for fields in rows if len(fields) == 2]
+        tab, pair = sep[first[n_fields == 2]], n_fields == 2
+        records[(domain, split)] = np.stack(
+            [gather(codes, starts[pair], tab), gather(codes, tab + 1, ends[pair])], axis=1)
     users, items, pairs = index_pairs(records)
     dataset = InteractionDataset(users, items["s"], items["t"], pairs,
                                  threshold=threshold, seed=seed, k_core=k_core)
@@ -246,10 +247,7 @@ def load_prepared(out: str) -> InteractionDataset:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     options = resolve_options(args)
-    spec = SyntheticSpec(
-        n_users=options["n_users"], n_items_s=options["n_items_s"],
-        n_items_t=options["n_items_t"], k_true=options["k_true"],
-        overlap=options["overlap"], noise=options["noise"])
+    spec = SyntheticSpec(**{field.name: options[field.name] for field in fields(SyntheticSpec)})
     domain_s, domain_t, planted = synthetic_records(spec, Rng(options["seed"]).derive(0))
     payload = run_payload("synth", options)
     os.makedirs(args.out, exist_ok=True)
@@ -268,8 +266,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     if not math.isfinite(options["threshold"]):
         raise ParameterError(f"threshold must be a finite number, got {options['threshold']}")
     if options["min_interactions"] < 0:
-        raise ParameterError(
-            f"min_interactions must be >= 0, got {options['min_interactions']}")
+        raise ParameterError(f"min_interactions must be >= 0, got {options['min_interactions']}")
     domain_s, domain_t = (k_core_filter(load_domain(path, strict=args.strict),
                                         options["min_interactions"])
                           for path in (args.domain_s, args.domain_t))

@@ -65,6 +65,38 @@ def atomic_open(path: str, mode: str = "w"):
         raise
 
 
+def text_lines(text: str) -> tuple[np.ndarray, ...]:
+    """text as columns: its code points plus an LF, the positions of its tabs and LFs, and per
+    line of text.split("\\n"): start, end, index of its first tab or LF among those, field count."""
+    codes = np.frombuffer((text + "\n").encode("utf-32-le"), "<u4")
+    sep = np.flatnonzero((codes == 9) | (codes == 10))
+    lf = np.flatnonzero(codes[sep] == 10)
+    first = np.append(0, lf[:-1] + 1)
+    return codes, sep, np.append(0, sep[lf[:-1]] + 1), sep[lf], first, lf - first + 1
+
+
+def gather(codes: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """Each text codes[start:stop] in one numpy string array as wide as the longest."""
+    at = start[:, None] + np.arange(max(int((stop - start).max(initial=0)), 1))
+    out = codes.take(at, mode="clip")
+    out[at >= stop[:, None]] = 0
+    return out.view(f"<U{at.shape[1]}")[:, 0]
+
+
+def parse_fields(codes: np.ndarray, lo: np.ndarray, hi: np.ndarray, parse) -> tuple:
+    """parse(t) of each text t = codes[lo:hi], once per distinct t, and where it raised
+    ValueError (None there); a t past the mean line goes alone, so no array outgrows the file."""
+    alone = hi - lo > len(codes) // max(len(lo), 1)
+    texts, index = np.unique(gather(codes, lo, np.where(alone, lo, hi)), return_inverse=True)
+    index[alone] = np.arange(len(texts), len(texts) + alone.sum())
+    results = np.empty(len(texts) + alone.sum(), dtype=object)
+    for k, t in enumerate(texts.tolist() + [codes[a:b].tobytes().decode("utf-32-le")
+                                            for a, b in zip(lo[alone], hi[alone])]):
+        with contextlib.suppress(ValueError):
+            results[k] = parse(t)
+    return results[index], np.equal(results, None)[index]
+
+
 def load_domain(path: str, strict: bool = True) -> Interactions:
     """Read one domain's interaction file.
 
@@ -76,47 +108,49 @@ def load_domain(path: str, strict: bool = True) -> Interactions:
     ParseError listing the first 10 offenders; otherwise malformed lines
     are logged as warnings and dropped.
     """
-    users: list[str] = []
-    items: list[str] = []
-    ratings: list[float] = []
-    bad: list[tuple[int, str]] = []
-    for lineno, line in enumerate(read_text(path, ParseError).split("\n"), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        fields = line.split("\t")
-        problem = None
-        if len(fields) < 3 or len(fields) > 4:
-            problem = f"expected 3 or 4 fields, got {len(fields)}"
-        else:
-            user_id, item_id = fields[0].strip(), fields[1].strip()
-            if not user_id or not item_id or "\0" in user_id + item_id:
-                problem = "empty user or item id, or one holding NUL"
-            else:
-                try:
-                    rating = float(fields[2])
-                except ValueError:
-                    problem = f"bad rating {fields[2]!r}"
-                else:
-                    if len(fields) == 4 and fields[3].strip():
-                        try:
-                            int(fields[3])
-                        except ValueError:
-                            problem = f"bad timestamp {fields[3]!r}"
-                    if problem is None and not math.isfinite(rating):
-                        problem = f"non-finite rating {fields[2]!r}"
-        if problem is None:
-            users.append(user_id)
-            items.append(item_id)
-            ratings.append(rating)
-        else:
-            bad.append((lineno, problem))
-            if not strict:
-                log.warning("%s:%d skipped: %s", path, lineno, problem)
+    text = read_text(path, ParseError)
+    codes, sep, starts, ends, first, n_fields = text_lines(text)
+    space = np.bincount(codes) > 0  # then whether chr(c) is whitespace, for each c seen
+    space[space] = [chr(c).isspace() for c in np.flatnonzero(space).tolist()]
+
+    def strip(lo, hi):  # [a, b) of each text[lo:hi].strip(), empty where b <= a
+        a, b = lo.copy(), hi.copy()
+        for k in np.flatnonzero((lo < hi) & (space[codes[lo]] | space[codes[hi - 1]])).tolist():
+            f = text[lo[k]:hi[k]]
+            a[k], b[k] = a[k] + len(f) - len(f.lstrip()), b[k] - len(f) + len(f.rstrip())
+        return a, b
+
+    lead, last = strip(starts, ends)
+    # each line's first problem: -1 blank or comment, 1 field count, 2-5 below
+    code = np.select([(last <= lead) | (codes[lead] == ord("#")),
+                      (n_fields < 3) | (n_fields > 4)], [-1, 1])
+    rows, end = np.flatnonzero(code == 0), ends[code == 0]
+    t0, t1, t2 = (sep[first[rows] + k] for k in range(3))  # t2 is end on 3 fields
+    (ua, ub), (ia, ib) = strip(starts[rows], t0), strip(t0 + 1, t1)
+    # rating and timestamp as written: float() and int() strip less than str.strip
+    (ra, rb), (ta, tb) = (t1 + 1, t2), (np.minimum(t2 + 1, end), end)
+    nul = np.flatnonzero(codes == 0)  # gather drops a trailing NUL; float() and int() do not
+    held = [np.searchsorted(nul, b) > np.searchsorted(nul, a)
+            for a, b in ((ua, ib), (ra, rb), (ta, tb))]
+    ratings, bad_rating = parse_fields(codes, ra, rb, float)
+    ratings = np.where(bad_rating, np.nan, ratings).astype(np.float64)
+    bad_time = parse_fields(codes, ta, tb, lambda t: int(t) if t.strip() else 0)[1]
+    code[rows] = np.select([(ub <= ua) | (ib <= ia) | held[0], bad_rating | held[1],
+                            bad_time | held[2], ~np.isfinite(ratings)], [2, 3, 4, 5])
+    bad = np.flatnonzero(code > 0).tolist()
+    problems = ("expected 3 or 4 fields, got {n}", "empty user or item id, or one holding NUL",
+                "bad rating {f[2]!r}", "bad timestamp {f[3]!r}", "non-finite rating {f[2]!r}")
+    report = [(j + 1, problems[code[j] - 1].format(n=n_fields[j], f=line.split("\t")))
+              for j in (bad[:10] if strict else bad) for line in [text[starts[j]:ends[j]]]]
     if strict and bad:
-        shown = "; ".join(f"line {n}: {p}" for n, p in bad[:10])
+        shown = "; ".join(f"line {n}: {p}" for n, p in report)
         more = f" (+{len(bad) - 10} more)" if len(bad) > 10 else ""
         raise ParseError(f"{path}: {len(bad)} malformed line(s): {shown}{more}")
-    return np.array([users, items], dtype=str).T, np.array(ratings, dtype=np.float64)
+    for n, problem in report:
+        log.warning("%s:%d skipped: %s", path, n, problem)
+    keep = code[rows] == 0
+    return (np.stack([gather(codes, a[keep], b[keep]) for a, b in ((ua, ub), (ia, ib))], axis=1),
+            ratings[keep])
 
 
 def k_core_filter(domain: Interactions, k: int) -> Interactions:
@@ -166,16 +200,15 @@ def split_counts(n: int, ratios: tuple[float, float, float] = DEFAULT_RATIOS) ->
     return counts[0], counts[1], counts[2]
 
 
-def index_pairs(id_pairs: dict[tuple[str, ...], list[tuple[str, str]]]) -> tuple[
+def index_pairs(id_pairs: dict[tuple[str, ...], np.ndarray]) -> tuple[
         list[str], dict[str, list[str]], dict[tuple[str, ...], np.ndarray]]:
     """Index string id pairs: the one place the id order is decided.
 
     id_pairs maps keys whose first element is a domain, e.g. (domain,
-    split), to (user id, item id) pairs. Users are indexed over all keys,
-    items per domain, both in lexicographic id order. Returns (users,
-    items by domain, int64 (n, 2) index pairs under each key).
+    split), to (n, 2) string arrays of user and item ids. Users are indexed
+    over all keys, items per domain, both in lexicographic id order.
+    Returns (users, items by domain, int64 (n, 2) index pairs under each key).
     """
-    id_pairs = {key: np.asarray(ids, dtype=str).reshape(-1, 2) for key, ids in id_pairs.items()}
 
     def vocabulary(keys: list, col: int) -> tuple[list[str], dict]:
         vocab, codes = np.unique(np.concatenate([id_pairs[key][:, col] for key in keys]),
@@ -376,33 +409,23 @@ def synthetic_records(spec: SyntheticSpec, rng: Rng) -> tuple[
     width = max(4, len(str(spec.n_users - 1)))
     user_ids = [f"u{idx:0{width}d}" for idx in range(spec.n_users)]
     n_both = int(round(spec.overlap * spec.n_users))
-    membership: dict[str, tuple[bool, bool]] = {}
-    for idx, uid in enumerate(user_ids):
-        if idx < n_both:
-            membership[uid] = (True, True)
-        elif (idx - n_both) % 2 == 0:
-            membership[uid] = (True, False)
-        else:
-            membership[uid] = (False, True)
+    # the first n_both users in both domains, then s-only and t-only in turn
+    membership = {uid: (idx < n_both or (idx - n_both) % 2 == 0,
+                        idx < n_both or (idx - n_both) % 2 == 1)
+                  for idx, uid in enumerate(user_ids)}
     planted = {uid: idx % spec.k_true for idx, uid in enumerate(user_ids)}
 
-    item_ids = {
-        "s": np.array([f"s{idx:04d}" for idx in range(spec.n_items_s)]),
-        "t": np.array([f"t{idx:04d}" for idx in range(spec.n_items_t)]),
-    }
-    blocks = {
-        "s": view_blocks(spec.n_items_s, spec.k_true),
-        "t": view_blocks(spec.n_items_t, spec.k_true),
-    }
+    sizes = dict(zip(DOMAINS, (spec.n_items_s, spec.n_items_t)))
+    item_ids = {d: np.array([f"{d}{idx:04d}" for idx in range(sizes[d])]) for d in DOMAINS}
+    blocks = {d: view_blocks(sizes[d], spec.k_true) for d in DOMAINS}
     ids: dict[str, list[np.ndarray]] = {d: [np.empty((0, 2), dtype=str)] for d in DOMAINS}
     for uid in user_ids:
         for domain, present in zip(DOMAINS, membership[uid]):
             if not present:
                 continue
-            n_items = len(item_ids[domain])
-            p = np.full(n_items, spec.noise)
+            p = np.full(sizes[domain], spec.noise)
             p[blocks[domain][planted[uid]]] = 1.0 - spec.noise
-            draws = rng.uniform(1, n_items)[0]
+            draws = rng.uniform(1, sizes[domain])[0]
             chosen = item_ids[domain][draws < p]
             ids[domain].append(np.stack([np.full(len(chosen), uid), chosen], axis=1))
     domain_s, domain_t = (np.concatenate(ids[d]) for d in DOMAINS)

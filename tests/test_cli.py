@@ -318,6 +318,63 @@ def test_malformed_split_line_names_file(tmp_path, capsys):
     assert f"{split}:2:" in err and "got 3" in err
 
 
+def record_digest(out, split):
+    """Put the current sha256 of split into out's manifest."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["split_sha256"][split.stem] = file_hash(split)
+    (out / "manifest.json").write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("edit, lineno, got", [
+    (lambda lines: lines[:2] + ["", ""] + lines[2:] + [lines[0].split("\t")[0]], -1, 1),
+    (lambda lines: lines[:1] + [lines[1] + "\tx"] + lines[2:], 2, 3),
+    (lambda lines: lines[:3] + ["", lines[3].replace("\t", "")], 5, 1),
+    (lambda lines: ["", "a\tb\tc\td"], 2, 4),
+], ids=["one-field-after-blanks", "three-fields", "one-field-last-no-newline", "four-fields"])
+def test_malformed_split_line_is_reported_before_the_digest(tmp_path, capsys, edit, lineno, got):
+    out = prepared_dir(tmp_path)
+    split = out / "splits" / "t_train.tsv"
+    lines = edit(split.read_text().splitlines())
+    # the last case has no final newline
+    split.write_text("\n".join(lines) + ("" if lineno == 5 else "\n"))
+    lineno = len(lines) if lineno == -1 else lineno
+    capsys.readouterr()
+    assert run("train", "--out", out, "--epochs", 1, "--quiet") == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {split}:{lineno}: expected 2 tab-separated fields, got {got}\n"
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: text.replace("\n", "\n\n", 3),
+    lambda text: "\n" + text + "\n\n",
+    lambda text: text.rstrip("\n"),
+], ids=["blank-lines-in-the-middle", "blank-lines-at-the-ends", "no-final-newline"])
+def test_split_file_reads_blank_lines_and_a_missing_final_newline(tmp_path, edit):
+    out = prepared_dir(tmp_path)
+    before = load_prepared(str(out))
+    split = out / "splits" / "s_test.tsv"
+    split.write_text(edit(split.read_text()))
+    record_digest(out, split)
+    after = load_prepared(str(out))
+    assert after.users == before.users and after.items == before.items
+    for key in before.pairs:
+        assert np.array_equal(after.pairs[key], before.pairs[key]), key
+
+
+def test_empty_split_files_round_trip(tmp_path):
+    # one interaction per user and domain: every valid and test split is empty
+    ids = np.array([["u1", "a"], ["u2", "b"], ["u3", "a"]])
+    dataset = build_dataset((ids, np.ones(3)), (ids[:2], np.ones(2)), Rng(0))
+    write_prepared(str(tmp_path), dataset, {"config_hash": "0"})
+    for domain in ("s", "t"):
+        for split in ("valid", "test"):
+            assert (tmp_path / "splits" / f"{domain}_{split}.tsv").read_bytes() == b""
+    loaded = load_prepared(str(tmp_path))
+    assert loaded.users == dataset.users and loaded.items == dataset.items
+    for key in dataset.pairs:
+        assert np.array_equal(loaded.pairs[key], dataset.pairs[key]), key
+
+
 def drop_splits_t(manifest):
     del manifest["splits"]["t"]
     return json.dumps(manifest)

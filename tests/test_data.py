@@ -1,4 +1,7 @@
 import logging
+import math
+import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +9,7 @@ import pytest
 
 from mdap.data import (DEFAULT_RATIOS, SPLITS, InteractionDataset, SyntheticSpec,
                        build_dataset, generate_synthetic, k_core_filter, load_domain,
-                       sparse_batch, split_counts, synthetic_records, view_blocks,
+                       read_text, sparse_batch, split_counts, synthetic_records, view_blocks,
                        write_domain_file)
 from mdap.errors import DataError, ParameterError, ParseError
 from mdap.numerics import Rng
@@ -82,6 +85,179 @@ def test_load_domain_lenient_skips_and_warns(tmp_path, caplog):
         ids, _ = load_domain(str(path), strict=False)
     assert ids[:, 0].tolist() == ["u1", "u2"]
     assert any("skipped" in m for m in caplog.messages)
+
+
+def load_domain_reference(path, strict=True):
+    """The per-line loop the columnar load_domain replaced, kept as its
+    reference: same arrays, same ParseError text, same warnings."""
+    log = logging.getLogger("mdap.data")
+    users, items, ratings, bad = [], [], [], []
+    for lineno, line in enumerate(read_text(path, ParseError).split("\n"), start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        fields = line.split("\t")
+        problem = None
+        if len(fields) < 3 or len(fields) > 4:
+            problem = f"expected 3 or 4 fields, got {len(fields)}"
+        else:
+            user_id, item_id = fields[0].strip(), fields[1].strip()
+            if not user_id or not item_id or "\0" in user_id + item_id:
+                problem = "empty user or item id, or one holding NUL"
+            else:
+                try:
+                    rating = float(fields[2])
+                except ValueError:
+                    problem = f"bad rating {fields[2]!r}"
+                else:
+                    if len(fields) == 4 and fields[3].strip():
+                        try:
+                            int(fields[3])
+                        except ValueError:
+                            problem = f"bad timestamp {fields[3]!r}"
+                    if problem is None and not math.isfinite(rating):
+                        problem = f"non-finite rating {fields[2]!r}"
+        if problem is None:
+            users.append(user_id)
+            items.append(item_id)
+            ratings.append(rating)
+        else:
+            bad.append((lineno, problem))
+            if not strict:
+                log.warning("%s:%d skipped: %s", path, lineno, problem)
+    if strict and bad:
+        shown = "; ".join(f"line {n}: {p}" for n, p in bad[:10])
+        more = f" (+{len(bad) - 10} more)" if len(bad) > 10 else ""
+        raise ParseError(f"{path}: {len(bad)} malformed line(s): {shown}{more}")
+    return np.array([users, items], dtype=str).T, np.array(ratings, dtype=np.float64)
+
+
+PADS = ["", " ", "\u00a0", "\u3000", " \u3000", "\x0b", "\x1f", "\x85", "\u2028"]
+GOOD_IDS = ["u1", "u2", "i7", "é", "x y", "用户", "1_0", "😀", "a\ufeffb", "#1"]
+GOOD_RATINGS = ["1", "4.5", "1_0", " 5 ", "١", "-0", "2e-3", "\u30003\u00a0", "+.5", "٣.٥",
+                "1E5", "\x0b7\x85"]
+GOOD_TIMES = [" 12 ", "-3", "", " ", "١٢", "1609459200", "+5", "\u3000", "1_000", "9" * 400]
+BAD_IDS = ["", " ", "u\0", "u\0x", "\0"]
+BAD_RATINGS = ["inf", "nan", "1e400", "-inf", "x", "", " ", "1\0", "1\0 ", "\0", "0x1", "1__0",
+               "1 2", "\x0c7\x1c"]
+BAD_TIMES = ["1.5", "noon", "12\0", " \0 ", "0x1", "12 3", "1e3", "7\x1f"]
+BLANKS = ["", " ", "\t", "\u3000", " \u00a0 \t", "\x0b\x0c", "\x85", "\t\t\t"]
+COMMENTS = ["#", "# a\tb\tc", "  # x", "\u3000#y", "\t#\t1\t2"]
+
+
+def domain_corpus(seed, n_lines, dirty):
+    """Domain-file text of n_lines random lines; clean corpora hold only
+    lines that load, dirty ones every kind of malformed line too."""
+    rng = random.Random(seed)
+
+    def pick(good, bad):
+        return rng.choice(good + bad if dirty and rng.random() < 0.3 else good)
+
+    def padded(text):
+        return rng.choice(PADS) + text + rng.choice(PADS)
+
+    lines = []
+    for _ in range(n_lines):
+        kind = rng.random()
+        if kind < 0.1:
+            lines.append(rng.choice(BLANKS))
+        elif kind < 0.2:
+            lines.append(rng.choice(COMMENTS))
+        else:
+            fields = [padded(pick(GOOD_IDS, BAD_IDS)), padded(pick(GOOD_IDS, BAD_IDS)),
+                      pick(GOOD_RATINGS, BAD_RATINGS)]
+            if rng.random() < 0.5:
+                fields.append(pick(GOOD_TIMES, BAD_TIMES))
+            if dirty and rng.random() < 0.1:
+                fields = fields[:rng.choice([1, 2])] + ["x"] * rng.choice([0, 2, 3])
+            lines.append("\t".join(fields))
+    return "\n".join(lines) + rng.choice(["", "\n"])
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("dirty", [False, True], ids=["clean", "dirty"])
+def test_load_domain_matches_per_line_reference(tmp_path, caplog, seed, dirty):
+    path = str(tmp_path / "d.tsv")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(domain_corpus(seed, 300, dirty))
+    for strict in (True, False):
+        outcomes = []
+        for load in (load_domain, load_domain_reference):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="mdap.data"):
+                try:
+                    result = load(path, strict=strict)
+                except ParseError as exc:
+                    result = str(exc)
+            outcomes.append((result, [(r.levelno, r.getMessage()) for r in caplog.records]))
+        (got, got_log), (want, want_log) = outcomes
+        assert got_log == want_log
+        assert isinstance(got, str) == isinstance(want, str) == (strict and dirty)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got[0].dtype.kind == "U" and got[1].dtype == np.float64
+            assert got[0].shape == want[0].shape and np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+            assert len(want[0]) > 100
+
+
+def test_load_domain_memory_follows_the_ids_not_the_longest_line(tmp_path, caplog):
+    # A string array of whole lines would be 2002 x 16 Ki characters x 4
+    # bytes, about 128 MiB; the ids here need a few KiB.
+    lines = [f"u{n}\ti{n % 50}\t{n % 5 + 1}\n" for n in range(2000)]
+    lines.insert(700, "#" + "c" * 16 * 1024 + "\n")
+    lines.insert(1400, "x" * 16 * 1024 + "\n")
+    path = tmp_path / "d.tsv"
+    path.write_text("".join(lines))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as err:
+            load_domain(str(path))
+        with caplog.at_level(logging.WARNING, logger="mdap.data"):
+            ids, ratings = load_domain(str(path), strict=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == (f"{path}: 1 malformed line(s): "
+                              "line 1401: expected 3 or 4 fields, got 1")
+    assert caplog.messages == [f"{path}:1401 skipped: expected 3 or 4 fields, got 1"]
+    assert ids.shape == (2000, 2) and ids[1999].tolist() == ["u1999", "i49"]
+    assert ratings.sum() == 2000 * 3
+    assert peak < 16 * 2**20, peak
+
+
+def test_load_domain_parses_a_long_rating_on_its_own(tmp_path):
+    # A column as wide as this 4 Ki-digit rating would take about 2000 x
+    # 4 Ki characters x 4 bytes, 32 MiB; it is parsed as a Python string.
+    lines = [f"u{n}\ti{n % 50}\t{n % 5 + 1}\n" for n in range(2000)]
+    path = tmp_path / "d.tsv"
+    path.write_text("".join(lines) + "u0\ti0\t" + "0" * 4096 + "7\n")
+    tracemalloc.start()
+    try:
+        ids, ratings = load_domain(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ids.shape == (2001, 2) and ratings[-1] == 7.0
+    assert peak < 16 * 2**20, peak
+
+
+def test_load_domain_reads_crlf_and_lone_cr_as_lf(tmp_path):
+    text = "# header\nu1\ti1\t5\n\nu2\ti2\t4\t12\n  \nu1\ti2\t3\n"
+    loaded, errors = [], []
+    for name, eol in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")):
+        path = tmp_path / f"{name}.tsv"
+        path.write_bytes(text.replace("\n", eol).encode("utf-8"))
+        loaded.append(load_domain(str(path)))
+        broken = tmp_path / f"{name}_broken.tsv"
+        broken.write_bytes((text + "u3\ti3\n").replace("\n", eol).encode("utf-8"))
+        with pytest.raises(ParseError) as err:
+            load_domain(str(broken))
+        errors.append(str(err.value).replace(str(broken), "<path>"))
+    for ids, ratings in loaded:
+        assert ids.tolist() == [["u1", "i1"], ["u2", "i2"], ["u1", "i2"]]
+        assert ratings.tolist() == [5.0, 4.0, 3.0]
+    assert errors == ["<path>: 1 malformed line(s): line 7: expected 3 or 4 fields, got 2"] * 3
 
 
 def test_write_then_load_round_trip(tmp_path):
