@@ -211,10 +211,16 @@ def index_pairs(id_pairs: dict[tuple[str, ...], np.ndarray]) -> tuple[
     """
 
     def vocabulary(keys: list, col: int) -> tuple[list[str], dict]:
-        vocab, codes = np.unique(np.concatenate([id_pairs[key][:, col] for key in keys]),
-                                 return_inverse=True)
+        # np.unique's inverse by a stable sort, fast on runs of one user id
+        ids = np.concatenate([id_pairs[key][:, col] for key in keys])
+        order = np.argsort(ids, kind="stable")
+        ordered = ids[order]
+        first = np.ones(len(ids), dtype=bool)
+        first[1:] = ordered[1:] != ordered[:-1]
+        codes = np.empty(len(ids), dtype=np.int64)
+        codes[order] = np.cumsum(first) - 1
         bounds = np.cumsum([len(id_pairs[key]) for key in keys])[:-1]
-        return vocab.tolist(), dict(zip(keys, np.split(codes.astype(np.int64), bounds)))
+        return ordered[first].tolist(), dict(zip(keys, np.split(codes, bounds)))
 
     users, user_codes = vocabulary(list(id_pairs), 0)
     items, indexed = {}, {}

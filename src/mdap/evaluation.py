@@ -13,16 +13,17 @@ import numpy as np
 
 from .data import sparse_batch
 from .errors import ParameterError, ShapeError
-from .model import ModelConfig, ModelParams, forward
-from .numerics import CsrRows, buffer, reuse_buffers
+from .model import ModelConfig, ModelParams, embedding_norms, forward
+from .numerics import CsrRows, buffer, check_int, reuse_buffers
 
 # Users per evaluation block, shared by model_scores and
 # score_matrix_metrics; it bounds evaluation's working set to O(256 x N)
-# beyond the score matrices. Each function runs its blocks in one
-# reuse_buffers() scope, so the per-block arrays (the dense x, the
-# encoder's (k, B, hidden) layer, recon_s/recon_t, the negated ranking
-# block and its masks) are faulted in by the first block only: allocated
-# afresh, each block on 2000 items faulted in about 1,250 pages.
+# beyond the score matrices, which decode writes each block's scores
+# into. Each function runs its blocks in one reuse_buffers() scope, so
+# the per-block arrays (the dense x, the encoder's (k, B, hidden) layer,
+# the negated ranking block, its group summary and masks) are faulted in
+# by the first block only: allocated afresh, each block on 2000 items
+# faulted in about 1,250 pages.
 # A user's scores are the same bits in any block of 2 or more rows. A
 # 1-row block, the tail when n_users mod 256 is 1, can differ in the
 # last bit: numpy multiplies a single row on its matrix-vector path.
@@ -37,8 +38,7 @@ def top_k(scores: np.ndarray, train_items: np.ndarray, k: int) -> np.ndarray:
     the ranking rule, which the tests and the benchmark's metric check
     compare score_matrix_metrics against; no production code calls it.
     """
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
+    k = check_int("k", k)
     order = np.argsort(-scores, kind="stable")
     if len(train_items):
         banned = np.zeros(scores.shape[0], dtype=bool)
@@ -52,8 +52,7 @@ def recall_at_k(ranked: np.ndarray, truth: set[int], k: int) -> float:
 
     Scalar reference for the tests and the benchmark's metric check.
     """
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
+    k = check_int("k", k)
     if not truth:
         raise ParameterError("recall is undefined for an empty truth set")
     hits = sum(1 for item in ranked[:k] if int(item) in truth)
@@ -65,8 +64,7 @@ def ndcg_at_k(ranked: np.ndarray, truth: set[int], k: int) -> float:
 
     Scalar reference for the tests and the benchmark's metric check.
     """
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
+    k = check_int("k", k)
     if not truth:
         raise ParameterError("ndcg is undefined for an empty truth set")
     dcg = 0.0
@@ -87,19 +85,22 @@ def score_matrix_metrics(scores: np.ndarray, train: CsrRows, truth: CsrRows,
     users evaluated); means are 0.0 when no user qualifies.
 
     The evaluated users are ranked EVAL_BATCH_USERS rows at a time, in
-    one exact pass per block. The block is negated and its training
-    items set to +inf; np.partition gives each row's K-th smallest
-    value. The entries at or below it (every eligible entry of a row
-    whose K-th value is not finite: fewer than K eligible items, or a
-    NaN score) are sorted by (row, value) with a stable lexsort. They
-    are gathered in row-major order, so equal values keep ascending item
-    order, which is top_k's rule, and the first K of each row are its
-    ranking. Every per-user value and both means are computed in the
-    scalar references' order of operations, so the results equal the
-    per-user recall_at_k/ndcg_at_k loop bit for bit.
+    one exact pass per block, without writing into scores. The block is
+    copied out, negated and its training items set to +inf. With K' =
+    min(K, n_items), w = max(1, n_items // 4K') and m = n_items // w,
+    group j of a row is the minimum of columns j, j + m, ... (the tail
+    columns past m·w fold into the first groups); each is an entry of
+    the row, so the K'-th smallest group minimum bounds the K-th value
+    from above. The entries at or below it (every eligible entry of a
+    row whose bound is not finite: fewer than K eligible items, or a NaN
+    score) hold the top K, ties included, and are sorted by (row, value)
+    with a stable lexsort. They are gathered in row-major order, so equal
+    values keep ascending item order, which is top_k's rule, and the
+    first K of each row are its ranking. Every per-user value and both
+    means follow the scalar references' order of operations, so the
+    results equal the per-user recall_at_k/ndcg_at_k loop bit for bit.
     """
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
+    k = check_int("k", k)
     for name, rows in (("train", train), ("truth", truth)):
         if (rows.n_rows, rows.n_cols) != scores.shape:
             raise ShapeError(f"{name} rows are {(rows.n_rows, rows.n_cols)} "
@@ -111,6 +112,8 @@ def score_matrix_metrics(scores: np.ndarray, train: CsrRows, truth: CsrRows,
     if n_eval == 0:
         return 0.0, 0.0, 0
     kk = min(k, n_items)
+    w = max(1, n_items // (4 * kk))
+    m = n_items // w
     disc = np.array([1.0 / math.log2(pos + 1) for pos in range(1, kk + 1)])
     # only idcg[min(k, |truth|)] is read; the sum per entry matches
     # ndcg_at_k's, which Python 3.12+ compensates
@@ -129,7 +132,12 @@ def score_matrix_metrics(scores: np.ndarray, train: CsrRows, truth: CsrRows,
             np.negative(block, out=block)
             banned = train.take(rows).flat_index()
             np.put(block, banned, np.inf)
-            kth = np.partition(block, kk - 1, axis=1)[:, [kk - 1]]  # a copy: frees the rest
+            summary = np.minimum.reduce(block[:, :m * w].reshape(b, w, m), axis=1,
+                                        out=buffer("rank_summary", (b, m)))
+            tail = summary[:, :n_items - m * w]
+            np.minimum(tail, block[:, m * w:], out=tail)
+            summary.partition(kk - 1, axis=1)
+            kth = summary[:, [kk - 1]]
             ranked = np.less_equal(block, kth, out=buffer("rank_mask", (b, n_items), bool))
             ranked[~np.isfinite(kth[:, 0])] = True
             np.put(ranked, banned, False)
@@ -175,20 +183,20 @@ def model_scores(params: ModelParams, config: ModelConfig, dataset) -> dict[str,
     """Evaluation-mode reconstruction scores for every user, per domain.
 
     Model input is each user's training row over both domains, run
-    EVAL_BATCH_USERS users at a time.
+    EVAL_BATCH_USERS users at a time, each block decoded into its rows of
+    the returned matrices; the embeddings are normalized once per call.
     """
     n_users = dataset.n_users
     # every row is written below
     out = {"s": np.empty((n_users, dataset.n_items("s"))),
            "t": np.empty((n_users, dataset.n_items("t")))}
+    norms = embedding_norms(params)
     # each block's forward reuses the previous block's memory
     with reuse_buffers():
         for start in range(0, n_users, EVAL_BATCH_USERS):
             stop = min(start + EVAL_BATCH_USERS, n_users)
-            trace = forward(params, config, sparse_batch(dataset, np.arange(start, stop)),
-                            training=False)
-            out["s"][start:stop] = trace.recon_s
-            out["t"][start:stop] = trace.recon_t
+            forward(params, config, sparse_batch(dataset, np.arange(start, stop)),
+                    norms=norms, out={d: scores[start:stop] for d, scores in out.items()})
     return out
 
 

@@ -30,8 +30,8 @@ import numpy as np
 
 from .data import atomic_open
 from .errors import CheckpointError, ParameterError, ShapeError
-from .numerics import (CsrRows, Rng, buffer, matmul, row_l2_normalize, sample_dropout_mask,
-                       sample_gumbel, softmax_rows)
+from .numerics import (CsrRows, Rng, buffer, check_int, matmul, row_l2_normalize,
+                       sample_dropout_mask, sample_gumbel, softmax_rows)
 
 ABLATIONS = ("full", "no_gumbel", "single_view", "no_gate")
 
@@ -67,12 +67,10 @@ class ModelConfig:
     def __post_init__(self):
         if self.ablation not in ABLATIONS:
             raise ParameterError(f"unknown ablation {self.ablation!r}, expected {ABLATIONS}")
-        if self.ablation == "single_view" and self.k != 1:
+        for name in ("k", "embed_dim", "hidden"):
+            object.__setattr__(self, name, check_int(name, getattr(self, name)))
+        if self.ablation == "single_view":
             object.__setattr__(self, "k", 1)
-        if self.k < 1:
-            raise ParameterError(f"k must be >= 1, got {self.k}")
-        if self.embed_dim < 1 or self.hidden < 1:
-            raise ParameterError("embed_dim and hidden must be >= 1")
         if not 0.0 < self.tau < math.inf:
             raise ParameterError(f"tau must be positive and finite, got {self.tau}")
         if not 0.0 < self.keep_prob <= 1.0:
@@ -215,19 +213,22 @@ def combine_views(view_embs: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.tensordot(weights, view_embs, axes=1)
 
 
-def decode(params: ModelParams, z: np.ndarray, domain: str) -> tuple[np.ndarray, np.ndarray]:
+def decode(params: ModelParams, z: np.ndarray, domain: str,
+           out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Shared two-layer tanh decoder, read out on one domain's items.
 
     Returns (hidden, scores over the domain's columns); only those
-    columns of dec_w2 and dec_b2 are multiplied.
+    columns of dec_w2 and dec_b2 are multiplied. The scores are written
+    into out, a C-contiguous (B, items) array, when given.
     """
     cols = params.domain_slice(domain)
     b, h = len(z), params.dec_w1.shape[1]
     hidden = matmul(z, params.dec_w1, out=buffer("dec_hidden_" + domain, (b, h)))
     hidden += params.dec_b1
     np.tanh(hidden, out=hidden)
-    scores = matmul(hidden, params.dec_w2[:, cols],
-                    out=buffer("recon_" + domain, (b, cols.stop - cols.start)))
+    if out is None:
+        out = buffer("recon_" + domain, (b, cols.stop - cols.start))
+    scores = matmul(hidden, params.dec_w2[:, cols], out=out)
     scores += params.dec_b2[cols]  # in place: a second (B, items) array costs more than the add
     return hidden, scores
 
@@ -261,8 +262,17 @@ class ForwardTrace:
     recon_t: np.ndarray
 
 
+def embedding_norms(params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(item_norm, core_norm, core_norm_t): the normalized embeddings and a
+    C-order copy of core_norm^T (with the transposed view, OpenBLAS rounds
+    a row of proj @ core_norm^T differently in blocks of under ~155 rows)."""
+    core_norm = row_l2_normalize(params.core_emb)
+    return row_l2_normalize(params.item_emb), core_norm, np.ascontiguousarray(core_norm.T)
+
+
 def forward(params: ModelParams, config: ModelConfig, batch: CsrRows,
-            rng: Rng | None = None, training: bool = False) -> ForwardTrace:
+            rng: Rng | None = None, training: bool = False, norms: tuple | None = None,
+            out: dict[str, np.ndarray] | None = None) -> ForwardTrace:
     """Run the full model on a batch of concatenated interaction rows.
 
     A 0/1 row with c entries has L2 norm sqrt(c) exactly, so only the
@@ -274,6 +284,10 @@ def forward(params: ModelParams, config: ModelConfig, batch: CsrRows,
     no dropout. Training mode draws the input mask first, then the Gumbel
     noise (none under no_gumbel or single_view), so a stream derived from
     the same seed replays the pass exactly.
+
+    Evaluation may pass norms, embedding_norms(params) computed once per
+    call, and out, per domain the score rows that decode writes into;
+    neither changes a bit of the result.
     """
     n = params.n_items_total
     if batch.n_cols != n:
@@ -293,12 +307,9 @@ def forward(params: ModelParams, config: ModelConfig, batch: CsrRows,
     x.fill(0.0)
     np.put(x, entries, values)
 
-    item_norm = row_l2_normalize(params.item_emb)
-    core_norm = row_l2_normalize(params.core_emb)
+    item_norm, core_norm, core_norm_t = embedding_norms(params) if norms is None else norms
     proj = matmul(x, item_norm, out=buffer("proj", (b, item_norm.shape[1])))
-    # a C-order copy of core_norm^T: with the transposed view, OpenBLAS
-    # rounds a row differently in blocks of under ~155 rows
-    logits = matmul(proj, np.ascontiguousarray(core_norm.T))
+    logits = matmul(proj, core_norm_t)
     assign = gumbel_softmax_assign(logits, config.tau, rng, training, config.ablation)
 
     enc_proj = matmul(x, params.enc_w1, out=buffer("enc_proj", (b, params.enc_w1.shape[1])))
@@ -307,8 +318,9 @@ def forward(params: ModelParams, config: ModelConfig, batch: CsrRows,
     gate_t = gate_weights(params, "t", config.ablation)
     z_s = combine_views(view_embs, gate_s)
     z_t = combine_views(view_embs, gate_t)
-    dec_hidden_s, recon_s = decode(params, z_s, "s")
-    dec_hidden_t, recon_t = decode(params, z_t, "t")
+    out = out or {}
+    dec_hidden_s, recon_s = decode(params, z_s, "s", out=out.get("s"))
+    dec_hidden_t, recon_t = decode(params, z_t, "t", out=out.get("t"))
 
     return ForwardTrace(
         training=training, x=x, item_norm=item_norm, core_norm=core_norm, proj=proj,

@@ -117,6 +117,16 @@ class Rng:
         return self._gen.permutation(n)
 
 
+def check_int(name: str, value, low: int = 1) -> int:
+    """value as a Python int, if it is a Python or numpy integer (bool is
+    not) of at least low; ParameterError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ParameterError(f"{name} must be >= {low}, got {value}")
+    return int(value)
+
+
 def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Matrix product with an explicit shape check, written into out when
     given (the same BLAS call, so the same bits as a fresh result)."""

@@ -19,8 +19,8 @@ from .data import InteractionDataset, atomic_open, sparse_batch
 from .errors import ParameterError, ShapeError, TrainingDivergedError
 from .evaluation import evaluate
 from .model import PARAM_FIELDS, ModelConfig, ModelParams, forward, init_params
-from .numerics import (SCRATCH, CsrRows, Rng, adam_step, buffer, matmul, reuse_buffers,
-                       row_l2_normalize_grad, softmax_rows_grad)
+from .numerics import (SCRATCH, CsrRows, Rng, adam_step, buffer, check_int, matmul,
+                       reuse_buffers, row_l2_normalize_grad, softmax_rows_grad)
 
 # Exact key order of one serialized training-log record.
 LOG_KEYS = ("epoch", "loss_total", "loss_rec_s", "loss_rec_t", "loss_orth",
@@ -195,18 +195,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs_max < 1:
-            raise ParameterError(f"epochs_max must be >= 1, got {self.epochs_max}")
-        if self.patience < 1:
-            raise ParameterError(f"patience must be >= 1, got {self.patience}")
-        if self.batch_users < 1:
-            raise ParameterError(f"batch_users must be >= 1, got {self.batch_users}")
+        for name in ("epochs_max", "patience", "batch_users", "eval_k", "seed"):
+            object.__setattr__(self, name,
+                               check_int(name, getattr(self, name), 0 if name == "seed" else 1))
         if not 0.0 < self.lr < math.inf:
             raise ParameterError(f"lr must be positive and finite, got {self.lr}")
-        if self.eval_k < 1:
-            raise ParameterError(f"eval_k must be >= 1, got {self.eval_k}")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass

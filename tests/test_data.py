@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from mdap.data import (DEFAULT_RATIOS, SPLITS, InteractionDataset, SyntheticSpec,
-                       build_dataset, generate_synthetic, k_core_filter, load_domain,
-                       read_text, sparse_batch, split_counts, synthetic_records, view_blocks,
+                       build_dataset, generate_synthetic, index_pairs, k_core_filter,
+                       load_domain, read_text, sparse_batch, split_counts, synthetic_records, view_blocks,
                        write_domain_file)
 from mdap.errors import DataError, ParameterError, ParseError
 from mdap.numerics import Rng
@@ -469,6 +469,39 @@ def test_build_dataset_matches_per_user_reference(seed):
     assert {d: list(ds.items[d]) for d in ("s", "t")} == items
     for key, expect in pairs.items():
         assert ds.pairs[key].tolist() == expect, key
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_index_pairs_matches_unique_reference(seed):
+    # ids in runs of one user, as split files hold them, and shuffled ones;
+    # prefixes of each other, non-ASCII and one empty key
+    rng = np.random.default_rng(seed)
+    pool = np.array(["u1", "u10", "u2", "ü", "u", "b", "u1 ", "a" * 12, "z9", "é1"])
+    id_pairs = {}
+    for domain in ("s", "t"):
+        for split in SPLITS:
+            n = 0 if (domain, split) == ("t", "valid") else int(rng.integers(1, 60))
+            users = np.sort(rng.choice(pool, n)) if split != "test" else rng.choice(pool, n)
+            items = rng.choice(np.array([f"{domain}{i}" for i in range(15)]), n)
+            id_pairs[(domain, split)] = np.stack([users, items], axis=1).reshape(-1, 2)
+    users, items, indexed = index_pairs(id_pairs)
+
+    def reference(keys, col):
+        vocab, codes = np.unique(np.concatenate([id_pairs[key][:, col] for key in keys]),
+                                 return_inverse=True)
+        bounds = np.cumsum([len(id_pairs[key]) for key in keys])[:-1]
+        return vocab.tolist(), dict(zip(keys, np.split(codes.reshape(-1), bounds)))
+
+    ref_users, user_codes = reference(list(id_pairs), 0)
+    assert users == ref_users
+    for domain in ("s", "t"):
+        keys = [key for key in id_pairs if key[0] == domain]
+        ref_items, item_codes = reference(keys, 1)
+        assert items[domain] == ref_items
+        for key in keys:
+            assert indexed[key].dtype == np.int64
+            assert indexed[key].tolist() == np.stack([user_codes[key], item_codes[key]],
+                                                     axis=1).tolist(), key
 
 
 def test_sparse_batch_match_pairs():

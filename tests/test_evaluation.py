@@ -57,6 +57,34 @@ def test_ndcg_rejects_cutoff_below_one(k):
         ndcg_at_k(np.arange(5), {1}, k)
 
 
+@pytest.mark.parametrize("k", [2.0, 2.5, np.float64(3.0), True, np.bool_(True), "3", None],
+                         ids=["integral-float", "float", "numpy-float", "bool", "numpy-bool",
+                              "str", "none"])
+def test_cutoff_must_be_an_integer(k):
+    scores = np.arange(10.0).reshape(2, 5)
+    rows = csr_lists([np.array([1]), np.array([2])], 5)
+    with pytest.raises(ParameterError, match="integer"):
+        score_matrix_metrics(scores, rows, rows, k)
+    with pytest.raises(ParameterError, match="integer"):
+        top_k(scores[0], np.array([1]), k)
+    with pytest.raises(ParameterError, match="integer"):
+        recall_at_k(np.array([4, 3]), {3}, k)
+    with pytest.raises(ParameterError, match="integer"):
+        ndcg_at_k(np.array([4, 3]), {3}, k)
+
+
+def test_cutoff_takes_numpy_integers():
+    scores = np.arange(10.0).reshape(2, 5)
+    train = csr_lists([np.array([4]), np.array([], dtype=np.int64)], 5)
+    truth = csr_lists([np.array([2]), np.array([3])], 5)
+    for k in (np.int64(2), np.int32(2), np.uint8(2)):
+        assert score_matrix_metrics(scores, train, truth, k) == \
+            score_matrix_metrics(scores, train, truth, 2)
+        assert np.array_equal(top_k(scores[0], np.array([4]), k), [3, 2])
+        assert recall_at_k(np.array([3, 2]), {2}, k) == 1.0
+        assert ndcg_at_k(np.array([2, 3]), {2}, k) == 1.0
+
+
 def test_ndcg_hand_values():
     assert ndcg_at_k(np.array([7, 1, 2]), {7}, 20) == 1.0
     assert ndcg_at_k(np.array([1, 2, 3]), {9}, 20) == 0.0
@@ -200,6 +228,103 @@ def test_score_matrix_metrics_equals_per_user_loop(monkeypatch, rounding):
         assert got == per_user_metrics(scores, train_lists, truth_lists, k)
 
 
+def group_width(n_items, k):
+    """The column-group width of score_matrix_metrics' K-th value bound."""
+    return max(1, n_items // (4 * min(k, n_items)))
+
+
+def wide_instance(rng, n_items, k, pattern):
+    """12 rows over n_items columns, one per score pattern or corner case.
+
+    Row 0 holds its top K in one run of adjacent columns, row 1 in the
+    last columns; row 2 ranks only training items first; row 3 has every
+    item in training, row 4 fewer than K eligible items. Each row's
+    truth holds the reference ranking's 1st and K-th items and random
+    others, never its (K+1)-th, so a ranking cut one place off moves the
+    metrics.
+    """
+    n_users = 12
+    if pattern == "integer":  # ties that span many groups
+        scores = rng.integers(-3, 4, (n_users, n_items)).astype(float)
+    else:
+        scores = rng.standard_normal((n_users, n_items))
+    if pattern == "nonfinite":
+        cells = rng.random(scores.shape)
+        scores[cells < 0.05] = np.nan
+        scores[(cells >= 0.05) & (cells < 0.08)] = np.inf
+        scores[(cells >= 0.08) & (cells < 0.11)] = -np.inf
+    kk = min(k, n_items)
+    for row, start in ((0, int(rng.integers(0, n_items - kk + 1))), (1, n_items - kk)):
+        scores[row] = rng.standard_normal(n_items) - 10.0
+        scores[row, start:start + kk] = rng.permutation(kk) + 10.0
+    train_lists = [np.sort(rng.choice(n_items, int(rng.integers(0, n_items // 3)),
+                                      replace=False)) for _ in range(n_users)]
+    train_lists[2] = np.argsort(-scores[2], kind="stable")[:n_items // 2]
+    train_lists[3] = np.arange(n_items)
+    train_lists[4] = np.sort(rng.choice(n_items, n_items - max(1, kk // 2), replace=False))
+    truth_lists = []
+    for u in range(n_users):
+        ranked = top_k(scores[u], train_lists[u], k + 1)
+        eligible = np.setdiff1d(np.arange(n_items), train_lists[u])
+        picked = rng.choice(eligible, min(len(eligible), 5), replace=False)
+        truth = set(picked.tolist()) | set(ranked[[0, min(k, len(ranked)) - 1]].tolist()
+                                           if len(ranked) else [])
+        if len(ranked) > k:
+            truth.discard(int(ranked[k]))
+        truth_lists.append(np.array(sorted(truth), dtype=np.int64))
+    # a row with no eligible item is evaluated only through a truth item
+    # that is also a training item, which neither side can rank
+    truth_lists[3] = np.array([0, n_items - 1])
+    return scores, train_lists, truth_lists
+
+
+@pytest.mark.parametrize("pattern", ["continuous", "integer", "nonfinite"])
+@pytest.mark.parametrize("n_items", [203, 1001, 3003])
+def test_score_matrix_metrics_bound_is_exact_on_wide_rows(pattern, n_items):
+    # The K-th value bound is a group summary whose tail columns fold into
+    # the first groups; these widths are not multiples of the group width
+    # at the small cutoffs, so the tail is always exercised.
+    rng = np.random.default_rng(n_items)
+    for k in (1, 2, 20, n_items // 4, n_items - 1, n_items, n_items + 5):
+        if k <= 20:
+            assert n_items % group_width(n_items, k), (n_items, k)
+        scores, train_lists, truth_lists = wide_instance(rng, n_items, k, pattern)
+        before = scores.copy()
+        got = score_matrix_metrics(scores, csr_lists(train_lists, n_items),
+                                   csr_lists(truth_lists, n_items), k)
+        assert np.array_equal(scores, before, equal_nan=True)
+        assert got == per_user_metrics(scores, train_lists, truth_lists, k), k
+
+
+@pytest.mark.parametrize("n_items, k", [(1001, 1), (1001, 2), (203, 20), (3003, 20)])
+def test_score_matrix_metrics_bound_is_tight_when_top_items_are_adjacent(monkeypatch,
+                                                                          n_items, k):
+    # Adjacent columns fall in different groups, so a row whose top K sit
+    # side by side gets the exact K-th value as its bound, and marks no
+    # more than it needs; rows 0 and 1 of wide_instance hold theirs in
+    # the middle and in the tail columns. The bound is read from the
+    # partitioned summary, column K - 1 of buffer "rank_summary".
+    summaries = []
+
+    def spy(name, shape, dtype=np.float64):
+        arr = real_buffer(name, shape, dtype)
+        if name == "rank_summary":
+            summaries.append(arr)
+        return arr
+
+    real_buffer = evaluation.buffer
+    monkeypatch.setattr(evaluation, "buffer", spy)
+    scores, train_lists, truth_lists = wide_instance(np.random.default_rng(k), n_items,
+                                                     k, "continuous")
+    train_lists[0] = train_lists[1] = np.array([], dtype=np.int64)
+    score_matrix_metrics(scores, csr_lists(train_lists, n_items),
+                         csr_lists(truth_lists, n_items), k)
+    assert len(summaries) == 1
+    assert summaries[0].shape == (len(truth_lists), n_items // group_width(n_items, k))
+    for row in (0, 1):
+        assert summaries[0][row, k - 1] == -np.sort(scores[row])[-k], row
+
+
 def test_score_matrix_metrics_breaks_tie_at_cutoff_by_index():
     # item 9 leads; items 0..8 tie for the remaining two places, so the
     # cut falls inside the tie and items 0 and 1 must take them
@@ -306,6 +431,34 @@ def test_model_scores_fill_every_row(fixture_dataset, monkeypatch):
         rows = slice(0, n_users - 1 if n_users % block == 1 else n_users)
         for domain in ("s", "t"):
             assert np.array_equal(blocked[domain][rows], whole[domain][rows]), (block, domain)
+
+
+def test_model_scores_decode_each_block_into_its_rows(fixture_dataset, monkeypatch):
+    # No per-block copy: each block's reconstructions are its rows of the
+    # returned matrices, and every block reads the embeddings normalized
+    # once for the call.
+    traces = []
+
+    def spy(*args, **kwargs):
+        traces.append(real_forward(*args, **kwargs))
+        return traces[-1]
+
+    real_forward = evaluation.forward
+    monkeypatch.setattr(evaluation, "forward", spy)
+    monkeypatch.setattr(evaluation, "EVAL_BATCH_USERS", 64)
+    config = ModelConfig(k=4, embed_dim=16, hidden=32)
+    params = init_params(config, fixture_dataset.n_items("s"),
+                         fixture_dataset.n_items("t"), Rng(2))
+    scores = model_scores(params, config, fixture_dataset)
+    assert len(traces) == -(-fixture_dataset.n_users // 64)
+    for i, trace in enumerate(traces):
+        rows = slice(64 * i, 64 * (i + 1))
+        for d in ("s", "t"):
+            recon = getattr(trace, "recon_" + d)
+            assert recon.shape == scores[d][rows].shape
+            assert recon.ctypes.data == scores[d][rows].ctypes.data, (i, d)
+        assert trace.item_norm is traces[0].item_norm
+        assert trace.core_norm is traces[0].core_norm
 
 
 def evaluate_peak_bytes(n_users):

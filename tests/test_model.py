@@ -2,15 +2,15 @@ import json
 import math
 import struct
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from mdap.errors import CheckpointError, ParameterError, ShapeError
 from mdap.model import (ABLATIONS, CHECKPOINT_MAGIC, ForwardTrace, ModelConfig,
-                        PARAM_FIELDS, combine_views, decode, encode_rows, forward,
-                        gate_weights, glorot_uniform, gumbel_softmax_assign,
+                        PARAM_FIELDS, combine_views, decode, embedding_norms, encode_rows,
+                        forward, gate_weights, glorot_uniform, gumbel_softmax_assign,
                         init_params, load_checkpoint, save_checkpoint)
 from mdap.numerics import (CsrRows, Rng, row_l2_normalize, sample_dropout_mask,
                            sample_gumbel, softmax_rows)
@@ -43,6 +43,23 @@ def test_config_validation():
     with pytest.raises(ParameterError):
         ModelConfig(ablation="bogus")
     assert ModelConfig(k=9, ablation="single_view").k == 1
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, np.float64(4.0), True, np.bool_(True), "4", None],
+                         ids=["float", "integral-float", "numpy-float", "bool", "numpy-bool",
+                              "str", "none"])
+@pytest.mark.parametrize("name", ["k", "embed_dim", "hidden"])
+def test_config_rejects_non_integer_sizes(name, value):
+    with pytest.raises(ParameterError, match=name):
+        ModelConfig(**{name: value})
+    with pytest.raises(ParameterError, match=name):
+        ModelConfig(**{name: value}, ablation="single_view")
+
+
+def test_config_takes_numpy_integer_sizes_as_int():
+    config = ModelConfig(k=np.int64(3), embed_dim=np.int32(8), hidden=np.uint16(16))
+    assert config == ModelConfig(k=3, embed_dim=8, hidden=16)
+    assert all(type(v) is int for v in (config.k, config.embed_dim, config.hidden))
 
 
 def test_glorot_bound_and_zero_init():
@@ -366,6 +383,25 @@ def test_forward_k1_matches_single_view():
         grads_b = backward(b, residuals(b, batch), params, sv)
         for name in PARAM_FIELDS:
             assert np.array_equal(grads_a[name], grads_b[name]), (trial, name)
+
+
+@pytest.mark.parametrize("b", [2, 40, 300])
+def test_forward_with_passed_norms_and_output_rows_matches_plain_forward(b):
+    # Evaluation passes the embeddings it normalized once per call and
+    # the rows of its score matrices; every field of the trace must keep
+    # its bits, and decode must write the scores into exactly those rows.
+    config, params = toy_params(k=4, embed=16, hidden=48, n_s=300, n_t=200, seed=3)
+    batch = csr(binary_rows(5, b, 500))
+    plain = forward(params, config, batch)
+    scores = {"s": np.full((b + 7, 300), np.nan), "t": np.full((b + 7, 200), np.nan)}
+    rows = slice(3, 3 + b)
+    trace = forward(params, config, batch, norms=embedding_norms(params),
+                    out={d: m[rows] for d, m in scores.items()})
+    for f in fields(ForwardTrace):
+        assert np.array_equal(getattr(trace, f.name), getattr(plain, f.name)), f.name
+    for d in ("s", "t"):
+        assert getattr(trace, "recon_" + d).ctypes.data == scores[d][rows].ctypes.data
+        assert np.isnan(np.delete(scores[d], np.arange(3, 3 + b), axis=0)).all()
 
 
 def test_forward_padded_user_gets_uniform_assignment():

@@ -9,7 +9,7 @@ import pytest
 
 from mdap import SyntheticSpec, evaluation, generate_synthetic, training
 from mdap.data import InteractionDataset
-from mdap.errors import ShapeError, TrainingDivergedError
+from mdap.errors import ParameterError, ShapeError, TrainingDivergedError
 from mdap.evaluation import evaluate
 from mdap.model import ABLATIONS, ModelConfig, PARAM_FIELDS, forward, init_params
 from mdap.numerics import Rng, row_l2_normalize_grad, softmax_rows_grad
@@ -17,6 +17,27 @@ from mdap.training import (ABLATION_VARIANTS, LOG_KEYS, AdamOptimizer,
                            TrainConfig, backward, loss, residuals, run_ablation,
                            train)
 from sparse_rows import csr
+
+
+TRAIN_INT_FIELDS = ("epochs_max", "patience", "batch_users", "eval_k", "seed")
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, np.float64(4.0), True, np.bool_(False), "4", None],
+                         ids=["float", "integral-float", "numpy-float", "bool", "numpy-bool",
+                              "str", "none"])
+@pytest.mark.parametrize("name", TRAIN_INT_FIELDS)
+def test_train_config_rejects_non_integer_fields(name, value):
+    with pytest.raises(ParameterError, match=name):
+        TrainConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name", TRAIN_INT_FIELDS)
+def test_train_config_range_of_integer_fields(name):
+    low = 0 if name == "seed" else 1
+    with pytest.raises(ParameterError, match=name):
+        TrainConfig(**{name: low - 1})
+    config = TrainConfig(**{name: np.int64(low)})
+    assert type(getattr(config, name)) is int and getattr(config, name) == low
 
 
 def stub_trace(recon_s, recon_t, gate_s, gate_t):
