@@ -73,6 +73,8 @@ PRESETS = {
 }
 
 SPLIT_FILES = [(d, sp) for d in ("s", "t") for sp in ("train", "valid", "test")]
+# the variables that set the BLAS thread count, which changes the last bits of train's outputs
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -144,6 +146,20 @@ def run_payload(command: str, options: dict, extra: dict | None = None) -> dict:
         payload.update(extra)
     payload["config_hash"] = config_hash({"command": command, "options": options})
     return payload
+
+
+def provenance() -> dict:
+    """What besides the seed and options decides `train`'s bytes: numpy, its BLAS (None
+    where numpy cannot report it, before 1.25), the thread variables and the usable CPUs."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {"name": blas.get("name"), "version": blas.get("version")}
+    except (TypeError, KeyError):
+        blas = None
+    affinity = getattr(os, "sched_getaffinity", None)  # Linux only
+    return {"numpy": np.__version__, "blas": blas,
+            "cpu_affinity": len(affinity(0)) if affinity else os.cpu_count(),
+            **{var: os.environ.get(var) for var in THREAD_VARIABLES}}
 
 
 def model_config_from(options: dict) -> ModelConfig:
@@ -286,15 +302,15 @@ def cmd_train(args: argparse.Namespace) -> int:
     config = train_config_from(options)
     dataset = load_prepared(args.out)
     params, log = train(dataset, config, verbose=not args.quiet)
-    payload = run_payload("train", options)
+    payload = run_payload("train", options, {"provenance": provenance()})
     ckpt_rel = os.path.join("checkpoints", "model.ckpt")
     report = evaluate(params, config.model, dataset, "test", k=config.eval_k,
                       seed=config.seed, checkpoint=ckpt_rel)
     for sub in ("checkpoints", "logs", "reports"):
         os.makedirs(os.path.join(args.out, sub), exist_ok=True)
     save_checkpoint(os.path.join(args.out, ckpt_rel), params, config.model,
-                    extra={"config_hash": payload["config_hash"],
-                           "best_epoch": log.best_epoch, "seed": config.seed})
+                    extra={"config_hash": payload["config_hash"], "best_epoch": log.best_epoch,
+                           "seed": config.seed, "provenance": payload["provenance"]})
     log.write(os.path.join(args.out, "logs", "train_log.jsonl"))
     write_json(os.path.join(args.out, "reports", "test_metrics.json"),
                {**report.to_dict(), "config_hash": payload["config_hash"]})

@@ -247,12 +247,24 @@ class InteractionDataset:
         self.threshold = float(threshold)
         self.seed = seed
         self.k_core = int(k_core)
+        keys = [(domain, split) for domain in DOMAINS for split in SPLITS]
+        if unknown := [key for key in pairs if key not in keys]:
+            raise DataError(f"unknown (domain, split) keys {unknown}; expected some of {keys}")
+        for name, ids in (("user", self.users), *(("item", ids) for ids in self.items.values())):
+            if any(a >= b for a, b in zip(ids, ids[1:])):
+                raise DataError(f"{name} ids must be strictly ascending (lexicographic order)")
         self.pairs: dict[tuple[str, str], np.ndarray] = {}
-        for domain in DOMAINS:
-            for split in SPLITS:
-                arr = np.asarray(pairs.get((domain, split), ()), dtype=np.int64).reshape(-1, 2)
-                order = np.lexsort((arr[:, 1], arr[:, 0]))
-                self.pairs[(domain, split)] = arr[order]
+        for key in keys:
+            arr = np.asarray(pairs.get(key, ()))
+            if arr.size and (arr.dtype.kind not in "iu" or arr.ndim != 2 or arr.shape[1] != 2):
+                raise DataError(f"{key} pairs must be an (n, 2) integer array, "
+                                f"got dtype {arr.dtype} and shape {arr.shape}")
+            arr = np.array(arr, dtype=np.int64).reshape(-1, 2)
+            # sort only pairs not already in (user, item) order, as
+            # build_dataset and load_prepared pass them
+            du, di = np.diff(arr, axis=0).T
+            self.pairs[key] = arr if ((du > 0) | ((du == 0) & (di >= 0))).all() else (
+                arr[np.lexsort((arr[:, 1], arr[:, 0]))])
         self._validate()
         self.offsets = {key: np.searchsorted(arr[:, 0], np.arange(self.n_users + 1))
                         for key, arr in self.pairs.items()}
@@ -268,7 +280,9 @@ class InteractionDataset:
                         raise DataError(f"user index out of range in {domain}/{split}")
                     if arr[:, 1].min() < 0 or arr[:, 1].max() >= n_items:
                         raise DataError(f"item index out of range in {domain}/{split}")
-            codes = np.sort(np.concatenate([arr[:, 0] * n_items + arr[:, 1] for arr in arrays]))
+            # three sorted runs: a stable sort merges them in linear time
+            codes = np.sort(np.concatenate([arr[:, 0] * n_items + arr[:, 1] for arr in arrays]),
+                            kind="stable")
             repeated = codes[1:][codes[1:] == codes[:-1]]
             if repeated.size:
                 key = divmod(int(repeated[0]), n_items)
@@ -324,14 +338,20 @@ def build_dataset(domain_s: Interactions, domain_t: Interactions, rng: Rng,
         code = np.sort(coded[:, 0] * n_items + coded[:, 1])
         code = code[np.diff(code, prepend=-1) != 0]
         owned = np.stack(np.divmod(code, n_items), axis=1)
-        starts = np.searchsorted(owned[:, 0], np.arange(len(users) + 1))
+        sizes = np.bincount(owned[:, 0])
+        sizes = sizes[sizes > 0]
         # one permutation per user with items, in user order, domain s
         # before t: this call order fixes the split files for a seed
-        label = np.empty(len(owned), dtype=np.int64)
-        for start, n in zip(starts[:-1].tolist(), np.diff(starts).tolist()):
-            if n:
-                label[start + rng.permutation(n)] = np.repeat(
-                    np.arange(len(SPLITS)), split_counts(n))
+        perm = np.concatenate([rng.permutation(n) for n in sizes.tolist()])
+        # shuffled position r of a user with n items is labelled
+        # np.repeat([0, 1, 2], split_counts(n))[r]: the number of its two cuts r reaches
+        distinct, which = np.unique(sizes, return_inverse=True)
+        cuts = np.cumsum([split_counts(n)[:2] for n in distinct.tolist()], axis=1)[which]
+        start = np.repeat(np.cumsum(sizes) - sizes, sizes)
+        rank = np.arange(len(owned)) - start
+        label = np.empty(len(owned), dtype=np.int8)
+        label[start + perm] = np.add(*(rank >= np.repeat(cut, sizes) for cut in cuts.T),
+                                     dtype=np.int8)
         for j, split in enumerate(SPLITS):
             pairs[(domain, split)] = owned[label == j]
 

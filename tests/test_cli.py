@@ -7,11 +7,11 @@ import pytest
 
 import mdap
 from mdap.cli import (OPTION_TABLE, PRESETS, SPLIT_FILES, build_parser, load_prepared, main,
-                      parse_config_file, parse_grid, resolve_options, split_file_path,
-                      write_prepared)
+                      parse_config_file, parse_grid, provenance, resolve_options, run_payload,
+                      split_file_path, write_prepared)
 from mdap.data import atomic_open, build_dataset, load_domain, write_domain_file
 from mdap.errors import ParameterError
-from mdap.model import ModelConfig, init_params, save_checkpoint
+from mdap.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
 from mdap.numerics import Rng
 
 
@@ -109,6 +109,22 @@ def test_prepare_min_interactions_filters(tmp_path, capsys):
     assert "threshold 1.0 after the 1000-core filter" in capsys.readouterr().err
 
 
+def test_prepare_ignores_line_order(tmp_path):
+    syn, shuffled = tmp_path / "syn", tmp_path / "shuffled"
+    assert run(*synth_args(syn)) == 0
+    shuffled.mkdir()
+    rng = np.random.default_rng(0)
+    for name in ("domain_s.tsv", "domain_t.tsv"):
+        lines = (syn / name).read_bytes().splitlines(keepends=True)
+        (shuffled / name).write_bytes(b"".join(lines[k] for k in rng.permutation(len(lines))))
+        assert (shuffled / name).read_bytes() != (syn / name).read_bytes()
+    for src in (syn, shuffled):
+        assert run("prepare", "--domain-s", src / "domain_s.tsv", "--domain-t",
+                   src / "domain_t.tsv", "--out", tmp_path / f"out_{src.name}") == 0
+    for rel in ["manifest.json", *(f"splits/{d}_{sp}.tsv" for d, sp in SPLIT_FILES)]:
+        assert file_hash(tmp_path / "out_syn" / rel) == file_hash(tmp_path / "out_shuffled" / rel)
+
+
 def test_train_writes_artifacts(tmp_path, capsys):
     out = prepared_dir(tmp_path)
     code = run("train", "--out", out, "--epochs", 2, "--patience", 2,
@@ -128,6 +144,47 @@ def test_train_writes_artifacts(tmp_path, capsys):
     config = json.loads((out / "config_train.json").read_text())
     assert config["options"]["epochs"] == 2
     assert "best epoch" in capsys.readouterr().out
+
+
+def test_train_records_provenance_outside_the_config_hash(tmp_path, monkeypatch):
+    out = prepared_dir(tmp_path)
+    argv = ["train", "--out", out, "--epochs", 1, "--k", 2, "--embed-dim", 8, "--hidden", 16,
+            "--quiet"]
+    runs = []
+    for threads in ("1", None):
+        # the variable is only recorded: the loaded BLAS keeps its thread count
+        if threads is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        assert run(*argv) == 0
+        config = json.loads((out / "config_train.json").read_text())
+        params, _, extra = load_checkpoint(str(out / "checkpoints" / "model.ckpt"))
+        runs.append((config, extra, b"".join(arr.tobytes() for _, arr in params.arrays())))
+        assert extra["provenance"] == config["provenance"]
+        assert config["provenance"]["OPENBLAS_NUM_THREADS"] == threads
+        assert config["provenance"]["numpy"] == np.__version__
+        assert set(config["provenance"]) == {"numpy", "blas", "cpu_affinity", "MKL_NUM_THREADS",
+                                             "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
+        assert config["provenance"]["cpu_affinity"] >= 1
+    (first, extra_a, params_a), (second, extra_b, params_b) = runs
+    assert first["provenance"] != second["provenance"]
+    assert first["config_hash"] == second["config_hash"] == extra_a["config_hash"]
+    assert extra_a != extra_b and params_a == params_b  # only the header differs
+    assert run_payload("train", first["options"], {"provenance": {"numpy": "0"}})[
+        "config_hash"] == first["config_hash"]
+
+
+def test_provenance_without_blas_report(monkeypatch):
+    # numpy before 1.25 has no show_config(mode=...): the BLAS is recorded as None
+    def show_config():
+        return None
+
+    monkeypatch.setattr(np, "show_config", show_config)
+    assert provenance()["blas"] is None
+    monkeypatch.undo()
+    blas = provenance()["blas"]
+    assert blas is None or set(blas) == {"name", "version"}
 
 
 def test_parser_defaults_resolve(tmp_path):

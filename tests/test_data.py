@@ -461,14 +461,47 @@ def awkward_records(seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
 def test_build_dataset_matches_per_user_reference(seed):
-    records_s, records_t = awkward_records(seed)
-    ds = build_dataset(records_s, records_t, Rng(seed), threshold=1.0)
-    users, items, pairs = build_dataset_reference(records_s, records_t, Rng(seed), 1.0)
+    ds = assert_matches_reference(*awkward_records(seed), seed)
+    assert "u4" not in ds.users  # every rating below threshold
+
+
+def many_user_records(seed):
+    """Hundreds of users with 1 to 99 items each, most of them drawn from a
+    few sizes so that many users share one; a third of the users are in
+    one domain only."""
+    rng = np.random.default_rng(seed)
+    records = {"s": [], "t": []}
+    for u in range(360):
+        for domain, n_items, absent in (("s", 150, 1), ("t", 110, 2)):
+            if u % 3 == absent:
+                continue
+            n = int(rng.choice([1, 2, 3, 9, 10, 11, 40, 99]) if u % 4 else rng.integers(1, 100))
+            records[domain] += [(f"u{u}", f"{domain}{i}", 1.0)
+                                for i in rng.choice(n_items, min(n, n_items), replace=False)]
+    return dom(*records["s"]), dom(*records["t"])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_build_dataset_matches_per_user_reference_at_scale(seed):
+    ds = assert_matches_reference(*many_user_records(seed), seed)
+    assert ds.n_users == 360
+    for domain in ("s", "t"):
+        sizes = sum(np.diff(ds.offsets[(domain, split)]) for split in SPLITS)
+        assert (sizes == 0).sum() == 120 and sizes.max() == 99
+
+
+def assert_matches_reference(records_s, records_t, seed):
+    """build_dataset equals the per-user reference and leaves its Rng
+    where the reference's per-user loop leaves it; returns the dataset."""
+    rng, ref_rng = Rng(seed), Rng(seed)
+    ds = build_dataset(records_s, records_t, rng, threshold=1.0)
+    users, items, pairs = build_dataset_reference(records_s, records_t, ref_rng, 1.0)
     assert list(ds.users) == users
-    assert "u4" not in users  # every rating below threshold
     assert {d: list(ds.items[d]) for d in ("s", "t")} == items
     for key, expect in pairs.items():
         assert ds.pairs[key].tolist() == expect, key
+    assert np.array_equal(rng.uniform(2, 3), ref_rng.uniform(2, 3))
+    return ds
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -646,6 +679,57 @@ def test_dataset_validates_cross_split_overlap(bad, message):
     pairs.update({key: np.array(val, dtype=np.int64) for key, val in bad.items()})
     with pytest.raises(DataError, match=message):
         InteractionDataset(["u1"], ["s1"], ["t1"], pairs)
+
+
+@pytest.mark.parametrize("given, message", [
+    ({"pairs": {("s", "val"): [[0, 0]]}}, r"unknown \(domain, split\) keys \[\('s', 'val'\)\]"),
+    ({"pairs": {("s", "train"): [[0, 0.5]]}},
+     r"\('s', 'train'\) pairs must be an \(n, 2\) integer array, got dtype float64"),
+    ({"pairs": {("t", "test"): np.array([[True, False]])}}, "integer array, got dtype bool"),
+    ({"pairs": {("s", "train"): np.array([0, 0, 0])}}, r"got dtype int64 and shape \(3,\)"),
+    ({"pairs": {("s", "train"): np.array([[0, 0, 0]])}}, r"got dtype int64 and shape \(1, 3\)"),
+    ({"users": ["u2", "u1"]}, "user ids must be strictly ascending"),
+    ({"users": ["u1", "u1"]}, "user ids must be strictly ascending"),
+    # items s2, s1 would reload from split files with their indices swapped
+    ({"items_s": ["s2", "s1"]}, "item ids must be strictly ascending"),
+    ({"items_t": ["t1", "t1"]}, "item ids must be strictly ascending"),
+], ids=["unknown-key", "float", "bool", "flat", "three-columns", "users-descending",
+        "users-repeated", "items-descending", "items-repeated"])
+def test_dataset_rejects_malformed_input(given, message):
+    with pytest.raises(DataError, match=message):
+        InteractionDataset(**{"users": ["u1"], "items_s": ["s1"], "items_t": ["t1"], "pairs": {},
+                              **given})
+
+
+def test_dataset_accepts_empty_pairs_of_any_dtype_and_unsigned_indices():
+    # [] arrives as float64
+    pairs = {("s", "train"): [], ("t", "valid"): np.zeros((0, 3), dtype=bool),
+             ("t", "test"): np.empty((2, 0), dtype=np.uint8),
+             ("s", "test"): np.array([[0, 0]], dtype=np.uint32)}
+    ds = InteractionDataset(["u1"], ["s1"], ["t1"], pairs)
+    assert all(arr.dtype == np.int64 for arr in ds.pairs.values())
+    assert [ds.split_size(d, sp) for d in ("s", "t") for sp in SPLITS] == [0, 0, 1, 0, 0, 0]
+
+
+def test_dataset_sorts_only_unsorted_pairs(fixture_dataset, monkeypatch):
+    ds = fixture_dataset
+    lexsort, calls = np.lexsort, []
+    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+    rng = np.random.default_rng(0)
+    shuffled = {key: arr[rng.permutation(len(arr))] for key, arr in ds.pairs.items()}
+    # users in order, but two items of one user swapped
+    swapped = shuffled[("s", "train")] = ds.pairs[("s", "train")].copy()
+    j = np.flatnonzero(swapped[1:, 0] == swapped[:-1, 0])[0]
+    swapped[[j, j + 1]] = swapped[[j + 1, j]]
+    for given, sorts in ((ds.pairs, 0), (shuffled, 6)):
+        calls.clear()
+        again = InteractionDataset(ds.users, ds.items["s"], ds.items["t"], given)
+        assert len(calls) == sorts
+        for key in ds.pairs:
+            assert again.pairs[key].dtype == np.int64
+            assert np.array_equal(again.pairs[key], ds.pairs[key]), key
+            assert np.array_equal(again.offsets[key], ds.offsets[key]), key
+            assert not np.shares_memory(again.pairs[key], given[key])
 
 
 def test_rows_match_bucket_loop(fixture_dataset):
