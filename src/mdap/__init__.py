@@ -16,19 +16,18 @@ from .evaluation import MetricsReport, evaluate, ndcg_at_k, recall_at_k, top_k
 from .model import (ModelConfig, ModelParams, ForwardTrace, forward, init_params,
                     load_checkpoint, save_checkpoint)
 from .numerics import CsrRows, Rng
-from .training import (AblationReport, TrainConfig, TrainLog, backward, loss,
-                       residuals, run_ablation, train)
+from .training import TrainConfig, TrainLog, backward, loss, residuals, train
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AblationReport", "CheckpointError", "CsrRows", "DataError", "ForwardTrace",
+    "CheckpointError", "CsrRows", "DataError", "ForwardTrace",
     "InteractionDataset", "MdapError", "MetricsReport",
     "ModelConfig", "ModelParams", "ParameterError", "ParseError", "Rng",
     "ShapeError", "SyntheticSpec", "TrainConfig", "TrainLog",
     "TrainingDivergedError", "backward", "build_dataset", "evaluate",
     "forward", "generate_synthetic", "init_params", "k_core_filter",
     "load_checkpoint", "load_domain", "loss", "ndcg_at_k", "recall_at_k",
-    "residuals", "run_ablation", "save_checkpoint", "sparse_batch", "split_counts",
+    "residuals", "save_checkpoint", "sparse_batch", "split_counts",
     "synthetic_records", "top_k", "train", "view_blocks",
 ]

@@ -34,7 +34,7 @@ from .errors import DataError, MdapError, ParameterError, TrainingDivergedError
 from .evaluation import evaluate
 from .model import ABLATIONS, ModelConfig, save_checkpoint
 from .numerics import Rng
-from .training import TrainConfig, run_ablation, train
+from .training import ABLATION_VARIANTS, TrainConfig, train
 from . import __version__
 
 # name -> (python type, default, --help text). "lambda" maps to the lam field.
@@ -149,8 +149,9 @@ def run_payload(command: str, options: dict, extra: dict | None = None) -> dict:
 
 
 def provenance() -> dict:
-    """What besides the seed and options decides `train`'s bytes: numpy, its BLAS (None
-    where numpy cannot report it, before 1.25), the thread variables and the usable CPUs."""
+    """What besides the seed and options decides a trained model's bytes: numpy, its
+    BLAS (None where numpy cannot report it, before 1.25), the thread variables and the
+    usable CPUs."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = {"name": blas.get("name"), "version": blas.get("version")}
@@ -297,23 +298,34 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     return 0
 
 
+def write_model(out: str, name: str, log_name: str, params, model_config: ModelConfig, log,
+                payload: dict) -> str:
+    """Make out's checkpoints/, logs/ and reports/, then write one trained model's
+    checkpoint, headed with the run's config hash and provenance, and its log.
+    Returns the checkpoint's path relative to out."""
+    for sub in ("checkpoints", "logs", "reports"):
+        os.makedirs(os.path.join(out, sub), exist_ok=True)
+    checkpoint = os.path.join("checkpoints", name)
+    save_checkpoint(os.path.join(out, checkpoint), params, model_config,
+                    extra={"config_hash": payload["config_hash"], "best_epoch": log.best_epoch,
+                           "seed": payload["options"]["seed"],
+                           "provenance": payload["provenance"]})
+    log.write(os.path.join(out, "logs", log_name))
+    return checkpoint
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     options = resolve_options(args)
     config = train_config_from(options)
     dataset = load_prepared(args.out)
     params, log = train(dataset, config, verbose=not args.quiet)
     payload = run_payload("train", options, {"provenance": provenance()})
-    ckpt_rel = os.path.join("checkpoints", "model.ckpt")
-    report = evaluate(params, config.model, dataset, "test", k=config.eval_k,
-                      seed=config.seed, checkpoint=ckpt_rel)
-    for sub in ("checkpoints", "logs", "reports"):
-        os.makedirs(os.path.join(args.out, sub), exist_ok=True)
-    save_checkpoint(os.path.join(args.out, ckpt_rel), params, config.model,
-                    extra={"config_hash": payload["config_hash"], "best_epoch": log.best_epoch,
-                           "seed": config.seed, "provenance": payload["provenance"]})
-    log.write(os.path.join(args.out, "logs", "train_log.jsonl"))
+    report = evaluate(params, config.model, dataset, "test", k=config.eval_k)
+    checkpoint = write_model(args.out, "model.ckpt", "train_log.jsonl", params, config.model,
+                             log, payload)
     write_json(os.path.join(args.out, "reports", "test_metrics.json"),
-               {**report.to_dict(), "config_hash": payload["config_hash"]})
+               {**report.to_dict(), "seed": config.seed, "checkpoint": checkpoint,
+                "config_hash": payload["config_hash"]})
     write_json(os.path.join(args.out, "config_train.json"), payload)
     print(f"best epoch {log.best_epoch}; test recall@{config.eval_k} "
           f"s={report.domains['s']['recall']:.4f} t={report.domains['t']['recall']:.4f}")
@@ -321,27 +333,39 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
+    """Train and test each variant with one seed, then write them all: a
+    variant that diverges leaves no artifact of the others."""
     options = resolve_options(args)
     config = train_config_from(options)
     dataset = load_prepared(args.out)
-    report, artifacts = run_ablation(dataset, config, verbose=not args.quiet)
-    payload = run_payload("ablate", options)
-    for sub in ("checkpoints", "logs", "reports"):
-        os.makedirs(os.path.join(args.out, sub), exist_ok=True)
-    for row in report.rows:
-        name = row["variant"]
-        params, log = artifacts[name]
-        tag = name.lower().replace("-", "_")
-        log.write(os.path.join(args.out, "logs", f"ablation_{tag}.jsonl"))
-        save_checkpoint(os.path.join(args.out, "checkpoints", f"ablation_{tag}.ckpt"),
-                        params, replace(config.model, ablation=row["ablation"]),
-                        extra={"config_hash": payload["config_hash"], "seed": config.seed})
+    payload = run_payload("ablate", options, {"provenance": provenance()})
+    rows, models = [], []
+    for name, ablation in ABLATION_VARIANTS:
+        model_config = replace(config.model, ablation=ablation)
+        if not args.quiet:
+            print(f"[ablation] training {name} ({ablation})")
+        params, log = train(dataset, replace(config, model=model_config))
+        report = evaluate(params, model_config, dataset, "test", k=config.eval_k)
+        rows.append({"variant": name, "ablation": ablation, "seed": config.seed,
+                     "best_epoch": log.best_epoch,
+                     **{f"{metric}_{d}": report.domains[d][metric]
+                        for d in ("s", "t") for metric in ("recall", "ndcg")}})
+        models.append((name.lower().replace("-", "_"), params, model_config, log))
+    for tag, params, model_config, log in models:
+        write_model(args.out, f"ablation_{tag}.ckpt", f"ablation_{tag}.jsonl", params,
+                    model_config, log, payload)
     write_json(os.path.join(args.out, "reports", "ablation.json"),
-               {**report.to_dict(), "config_hash": payload["config_hash"]})
+               {"seed": config.seed, "rows": rows, "config_hash": payload["config_hash"]})
+    header = f"{'variant':<10} {'recall_s':>9} {'ndcg_s':>9} {'recall_t':>9} {'ndcg_t':>9}"
+    lines = [header, "-" * len(header)]
+    for row in rows:
+        lines.append(f"{row['variant']:<10} {row['recall_s']:>9.4f} {row['ndcg_s']:>9.4f} "
+                     f"{row['recall_t']:>9.4f} {row['ndcg_t']:>9.4f}")
     with atomic_open(os.path.join(args.out, "reports", "ablation.txt")) as fh:
-        fh.write(report.format_table() + "\n")
+        fh.write("\n".join(lines) + "\n")
+    write_json(os.path.join(args.out, "config_ablate.json"), payload)
     if not args.quiet:
-        print(report.format_table())
+        print("\n".join(lines))
     return 0
 
 
@@ -380,7 +404,8 @@ def cmd_grid(args: argparse.Namespace) -> int:
         for value in values:
             train_config_from({**options, axis: value})
     dataset = load_prepared(args.out)
-    payload = run_payload("grid", options, {"full_grid": bool(args.full_grid)})
+    payload = run_payload("grid", options,
+                          {"provenance": provenance(), "full_grid": bool(args.full_grid)})
 
     # one result per combination, in run order: a repeated combination
     # reuses its result and takes no run id

@@ -7,7 +7,7 @@ their ground-truth set for the evaluated split is non-empty.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -166,17 +166,9 @@ class MetricsReport:
     split: str
     cutoff: int
     domains: dict[str, dict] = field(default_factory=dict)
-    seed: int | None = None
-    checkpoint: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "split": self.split,
-            "cutoff": self.cutoff,
-            "domains": self.domains,
-            "seed": self.seed,
-            "checkpoint": self.checkpoint,
-        }
+        return asdict(self)
 
 
 def model_scores(params: ModelParams, config: ModelConfig, dataset) -> dict[str, np.ndarray]:
@@ -201,8 +193,7 @@ def model_scores(params: ModelParams, config: ModelConfig, dataset) -> dict[str,
 
 
 def evaluate(params: ModelParams, config: ModelConfig, dataset, split: str,
-             k: int = 20, seed: int | None = None,
-             checkpoint: str | None = None) -> MetricsReport:
+             k: int = 20) -> MetricsReport:
     """Rank every non-training item for every user and score one split.
 
     Deterministic: evaluating the same params twice gives bit-identical
@@ -211,7 +202,7 @@ def evaluate(params: ModelParams, config: ModelConfig, dataset, split: str,
     if split not in ("train", "valid", "test"):
         raise ParameterError(f"unknown split {split!r}")
     scores = model_scores(params, config, dataset)
-    report = MetricsReport(split=split, cutoff=k, seed=seed, checkpoint=checkpoint)
+    report = MetricsReport(split=split, cutoff=k)
     for domain in ("s", "t"):
         recall, ndcg, n_eval = score_matrix_metrics(
             scores[domain], dataset.rows(domain, "train"), dataset.rows(domain, split), k)

@@ -1,5 +1,5 @@
-"""Reconstruction training: loss, exact gradients, the Adam loop with
-early stopping, and the four-variant ablation runner.
+"""Reconstruction training: loss, exact gradients, and the Adam loop
+with early stopping.
 
 The loss is the squared Frobenius reconstruction error of both domains
 plus a penalty on the dot product of the two domains' gate vectors,
@@ -11,7 +11,7 @@ probe that replays the pass from the same seed must agree with backward().
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -322,50 +322,3 @@ def train(dataset: InteractionDataset, config: TrainConfig, eval_fn=None,
 
     return best_params, log
 
-
-@dataclass
-class AblationReport:
-    """Test metrics of the four model variants trained with one seed."""
-
-    seed: int
-    rows: list[dict] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {"seed": self.seed, "rows": self.rows}
-
-    def format_table(self) -> str:
-        header = f"{'variant':<10} {'recall_s':>9} {'ndcg_s':>9} {'recall_t':>9} {'ndcg_t':>9}"
-        lines = [header, "-" * len(header)]
-        for row in self.rows:
-            lines.append(f"{row['variant']:<10} {row['recall_s']:>9.4f} {row['ndcg_s']:>9.4f} "
-                         f"{row['recall_t']:>9.4f} {row['ndcg_t']:>9.4f}")
-        return "\n".join(lines)
-
-
-def run_ablation(dataset: InteractionDataset, config: TrainConfig,
-                 verbose: bool = False) -> tuple[AblationReport, dict[str, tuple]]:
-    """Train all four variants with the same seed and score the test split.
-
-    Returns the report plus {variant name: (params, log)} for callers
-    that want the artifacts.
-    """
-    report = AblationReport(seed=config.seed)
-    artifacts: dict[str, tuple] = {}
-    for name, ablation in ABLATION_VARIANTS:
-        variant = replace(config, model=replace(config.model, ablation=ablation))
-        if verbose:
-            print(f"[ablation] training {name} ({ablation})")
-        params, log = train(dataset, variant, verbose=False)
-        result = evaluate(params, variant.model, dataset, "test", k=config.eval_k)
-        report.rows.append({
-            "variant": name,
-            "ablation": ablation,
-            "seed": config.seed,
-            "best_epoch": log.best_epoch,
-            "recall_s": result.domains["s"]["recall"],
-            "ndcg_s": result.domains["s"]["ndcg"],
-            "recall_t": result.domains["t"]["recall"],
-            "ndcg_t": result.domains["t"]["ndcg"],
-        })
-        artifacts[name] = (params, log)
-    return report, artifacts

@@ -10,9 +10,11 @@ from mdap.cli import (OPTION_TABLE, PRESETS, SPLIT_FILES, build_parser, load_pre
                       parse_config_file, parse_grid, provenance, resolve_options, run_payload,
                       split_file_path, write_prepared)
 from mdap.data import atomic_open, build_dataset, load_domain, write_domain_file
-from mdap.errors import ParameterError
+from mdap.errors import ParameterError, TrainingDivergedError
+from mdap.evaluation import evaluate
 from mdap.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
 from mdap.numerics import Rng
+from mdap.training import ABLATION_VARIANTS
 
 
 def file_hash(path):
@@ -32,6 +34,14 @@ def synth_args(out, **over):
     for key, value in base.items():
         argv += ["--" + key.replace("_", "-"), value]
     return argv
+
+
+# a small, fast model for the commands that train
+TINY = ["--epochs", 1, "--patience", 1, "--k", 2, "--embed-dim", 8, "--hidden", 16, "--quiet"]
+# a one-point grid: every axis at one value
+GRID_POINT = ["--dropout-grid", "0.5", "--tau-grid", "0.2", "--k-grid", "2",
+              "--lambda-grid", "0.5"]
+ABLATION_TAGS = [name.lower().replace("-", "_") for name, _ in ABLATION_VARIANTS]
 
 
 def prepared_dir(tmp_path, seed=3):
@@ -128,7 +138,7 @@ def test_prepare_ignores_line_order(tmp_path):
 def test_train_writes_artifacts(tmp_path, capsys):
     out = prepared_dir(tmp_path)
     code = run("train", "--out", out, "--epochs", 2, "--patience", 2,
-               "--k", 2, "--embed-dim", 8, "--hidden", 16, "--quiet")
+               "--k", 2, "--embed-dim", 8, "--hidden", 16, "--seed", 4, "--quiet")
     assert code == 0
     assert (out / "checkpoints" / "model.ckpt").exists()
     lines = (out / "logs" / "train_log.jsonl").read_text().splitlines()
@@ -139,17 +149,21 @@ def test_train_writes_artifacts(tmp_path, capsys):
                            "loss_orth", "val_recall20_s", "val_recall20_t",
                            "val_ndcg20_s", "val_ndcg20_t"}
     metrics = json.loads((out / "reports" / "test_metrics.json").read_text())
-    assert metrics["split"] == "test"
+    assert set(metrics) == {"split", "cutoff", "domains", "seed", "checkpoint", "config_hash"}
+    assert metrics["split"] == "test" and metrics["seed"] == 4
     assert metrics["checkpoint"] == os.path.join("checkpoints", "model.ckpt")
     config = json.loads((out / "config_train.json").read_text())
     assert config["options"]["epochs"] == 2
     assert "best epoch" in capsys.readouterr().out
 
 
-def test_train_records_provenance_outside_the_config_hash(tmp_path, monkeypatch):
+def check_provenance_outside_the_config_hash(tmp_path, monkeypatch, command):
+    """Run `command` twice under different OPENBLAS_NUM_THREADS and check
+    that only the recorded provenance moves, not the hash or the parameters."""
     out = prepared_dir(tmp_path)
-    argv = ["train", "--out", out, "--epochs", 1, "--k", 2, "--embed-dim", 8, "--hidden", 16,
-            "--quiet"]
+    argv = [command, "--out", out, *TINY, *(GRID_POINT if command == "grid" else [])]
+    checkpoints = {"train": ["model"], "ablate": [f"ablation_{tag}" for tag in ABLATION_TAGS],
+                   "grid": []}[command]
     runs = []
     for threads in ("1", None):
         # the variable is only recorded: the loaded BLAS keeps its thread count
@@ -158,21 +172,61 @@ def test_train_records_provenance_outside_the_config_hash(tmp_path, monkeypatch)
         else:
             monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
         assert run(*argv) == 0
-        config = json.loads((out / "config_train.json").read_text())
-        params, _, extra = load_checkpoint(str(out / "checkpoints" / "model.ckpt"))
-        runs.append((config, extra, b"".join(arr.tobytes() for _, arr in params.arrays())))
-        assert extra["provenance"] == config["provenance"]
+        config = json.loads((out / f"config_{command}.json").read_text())
+        loaded = [load_checkpoint(str(out / "checkpoints" / f"{name}.ckpt"))
+                  for name in checkpoints]
+        extras = [extra for _, _, extra in loaded]
+        runs.append((config, extras, [b"".join(arr.tobytes() for _, arr in params.arrays())
+                                      for params, _, _ in loaded]))
+        for extra in extras:
+            assert extra["provenance"] == config["provenance"]
+            assert extra["config_hash"] == config["config_hash"]
+            assert extra["best_epoch"] == 1
         assert config["provenance"]["OPENBLAS_NUM_THREADS"] == threads
         assert config["provenance"]["numpy"] == np.__version__
         assert set(config["provenance"]) == {"numpy", "blas", "cpu_affinity", "MKL_NUM_THREADS",
                                              "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
         assert config["provenance"]["cpu_affinity"] >= 1
-    (first, extra_a, params_a), (second, extra_b, params_b) = runs
+    (first, extras_a, params_a), (second, extras_b, params_b) = runs
     assert first["provenance"] != second["provenance"]
-    assert first["config_hash"] == second["config_hash"] == extra_a["config_hash"]
-    assert extra_a != extra_b and params_a == params_b  # only the header differs
-    assert run_payload("train", first["options"], {"provenance": {"numpy": "0"}})[
+    assert first["config_hash"] == second["config_hash"]
+    # only the header differs
+    assert all(a != b for a, b in zip(extras_a, extras_b)) and params_a == params_b
+    assert run_payload(command, first["options"], {"provenance": {"numpy": "0"}})[
         "config_hash"] == first["config_hash"]
+
+
+def test_train_records_provenance_outside_the_config_hash(tmp_path, monkeypatch):
+    check_provenance_outside_the_config_hash(tmp_path, monkeypatch, "train")
+
+
+@pytest.mark.parametrize("command", ["ablate", "grid"])
+def test_ablate_and_grid_record_provenance_outside_the_config_hash(tmp_path, monkeypatch,
+                                                                    command):
+    check_provenance_outside_the_config_hash(tmp_path, monkeypatch, command)
+
+
+@pytest.mark.parametrize("command", ["synth", "prepare", "train", "ablate", "grid"])
+def test_each_command_writes_its_config(tmp_path, command):
+    if command == "synth":
+        out = tmp_path / "syn"
+        assert run(*synth_args(out)) == 0
+    else:
+        out = prepared_dir(tmp_path)
+    if command in ("train", "ablate", "grid"):
+        assert run(command, "--out", out, *TINY, *(GRID_POINT if command == "grid" else [])) == 0
+    payload = json.loads((out / f"config_{command}.json").read_text())
+    assert payload["command"] == command
+    assert payload["config_hash"] == run_payload(command, payload["options"])["config_hash"]
+    stamped = {"synth": [], "prepare": ["manifest.json"],
+               "train": ["reports/test_metrics.json"], "ablate": ["reports/ablation.json"],
+               "grid": ["reports/grid.json"]}[command]
+    for rel in stamped:
+        assert json.loads((out / rel).read_text())["config_hash"] == payload["config_hash"], rel
+    checkpoints = sorted((out / "checkpoints").glob("*.ckpt"))
+    assert len(checkpoints) == {"train": 1, "ablate": 4}.get(command, 0)
+    for path in checkpoints:
+        assert load_checkpoint(str(path))[2]["config_hash"] == payload["config_hash"], path
 
 
 def test_provenance_without_blas_report(monkeypatch):
@@ -253,20 +307,78 @@ def test_parse_grid():
         parse_grid(",", float)
 
 
-def test_ablate_reports_all_variants(tmp_path):
-    out = prepared_dir(tmp_path)
-    code = run("ablate", "--out", out, "--epochs", 1, "--patience", 1,
-               "--k", 2, "--embed-dim", 8, "--hidden", 16, "--quiet")
-    assert code == 0
-    report = json.loads((out / "reports" / "ablation.json").read_text())
+@pytest.fixture(scope="module")
+def ablated(tmp_path_factory):
+    """An out dir after a two-epoch `ablate` at seed 5."""
+    out = prepared_dir(tmp_path_factory.mktemp("ablate"))
+    assert run("ablate", "--out", out, "--epochs", 2, "--patience", 2, "--k", 2,
+               "--embed-dim", 8, "--hidden", 16, "--seed", 5, "--quiet") == 0
+    return out
+
+
+def test_ablate_reports_all_variants(ablated):
+    report = json.loads((ablated / "reports" / "ablation.json").read_text())
     assert [row["variant"] for row in report["rows"]] == \
         ["MDAP", "MDAP-GS", "MDAP-MV", "MDAP-DG"]
-    table = (out / "reports" / "ablation.txt").read_text()
+    table = (ablated / "reports" / "ablation.txt").read_text()
     assert "MDAP-MV" in table
+    for tag in ABLATION_TAGS:
+        assert len((ablated / "logs" / f"ablation_{tag}.jsonl").read_text().splitlines()) == 2
+        assert (ablated / "checkpoints" / f"ablation_{tag}.ckpt").exists()
+
+
+def test_ablate_rows_keep_variant_order_keys_and_seed(ablated):
+    report = json.loads((ablated / "reports" / "ablation.json").read_text())
+    assert set(report) == {"seed", "rows", "config_hash"} and report["seed"] == 5
+    assert [(row["variant"], row["ablation"]) for row in report["rows"]] == [
+        ("MDAP", "full"), ("MDAP-GS", "no_gumbel"), ("MDAP-MV", "single_view"),
+        ("MDAP-DG", "no_gate")]
+    table = (ablated / "reports" / "ablation.txt").read_text()
     for row in report["rows"]:
-        tag = row["variant"].lower().replace("-", "_")
-        assert (out / "logs" / f"ablation_{tag}.jsonl").exists()
-        assert (out / "checkpoints" / f"ablation_{tag}.ckpt").exists()
+        assert set(row) == {"variant", "ablation", "seed", "best_epoch", "recall_s", "ndcg_s",
+                            "recall_t", "ndcg_t"}
+        assert row["seed"] == 5 and row["best_epoch"] in (1, 2)
+        for key in ("recall_s", "ndcg_s", "recall_t", "ndcg_t"):
+            assert 0.0 <= row[key] <= 1.0
+        assert row["variant"] in table
+
+
+def test_ablate_no_gate_checkpoint_keeps_uniform_gates(ablated):
+    # no_gate mixes views uniformly and never moves the gate table
+    params, config, _ = load_checkpoint(str(ablated / "checkpoints" / "ablation_mdap_dg.ckpt"))
+    assert config.ablation == "no_gate"
+    assert params.gate.shape == (2, 2)
+    assert not params.gate.any()
+
+
+def test_ablate_checkpoints_reproduce_their_rows(ablated):
+    report = json.loads((ablated / "reports" / "ablation.json").read_text())
+    dataset = load_prepared(str(ablated))
+    for row, tag in zip(report["rows"], ABLATION_TAGS):
+        params, config, extra = load_checkpoint(str(ablated / "checkpoints"
+                                                    / f"ablation_{tag}.ckpt"))
+        assert config.ablation == row["ablation"] and extra["best_epoch"] == row["best_epoch"]
+        again = evaluate(params, config, dataset, "test", k=20)
+        assert {f"{m}_{d}": again.domains[d][m] for d in ("s", "t")
+                for m in ("recall", "ndcg")} == {key: row[key] for key in
+                                                  ("recall_s", "ndcg_s", "recall_t", "ndcg_t")}
+
+
+def test_ablate_writes_nothing_when_a_later_variant_diverges(tmp_path, monkeypatch):
+    out = prepared_dir(tmp_path)
+    real_train, trained = mdap.cli.train, []
+
+    def diverge_on_third(dataset, config, **kwargs):
+        trained.append(config.model.ablation)
+        if len(trained) == 3:
+            raise TrainingDivergedError(1)
+        return real_train(dataset, config, **kwargs)
+
+    monkeypatch.setattr(mdap.cli, "train", diverge_on_third)
+    assert run("ablate", "--out", out, *TINY) == 3
+    assert trained == ["full", "no_gumbel", "single_view"]
+    for name in ("checkpoints", "logs", "reports", "config_ablate.json"):
+        assert not (out / name).exists(), name
 
 
 def test_grid_single_point_runs_once(tmp_path):

@@ -14,8 +14,7 @@ from mdap.evaluation import evaluate
 from mdap.model import ABLATIONS, ModelConfig, PARAM_FIELDS, forward, init_params
 from mdap.numerics import Rng, row_l2_normalize_grad, softmax_rows_grad
 from mdap.training import (ABLATION_VARIANTS, LOG_KEYS, AdamOptimizer,
-                           TrainConfig, backward, loss, residuals, run_ablation,
-                           train)
+                           TrainConfig, backward, loss, residuals, train)
 from sparse_rows import csr
 
 
@@ -474,34 +473,6 @@ def test_non_finite_gradient_raises_before_the_step(small_dataset, monkeypatch):
         train(small_dataset, config, eval_fn=metric_schedule([0.5]))
     assert err.value.epoch == 1
     assert steps == []
-
-
-def test_run_ablation_covers_all_variants(small_dataset):
-    config = small_train_config(epochs=2, patience=2, seed=5)
-    report, artifacts = run_ablation(small_dataset, config)
-    assert [row["variant"] for row in report.rows] == \
-        [name for name, _ in ABLATION_VARIANTS]
-    assert [row["ablation"] for row in report.rows] == \
-        [ab for _, ab in ABLATION_VARIANTS]
-    assert set(artifacts) == {name for name, _ in ABLATION_VARIANTS}
-    for row in report.rows:
-        for key in ("recall_s", "ndcg_s", "recall_t", "ndcg_t"):
-            assert 0.0 <= row[key] <= 1.0
-    table = report.format_table()
-    for name, _ in ABLATION_VARIANTS:
-        assert name in table
-    payload = report.to_dict()
-    assert payload["seed"] == 5 and len(payload["rows"]) == 4
-
-
-def test_run_ablation_no_gate_logs_uniform_gates(small_dataset):
-    config = small_train_config(epochs=2, patience=2)
-    _, artifacts = run_ablation(small_dataset, config)
-    # no_gate mixes views uniformly and never moves the gate table
-    params, log = artifacts["MDAP-DG"]
-    assert params.gate.shape == (2, config.model.k)
-    assert not params.gate.any()
-    assert len(log.records) == 2
 
 
 def test_single_view_variant_trains_with_one_view(small_dataset):
