@@ -314,6 +314,20 @@ def write_model(out: str, name: str, log_name: str, params, model_config: ModelC
     return checkpoint
 
 
+def write_report(out: str, name: str, command: str, summary: dict, header: str,
+                 rows: list[str], payload: dict, quiet: bool):
+    """Write reports/<name>.json, the table reports/<name>.txt (header, a rule of
+    '-', then rows) and config_<command>.json; print the table unless quiet."""
+    os.makedirs(os.path.join(out, "reports"), exist_ok=True)
+    write_json(os.path.join(out, "reports", f"{name}.json"), summary)
+    table = "\n".join([header, "-" * len(header), *rows])
+    with atomic_open(os.path.join(out, "reports", f"{name}.txt")) as fh:
+        fh.write(table + "\n")
+    write_json(os.path.join(out, f"config_{command}.json"), payload)
+    if not quiet:
+        print(table)
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     options = resolve_options(args)
     config = train_config_from(options)
@@ -354,44 +368,13 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     for tag, params, model_config, log in models:
         write_model(args.out, f"ablation_{tag}.ckpt", f"ablation_{tag}.jsonl", params,
                     model_config, log, payload)
-    write_json(os.path.join(args.out, "reports", "ablation.json"),
-               {"seed": config.seed, "rows": rows, "config_hash": payload["config_hash"]})
     header = f"{'variant':<10} {'recall_s':>9} {'ndcg_s':>9} {'recall_t':>9} {'ndcg_t':>9}"
-    lines = [header, "-" * len(header)]
-    for row in rows:
-        lines.append(f"{row['variant']:<10} {row['recall_s']:>9.4f} {row['ndcg_s']:>9.4f} "
-                     f"{row['recall_t']:>9.4f} {row['ndcg_t']:>9.4f}")
-    with atomic_open(os.path.join(args.out, "reports", "ablation.txt")) as fh:
-        fh.write("\n".join(lines) + "\n")
-    write_json(os.path.join(args.out, "config_ablate.json"), payload)
-    if not args.quiet:
-        print("\n".join(lines))
+    lines = [f"{row['variant']:<10} {row['recall_s']:>9.4f} {row['ndcg_s']:>9.4f} "
+             f"{row['recall_t']:>9.4f} {row['ndcg_t']:>9.4f}" for row in rows]
+    write_report(args.out, "ablation", "ablate",
+                 {"seed": config.seed, "rows": rows, "config_hash": payload["config_hash"]},
+                 header, lines, payload, args.quiet)
     return 0
-
-
-def grid_run_once(dataset, options: dict, combo: dict, out: str, run_id: int,
-                  quiet: bool) -> dict:
-    merged = dict(options)
-    merged.update(combo)
-    config = train_config_from(merged)
-    run_dir = os.path.join(out, "grid", f"run_{run_id:03d}_d{combo['dropout']:g}"
-                           f"_t{combo['tau']:g}_k{combo['k']}_l{combo['lambda']:g}")
-    params, log = train(dataset, config, verbose=False)
-    best = max(0.5 * (r["val_ndcg20_s"] + r["val_ndcg20_t"]) for r in log.records)
-    result = {
-        "run_id": run_id,
-        "dropout": combo["dropout"], "tau": combo["tau"],
-        "k": combo["k"], "lambda": combo["lambda"],
-        "seed": config.seed, "best_epoch": log.best_epoch,
-        "val_ndcg_mean": best,
-    }
-    os.makedirs(run_dir, exist_ok=True)
-    log.write(os.path.join(run_dir, "train_log.jsonl"))
-    write_json(os.path.join(run_dir, "result.json"), result)
-    if not quiet:
-        print(f"grid run {run_id:3d}: dropout={combo['dropout']:g} tau={combo['tau']:g} "
-              f"k={combo['k']} lambda={combo['lambda']:g} -> val ndcg {best:.4f}")
-    return result
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
@@ -412,53 +395,53 @@ def cmd_grid(args: argparse.Namespace) -> int:
     results: dict[tuple, dict] = {}
 
     def launch(combo: dict) -> dict:
-        key = (combo["dropout"], combo["tau"], combo["k"], combo["lambda"])
-        if key not in results:
-            results[key] = grid_run_once(dataset, options, combo, args.out,
-                                         len(results), args.quiet)
-        return results[key]
+        key = tuple(combo[axis] for axis in grids)
+        if key in results:
+            return results[key]
+        run_id = len(results)
+        config = train_config_from({**options, **combo})
+        params, log = train(dataset, config, verbose=False)
+        val_ndcg = max(0.5 * (r["val_ndcg20_s"] + r["val_ndcg20_t"]) for r in log.records)
+        results[key] = result = {"run_id": run_id, **combo, "seed": config.seed,
+                                 "best_epoch": log.best_epoch, "val_ndcg_mean": val_ndcg}
+        run_dir = os.path.join(args.out, "grid", f"run_{run_id:03d}_d{combo['dropout']:g}"
+                               f"_t{combo['tau']:g}_k{combo['k']}_l{combo['lambda']:g}")
+        os.makedirs(run_dir, exist_ok=True)
+        log.write(os.path.join(run_dir, "train_log.jsonl"))
+        write_json(os.path.join(run_dir, "result.json"), result)
+        if not args.quiet:
+            print(f"grid run {run_id:3d}: dropout={combo['dropout']:g} tau={combo['tau']:g} "
+                  f"k={combo['k']} lambda={combo['lambda']:g} -> val ndcg {val_ndcg:.4f}")
+        return result
 
-    # The staged search crosses dropout and tau at the base k/lambda, then
-    # sweeps k at the best so far, then lambda on top.
-    if args.full_grid:
-        stage_table = [("full", ("dropout", "tau", "k", "lambda"))]
-    else:
-        stage_table = [("dropout_tau", ("dropout", "tau")), ("k", ("k",)),
-                       ("lambda", ("lambda",))]
-    base = {axis: options[axis] for axis in grids}
-    best = None
+    # Each axis starts at its option value if its grid holds it, else at the
+    # grid's first value. The staged search crosses dropout and tau, then
+    # sweeps k at the best so far, then lambda: each later sweep includes the
+    # best so far, so every run lies in the grids' cross product.
+    stage_table = ([("full", tuple(grids))] if args.full_grid else
+                   [("dropout_tau", ("dropout", "tau")), ("k", ("k",)), ("lambda", ("lambda",))])
+    base = {axis: options[axis] if options[axis] in values else values[0]
+            for axis, values in grids.items()}
     stages = []
     for name, axes in stage_table:
         runs = [launch({**base, **dict(zip(axes, values))})
                 for values in itertools.product(*(grids[axis] for axis in axes))]
-        best = max(runs + ([best] if best else []),
-                   key=lambda r: (r["val_ndcg_mean"], -r["run_id"]))
+        best = max(runs, key=lambda r: (r["val_ndcg_mean"], -r["run_id"]))
         base = {axis: best[axis] for axis in grids}
         stages.append({"name": name, "runs": sorted({r["run_id"] for r in runs})})
 
     runs = list(results.values())
-    os.makedirs(os.path.join(args.out, "reports"), exist_ok=True)
-    summary = {
-        "metric": "mean validation ndcg at cutoff over both domains",
-        "stages": stages,
-        "runs": runs,
-        "best": best,
-        "config_hash": payload["config_hash"],
-    }
-    write_json(os.path.join(args.out, "reports", "grid.json"), summary)
     header = (f"{'run':>4} {'dropout':>8} {'tau':>6} {'k':>4} {'lambda':>7} "
               f"{'seed':>6} {'val_ndcg':>9}")
-    lines = [header, "-" * len(header)]
-    for r in runs:
-        lines.append(f"{r['run_id']:>4} {r['dropout']:>8g} {r['tau']:>6g} {r['k']:>4} "
-                     f"{r['lambda']:>7g} {r['seed']:>6} {r['val_ndcg_mean']:>9.4f}")
+    lines = [f"{r['run_id']:>4} {r['dropout']:>8g} {r['tau']:>6g} {r['k']:>4} "
+             f"{r['lambda']:>7g} {r['seed']:>6} {r['val_ndcg_mean']:>9.4f}" for r in runs]
     lines.append(f"best: run {best['run_id']} (dropout={best['dropout']:g}, "
                  f"tau={best['tau']:g}, k={best['k']}, lambda={best['lambda']:g})")
-    with atomic_open(os.path.join(args.out, "reports", "grid.txt")) as fh:
-        fh.write("\n".join(lines) + "\n")
-    write_json(os.path.join(args.out, "config_grid.json"), payload)
-    if not args.quiet:
-        print("\n".join(lines))
+    write_report(args.out, "grid", "grid",
+                 {"metric": "mean validation ndcg at cutoff over both domains",
+                  "stages": stages, "runs": runs, "best": best,
+                  "config_hash": payload["config_hash"]},
+                 header, lines, payload, args.quiet)
     return 0
 
 
@@ -512,17 +495,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", help="train all four model variants and compare")
     p.add_argument("--out", required=True, help="prepared dataset / output directory")
     p.add_argument("--config", help="key=value options file")
-    p.add_argument("--preset", choices=sorted(PRESETS))
-    p.add_argument("--quiet", action="store_true")
+    p.add_argument("--preset", choices=sorted(PRESETS),
+                   help="named hyperparameter preset")
+    p.add_argument("--quiet", action="store_true",
+                   help="suppress per-variant progress and the table")
     add_shared_options(p, [n for n in train_opts if n != "ablation"])
     p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser("grid", help="staged hyperparameter search")
+    p = sub.add_parser(
+        "grid", help="staged hyperparameter search",
+        description="Staged hyperparameter search: dropout and tau together, then k, then "
+                    "lambda, each sweep at the best run so far. Each axis starts at its "
+                    "option value when its grid holds that value, else at the grid's first "
+                    "value, so every run lies in the grids' cross product.")
     p.add_argument("--out", required=True, help="prepared dataset / output directory")
     p.add_argument("--config", help="key=value options file")
     p.add_argument("--full-grid", action="store_true",
                    help="run the full cross product instead of the staged search")
-    p.add_argument("--quiet", action="store_true")
+    p.add_argument("--quiet", action="store_true",
+                   help="suppress per-run progress and the table")
     add_shared_options(p, [n for n in train_opts if n != "ablation"]
                        + ["dropout_grid", "tau_grid", "k_grid", "lambda_grid"])
     p.set_defaults(func=cmd_grid)

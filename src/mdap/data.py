@@ -463,6 +463,9 @@ def generate_synthetic(spec: SyntheticSpec, rng: Rng) -> tuple[InteractionDatase
 
     Interaction generation and split assignment use derived sub-streams of
     rng, so the result is a pure function of the seed and the spec.
+    generate_synthetic(spec, Rng(s)) draws the same records as `synth --seed s`
+    but splits them with Rng(s).derive(1), so its splits differ from those of
+    `prepare --seed s`.
     """
     domain_s, domain_t, planted = synthetic_records(spec, rng.derive(0))
     dataset = build_dataset(domain_s, domain_t, rng.derive(1))

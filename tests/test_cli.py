@@ -1,6 +1,8 @@
 import hashlib
+import itertools
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -343,6 +345,15 @@ def test_ablate_rows_keep_variant_order_keys_and_seed(ablated):
         assert row["variant"] in table
 
 
+def test_ablation_table_is_the_rendering_of_its_json_rows(ablated):
+    report = json.loads((ablated / "reports" / "ablation.json").read_text())
+    header = "variant     recall_s    ndcg_s  recall_t    ndcg_t"
+    rows = [f"{row['variant']:<10} {row['recall_s']:>9.4f} {row['ndcg_s']:>9.4f} "
+            f"{row['recall_t']:>9.4f} {row['ndcg_t']:>9.4f}" for row in report["rows"]]
+    assert (ablated / "reports" / "ablation.txt").read_text() == \
+        "\n".join([header, "-" * len(header), *rows]) + "\n"
+
+
 def test_ablate_no_gate_checkpoint_keeps_uniform_gates(ablated):
     # no_gate mixes views uniformly and never moves the gate table
     params, config, _ = load_checkpoint(str(ablated / "checkpoints" / "ablation_mdap_dg.ckpt"))
@@ -381,6 +392,59 @@ def test_ablate_writes_nothing_when_a_later_variant_diverges(tmp_path, monkeypat
         assert not (out / name).exists(), name
 
 
+def check_grid(out, dropout, tau, k, lam) -> dict:
+    """Check grid.json and grid/ against the grids (comma lists) the search was given:
+    every run and run directory lies in their cross product, best is one of the
+    runs, each later stage re-runs the best so far, and grid.txt renders the runs.
+    Returns grid.json."""
+    grids = [[float(v) for v in dropout.split(",")], [float(v) for v in tau.split(",")],
+             [int(v) for v in k.split(",")], [float(v) for v in lam.split(",")]]
+    product = set(itertools.product(*grids))
+    summary = json.loads((out / "reports" / "grid.json").read_text())
+    runs = summary["runs"]
+    assert [r["run_id"] for r in runs] == list(range(len(runs)))
+    assert {(r["dropout"], r["tau"], r["k"], r["lambda"]) for r in runs} <= product
+    names = sorted(os.listdir(out / "grid"))
+    assert len(names) == len(runs)
+    for name in names:
+        run_id, d, t, kk, lm = re.fullmatch(r"run_(\d{3})_d(.+)_t(.+)_k(\d+)_l(.+)", name).groups()
+        assert (float(d), float(t), int(kk), float(lm)) in product, name
+        assert json.loads((out / "grid" / name / "result.json").read_text()) == runs[int(run_id)]
+    best_so_far = None
+    for stage in summary["stages"]:
+        if best_so_far is not None:
+            assert best_so_far in stage["runs"], stage["name"]
+        best_so_far = max(stage["runs"],
+                          key=lambda i: (runs[i]["val_ndcg_mean"], -runs[i]["run_id"]))
+    assert summary["best"] == runs[best_so_far]
+    header = " run  dropout    tau    k  lambda   seed  val_ndcg"
+    best = summary["best"]
+    lines = [header, "-" * len(header)]
+    lines += [f"{r['run_id']:>4} {r['dropout']:>8g} {r['tau']:>6g} {r['k']:>4} "
+              f"{r['lambda']:>7g} {r['seed']:>6} {r['val_ndcg_mean']:>9.4f}" for r in runs]
+    lines.append(f"best: run {best['run_id']} (dropout={best['dropout']:g}, "
+                 f"tau={best['tau']:g}, k={best['k']}, lambda={best['lambda']:g})")
+    assert (out / "reports" / "grid.txt").read_text() == "\n".join(lines) + "\n"
+    return summary
+
+
+# (dropout, tau, k, lambda) grids that leave out the default k = 8 and lambda = 0.5;
+# the staged count is the 2 x 2 dropout/tau sweep, one new k and one new lambda
+@pytest.mark.parametrize("grids, n_runs", [
+    (("0.5", "0.2", "2", "0.5"), 1),
+    (("0.3,0.5", "0.2,0.5", "2,4", "0.1,1.0"), 6),
+], ids=["one-point", "staged"])
+def test_grid_trains_only_the_grids_it_is_given(tmp_path, grids, n_runs):
+    out = prepared_dir(tmp_path)
+    flags = [f for name, values in zip(("dropout", "tau", "k", "lambda"), grids)
+             for f in (f"--{name}-grid", values)]
+    assert run("grid", "--out", out, "--epochs", 1, "--patience", 1, "--embed-dim", 8,
+               "--hidden", 16, "--quiet", *flags) == 0
+    assert len(check_grid(out, *grids)["runs"]) == n_runs
+    if n_runs == 1:
+        assert os.listdir(out / "grid") == ["run_000_d0.5_t0.2_k2_l0.5"]
+
+
 def test_grid_single_point_runs_once(tmp_path):
     out = prepared_dir(tmp_path)
     code = run("grid", "--out", out, "--epochs", 1, "--patience", 1,
@@ -388,7 +452,7 @@ def test_grid_single_point_runs_once(tmp_path):
                "--dropout-grid", "0.5", "--tau-grid", "0.2",
                "--k-grid", "8", "--lambda-grid", "0.5")
     assert code == 0
-    summary = json.loads((out / "reports" / "grid.json").read_text())
+    summary = check_grid(out, "0.5", "0.2", "8", "0.5")
     assert len(summary["runs"]) == 1
     assert summary["best"]["run_id"] == 0
     run_dirs = sorted(os.listdir(out / "grid"))
@@ -403,7 +467,7 @@ def test_grid_staged_dedupes_repeats(tmp_path):
                "--dropout-grid", "0.3,0.5", "--tau-grid", "0.2,0.5",
                "--k-grid", "2,8", "--lambda-grid", "0.1,0.5")
     assert code == 0
-    summary = json.loads((out / "reports" / "grid.json").read_text())
+    summary = check_grid(out, "0.3,0.5", "0.2,0.5", "2,8", "0.1,0.5")
     # 4 stage-1 runs, at most 1 new k (8 is the stage-1 base), at most
     # 1 new lambda (0.5 is the base); repeats come from the cache
     assert 4 <= len(summary["runs"]) <= 6
@@ -421,7 +485,7 @@ def test_grid_full_cross_product(tmp_path):
                "--dropout-grid", "0.3,0.5", "--tau-grid", "0.2",
                "--k-grid", "2", "--lambda-grid", "0.1,0.5")
     assert code == 0
-    summary = json.loads((out / "reports" / "grid.json").read_text())
+    summary = check_grid(out, "0.3,0.5", "0.2", "2", "0.1,0.5")
     assert len(summary["runs"]) == 4
     assert summary["stages"][0]["name"] == "full"
 
