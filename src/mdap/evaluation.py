@@ -20,13 +20,15 @@ from .numerics import CsrRows, buffer, check_int, reuse_buffers
 # score_matrix_metrics; it bounds evaluation's working set to O(256 x N)
 # beyond the score matrices, which decode writes each block's scores
 # into. Each function runs its blocks in one reuse_buffers() scope, so
-# the per-block arrays (the dense x, the encoder's (k, B, hidden) layer,
-# the negated ranking block, its group summary and masks) are faulted in
-# by the first block only: allocated afresh, each block on 2000 items
-# faulted in about 1,250 pages.
-# A user's scores are the same bits in any block of 2 or more rows. A
-# 1-row block, the tail when n_users mod 256 is 1, can differ in the
-# last bit: numpy multiplies a single row on its matrix-vector path.
+# the per-block arrays (the dense x of a block on the dense input path,
+# the encoder's (k, B, hidden) layer, the negated ranking block, its
+# group summary and masks) are faulted in by the first block only:
+# allocated afresh, each block on 2000 items faulted in about 1,250 pages.
+# A user's scores are the same bits in any block of 2 or more rows that
+# takes the same input path (numerics.per_row_products picks it per block
+# from the block's density). A 1-row block, the tail when n_users mod 256
+# is 1, can differ in the last bit: numpy multiplies a single row on its
+# matrix-vector path.
 EVAL_BATCH_USERS = 256
 
 

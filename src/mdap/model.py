@@ -3,13 +3,16 @@ gates, plus checkpoint serialization.
 
 A batch of users enters as concatenated interaction rows over both
 domains' items, in CSR form. The stored entries of each row are
-L2-normalized and corrupted once by dropout; that corrupted input,
-written once into a dense array, drives both the view-assignment
-logits and the per-view encoder inputs. Soft view assignments come from a
-Gumbel-Softmax over similarity logits between the user rows and a set
-of view anchors in item-embedding space. Each view's masked input
-diag(a_i)·x is encoded by a shared MLP, the per-domain gate mixes the
-view embeddings, and a shared decoder reconstructs each domain's items.
+L2-normalized and corrupted once by dropout; that corrupted input, an
+InputRows, drives both the view-assignment logits and the per-view
+encoder inputs. Its first-layer products run as dense BLAS GEMMs, or row
+by row over the kept entries when numerics.per_row_products finds that
+cheaper for the batch (sparse rows over thousands of items). Soft view
+assignments come from a Gumbel-Softmax over similarity logits between the
+user rows and a set of view anchors in item-embedding space. Each view's
+masked input diag(a_i)·x is encoded by a shared MLP, the per-domain gate
+mixes the view embeddings, and a shared decoder reconstructs each
+domain's items.
 The masked inputs are never built: view i's first encoder layer is
 a_i ⊙ (x @ enc_w1), so one product serves every view.
 
@@ -30,8 +33,8 @@ import numpy as np
 
 from .data import atomic_open
 from .errors import CheckpointError, ParameterError, ShapeError
-from .numerics import (CsrRows, Rng, buffer, check_int, matmul, row_l2_normalize,
-                       sample_dropout_mask, sample_gumbel, softmax_rows)
+from .numerics import (CsrRows, InputRows, Rng, buffer, check_int, matmul,
+                       row_l2_normalize, sample_dropout_mask, sample_gumbel, softmax_rows)
 
 ABLATIONS = ("full", "no_gumbel", "single_view", "no_gate")
 
@@ -244,7 +247,8 @@ class ForwardTrace:
     """
 
     training: bool
-    x: np.ndarray                      # normalized, dropout-corrupted input, dense
+    x: InputRows                       # normalized, dropout-corrupted input;
+                                       # x.array is the dense x on the dense path
     item_norm: np.ndarray
     core_norm: np.ndarray
     proj: np.ndarray                   # x @ item_norm
@@ -303,16 +307,15 @@ def forward(params: ModelParams, config: ModelConfig, batch: CsrRows,
             raise ParameterError("training-mode forward needs an Rng")
         mask = sample_dropout_mask(rng, b, n, config.keep_prob, entries)
         values = values * mask * (1.0 / config.keep_prob)
-    x = buffer("x", (b, n))
-    x.fill(0.0)
-    np.put(x, entries, values)
+    x = InputRows.build(batch, entries, values,
+                        params.item_emb.shape[1] + params.enc_w1.shape[1])
 
     item_norm, core_norm, core_norm_t = embedding_norms(params) if norms is None else norms
-    proj = matmul(x, item_norm, out=buffer("proj", (b, item_norm.shape[1])))
+    proj = x.matmul(item_norm, "proj")
     logits = matmul(proj, core_norm_t)
     assign = gumbel_softmax_assign(logits, config.tau, rng, training, config.ablation)
 
-    enc_proj = matmul(x, params.enc_w1, out=buffer("enc_proj", (b, params.enc_w1.shape[1])))
+    enc_proj = x.matmul(params.enc_w1, "enc_proj")
     enc_hidden, view_embs = encode_rows(params, enc_proj, assign)
     gate_s = gate_weights(params, "s", config.ablation)
     gate_t = gate_weights(params, "t", config.ablation)

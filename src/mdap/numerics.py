@@ -170,13 +170,128 @@ class CsrRows:
         return rows * self.n_cols + self.indices
 
     def take(self, rows: np.ndarray) -> "CsrRows":
-        """The listed rows, in the order given, as a new CsrRows."""
-        rows = np.asarray(rows, dtype=np.int64)
+        """The listed rows, in the order given, as a new CsrRows. Row
+        indices that are not integers, or that lie outside [0, n_rows),
+        raise ParameterError."""
+        rows = np.asarray(rows)
+        if rows.size and rows.dtype.kind not in "iu":
+            raise ParameterError(f"row indices must be integers, got dtype {rows.dtype}")
+        if rows.size and (rows.min() < 0 or rows.max() >= self.n_rows):
+            raise ParameterError(f"row indices must lie in [0, {self.n_rows}), got "
+                                 f"{rows.min()}..{rows.max()}")
+        rows = rows.astype(np.int64, copy=False)
         starts = self.indptr[rows]
         counts = self.indptr[rows + 1] - starts
         indptr = np.concatenate(([0], np.cumsum(counts)))
         pos = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], counts)
         return CsrRows(indptr, self.indices[pos], self.n_cols)
+
+
+# The cost of the per-row input products, in units of the dense path's
+# cost per row, column and output column: ROW_COST per row, ENTRY_COST per
+# kept entry and output column. Measured with OpenBLAS 0.3.31 at 2 threads
+# on a 2-CPU x86-64 host, over a training step's three products (forward's
+# two, backward's one) for 256 rows: the dense path (fill x, three GEMMs)
+# took 0.05-0.1 ns per row, column and output column at widths 96 and 320
+# over 2000-8000 columns; row by row, a row took ~13 us (forward ~5,
+# backward ~8) and an entry ~3.3 ns per output column (forward ~0.6,
+# backward ~2.7). Forward alone, as in evaluation, favours the per-row
+# path more than this.
+ROW_COST = 200_000
+ENTRY_COST = 50
+
+
+def per_row_products(rows: int, cols: int, kept: int, width: int) -> bool:
+    """Whether a batch of `rows` rows over `cols` columns with `kept` stored
+    entries is cheaper to multiply row by row than as a dense (rows, cols)
+    array, for products `width` columns wide in all (the model's hidden
+    plus embedding width).
+
+    The dense path costs rows * cols * width whatever the density; the
+    per-row products cost kept * width * ENTRY_COST plus ROW_COST per
+    row. So a batch of under ~2 % density over thousands of columns goes
+    row by row, and a narrow, small or denser one stays dense.
+    """
+    return kept * width * ENTRY_COST + rows * ROW_COST < rows * cols * width
+
+
+@dataclass(frozen=True)
+class InputRows:
+    """A batch's model input x: real values at the stored entries of each
+    row, with the products the first layer needs.
+
+    indptr, indices and values hold x's entries in CSR form, each row's
+    columns unique. array is the dense (n_rows, n_cols) x when the batch
+    is multiplied by BLAS GEMMs; the entries are then all of the batch's,
+    dropped ones as 0.0. array is None when per_row_products chose to
+    multiply the batch row by row; the entries are then only the kept
+    (nonzero) ones. The two paths round differently: each is
+    deterministic at a fixed BLAS thread count, and they agree to
+    float64 rounding.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    values: np.ndarray
+    n_cols: int
+    array: np.ndarray | None = None
+
+    @classmethod
+    def build(cls, batch: CsrRows, entries: np.ndarray, values: np.ndarray,
+              width: int) -> "InputRows":
+        """x with `values` at the stored entries of `batch` (whose flat
+        positions are `entries`), for products `width` columns wide in
+        all. A dense x is written into buffer("x")."""
+        if not per_row_products(batch.n_rows, batch.n_cols, np.count_nonzero(values), width):
+            array = buffer("x", (batch.n_rows, batch.n_cols))
+            array.fill(0.0)
+            np.put(array, entries, values)
+            return cls(batch.indptr, batch.indices, values, batch.n_cols, array)
+        kept = values != 0.0  # entries dropout removed are not multiplied
+        indptr = np.concatenate(([0], np.cumsum(kept)))[batch.indptr]
+        return cls(indptr, batch.indices[kept], values[kept], batch.n_cols)
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.indptr) - 1
+
+    def dense(self) -> np.ndarray:
+        """x as a dense (n_rows, n_cols) array: the GEMM operand itself on
+        the dense path, a fresh array on the per-row path."""
+        if self.array is not None:
+            return self.array
+        out = np.zeros((self.n_rows, self.n_cols))
+        out[np.repeat(np.arange(self.n_rows), np.diff(self.indptr)), self.indices] = self.values
+        return out
+
+    def matmul(self, w: np.ndarray, name: str) -> np.ndarray:
+        """x @ w, written into buffer(name)."""
+        if w.ndim != 2 or w.shape[0] != self.n_cols:
+            raise ShapeError(f"cannot multiply ({self.n_rows}, {self.n_cols}) rows by {w.shape}")
+        out = buffer(name, (self.n_rows, w.shape[1]))
+        if self.array is not None:
+            return matmul(self.array, w, out=out)
+        # take and dot cost ~2.5 us less a row than fancy indexing and
+        # matmul; a row with no entries is a zero-length dot, written as 0
+        bounds = self.indptr.tolist()
+        for row, start, stop in zip(out, bounds[:-1], bounds[1:]):
+            np.dot(self.values[start:stop], w.take(self.indices[start:stop], axis=0), out=row)
+        return out
+
+    def t_matmul(self, d: np.ndarray, name: str) -> np.ndarray:
+        """x^T @ d, written into buffer(name)."""
+        if d.ndim != 2 or d.shape[0] != self.n_rows:
+            raise ShapeError(f"cannot multiply ({self.n_rows}, {self.n_cols}) rows, "
+                             f"transposed, by {d.shape}")
+        out = buffer(name, (self.n_cols, d.shape[1]))
+        if self.array is not None:
+            return matmul(self.array.T, d, out=out)
+        out.fill(0.0)
+        bounds = self.indptr.tolist()
+        for row, start, stop in zip(d, bounds[:-1], bounds[1:]):
+            # a row's columns are unique, so the fancy += adds each entry once
+            out[self.indices[start:stop]] += self.values[start:stop, None] * row
+        return out
 
 
 def row_l2_normalize(m: np.ndarray) -> np.ndarray:

@@ -96,7 +96,7 @@ def backward(trace, residuals: tuple[np.ndarray, np.ndarray],
     """
     if not trace.training:
         raise ParameterError("backward needs a trace from forward(training=True)")
-    if trace.x.shape[1] != params.n_items_total:
+    if trace.x.n_cols != params.n_items_total:
         raise ShapeError("trace and params disagree on the item count")
     # Zeros only where a gradient accumulates or may stay unused.
     grads = {"dec_w1": np.zeros_like(params.dec_w1), "dec_b1": np.zeros_like(params.dec_b1),
@@ -153,10 +153,9 @@ def backward(trace, residuals: tuple[np.ndarray, np.ndarray],
     d_logits = softmax_rows_grad(trace.assign, d_assign, config.tau)
     d_proj = d_logits @ trace.core_norm
     # x is read once: x^T [d_enc | d_proj] gives the enc_w1 gradient and
-    # item_norm's in one GEMM. It is the only path for both; BLAS may round
-    # it unlike a lone x^T d_enc, as its kernel depends on the width.
-    x_grads = matmul(trace.x.T, np.concatenate((d_enc, d_proj), axis=1),
-                     out=buffer("x_grads", (params.n_items_total, h + d_proj.shape[1])))
+    # item_norm's in one product. It is the only path for both; BLAS may
+    # round it unlike a lone x^T d_enc, as its kernel depends on the width.
+    x_grads = trace.x.t_matmul(np.concatenate((d_enc, d_proj), axis=1), "x_grads")
     grads["enc_w1"] = x_grads[:, :h]
     grads["core_emb"] = row_l2_normalize_grad(params.core_emb, trace.core_norm,
                                               d_logits.T @ trace.proj)

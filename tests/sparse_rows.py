@@ -1,10 +1,10 @@
-"""Dense 0/1 rows or per-row column lists as CsrRows, and CsrRows back as
-dense rows, for tests that build or check model inputs or ranking inputs
-by hand."""
+"""Dense 0/1 rows or per-row column lists as CsrRows, CsrRows back as
+dense rows, and a dense model input as InputRows, for tests that build or
+check model inputs or ranking inputs by hand."""
 
 import numpy as np
 
-from mdap.numerics import CsrRows
+from mdap.numerics import CsrRows, InputRows
 
 
 def csr(dense: np.ndarray) -> CsrRows:
@@ -33,3 +33,11 @@ def dense(rows: CsrRows, values: np.ndarray | None = None) -> np.ndarray:
     out = np.zeros((rows.n_rows, rows.n_cols))
     np.put(out, rows.flat_index(), 1.0 if values is None else values)
     return out
+
+
+def dense_input(x: np.ndarray) -> InputRows:
+    """A dense (B, N) model input as InputRows on the dense path: x's
+    nonzero entries are its entries, and x itself the GEMM operand."""
+    rows, cols = np.nonzero(x)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=x.shape[0]))))
+    return InputRows(indptr, cols, x[rows, cols], x.shape[1], x)

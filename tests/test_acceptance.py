@@ -128,11 +128,11 @@ def test_criterion_3_decomposition_completeness():
         x = (rng.derive(batch, 1).uniform(6, n_s + n_t) < 0.4).astype(float)
         # view i's encoder input is diag(a_i)·x
         trace = forward(params, config, csr(x))
-        views = [trace.x * trace.assign[:, i:i + 1] for i in range(k)]
+        views = [trace.x.dense() * trace.assign[:, i:i + 1] for i in range(k)]
         worst = max(worst, float(np.abs(sum(views) - row_l2_normalize(x)).max()))
         trained = forward(params, config, csr(x), rng.derive(batch, 2), training=True)
-        views = [trained.x * trained.assign[:, i:i + 1] for i in range(k)]
-        worst = max(worst, float(np.abs(sum(views) - trained.x).max()))
+        views = [trained.x.dense() * trained.assign[:, i:i + 1] for i in range(k)]
+        worst = max(worst, float(np.abs(sum(views) - trained.x.dense()).max()))
     ok = worst < 1e-9
     report(3, "decomposition completeness", ok, f"max residual {worst:.2e}")
     assert worst < 1e-9

@@ -1,21 +1,28 @@
 import json
 import math
 import struct
+import sys
 import tracemalloc
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mdap import cli, numerics
+from mdap.data import InteractionDataset, sparse_batch
 from mdap.errors import CheckpointError, ParameterError, ShapeError
+from mdap.evaluation import evaluate
 from mdap.model import (ABLATIONS, CHECKPOINT_MAGIC, ForwardTrace, ModelConfig,
                         PARAM_FIELDS, combine_views, decode, embedding_norms, encode_rows,
                         forward, gate_weights, glorot_uniform, gumbel_softmax_assign,
                         init_params, load_checkpoint, save_checkpoint)
-from mdap.numerics import (CsrRows, Rng, row_l2_normalize, sample_dropout_mask,
-                           sample_gumbel, softmax_rows)
-from mdap.training import backward, residuals
-from sparse_rows import csr, dense
+from mdap.numerics import (CsrRows, Rng, buffer, per_row_products, reuse_buffers,
+                           row_l2_normalize, sample_dropout_mask, sample_gumbel, softmax_rows)
+from mdap.training import TrainConfig, backward, loss, residuals, train
+from sparse_rows import csr, csr_lists, dense, dense_input
+
+BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
 def binary_rows(seed, b, n=11):
@@ -182,7 +189,8 @@ def test_forward_training_reproducible_by_seed():
         a = forward(params, config, csr(x), rng_a, training=True)
         b = forward(params, config, csr(x), rng_b, training=True)
         c = forward(params, config, csr(x), Rng(10).derive(2), training=True)
-        for name in ("x", "assign", "recon_s", "recon_t"):
+        assert a.x.dense().tobytes() == b.x.dense().tobytes(), ablation
+        for name in ("assign", "recon_s", "recon_t"):
             got, expect = getattr(a, name), getattr(b, name)
             assert got.tobytes() == expect.tobytes(), (ablation, name)
         # both passes drew the same number of values
@@ -200,13 +208,13 @@ def test_forward_shared_corruption_feeds_both_paths():
     mask = sample_dropout_mask(rng, 5, 11, config.keep_prob, batch.flat_index())
     noise = sample_gumbel(rng, 5, config.k)
     masked = row_l2_normalize(x) * dense(batch, mask) * (1.0 / config.keep_prob)
-    assert trace.x.tobytes() == masked.tobytes()
+    assert trace.x.dense().tobytes() == masked.tobytes()
     # the dropped input the views decompose is the one the logits saw
-    assert trace.proj.tobytes() == (trace.x @ trace.item_norm).tobytes()
+    assert trace.proj.tobytes() == (trace.x.dense() @ trace.item_norm).tobytes()
     logits = trace.proj @ trace.core_norm.T
     assert trace.assign.tobytes() == softmax_rows(logits + noise, config.tau).tobytes()
-    views = [trace.x * trace.assign[:, i:i + 1] for i in range(config.k)]
-    assert np.max(np.abs(sum(views) - trace.x)) < 1e-9
+    views = [trace.x.dense() * trace.assign[:, i:i + 1] for i in range(config.k)]
+    assert np.max(np.abs(sum(views) - trace.x.dense())) < 1e-9
 
 
 def test_forward_without_dropout_keeps_input():
@@ -216,7 +224,7 @@ def test_forward_without_dropout_keeps_input():
     for cfg, training in ((config, False), (no_drop, True)):
         rng = Rng(9)
         trace = forward(params, cfg, csr(x), rng, training=training)
-        assert np.array_equal(trace.x, row_l2_normalize(x))
+        assert np.array_equal(trace.x.dense(), row_l2_normalize(x))
         # no dropout mask drawn: only a training pass's Gumbel noise was
         replay = Rng(9)
         if training:
@@ -239,7 +247,7 @@ def test_forward_matches_per_view_reference(ablation, training):
         worst = 0.0
         embs = []
         for i in range(trace.assign.shape[1]):
-            view = trace.x * trace.assign[:, i:i + 1]
+            view = trace.x.dense() * trace.assign[:, i:i + 1]
             hidden = np.tanh(view @ params.enc_w1 + params.enc_b1)
             embs.append(hidden @ params.enc_w2 + params.enc_b2)
             worst = max(worst, np.abs(trace.enc_hidden[i] - hidden).max(),
@@ -278,7 +286,7 @@ def dense_reference_forward(params, config, raw, rng, training):
     dec_hidden_s, recon_s = decode(params, z_s, "s")
     dec_hidden_t, recon_t = decode(params, z_t, "t")
     return ForwardTrace(
-        training=training, x=x, item_norm=item_norm, core_norm=core_norm, proj=proj,
+        training=training, x=dense_input(x), item_norm=item_norm, core_norm=core_norm, proj=proj,
         assign=assign, enc_proj=enc_proj, enc_hidden=enc_hidden, view_embs=view_embs,
         gate_s=gate_s, gate_t=gate_t, z_s=z_s, z_t=z_t, dec_hidden_s=dec_hidden_s,
         dec_hidden_t=dec_hidden_t, recon_s=recon_s, recon_t=recon_t)
@@ -313,7 +321,7 @@ def test_sparse_input_stage_equals_dense_reference(ablation, training, keep_prob
         raw = random_raw_rows(gen, int(gen.integers(2, 12)), n_s + n_t)
         trace = forward(params, config, csr(raw), Rng(trial), training=training)
         ref = dense_reference_forward(params, config, raw, Rng(trial), training)
-        assert np.array_equal(trace.x, ref.x)
+        assert np.array_equal(trace.x.dense(), ref.x.dense())
         assert np.array_equal(trace.recon_s, ref.recon_s)
         assert np.array_equal(trace.recon_t, ref.recon_t)
         if training:
@@ -322,6 +330,227 @@ def test_sparse_input_stage_equals_dense_reference(ablation, training, keep_prob
             expect = backward(ref, residuals(ref, targets), params, config)
             for name in PARAM_FIELDS:
                 assert np.array_equal(grads[name], expect[name]), (trial, name)
+
+
+# Per-row input products. A batch of short rows over thousands of columns
+# is multiplied row by row instead of through a dense x; the dense path
+# and its bits stay as they were for every other batch.
+
+# Reconstructions and gradients on the per-row path against the dense
+# reference, in units of float64 epsilon times each array's largest
+# magnitude. Only the first layer's sums change order, and each has at most
+# 6 nonzero terms, so it rounds differently by a few eps; the layers after
+# it are the same operations on both paths. Measured over 12 seeds, every
+# ablation and both modes, at 1 and 2 BLAS threads: at most 13 eps, so 2**6
+# bounds it. The item_emb and core_emb gradients pass through the tempered
+# softmax Jacobian s * (g - <g, s>) / tau, a difference of near-equal terms
+# (under no_gate's uniform mixing the views' g nearly agree), which scales
+# the same few-eps difference in g up against a small result: at most
+# 4.6e3 eps seen, so 2**14 bounds those two.
+PER_ROW_TOLERANCE = 2.0 ** 6 * np.finfo(float).eps
+ASSIGNMENT_TOLERANCE = 2.0 ** 14 * np.finfo(float).eps
+
+
+def per_row_case(seed, keep_prob=0.5, ablation="full", b=16):
+    """(config, params, batch): b rows of 1-6 entries over 6000 columns and
+    a model 40 columns wide (embed 8 + hidden 32), which the rule sends to
+    the per-row path."""
+    gen = np.random.default_rng(seed)
+    n_s, n_t = 3500, 2500
+    lists = [np.sort(gen.choice(n_s + n_t, int(gen.integers(1, 7)), replace=False))
+             for _ in range(b)]
+    config = ModelConfig(k=3, embed_dim=8, hidden=32, keep_prob=keep_prob, ablation=ablation)
+    params = init_params(config, n_s, n_t, Rng(seed))
+    params.gate[:] = Rng(seed + 50).uniform(2, config.k)
+    return config, params, csr_lists(lists, n_s + n_t)
+
+
+def record_path_choices(monkeypatch) -> list[bool]:
+    """The list that every later per_row_products decision is appended to."""
+    choices = []
+    rule = numerics.per_row_products
+    monkeypatch.setattr(numerics, "per_row_products",
+                        lambda *args: choices.append(rule(*args)) or choices[-1])
+    return choices
+
+
+def assert_close(got, expect, tolerance, name):
+    scale = np.abs(expect).max()
+    assert np.abs(got - expect).max() <= tolerance * scale, name
+
+
+@pytest.mark.parametrize("training", [False, True])
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_per_row_path_matches_dense_reference(ablation, training):
+    config, params, batch = per_row_case(ABLATIONS.index(ablation), ablation=ablation)
+    trace = forward(params, config, batch, Rng(7), training=training)
+    ref = dense_reference_forward(params, config, dense(batch), Rng(7), training)
+    assert trace.x.array is None  # the per-row path was taken
+    # the kept entries are exactly the dense reference's
+    assert np.array_equal(trace.x.dense(), ref.x.dense())
+    kept = ref.x.dense() != 0.0
+    assert np.array_equal(trace.x.values, ref.x.dense()[kept])
+    for name in ("proj", "enc_proj", "recon_s", "recon_t"):
+        assert_close(getattr(trace, name), getattr(ref, name), PER_ROW_TOLERANCE, name)
+    if training:
+        grads = backward(trace, residuals(trace, batch), params, config)
+        expect = backward(ref, residuals(ref, batch), params, config)
+        for name in PARAM_FIELDS:
+            tolerance = (ASSIGNMENT_TOLERANCE if name in ("item_emb", "core_emb")
+                         else PER_ROW_TOLERANCE)
+            assert_close(grads[name], expect[name], tolerance, name)
+
+
+def test_per_row_path_gradients_match_finite_differences():
+    # Criterion 1 on the per-row path: every small array in full, and for
+    # the (N, width) arrays the rows of two kept columns, one column no row
+    # holds, and a sample of dec_w2 and dec_b2.
+    config, params, batch = per_row_case(3, ablation="full")
+    trace = forward(params, config, batch, Rng(4), training=True)
+    assert trace.x.array is None
+    grads = backward(trace, residuals(trace, batch), params, config)
+    gen = np.random.default_rng(0)
+    kept = np.unique(trace.x.indices)
+    unused = np.setdiff1d(np.arange(params.n_items_total), batch.indices)[0]
+    probes = {
+        "item_emb": [(c, j) for c in (kept[0], kept[-1], unused) for j in range(8)],
+        "enc_w1": [(c, j) for c in (kept[0], kept[-1], unused) for j in range(0, 32, 3)],
+        "dec_w2": [(int(gen.integers(32)), int(gen.integers(6000))) for _ in range(12)],
+        "dec_b2": [(int(gen.integers(6000)),) for _ in range(6)],
+        "dec_w1": [(int(gen.integers(8)), int(gen.integers(32))) for _ in range(12)],
+        "enc_w2": [(int(gen.integers(32)), int(gen.integers(8))) for _ in range(12)],
+    }
+    h = 1e-5
+    worst = 0.0
+    for field in PARAM_FIELDS:
+        arr = getattr(params, field)
+        for idx in probes.get(field, list(np.ndindex(arr.shape))):
+            keep = arr[idx]
+            losses = []
+            for value in (keep + h, keep - h):
+                arr[idx] = value
+                # the same derived stream draws the same mask and noise again
+                replay = forward(params, config, batch, Rng(4), training=True)
+                losses.append(loss(replay, residuals(replay, batch), config.lam)[0])
+            arr[idx] = keep
+            numeric = (losses[0] - losses[1]) / (2 * h)
+            analytic = grads[field][idx]
+            worst = max(worst, abs(numeric - analytic) / max(abs(numeric) + abs(analytic), 1e-8))
+    assert worst < 1e-4
+
+
+def test_per_row_path_row_with_every_entry_dropped():
+    config, params, batch = per_row_case(5, keep_prob=0.2)
+    trace = forward(params, config, batch, Rng(8), training=True)
+    x = trace.x
+    assert x.array is None
+    empty = np.flatnonzero(np.diff(x.indptr) == 0)
+    assert len(empty) and np.all(np.diff(batch.indptr)[empty] > 0)  # stored, all dropped
+    assert np.all(trace.proj[empty] == 0.0) and np.all(trace.enc_proj[empty] == 0.0)
+    # such a row adds nothing to x^T D: D's values there change no bit
+    d = Rng(9).uniform(batch.n_rows, 5)
+    plain = x.t_matmul(d, "probe").copy()
+    d[empty] = 1e300
+    assert np.array_equal(x.t_matmul(d, "probe"), plain)
+
+
+def sparse_rows_with_empty(batch):
+    """batch with an empty row put in front of its rows."""
+    return CsrRows(np.concatenate(([0], batch.indptr)), batch.indices, batch.n_cols)
+
+
+def test_per_row_path_writes_every_row_of_its_buffers():
+    # Inside a scope, buffer() hands back whatever the last holder left:
+    # fill each product's array with NaN first; a row left unwritten shows,
+    # the empty one in front included.
+    config, params, batch = per_row_case(6, keep_prob=0.2)
+    rows = sparse_rows_with_empty(batch)
+    trace = forward(params, config, rows, Rng(3), training=True)
+    expect = backward(trace, residuals(trace, rows), params, config)
+    with reuse_buffers():
+        for name, shape in (("proj", trace.proj.shape), ("enc_proj", trace.enc_proj.shape),
+                            ("x_grads", (rows.n_cols, 40))):
+            buffer(name, shape).fill(np.nan)
+        again = forward(params, config, rows, Rng(3), training=True)
+        assert again.x.array is None
+        assert np.array_equal(again.proj, trace.proj)
+        assert np.array_equal(again.enc_proj, trace.enc_proj)
+        grads = backward(again, residuals(again, rows), params, config)
+        for name in PARAM_FIELDS:
+            assert np.array_equal(grads[name], expect[name]), name
+
+
+def test_per_row_path_training_is_deterministic(monkeypatch):
+    # 48 users with 2-6 training items over 6000 items in all
+    gen = np.random.default_rng(6)
+    pairs = {}
+    for domain, n_items in (("s", 3500), ("t", 2500)):
+        owned = [gen.choice(n_items, int(gen.integers(4, 9)), replace=False) for _ in range(48)]
+        for split, part in (("train", slice(2, None)), ("valid", slice(0, 1)),
+                            ("test", slice(1, 2))):
+            pairs[(domain, split)] = np.array([(u, i) for u, items in enumerate(owned)
+                                               for i in items[part]])
+    dataset = InteractionDataset([f"u{u:02d}" for u in range(48)],
+                                 [f"s{i:04d}" for i in range(3500)],
+                                 [f"t{i:04d}" for i in range(2500)], pairs)
+    config = TrainConfig(model=ModelConfig(k=3, embed_dim=8, hidden=32), epochs_max=2,
+                         patience=2, batch_users=16, seed=5)
+    choices = record_path_choices(monkeypatch)
+
+    def run():
+        params, log = train(dataset, config)
+        report = evaluate(params, config.model, dataset, "test", k=5).to_dict()
+        return params, log.to_jsonl(), report
+
+    first, second = run(), run()
+    assert choices and all(choices)  # every training and evaluation batch went row by row
+    assert first[1] == second[1] and first[2] == second[2]
+    for name in PARAM_FIELDS:
+        assert getattr(first[0], name).tobytes() == getattr(second[0], name).tobytes(), name
+
+
+def test_per_row_rule_keeps_small_batches_dense(fixture_dataset):
+    # Fewer kept entries only favour the per-row path, so a shape that stays
+    # dense with none kept stays dense with any. The exact-equality test's
+    # shapes: n <= 240 columns, b <= 12 rows, embed 5 + hidden 7.
+    for n in range(6, 241):
+        for b in range(1, 13):
+            assert not per_row_products(b, n, 0, 5 + 7), (b, n)
+    # fixture7 with the default model, every user in one batch
+    batch = sparse_batch(fixture_dataset, np.arange(fixture_dataset.n_users))
+    width = ModelConfig().embed_dim + ModelConfig().hidden
+    assert not per_row_products(batch.n_rows, batch.n_cols, 0, width)
+    # the per-row batch of the tests above
+    _, _, batch = per_row_case(0)
+    assert per_row_products(batch.n_rows, batch.n_cols, len(batch.indices), 40)
+
+
+@pytest.mark.parametrize("workload, per_row", [("train-dense", False), ("eval-sparse", True)])
+def test_per_row_rule_on_benchmark_batches(workload, per_row, tmp_path, monkeypatch):
+    # The benchmark's two workloads sit on either side of the rule: every
+    # training step and evaluation block of one epoch takes one path.
+    sys.path.insert(0, str(BENCH_DIR))
+    try:
+        from inputs import write_inputs
+        from run import WORKLOADS
+    finally:
+        sys.path.remove(str(BENCH_DIR))
+    spec = WORKLOADS[workload]
+    paths = write_inputs(spec["data"], 1, workload, str(tmp_path))["paths"]
+    assert cli.main(["prepare", "--domain-s", paths["s"], "--domain-t", paths["t"],
+                     "--out", str(tmp_path), "--seed", "1"]) == 0
+    dataset = cli.load_prepared(str(tmp_path))
+    options = spec["options"]
+    model = ModelConfig(k=options["k"], embed_dim=options["embed_dim"],
+                        hidden=options["hidden"])
+    config = TrainConfig(model=model, epochs_max=1, patience=1,
+                         batch_users=options["batch_users"], seed=1)
+    choices = record_path_choices(monkeypatch)
+    params, _ = train(dataset, config)
+    n_steps = len(choices)
+    evaluate(params, model, dataset, "test")
+    assert n_steps and len(choices) > n_steps
+    assert set(choices) == {per_row}
 
 
 def test_forward_rejects_wrong_width():
@@ -397,8 +626,10 @@ def test_forward_with_passed_norms_and_output_rows_matches_plain_forward(b):
     rows = slice(3, 3 + b)
     trace = forward(params, config, batch, norms=embedding_norms(params),
                     out={d: m[rows] for d, m in scores.items()})
+    assert np.array_equal(trace.x.dense(), plain.x.dense())
     for f in fields(ForwardTrace):
-        assert np.array_equal(getattr(trace, f.name), getattr(plain, f.name)), f.name
+        if f.name != "x":
+            assert np.array_equal(getattr(trace, f.name), getattr(plain, f.name)), f.name
     for d in ("s", "t"):
         assert getattr(trace, "recon_" + d).ctypes.data == scores[d][rows].ctypes.data
         assert np.isnan(np.delete(scores[d], np.arange(3, 3 + b), axis=0)).all()
@@ -416,7 +647,7 @@ def test_forward_trace_shapes():
     config, params = toy_params(k=3, embed=8, hidden=16, n_s=6, n_t=5)
     x = binary_rows(1, 4)
     trace = forward(params, config, csr(x), Rng(2), training=True)
-    assert trace.x.shape == (4, 11)
+    assert trace.x.dense().shape == (4, 11)
     assert trace.proj.shape == (4, 8)
     assert trace.assign.shape == (4, 3)
     assert len(trace.view_embs) == 3 and trace.view_embs[0].shape == (4, 8)

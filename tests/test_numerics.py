@@ -29,6 +29,20 @@ def test_csr_take_equals_dense_rows():
             assert taken.indptr.dtype == np.int64 and taken.indices.dtype == np.int64
 
 
+@pytest.mark.parametrize("rows, message", [
+    ([5], r"\[0, 5\)"),
+    ([0, -1], r"\[0, 5\)"),
+    ([1.5], "integers"),
+    (np.array([1.0, 2.0]), "integers"),
+], ids=["row-n_rows", "negative-row", "fractional-row", "integral-float-rows"])
+def test_csr_take_rejects_bad_rows(rows, message):
+    # Each used to fail with a stray IndexError or ValueError, or (a float
+    # row) to be truncated to another row without a word.
+    batch = CsrRows(np.array([0, 1, 1, 2, 2, 3]), np.array([0, 1, 2]), 4)
+    with pytest.raises(ParameterError, match=message):
+        batch.take(rows)
+
+
 @pytest.mark.parametrize("indptr, indices, message", [
     ([0, 1, 1], [5], r"\[0, 5\)"),
     ([0, 1, 1], [-1], r"\[0, 5\)"),

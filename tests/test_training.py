@@ -186,7 +186,7 @@ def oracle_backward(trace, targets_s, targets_t, params, config):
     d_pre = d_emb @ params.enc_w2.T
     d_pre *= 1.0 - hidden ** 2
     d_pre = d_pre.reshape(k, b, h)
-    grads["enc_w1"] = trace.x.T @ np.einsum("bk,kbh->bh", trace.assign, d_pre)
+    grads["enc_w1"] = trace.x.dense().T @ np.einsum("bk,kbh->bh", trace.assign, d_pre)
     grads["enc_b1"] = d_pre.sum(axis=(0, 1))
     if config.ablation != "single_view":
         d_assign = np.einsum("kbh,bh->bk", d_pre, trace.enc_proj)
@@ -195,7 +195,7 @@ def oracle_backward(trace, targets_s, targets_t, params, config):
         grads["core_emb"] = row_l2_normalize_grad(params.core_emb, trace.core_norm,
                                                   d_logits.T @ trace.proj)
         grads["item_emb"] = row_l2_normalize_grad(params.item_emb, trace.item_norm,
-                                                  trace.x.T @ d_proj)
+                                                  trace.x.dense().T @ d_proj)
     return grads
 
 
@@ -328,7 +328,7 @@ def test_buffer_reuse_leaves_training_and_evaluation_unchanged(monkeypatch):
 
     def spy_forward(*args, **kwargs):
         trace = real_forward(*args, **kwargs)
-        step_x.append(trace.x)
+        step_x.append(trace.x.dense())
         return trace
 
     def run():
