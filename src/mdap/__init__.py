@@ -8,7 +8,7 @@ the two domains' gate vectors from collapsing onto the same views.
 """
 
 from .data import (InteractionDataset, SyntheticSpec,
-                   build_dataset, generate_synthetic, k_core_filter, load_domain,
+                   build_dataset, k_core_filter, load_domain,
                    sparse_batch, split_counts, synthetic_records, view_blocks)
 from .errors import (CheckpointError, DataError, MdapError, ParameterError,
                      ParseError, ShapeError, TrainingDivergedError)
@@ -26,7 +26,7 @@ __all__ = [
     "ModelConfig", "ModelParams", "ParameterError", "ParseError", "Rng",
     "ShapeError", "SyntheticSpec", "TrainConfig", "TrainLog",
     "TrainingDivergedError", "backward", "build_dataset", "evaluate",
-    "forward", "generate_synthetic", "init_params", "k_core_filter",
+    "forward", "init_params", "k_core_filter",
     "load_checkpoint", "load_domain", "loss", "ndcg_at_k", "recall_at_k",
     "residuals", "save_checkpoint", "sparse_batch", "split_counts",
     "synthetic_records", "top_k", "train", "view_blocks",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, MdapError, ParameterError, ParseError
-from .numerics import CsrRows, Rng
+from .numerics import CsrRows, Rng, check_int, check_real
 
 log = logging.getLogger(__name__)
 
@@ -364,15 +364,8 @@ def sparse_batch(dataset: InteractionDataset, user_indices: np.ndarray) -> CsrRo
     """Concatenated training rows [domain s | domain t] for a batch of
     users, in CSR form taken from each domain's training rows. Each row's
     columns ascend. User indices that are not integers, or that lie
-    outside [0, n_users), raise ParameterError."""
-    users = np.asarray(user_indices)
-    if users.dtype.kind not in "iu":
-        raise ParameterError(f"user indices must be integers, got dtype {users.dtype}")
-    if users.size and (users.min() < 0 or users.max() >= dataset.n_users):
-        raise ParameterError(
-            f"user indices must lie in [0, {dataset.n_users}), got "
-            f"{users.min()}..{users.max()}")
-    s, t = (dataset.rows(domain, "train").take(users) for domain in DOMAINS)
+    outside [0, n_users), raise ParameterError (from CsrRows.take)."""
+    s, t = (dataset.rows(domain, "train").take(user_indices) for domain in DOMAINS)
     indptr = s.indptr + t.indptr
     indices = np.empty(indptr[-1], dtype=np.int64)
     # row r's s entries follow the t entries of rows before it; its t
@@ -395,18 +388,15 @@ class SyntheticSpec:
     noise: float = 0.05
 
     def __post_init__(self):
-        if self.n_users < 1:
-            raise ParameterError(f"n_users must be >= 1, got {self.n_users}")
-        if not 0.0 <= self.overlap <= 1.0:
-            raise ParameterError(f"overlap must be in [0, 1], got {self.overlap}")
-        if not 0.0 <= self.noise <= 1.0:
-            raise ParameterError(f"noise must be in [0, 1], got {self.noise}")
+        for name in ("n_users", "n_items_s", "n_items_t", "k_true"):
+            object.__setattr__(self, name, check_int(name, getattr(self, name)))
+        for name in ("overlap", "noise"):
+            if not 0.0 <= check_real(name, getattr(self, name)) <= 1.0:
+                raise ParameterError(f"{name} must be in [0, 1], got {getattr(self, name)}")
         for name, n_items in (("n_items_s", self.n_items_s), ("n_items_t", self.n_items_t)):
             if n_items < self.k_true:
                 raise ParameterError(
                     f"{name}={n_items} leaves an empty block for k_true={self.k_true}")
-        if self.k_true < 1:
-            raise ParameterError(f"k_true must be >= 1, got {self.k_true}")
 
 
 def view_blocks(n_items: int, k_true: int) -> list[np.ndarray]:
@@ -456,20 +446,6 @@ def synthetic_records(spec: SyntheticSpec, rng: Rng) -> tuple[
             ids[domain].append(np.stack([np.full(len(chosen), uid), chosen], axis=1))
     domain_s, domain_t = (np.concatenate(ids[d]) for d in DOMAINS)
     return (domain_s, np.ones(len(domain_s))), (domain_t, np.ones(len(domain_t))), planted
-
-
-def generate_synthetic(spec: SyntheticSpec, rng: Rng) -> tuple[InteractionDataset, dict[str, int]]:
-    """Synthetic dataset plus the planted view assignment per user id.
-
-    Interaction generation and split assignment use derived sub-streams of
-    rng, so the result is a pure function of the seed and the spec.
-    generate_synthetic(spec, Rng(s)) draws the same records as `synth --seed s`
-    but splits them with Rng(s).derive(1), so its splits differ from those of
-    `prepare --seed s`.
-    """
-    domain_s, domain_t, planted = synthetic_records(spec, rng.derive(0))
-    dataset = build_dataset(domain_s, domain_t, rng.derive(1))
-    return dataset, planted
 
 
 def write_domain_file(path: str, domain: Interactions):

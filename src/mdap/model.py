@@ -33,7 +33,7 @@ import numpy as np
 
 from .data import atomic_open
 from .errors import CheckpointError, ParameterError, ShapeError
-from .numerics import (CsrRows, InputRows, Rng, buffer, check_int, matmul,
+from .numerics import (CsrRows, InputRows, Rng, buffer, check_int, check_real, matmul,
                        row_l2_normalize, sample_dropout_mask, sample_gumbel, softmax_rows)
 
 ABLATIONS = ("full", "no_gumbel", "single_view", "no_gate")
@@ -74,11 +74,11 @@ class ModelConfig:
             object.__setattr__(self, name, check_int(name, getattr(self, name)))
         if self.ablation == "single_view":
             object.__setattr__(self, "k", 1)
-        if not 0.0 < self.tau < math.inf:
+        if not 0.0 < check_real("tau", self.tau) < math.inf:
             raise ParameterError(f"tau must be positive and finite, got {self.tau}")
-        if not 0.0 < self.keep_prob <= 1.0:
+        if not 0.0 < check_real("keep_prob", self.keep_prob) <= 1.0:
             raise ParameterError(f"keep_prob must be in (0, 1], got {self.keep_prob}")
-        if not 0.0 <= self.lam < math.inf:
+        if not 0.0 <= check_real("lam", self.lam) < math.inf:
             raise ParameterError(f"lam must be finite and >= 0, got {self.lam}")
 
 

@@ -88,9 +88,7 @@ class Rng:
     """
 
     def __init__(self, seed: int, key: tuple[int, ...] = ()):
-        if seed < 0:
-            raise ParameterError(f"seed must be non-negative, got {seed}")
-        self.seed = int(seed)
+        self.seed = check_int("seed", seed, low=0)
         self.key = tuple(int(k) for k in key)
         ss = np.random.SeedSequence(self.seed, spawn_key=self.key)
         self._gen = np.random.Generator(np.random.PCG64(ss))
@@ -125,6 +123,14 @@ def check_int(name: str, value, low: int = 1) -> int:
     if value < low:
         raise ParameterError(f"{name} must be >= {low}, got {value}")
     return int(value)
+
+
+def check_real(name: str, value):
+    """value itself, if it is a Python or numpy real number (bool is not);
+    ParameterError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ParameterError(f"{name} must be a real number, got {value!r}")
+    return value
 
 
 def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -254,15 +260,6 @@ class InputRows:
     @property
     def n_rows(self) -> int:
         return len(self.indptr) - 1
-
-    def dense(self) -> np.ndarray:
-        """x as a dense (n_rows, n_cols) array: the GEMM operand itself on
-        the dense path, a fresh array on the per-row path."""
-        if self.array is not None:
-            return self.array
-        out = np.zeros((self.n_rows, self.n_cols))
-        out[np.repeat(np.arange(self.n_rows), np.diff(self.indptr)), self.indices] = self.values
-        return out
 
     def matmul(self, w: np.ndarray, name: str) -> np.ndarray:
         """x @ w, written into buffer(name)."""

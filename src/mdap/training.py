@@ -19,8 +19,8 @@ from .data import InteractionDataset, atomic_open, sparse_batch
 from .errors import ParameterError, ShapeError, TrainingDivergedError
 from .evaluation import evaluate
 from .model import PARAM_FIELDS, ModelConfig, ModelParams, forward, init_params
-from .numerics import (SCRATCH, CsrRows, Rng, adam_step, buffer, check_int, matmul,
-                       reuse_buffers, row_l2_normalize_grad, softmax_rows_grad)
+from .numerics import (SCRATCH, CsrRows, Rng, adam_step, buffer, check_int, check_real,
+                       matmul, reuse_buffers, row_l2_normalize_grad, softmax_rows_grad)
 
 # Exact key order of one serialized training-log record.
 LOG_KEYS = ("epoch", "loss_total", "loss_rec_s", "loss_rec_t", "loss_orth",
@@ -197,7 +197,7 @@ class TrainConfig:
         for name in ("epochs_max", "patience", "batch_users", "eval_k", "seed"):
             object.__setattr__(self, name,
                                check_int(name, getattr(self, name), 0 if name == "seed" else 1))
-        if not 0.0 < self.lr < math.inf:
+        if not 0.0 < check_real("lr", self.lr) < math.inf:
             raise ParameterError(f"lr must be positive and finite, got {self.lr}")
 
 
@@ -219,19 +219,6 @@ class TrainLog:
     def write(self, path: str):
         with atomic_open(path) as fh:
             fh.write(self.to_jsonl())
-
-
-def default_validator(dataset: InteractionDataset, config: TrainConfig):
-    """Validation-split metric callback used by train()."""
-    def run(params: ModelParams, epoch: int) -> dict[str, float]:
-        report = evaluate(params, config.model, dataset, "valid", k=config.eval_k)
-        return {
-            "recall_s": report.domains["s"]["recall"],
-            "recall_t": report.domains["t"]["recall"],
-            "ndcg_s": report.domains["s"]["ndcg"],
-            "ndcg_t": report.domains["t"]["ndcg"],
-        }
-    return run
 
 
 def train(dataset: InteractionDataset, config: TrainConfig, eval_fn=None,
@@ -256,7 +243,10 @@ def train(dataset: InteractionDataset, config: TrainConfig, eval_fn=None,
     params = init_params(config.model, dataset.n_items("s"), dataset.n_items("t"), init_rng)
     opt = AdamOptimizer(params, lr=config.lr)
     if eval_fn is None:
-        eval_fn = default_validator(dataset, config)
+        def eval_fn(params: ModelParams, epoch: int) -> dict[str, float]:
+            domains = evaluate(params, config.model, dataset, "valid", k=config.eval_k).domains
+            return {f"{metric}_{d}": domains[d][metric]
+                    for metric in ("recall", "ndcg") for d in ("s", "t")}
 
     log = TrainLog()
     best_score = -np.inf

@@ -1,6 +1,6 @@
 """Dense 0/1 rows or per-row column lists as CsrRows, CsrRows back as
-dense rows, and a dense model input as InputRows, for tests that build or
-check model inputs or ranking inputs by hand."""
+dense rows, and a dense model input as InputRows and back, for tests that
+build or check model inputs or ranking inputs by hand."""
 
 import numpy as np
 
@@ -41,3 +41,11 @@ def dense_input(x: np.ndarray) -> InputRows:
     rows, cols = np.nonzero(x)
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=x.shape[0]))))
     return InputRows(indptr, cols, x[rows, cols], x.shape[1], x)
+
+
+def dense_x(x: InputRows) -> np.ndarray:
+    """x as a dense (n_rows, n_cols) array: the GEMM operand itself on the
+    dense path, a fresh array on the per-row path."""
+    if x.array is not None:
+        return x.array
+    return dense(CsrRows(x.indptr, x.indices, x.n_cols), x.values)

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mdap.data import SyntheticSpec, generate_synthetic
+from mdap.data import SyntheticSpec
 from mdap.evaluation import (evaluate, ndcg_at_k, recall_at_k,
                              score_matrix_metrics, top_k)
 from mdap.model import (ModelConfig, PARAM_FIELDS, forward, gate_weights,
@@ -19,7 +19,8 @@ from mdap.model import (ModelConfig, PARAM_FIELDS, forward, gate_weights,
                         save_checkpoint)
 from mdap.numerics import Rng, row_l2_normalize, softmax_rows
 from mdap.training import TrainConfig, backward, loss, residuals, train
-from sparse_rows import csr, dense
+from oracles import synthetic_dataset
+from sparse_rows import csr, dense, dense_x
 
 CUTOFF = 20
 
@@ -28,7 +29,7 @@ CUTOFF = 20
 def fixture7():
     spec = SyntheticSpec(n_users=200, n_items_s=40, n_items_t=30,
                          k_true=4, overlap=0.5, noise=0.05)
-    dataset, _ = generate_synthetic(spec, Rng(7))
+    dataset, _ = synthetic_dataset(spec, Rng(7))
     return dataset
 
 
@@ -128,11 +129,11 @@ def test_criterion_3_decomposition_completeness():
         x = (rng.derive(batch, 1).uniform(6, n_s + n_t) < 0.4).astype(float)
         # view i's encoder input is diag(a_i)·x
         trace = forward(params, config, csr(x))
-        views = [trace.x.dense() * trace.assign[:, i:i + 1] for i in range(k)]
+        views = [dense_x(trace.x) * trace.assign[:, i:i + 1] for i in range(k)]
         worst = max(worst, float(np.abs(sum(views) - row_l2_normalize(x)).max()))
         trained = forward(params, config, csr(x), rng.derive(batch, 2), training=True)
-        views = [trained.x.dense() * trained.assign[:, i:i + 1] for i in range(k)]
-        worst = max(worst, float(np.abs(sum(views) - trained.x.dense()).max()))
+        views = [dense_x(trained.x) * trained.assign[:, i:i + 1] for i in range(k)]
+        worst = max(worst, float(np.abs(sum(views) - dense_x(trained.x)).max()))
     ok = worst < 1e-9
     report(3, "decomposition completeness", ok, f"max residual {worst:.2e}")
     assert worst < 1e-9

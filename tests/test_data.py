@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from mdap.data import (DEFAULT_RATIOS, SPLITS, InteractionDataset, SyntheticSpec,
-                       build_dataset, generate_synthetic, index_pairs, k_core_filter,
+                       build_dataset, index_pairs, k_core_filter,
                        load_domain, read_text, sparse_batch, split_counts, synthetic_records, view_blocks,
                        write_domain_file)
 from mdap.errors import DataError, ParameterError, ParseError
 from mdap.numerics import Rng
+from oracles import synthetic_dataset
 from sparse_rows import dense
 
 
@@ -580,12 +581,57 @@ def test_sparse_batch_rejects_bad_users(users, message):
         sparse_batch(ds, np.array(users))
 
 
+def test_sparse_batch_of_no_users_is_empty():
+    records_s, records_t = two_domain_records()
+    ds = build_dataset(records_s, records_t, Rng(1))
+    # np.asarray([]) is float64: an empty list is still no users, as in CsrRows.take
+    for users in ([], np.array([], dtype=np.int64)):
+        batch = sparse_batch(ds, users)
+        assert batch.indptr.tolist() == [0] and len(batch.indices) == 0
+        assert batch.n_cols == ds.n_items("s") + ds.n_items("t")
+
+
 def test_view_blocks_partition():
     blocks = view_blocks(10, 4)
     assert [b.tolist() for b in blocks] == [[0, 1, 2], [3, 4, 5], [6, 7], [8, 9]]
     blocks = view_blocks(30, 4)
     assert [len(b) for b in blocks] == [8, 8, 7, 7]
     assert sorted(i for b in blocks for i in b.tolist()) == list(range(30))
+
+
+SPEC_INT_FIELDS = ("n_users", "n_items_s", "n_items_t", "k_true")
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, np.float64(4.0), True, np.bool_(False), "4", None],
+                         ids=["float", "integral-float", "numpy-float", "bool", "numpy-bool",
+                              "str", "none"])
+@pytest.mark.parametrize("name", SPEC_INT_FIELDS)
+def test_synthetic_spec_rejects_non_integer_fields(name, value):
+    with pytest.raises(ParameterError, match=name):
+        SyntheticSpec(**{name: value})
+
+
+@pytest.mark.parametrize("name", SPEC_INT_FIELDS)
+def test_synthetic_spec_range_of_integer_fields(name):
+    with pytest.raises(ParameterError, match=name):
+        SyntheticSpec(**{name: 0})
+    spec = SyntheticSpec(**{name: np.int64(4)})
+    assert type(getattr(spec, name)) is int and getattr(spec, name) == 4
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(False), "0.5", None, 1j],
+                         ids=["bool", "numpy-bool", "str", "none", "complex"])
+@pytest.mark.parametrize("name", ["overlap", "noise"])
+def test_synthetic_spec_rejects_non_real_fields(name, value):
+    with pytest.raises(ParameterError, match=f"{name} must be a real number"):
+        SyntheticSpec(**{name: value})
+
+
+@pytest.mark.parametrize("value", [-0.1, 1.5, math.nan])
+@pytest.mark.parametrize("name", ["overlap", "noise"])
+def test_synthetic_spec_range_of_real_fields(name, value):
+    with pytest.raises(ParameterError, match=rf"{name} must be in \[0, 1\]"):
+        SyntheticSpec(**{name: value})
 
 
 def test_synthetic_spec_rejects_empty_blocks():
@@ -651,10 +697,10 @@ def test_synthetic_deterministic():
     assert a[2] == b[2]
 
 
-def test_generate_synthetic_builds_consistent_dataset():
+def test_synthetic_dataset_builds_consistent_dataset():
     spec = SyntheticSpec(n_users=50, n_items_s=16, n_items_t=12, k_true=4,
                          overlap=0.5, noise=0.05)
-    ds, planted = generate_synthetic(spec, Rng(8))
+    ds, planted = synthetic_dataset(spec, Rng(8))
     assert ds.n_users <= 50
     assert set(planted) >= set(ds.users)
     for domain in ("s", "t"):

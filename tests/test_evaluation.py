@@ -4,11 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mdap import Rng, SyntheticSpec, evaluation, generate_synthetic
+from mdap import Rng, SyntheticSpec, evaluation
 from mdap.errors import ParameterError, ShapeError
 from mdap.evaluation import (evaluate, model_scores, ndcg_at_k, recall_at_k,
                              score_matrix_metrics, top_k)
 from mdap.model import ModelConfig, init_params
+from oracles import synthetic_dataset
 from sparse_rows import csr_lists
 
 
@@ -466,7 +467,7 @@ def evaluate_peak_bytes(n_users):
     """Peak traced bytes of evaluate in blocks of 8 users over 300 + 200
     items, less its two (n_users, 500) score matrices."""
     spec = SyntheticSpec(n_users=n_users, n_items_s=300, n_items_t=200, k_true=4)
-    dataset, _ = generate_synthetic(spec, Rng(7))
+    dataset, _ = synthetic_dataset(spec, Rng(7))
     assert (dataset.n_users, dataset.n_items("s"), dataset.n_items("t")) == (n_users, 300, 200)
     config = ModelConfig(k=4, embed_dim=16, hidden=32)
     params = init_params(config, 300, 200, Rng(0))

@@ -20,7 +20,7 @@ from mdap.model import (ABLATIONS, CHECKPOINT_MAGIC, ForwardTrace, ModelConfig,
 from mdap.numerics import (CsrRows, Rng, buffer, per_row_products, reuse_buffers,
                            row_l2_normalize, sample_dropout_mask, sample_gumbel, softmax_rows)
 from mdap.training import TrainConfig, backward, loss, residuals, train
-from sparse_rows import csr, csr_lists, dense, dense_input
+from sparse_rows import csr, csr_lists, dense, dense_input, dense_x
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -67,6 +67,20 @@ def test_config_takes_numpy_integer_sizes_as_int():
     config = ModelConfig(k=np.int64(3), embed_dim=np.int32(8), hidden=np.uint16(16))
     assert config == ModelConfig(k=3, embed_dim=8, hidden=16)
     assert all(type(v) is int for v in (config.k, config.embed_dim, config.hidden))
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(False), "0.2", None, 1j],
+                         ids=["bool", "numpy-bool", "str", "none", "complex"])
+@pytest.mark.parametrize("name", ["tau", "keep_prob", "lam"])
+def test_config_rejects_non_real_fields(name, value):
+    with pytest.raises(ParameterError, match=f"{name} must be a real number"):
+        ModelConfig(**{name: value})
+
+
+def test_config_keeps_real_fields_as_given():
+    config = ModelConfig(tau=np.float64(0.5), keep_prob=1, lam=np.int64(0))
+    assert type(config.tau) is np.float64 and config.tau == 0.5
+    assert type(config.keep_prob) is int and type(config.lam) is np.int64
 
 
 def test_glorot_bound_and_zero_init():
@@ -189,7 +203,7 @@ def test_forward_training_reproducible_by_seed():
         a = forward(params, config, csr(x), rng_a, training=True)
         b = forward(params, config, csr(x), rng_b, training=True)
         c = forward(params, config, csr(x), Rng(10).derive(2), training=True)
-        assert a.x.dense().tobytes() == b.x.dense().tobytes(), ablation
+        assert dense_x(a.x).tobytes() == dense_x(b.x).tobytes(), ablation
         for name in ("assign", "recon_s", "recon_t"):
             got, expect = getattr(a, name), getattr(b, name)
             assert got.tobytes() == expect.tobytes(), (ablation, name)
@@ -208,13 +222,13 @@ def test_forward_shared_corruption_feeds_both_paths():
     mask = sample_dropout_mask(rng, 5, 11, config.keep_prob, batch.flat_index())
     noise = sample_gumbel(rng, 5, config.k)
     masked = row_l2_normalize(x) * dense(batch, mask) * (1.0 / config.keep_prob)
-    assert trace.x.dense().tobytes() == masked.tobytes()
+    assert dense_x(trace.x).tobytes() == masked.tobytes()
     # the dropped input the views decompose is the one the logits saw
-    assert trace.proj.tobytes() == (trace.x.dense() @ trace.item_norm).tobytes()
+    assert trace.proj.tobytes() == (dense_x(trace.x) @ trace.item_norm).tobytes()
     logits = trace.proj @ trace.core_norm.T
     assert trace.assign.tobytes() == softmax_rows(logits + noise, config.tau).tobytes()
-    views = [trace.x.dense() * trace.assign[:, i:i + 1] for i in range(config.k)]
-    assert np.max(np.abs(sum(views) - trace.x.dense())) < 1e-9
+    views = [dense_x(trace.x) * trace.assign[:, i:i + 1] for i in range(config.k)]
+    assert np.max(np.abs(sum(views) - dense_x(trace.x))) < 1e-9
 
 
 def test_forward_without_dropout_keeps_input():
@@ -224,7 +238,7 @@ def test_forward_without_dropout_keeps_input():
     for cfg, training in ((config, False), (no_drop, True)):
         rng = Rng(9)
         trace = forward(params, cfg, csr(x), rng, training=training)
-        assert np.array_equal(trace.x.dense(), row_l2_normalize(x))
+        assert np.array_equal(dense_x(trace.x), row_l2_normalize(x))
         # no dropout mask drawn: only a training pass's Gumbel noise was
         replay = Rng(9)
         if training:
@@ -247,7 +261,7 @@ def test_forward_matches_per_view_reference(ablation, training):
         worst = 0.0
         embs = []
         for i in range(trace.assign.shape[1]):
-            view = trace.x.dense() * trace.assign[:, i:i + 1]
+            view = dense_x(trace.x) * trace.assign[:, i:i + 1]
             hidden = np.tanh(view @ params.enc_w1 + params.enc_b1)
             embs.append(hidden @ params.enc_w2 + params.enc_b2)
             worst = max(worst, np.abs(trace.enc_hidden[i] - hidden).max(),
@@ -321,7 +335,7 @@ def test_sparse_input_stage_equals_dense_reference(ablation, training, keep_prob
         raw = random_raw_rows(gen, int(gen.integers(2, 12)), n_s + n_t)
         trace = forward(params, config, csr(raw), Rng(trial), training=training)
         ref = dense_reference_forward(params, config, raw, Rng(trial), training)
-        assert np.array_equal(trace.x.dense(), ref.x.dense())
+        assert np.array_equal(dense_x(trace.x), dense_x(ref.x))
         assert np.array_equal(trace.recon_s, ref.recon_s)
         assert np.array_equal(trace.recon_t, ref.recon_t)
         if training:
@@ -387,9 +401,9 @@ def test_per_row_path_matches_dense_reference(ablation, training):
     ref = dense_reference_forward(params, config, dense(batch), Rng(7), training)
     assert trace.x.array is None  # the per-row path was taken
     # the kept entries are exactly the dense reference's
-    assert np.array_equal(trace.x.dense(), ref.x.dense())
-    kept = ref.x.dense() != 0.0
-    assert np.array_equal(trace.x.values, ref.x.dense()[kept])
+    assert np.array_equal(dense_x(trace.x), dense_x(ref.x))
+    kept = dense_x(ref.x) != 0.0
+    assert np.array_equal(trace.x.values, dense_x(ref.x)[kept])
     for name in ("proj", "enc_proj", "recon_s", "recon_t"):
         assert_close(getattr(trace, name), getattr(ref, name), PER_ROW_TOLERANCE, name)
     if training:
@@ -626,7 +640,7 @@ def test_forward_with_passed_norms_and_output_rows_matches_plain_forward(b):
     rows = slice(3, 3 + b)
     trace = forward(params, config, batch, norms=embedding_norms(params),
                     out={d: m[rows] for d, m in scores.items()})
-    assert np.array_equal(trace.x.dense(), plain.x.dense())
+    assert np.array_equal(dense_x(trace.x), dense_x(plain.x))
     for f in fields(ForwardTrace):
         if f.name != "x":
             assert np.array_equal(getattr(trace, f.name), getattr(plain, f.name)), f.name
@@ -647,7 +661,7 @@ def test_forward_trace_shapes():
     config, params = toy_params(k=3, embed=8, hidden=16, n_s=6, n_t=5)
     x = binary_rows(1, 4)
     trace = forward(params, config, csr(x), Rng(2), training=True)
-    assert trace.x.dense().shape == (4, 11)
+    assert dense_x(trace.x).shape == (4, 11)
     assert trace.proj.shape == (4, 8)
     assert trace.assign.shape == (4, 3)
     assert len(trace.view_embs) == 3 and trace.view_embs[0].shape == (4, 8)

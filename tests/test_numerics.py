@@ -66,6 +66,21 @@ def test_rng_derive_streams_differ():
     assert not np.array_equal(base.derive(1).uniform(4, 4), base.derive(2).uniform(4, 4))
 
 
+@pytest.mark.parametrize("seed", [1.5, 1.0, True, np.bool_(True), "1", None, -1],
+                         ids=["float", "integral-float", "bool", "numpy-bool", "str", "none",
+                              "negative"])
+def test_rng_rejects_bad_seed(seed):
+    with pytest.raises(ParameterError, match="seed"):
+        Rng(seed)
+
+
+def test_rng_takes_numpy_integer_seed_as_int():
+    rng = Rng(np.uint8(3))
+    assert type(rng.seed) is int
+    assert np.array_equal(rng.uniform(2, 2), Rng(3).uniform(2, 2))
+    assert Rng(0).seed == 0
+
+
 def test_rng_uniform_open_interval():
     u = Rng(0).uniform(1000, 50)
     assert u.min() >= 1e-12

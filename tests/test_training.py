@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mdap import SyntheticSpec, evaluation, generate_synthetic, training
+from mdap import SyntheticSpec, evaluation, training
 from mdap.data import InteractionDataset
 from mdap.errors import ParameterError, ShapeError, TrainingDivergedError
 from mdap.evaluation import evaluate
@@ -15,7 +15,8 @@ from mdap.model import ABLATIONS, ModelConfig, PARAM_FIELDS, forward, init_param
 from mdap.numerics import Rng, row_l2_normalize_grad, softmax_rows_grad
 from mdap.training import (ABLATION_VARIANTS, LOG_KEYS, AdamOptimizer,
                            TrainConfig, backward, loss, residuals, train)
-from sparse_rows import csr
+from oracles import synthetic_dataset
+from sparse_rows import csr, dense_x
 
 
 TRAIN_INT_FIELDS = ("epochs_max", "patience", "batch_users", "eval_k", "seed")
@@ -37,6 +38,13 @@ def test_train_config_range_of_integer_fields(name):
         TrainConfig(**{name: low - 1})
     config = TrainConfig(**{name: np.int64(low)})
     assert type(getattr(config, name)) is int and getattr(config, name) == low
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(False), "1e-3", None, 1j],
+                         ids=["bool", "numpy-bool", "str", "none", "complex"])
+def test_train_config_rejects_non_real_lr(value):
+    with pytest.raises(ParameterError, match="lr must be a real number"):
+        TrainConfig(lr=value)
 
 
 def stub_trace(recon_s, recon_t, gate_s, gate_t):
@@ -186,7 +194,7 @@ def oracle_backward(trace, targets_s, targets_t, params, config):
     d_pre = d_emb @ params.enc_w2.T
     d_pre *= 1.0 - hidden ** 2
     d_pre = d_pre.reshape(k, b, h)
-    grads["enc_w1"] = trace.x.dense().T @ np.einsum("bk,kbh->bh", trace.assign, d_pre)
+    grads["enc_w1"] = dense_x(trace.x).T @ np.einsum("bk,kbh->bh", trace.assign, d_pre)
     grads["enc_b1"] = d_pre.sum(axis=(0, 1))
     if config.ablation != "single_view":
         d_assign = np.einsum("kbh,bh->bk", d_pre, trace.enc_proj)
@@ -195,7 +203,7 @@ def oracle_backward(trace, targets_s, targets_t, params, config):
         grads["core_emb"] = row_l2_normalize_grad(params.core_emb, trace.core_norm,
                                                   d_logits.T @ trace.proj)
         grads["item_emb"] = row_l2_normalize_grad(params.item_emb, trace.item_norm,
-                                                  trace.x.dense().T @ d_proj)
+                                                  dense_x(trace.x).T @ d_proj)
     return grads
 
 
@@ -320,7 +328,7 @@ def test_buffer_reuse_leaves_training_and_evaluation_unchanged(monkeypatch):
     # block (256 + 44), which must not read what a longer one left behind.
     spec = SyntheticSpec(n_users=300, n_items_s=24, n_items_t=18, k_true=3, overlap=0.5,
                          noise=0.05)
-    dataset, _ = generate_synthetic(spec, Rng(5))
+    dataset, _ = synthetic_dataset(spec, Rng(5))
     config = TrainConfig(model=ModelConfig(k=3, embed_dim=8, hidden=16), epochs_max=2,
                          patience=2, batch_users=128, seed=4)
     step_x = []
@@ -328,7 +336,7 @@ def test_buffer_reuse_leaves_training_and_evaluation_unchanged(monkeypatch):
 
     def spy_forward(*args, **kwargs):
         trace = real_forward(*args, **kwargs)
-        step_x.append(trace.x.dense())
+        step_x.append(dense_x(trace.x))
         return trace
 
     def run():
