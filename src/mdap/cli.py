@@ -4,7 +4,7 @@ Commands share one output directory with a fixed layout:
 
   out/
     manifest.json        dataset provenance and split file sha256 (written by prepare)
-    config_<cmd>.json    resolved options + hash of each command run
+    config_<cmd>.json    resolved options + hash of each command that succeeded
     splits/              <domain>_<split>.tsv pair files
     checkpoints/         model checkpoints
     logs/                per-epoch training logs (JSON lines)
@@ -12,8 +12,10 @@ Commands share one output directory with a fixed layout:
     grid/                one subdirectory per grid run
 
 Options resolve in order: built-in defaults, then a key=value config
-file (--config), then --preset, then explicit flags. Exit codes: 0 on
-success, 2 for usage/config/data problems, 3 when training diverges.
+file (--config), then --preset, then explicit flags. The built-in
+defaults of the model, training and synth options are those of
+ModelConfig, TrainConfig and SyntheticSpec. Exit codes: 0 on success, 2
+for usage/config/data problems, 3 when training diverges.
 """
 
 import argparse
@@ -27,39 +29,43 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from .data import (InteractionDataset, SyntheticSpec, atomic_open, build_dataset,
-                   decode_text, gather, index_pairs, k_core_filter, load_domain,
+from .data import (DOMAINS, SPLITS, InteractionDataset, SyntheticSpec, atomic_open,
+                   build_dataset, decode_text, gather, index_pairs, k_core_filter, load_domain,
                    read_text, synthetic_records, text_lines, write_domain_file)
 from .errors import DataError, MdapError, ParameterError, TrainingDivergedError
 from .evaluation import evaluate
-from .model import ABLATIONS, ModelConfig, save_checkpoint
+from .model import ABLATION_VARIANTS, ABLATIONS, ModelConfig, save_checkpoint
 from .numerics import Rng
-from .training import ABLATION_VARIANTS, TrainConfig, train
+from .training import TrainConfig, train
 from . import __version__
 
-# name -> (python type, default, --help text). "lambda" maps to the lam field.
+# the library's default configurations, which OPTION_TABLE reads its defaults from
+MODEL, TRAINING, SYNTH = ModelConfig(), TrainConfig(), SyntheticSpec()
+# name -> (python type, default, --help text). "lambda" is the lam field,
+# "dropout" is 1 - keep_prob, "epochs" is epochs_max and "cutoff" is eval_k.
 OPTION_TABLE = {
-    "seed": (int, 0, "random seed for every stochastic stage"),
-    "k": (int, 8, "number of preference views"),
-    "tau": (float, 0.2, "assignment softmax temperature"),
-    "lambda": (float, 0.5, "gate orthogonality weight"),
-    "dropout": (float, 0.5, "input dropout probability (keep prob is 1 - dropout)"),
-    "epochs": (int, 1000, "maximum training epochs"),
-    "patience": (int, 20, "early stopping patience in epochs"),
-    "batch_users": (int, 4096, "user rows per training batch"),
-    "lr": (float, 1e-3, "Adam learning rate"),
-    "embed_dim": (int, 64, "embedding width"),
-    "hidden": (int, 256, "encoder/decoder hidden width"),
-    "ablation": (str, "full", "model variant to train"),
+    "seed": (int, TRAINING.seed, "random seed for every stochastic stage"),
+    "k": (int, MODEL.k, "number of preference views"),
+    "tau": (float, MODEL.tau, "assignment softmax temperature"),
+    "lambda": (float, MODEL.lam, "gate orthogonality weight"),
+    "dropout": (float, 1.0 - MODEL.keep_prob,
+                "input dropout probability (keep prob is 1 - dropout)"),
+    "epochs": (int, TRAINING.epochs_max, "maximum training epochs"),
+    "patience": (int, TRAINING.patience, "early stopping patience in epochs"),
+    "batch_users": (int, TRAINING.batch_users, "user rows per training batch"),
+    "lr": (float, TRAINING.lr, "Adam learning rate"),
+    "embed_dim": (int, MODEL.embed_dim, "embedding width"),
+    "hidden": (int, MODEL.hidden, "encoder/decoder hidden width"),
+    "ablation": (str, MODEL.ablation, "model variant to train"),
     "min_interactions": (int, 1, "per-domain core filter level (1 disables)"),
     "threshold": (float, 1.0, "minimum rating that counts as an interaction"),
-    "cutoff": (int, 20, "ranking cutoff for recall/ndcg"),
-    "n_users": (int, 200, "synthetic user count"),
-    "n_items_s": (int, 40, "synthetic item count, domain s"),
-    "n_items_t": (int, 30, "synthetic item count, domain t"),
-    "k_true": (int, 4, "number of planted views"),
-    "overlap": (float, 0.5, "fraction of users present in both domains"),
-    "noise": (float, 0.05, "off-block interaction probability"),
+    "cutoff": (int, TRAINING.eval_k, "ranking cutoff for recall/ndcg"),
+    "n_users": (int, SYNTH.n_users, "synthetic user count"),
+    "n_items_s": (int, SYNTH.n_items_s, "synthetic item count, domain s"),
+    "n_items_t": (int, SYNTH.n_items_t, "synthetic item count, domain t"),
+    "k_true": (int, SYNTH.k_true, "number of planted views"),
+    "overlap": (float, SYNTH.overlap, "fraction of users present in both domains"),
+    "noise": (float, SYNTH.noise, "off-block interaction probability"),
     "dropout_grid": (str, "0.5,0.7,0.9", "comma list of dropout values"),
     "tau_grid": (str, "0.1,0.2,0.5", "comma list of tau values"),
     "k_grid": (str, "4,8,16", "comma list of k values"),
@@ -72,7 +78,7 @@ PRESETS = {
     "amazon": {"dropout": 0.7, "tau": 0.1, "k": 4, "lambda": 0.1},
 }
 
-SPLIT_FILES = [(d, sp) for d in ("s", "t") for sp in ("train", "valid", "test")]
+SPLIT_FILES = [(d, sp) for d in DOMAINS for sp in SPLITS]
 # the variables that set the BLAS thread count, which changes the last bits of train's outputs
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -203,14 +209,12 @@ def write_prepared(out: str, dataset: InteractionDataset, payload: dict):
                 **manifest_sizes(dataset), "split_sha256": digests,
                 "config_hash": payload["config_hash"]}
     write_json(os.path.join(out, "manifest.json"), manifest)
-    write_json(os.path.join(out, "config_prepare.json"), payload)
 
 
 def manifest_sizes(dataset: InteractionDataset) -> dict:
     return {"n_users": dataset.n_users, "n_items_s": dataset.n_items("s"),
             "n_items_t": dataset.n_items("t"),
-            "splits": {d: {sp: dataset.split_size(d, sp) for sp in ("train", "valid", "test")}
-                       for d in ("s", "t")}}
+            "splits": {d: {sp: dataset.split_size(d, sp) for sp in SPLITS} for d in DOMAINS}}
 
 
 def manifest_field(manifest, path: str, key: str, types: tuple):
@@ -262,8 +266,7 @@ def load_prepared(out: str) -> InteractionDataset:
     return dataset
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
-    options = resolve_options(args)
+def cmd_synth(args: argparse.Namespace, options: dict) -> dict:
     spec = SyntheticSpec(**{field.name: options[field.name] for field in fields(SyntheticSpec)})
     domain_s, domain_t, planted = synthetic_records(spec, Rng(options["seed"]).derive(0))
     payload = run_payload("synth", options)
@@ -273,13 +276,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
     with atomic_open(os.path.join(args.out, "planted_views.tsv")) as fh:
         for uid in sorted(planted):
             fh.write(f"{uid}\t{planted[uid]}\n")
-    write_json(os.path.join(args.out, "config_synth.json"), payload)
     print(f"wrote {len(domain_s[0])} + {len(domain_t[0])} interactions to {args.out}")
-    return 0
+    return payload
 
 
-def cmd_prepare(args: argparse.Namespace) -> int:
-    options = resolve_options(args)
+def cmd_prepare(args: argparse.Namespace, options: dict) -> dict:
     if not math.isfinite(options["threshold"]):
         raise ParameterError(f"threshold must be a finite number, got {options['threshold']}")
     if options["min_interactions"] < 0:
@@ -295,7 +296,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     write_prepared(args.out, dataset, payload)
     print(f"prepared {dataset.n_users} users, "
           f"{dataset.n_items('s')}+{dataset.n_items('t')} items into {args.out}")
-    return 0
+    return payload
 
 
 def write_model(out: str, name: str, log_name: str, params, model_config: ModelConfig, log,
@@ -314,22 +315,20 @@ def write_model(out: str, name: str, log_name: str, params, model_config: ModelC
     return checkpoint
 
 
-def write_report(out: str, name: str, command: str, summary: dict, header: str,
-                 rows: list[str], payload: dict, quiet: bool):
-    """Write reports/<name>.json, the table reports/<name>.txt (header, a rule of
-    '-', then rows) and config_<command>.json; print the table unless quiet."""
+def write_report(out: str, name: str, summary: dict, header: str, rows: list[str],
+                 quiet: bool):
+    """Write reports/<name>.json and the table reports/<name>.txt (header, a rule
+    of '-', then rows); print the table unless quiet."""
     os.makedirs(os.path.join(out, "reports"), exist_ok=True)
     write_json(os.path.join(out, "reports", f"{name}.json"), summary)
     table = "\n".join([header, "-" * len(header), *rows])
     with atomic_open(os.path.join(out, "reports", f"{name}.txt")) as fh:
         fh.write(table + "\n")
-    write_json(os.path.join(out, f"config_{command}.json"), payload)
     if not quiet:
         print(table)
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    options = resolve_options(args)
+def cmd_train(args: argparse.Namespace, options: dict) -> dict:
     config = train_config_from(options)
     dataset = load_prepared(args.out)
     params, log = train(dataset, config, verbose=not args.quiet)
@@ -340,16 +339,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     write_json(os.path.join(args.out, "reports", "test_metrics.json"),
                {**report.to_dict(), "seed": config.seed, "checkpoint": checkpoint,
                 "config_hash": payload["config_hash"]})
-    write_json(os.path.join(args.out, "config_train.json"), payload)
     print(f"best epoch {log.best_epoch}; test recall@{config.eval_k} "
           f"s={report.domains['s']['recall']:.4f} t={report.domains['t']['recall']:.4f}")
-    return 0
+    return payload
 
 
-def cmd_ablate(args: argparse.Namespace) -> int:
+def cmd_ablate(args: argparse.Namespace, options: dict) -> dict:
     """Train and test each variant with one seed, then write them all: a
     variant that diverges leaves no artifact of the others."""
-    options = resolve_options(args)
     config = train_config_from(options)
     dataset = load_prepared(args.out)
     payload = run_payload("ablate", options, {"provenance": provenance()})
@@ -363,7 +360,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         rows.append({"variant": name, "ablation": ablation, "seed": config.seed,
                      "best_epoch": log.best_epoch,
                      **{f"{metric}_{d}": report.domains[d][metric]
-                        for d in ("s", "t") for metric in ("recall", "ndcg")}})
+                        for d in DOMAINS for metric in ("recall", "ndcg")}})
         models.append((name.lower().replace("-", "_"), params, model_config, log))
     for tag, params, model_config, log in models:
         write_model(args.out, f"ablation_{tag}.ckpt", f"ablation_{tag}.jsonl", params,
@@ -371,14 +368,13 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     header = f"{'variant':<10} {'recall_s':>9} {'ndcg_s':>9} {'recall_t':>9} {'ndcg_t':>9}"
     lines = [f"{row['variant']:<10} {row['recall_s']:>9.4f} {row['ndcg_s']:>9.4f} "
              f"{row['recall_t']:>9.4f} {row['ndcg_t']:>9.4f}" for row in rows]
-    write_report(args.out, "ablation", "ablate",
+    write_report(args.out, "ablation",
                  {"seed": config.seed, "rows": rows, "config_hash": payload["config_hash"]},
-                 header, lines, payload, args.quiet)
-    return 0
+                 header, lines, args.quiet)
+    return payload
 
 
-def cmd_grid(args: argparse.Namespace) -> int:
-    options = resolve_options(args)
+def cmd_grid(args: argparse.Namespace, options: dict) -> dict:
     grids = {"dropout": parse_grid(options["dropout_grid"], float),
              "tau": parse_grid(options["tau_grid"], float),
              "k": parse_grid(options["k_grid"], int),
@@ -437,23 +433,12 @@ def cmd_grid(args: argparse.Namespace) -> int:
              f"{r['lambda']:>7g} {r['seed']:>6} {r['val_ndcg_mean']:>9.4f}" for r in runs]
     lines.append(f"best: run {best['run_id']} (dropout={best['dropout']:g}, "
                  f"tau={best['tau']:g}, k={best['k']}, lambda={best['lambda']:g})")
-    write_report(args.out, "grid", "grid",
+    write_report(args.out, "grid",
                  {"metric": "mean validation ndcg at cutoff over both domains",
                   "stages": stages, "runs": runs, "best": best,
                   "config_hash": payload["config_hash"]},
-                 header, lines, payload, args.quiet)
-    return 0
-
-
-def add_shared_options(parser: argparse.ArgumentParser, names: list[str]):
-    for name in names:
-        typ, default, text = OPTION_TABLE[name]
-        kwargs = {"type": typ, "default": None, "dest": name,
-                  "help": f"{text} (default {default})"}
-        if name == "ablation":
-            kwargs["choices"] = ABLATIONS
-            del kwargs["type"]
-        parser.add_argument("--" + name.replace("_", "-"), **kwargs)
+                 header, lines, args.quiet)
+    return payload
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -463,69 +448,64 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name, handler, options, out_help="prepared dataset / output directory",
+                quiet_help=None, preset=False, **kwargs) -> argparse.ArgumentParser:
+        """Add subcommand name with --out, --config, --preset (if preset), --quiet
+        (if quiet_help) and the shared options; main runs handler(args, options)."""
+        p = sub.add_parser(name, **kwargs)
+        p.add_argument("--out", required=True, help=out_help)
+        p.add_argument("--config", help="key=value options file")
+        if preset:
+            p.add_argument("--preset", choices=sorted(PRESETS),
+                           help="named hyperparameter preset")
+        if quiet_help:
+            p.add_argument("--quiet", action="store_true", help=quiet_help)
+        for option in options:
+            typ, default, text = OPTION_TABLE[option]
+            accept = {"choices": ABLATIONS} if option == "ablation" else {"type": typ}
+            p.add_argument("--" + option.replace("_", "-"), default=None, dest=option,
+                           help=f"{text} (default {default})", **accept)
+        p.set_defaults(func=handler)
+        return p
+
     train_opts = ["seed", "k", "tau", "lambda", "dropout", "epochs", "patience",
                   "batch_users", "lr", "embed_dim", "hidden", "ablation", "cutoff"]
+    variant_opts = [n for n in train_opts if n != "ablation"]
 
-    p = sub.add_parser("synth", help="generate a planted-structure synthetic dataset")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--config", help="key=value options file")
-    add_shared_options(p, ["seed", "n_users", "n_items_s", "n_items_t", "k_true",
-                           "overlap", "noise"])
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("prepare", help="ingest two domain files and write splits")
+    command("synth", cmd_synth, ["seed", "n_users", "n_items_s", "n_items_t", "k_true",
+                                 "overlap", "noise"],
+            out_help="output directory", help="generate a planted-structure synthetic dataset")
+    p = command("prepare", cmd_prepare, ["seed", "min_interactions", "threshold"],
+                out_help="output directory", help="ingest two domain files and write splits")
     p.add_argument("--domain-s", required=True, help="domain s interaction file")
     p.add_argument("--domain-t", required=True, help="domain t interaction file")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--config", help="key=value options file")
     p.add_argument("--lenient", dest="strict", action="store_false",
                    help="skip malformed lines with a warning instead of failing")
-    add_shared_options(p, ["seed", "min_interactions", "threshold"])
-    p.set_defaults(func=cmd_prepare, strict=True)
-
-    p = sub.add_parser("train", help="train on a prepared dataset")
-    p.add_argument("--out", required=True, help="prepared dataset / output directory")
-    p.add_argument("--config", help="key=value options file")
-    p.add_argument("--preset", choices=sorted(PRESETS),
-                   help="named hyperparameter preset")
-    p.add_argument("--quiet", action="store_true", help="suppress per-epoch progress")
-    add_shared_options(p, train_opts)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("ablate", help="train all four model variants and compare")
-    p.add_argument("--out", required=True, help="prepared dataset / output directory")
-    p.add_argument("--config", help="key=value options file")
-    p.add_argument("--preset", choices=sorted(PRESETS),
-                   help="named hyperparameter preset")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress per-variant progress and the table")
-    add_shared_options(p, [n for n in train_opts if n != "ablation"])
-    p.set_defaults(func=cmd_ablate)
-
-    p = sub.add_parser(
-        "grid", help="staged hyperparameter search",
+    command("train", cmd_train, train_opts, quiet_help="suppress per-epoch progress",
+            preset=True, help="train on a prepared dataset")
+    command("ablate", cmd_ablate, variant_opts, preset=True,
+            quiet_help="suppress per-variant progress and the table",
+            help="train all four model variants and compare")
+    p = command(
+        "grid", cmd_grid, variant_opts + ["dropout_grid", "tau_grid", "k_grid", "lambda_grid"],
+        quiet_help="suppress per-run progress and the table",
+        help="staged hyperparameter search",
         description="Staged hyperparameter search: dropout and tau together, then k, then "
                     "lambda, each sweep at the best run so far. Each axis starts at its "
                     "option value when its grid holds that value, else at the grid's first "
                     "value, so every run lies in the grids' cross product.")
-    p.add_argument("--out", required=True, help="prepared dataset / output directory")
-    p.add_argument("--config", help="key=value options file")
     p.add_argument("--full-grid", action="store_true",
                    help="run the full cross product instead of the staged search")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress per-run progress and the table")
-    add_shared_options(p, [n for n in train_opts if n != "ablation"]
-                       + ["dropout_grid", "tau_grid", "k_grid", "lambda_grid"])
-    p.set_defaults(func=cmd_grid)
-
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload = args.func(args, resolve_options(args))
+        # only a command that returns writes its config: one that raises leaves none
+        write_json(os.path.join(args.out, f"config_{args.command}.json"), payload)
+        return 0
     except TrainingDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

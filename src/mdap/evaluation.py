@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import sparse_batch
+from .data import DOMAINS, SPLITS, sparse_batch
 from .errors import ParameterError, ShapeError
 from .model import ModelConfig, ModelParams, embedding_norms, forward
 from .numerics import CsrRows, buffer, check_int, reuse_buffers
@@ -201,11 +201,11 @@ def evaluate(params: ModelParams, config: ModelConfig, dataset, split: str,
     Deterministic: evaluating the same params twice gives bit-identical
     reports.
     """
-    if split not in ("train", "valid", "test"):
+    if split not in SPLITS:
         raise ParameterError(f"unknown split {split!r}")
     scores = model_scores(params, config, dataset)
     report = MetricsReport(split=split, cutoff=k)
-    for domain in ("s", "t"):
+    for domain in DOMAINS:
         recall, ndcg, n_eval = score_matrix_metrics(
             scores[domain], dataset.rows(domain, "train"), dataset.rows(domain, split), k)
         report.domains[domain] = {

@@ -36,7 +36,10 @@ from .errors import CheckpointError, ParameterError, ShapeError
 from .numerics import (CsrRows, InputRows, Rng, buffer, check_int, check_real, matmul,
                        row_l2_normalize, sample_dropout_mask, sample_gumbel, softmax_rows)
 
-ABLATIONS = ("full", "no_gumbel", "single_view", "no_gate")
+# (name in the paper's ablation table, ModelConfig.ablation), in report order
+ABLATION_VARIANTS = (("MDAP", "full"), ("MDAP-GS", "no_gumbel"),
+                     ("MDAP-MV", "single_view"), ("MDAP-DG", "no_gate"))
+ABLATIONS = tuple(ablation for _, ablation in ABLATION_VARIANTS)
 
 CHECKPOINT_MAGIC = b"MDAPCKPT"
 CHECKPOINT_VERSION = 1
@@ -342,7 +345,9 @@ def save_checkpoint(path: str, params: ModelParams, config: ModelConfig,
     order. Round-trips bit exactly.
     """
     header = {
-        "config": asdict(config),
+        # a numpy real that ModelConfig accepts is written as the Python number it equals
+        "config": {name: value.item() if isinstance(value, np.generic) else value
+                   for name, value in asdict(config).items()},
         "n_items_s": params.n_items_s,
         "n_items_t": params.n_items_t,
         "shapes": {name: list(arr.shape) for name, arr in params.arrays()},

@@ -26,9 +26,6 @@ from .numerics import (SCRATCH, CsrRows, Rng, adam_step, buffer, check_int, chec
 LOG_KEYS = ("epoch", "loss_total", "loss_rec_s", "loss_rec_t", "loss_orth",
             "val_recall20_s", "val_recall20_t", "val_ndcg20_s", "val_ndcg20_t")
 
-ABLATION_VARIANTS = (("MDAP", "full"), ("MDAP-GS", "no_gumbel"),
-                     ("MDAP-MV", "single_view"), ("MDAP-DG", "no_gate"))
-
 
 def residuals(trace, targets: CsrRows) -> tuple[np.ndarray, np.ndarray]:
     """Each domain's reconstruction residual recon - targets, formed once.

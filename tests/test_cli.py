@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -14,9 +15,9 @@ from mdap.cli import (OPTION_TABLE, PRESETS, SPLIT_FILES, build_parser, load_pre
 from mdap.data import atomic_open, build_dataset, load_domain, write_domain_file
 from mdap.errors import ParameterError, TrainingDivergedError
 from mdap.evaluation import evaluate
-from mdap.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
+from mdap.model import (ABLATION_VARIANTS, ModelConfig, init_params, load_checkpoint,
+                        save_checkpoint)
 from mdap.numerics import Rng
-from mdap.training import ABLATION_VARIANTS
 
 
 def file_hash(path):
@@ -231,6 +232,39 @@ def test_each_command_writes_its_config(tmp_path, command):
         assert load_checkpoint(str(path))[2]["config_hash"] == payload["config_hash"], path
 
 
+# every subcommand, read from the parser, so that a command added later is covered too
+SUBCOMMANDS = list(next(action.choices for action in build_parser()._actions
+                        if action.dest == "command"))
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_config_is_written_on_success_only(tmp_path, command):
+    syn = tmp_path / "syn"
+    if command == "synth":
+        good_out = bad_out = syn
+        bad, good = synth_args(syn, noise=2), synth_args(syn)
+    elif command == "prepare":
+        assert run(*synth_args(syn)) == 0
+        good_out = bad_out = tmp_path / "out"
+        bad, good = (["prepare", "--domain-s", domain_s, "--domain-t", syn / "domain_t.tsv",
+                      "--out", good_out]
+                     for domain_s in (tmp_path / "missing.tsv", syn / "domain_s.tsv"))
+    else:
+        # a small, fast run through --config, which every subcommand takes
+        config = tmp_path / "fast.cfg"
+        config.write_text("epochs=1\npatience=1\nk=2\nembed_dim=8\nhidden=16\n"
+                          "dropout_grid=0.5\ntau_grid=0.2\nk_grid=2\nlambda_grid=0.5\n")
+        good_out, bad_out = prepared_dir(tmp_path), tmp_path / "altered"
+        shutil.copytree(good_out, bad_out)
+        with open(bad_out / "splits" / "t_test.tsv", "a") as fh:
+            fh.write("u_new\ti_new\n")
+        bad, good = ([command, "--out", out, "--config", config] for out in (bad_out, good_out))
+    assert run(*bad) == 2
+    assert not (bad_out / f"config_{command}.json").exists()
+    assert run(*good) == 0
+    assert json.loads((good_out / f"config_{command}.json").read_text())["command"] == command
+
+
 def test_provenance_without_blas_report(monkeypatch):
     # numpy before 1.25 has no show_config(mode=...): the BLAS is recorded as None
     def show_config():
@@ -256,6 +290,19 @@ def test_parser_defaults_resolve(tmp_path):
     assert options["tau"] == 0.2
     assert options["dropout"] == 0.5
     assert options["cutoff"] == 20
+
+
+@pytest.mark.parametrize("command, digest", [
+    ("synth", "4e8197931b3067ee"), ("prepare", "692c0736cd37b3bc"),
+    ("train", "1988374f18686261"), ("ablate", "9272952d58fcb8be"),
+    ("grid", "e6e271879772e14f"),
+])
+def test_default_options_keep_their_config_hash(command, digest):
+    # The defaults come from the library's dataclasses. A changed default moves
+    # every run's config_hash, so it must be accepted here on purpose.
+    files = ["--domain-s", "s.tsv", "--domain-t", "t.tsv"] if command == "prepare" else []
+    args = build_parser().parse_args([command, "--out", "x", *files])
+    assert run_payload(command, resolve_options(args))["config_hash"] == digest
 
 
 def test_preset_overrides_defaults():

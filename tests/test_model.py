@@ -711,6 +711,22 @@ def test_checkpoint_round_trip(tmp_path):
         assert np.array_equal(getattr(loaded, field), getattr(params, field)), field
 
 
+@pytest.mark.parametrize("name, value", [
+    ("tau", np.float32(0.1)), ("lam", np.int64(1)), ("keep_prob", np.float32(0.5)),
+], ids=["tau-float32", "lam-int64", "keep_prob-float32"])
+def test_checkpoint_round_trips_numpy_real_config(tmp_path, name, value):
+    # ModelConfig accepts numpy reals; the header holds the Python number each equals
+    config, params = toy_params(seed=7)
+    config = replace(config, **{name: value})
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(path, params, config)
+    loaded, loaded_config, _ = load_checkpoint(path)
+    assert loaded_config == config
+    assert getattr(loaded_config, name) == value.item()
+    for field in PARAM_FIELDS:
+        assert getattr(loaded, field).tobytes() == getattr(params, field).tobytes(), field
+
+
 def test_checkpoint_rejects_corruption(tmp_path):
     config, params = toy_params()
     path = str(tmp_path / "model.ckpt")

@@ -11,10 +11,10 @@ from mdap import SyntheticSpec, evaluation, training
 from mdap.data import InteractionDataset
 from mdap.errors import ParameterError, ShapeError, TrainingDivergedError
 from mdap.evaluation import evaluate
-from mdap.model import ABLATIONS, ModelConfig, PARAM_FIELDS, forward, init_params
+from mdap.model import (ABLATION_VARIANTS, ABLATIONS, ModelConfig, PARAM_FIELDS, forward,
+                        init_params)
 from mdap.numerics import Rng, row_l2_normalize_grad, softmax_rows_grad
-from mdap.training import (ABLATION_VARIANTS, LOG_KEYS, AdamOptimizer,
-                           TrainConfig, backward, loss, residuals, train)
+from mdap.training import LOG_KEYS, AdamOptimizer, TrainConfig, backward, loss, residuals, train
 from oracles import synthetic_dataset
 from sparse_rows import csr, dense_x
 
