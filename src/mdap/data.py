@@ -5,7 +5,7 @@ A dataset covers two domains, "s" and "t". Users are indexed over the
 union of both domains' user sets (lexicographic id order); items are
 indexed per domain, also lexicographically. Each user's interactions are
 split per domain into train/valid/test by largest-remainder rounding of
-the split ratios, with at least one training interaction guaranteed.
+the fixed 80/10/10 ratios, with at least one training interaction kept.
 """
 
 import contextlib
@@ -173,17 +173,19 @@ def k_core_filter(domain: Interactions, k: int) -> Interactions:
         keep = next_keep
 
 
-def split_counts(n: int, ratios: tuple[float, float, float] = DEFAULT_RATIOS) -> tuple[int, int, int]:
-    """Largest-remainder split of n items into train/valid/test counts.
+def split_counts(n: int) -> tuple[int, int, int]:
+    """Largest-remainder split of n items into train/valid/test at DEFAULT_RATIOS.
 
     Quotas are rounded to 9 decimals before flooring so float noise in
     ratio * n cannot flip a floor. Leftover units go to the largest
     remainders; ties resolve in train, valid, test order. A retained
-    user always keeps at least one training interaction.
+    user always keeps at least one training interaction: at n = 1
+    train's remainder (0.8) is the largest, and from n = 2 on
+    floor(0.8 * n) >= 1.
     """
     if n < 0:
         raise ParameterError(f"cannot split a negative count: {n}")
-    quotas = [round(r * n, 9) for r in ratios]
+    quotas = [round(r * n, 9) for r in DEFAULT_RATIOS]
     base = [int(math.floor(q)) for q in quotas]
     # round the remainders as well: intended ties (e.g. 0.4 vs 0.4) must
     # not be decided by float noise in ratio * n
@@ -193,10 +195,6 @@ def split_counts(n: int, ratios: tuple[float, float, float] = DEFAULT_RATIOS) ->
     counts = list(base)
     for i in order[:leftover]:
         counts[i] += 1
-    if n > 0 and counts[0] == 0:
-        donor = 1 if counts[1] >= counts[2] else 2
-        counts[donor] -= 1
-        counts[0] += 1
     return counts[0], counts[1], counts[2]
 
 

@@ -386,7 +386,7 @@ def load_checkpoint(path: str) -> tuple[ModelParams, ModelConfig, dict]:
         header = json.loads(raw[off:off + header_len].decode("utf-8"))
         config = ModelConfig(**header["config"])
         shapes = {name: header["shapes"][name] for name in PARAM_FIELDS}
-        n_items_s, n_items_t = int(header["n_items_s"]), int(header["n_items_t"])
+        n_items_s, n_items_t = (check_int(n, header[n]) for n in ("n_items_s", "n_items_t"))
         extra = header.get("extra", {})
     except (ValueError, KeyError, TypeError, ParameterError) as exc:
         # ValueError covers undecodable UTF-8 and JSON as well.

@@ -28,6 +28,9 @@ UNIFORM_EPS = 1e-12
 # chunk of param, grad, m, v and two temporaries fits in a 2 MiB cache.
 ADAM_CHUNK = 32768
 
+# Adam's decay rates and denominator guard, at the values of Kingma & Ba.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 # The buffer() name of a short-lived work array (the dropout uniforms, the
 # squared residuals in the loss, tanh's derivative in backward): each is
@@ -358,12 +361,12 @@ def sample_dropout_mask(rng: Rng, rows: int, cols: int, keep_prob: float,
 
 
 def adam_step(param: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
-              t: int, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+              t: int, lr: float = 1e-3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One bias-corrected Adam update, made in place on param, m and v.
 
     Returns (param, m, v), the arrays passed in. t is the 1-based step
-    count including this step. Each operation is the one the textbook
+    count including this step; beta1, beta2 and eps are ADAM_BETA1,
+    ADAM_BETA2 and ADAM_EPS. Each operation is the one the textbook
     formula performs, in its order, so the result is bit for bit that of
     the out-of-place expression. The arrays are updated ADAM_CHUNK
     elements at a time (whole leading-axis rows), so that the dozen
@@ -375,7 +378,7 @@ def adam_step(param: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
         raise ShapeError(
             f"adam_step shape mismatch: param {param.shape}, grad {grad.shape}, "
             f"m {m.shape}, v {v.shape}")
-    m_scale, v_scale = 1.0 - beta1 ** t, 1.0 - beta2 ** t
+    m_scale, v_scale = 1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t
     arrays = np.atleast_1d(param, grad, m, v)  # views, so a 0-d param updates too
     n = len(arrays[0])
     rows = max(1, ADAM_CHUNK * n // max(param.size, 1))
@@ -385,18 +388,18 @@ def adam_step(param: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
         p, g, mc, vc = (a[start:start + rows] for a in arrays)
         tc, dc = term[:len(p)], denom[:len(p)]
         # m = beta1 * m + (1 - beta1) * grad
-        np.multiply(g, 1.0 - beta1, out=tc)
-        mc *= beta1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=tc)
+        mc *= ADAM_BETA1
         mc += tc
         # v = beta2 * v + (1 - beta2) * grad * grad
-        np.multiply(g, 1.0 - beta2, out=tc)
+        np.multiply(g, 1.0 - ADAM_BETA2, out=tc)
         tc *= g
-        vc *= beta2
+        vc *= ADAM_BETA2
         vc += tc
         # param -= lr * m_hat / (sqrt(v_hat) + eps)
         np.divide(vc, v_scale, out=dc)
         np.sqrt(dc, out=dc)
-        dc += eps
+        dc += ADAM_EPS
         np.divide(mc, m_scale, out=tc)
         tc *= lr
         tc /= dc

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import InteractionDataset, atomic_open, sparse_batch
+from .data import DOMAINS, InteractionDataset, atomic_open, sparse_batch
 from .errors import ParameterError, ShapeError, TrainingDivergedError
 from .evaluation import evaluate
 from .model import PARAM_FIELDS, ModelConfig, ModelParams, forward, init_params
@@ -164,7 +164,7 @@ def backward(trace, residuals: tuple[np.ndarray, np.ndarray],
 
 class AdamOptimizer:
     """Per-array Adam state over a ModelParams instance; step() updates the
-    params' arrays in place with adam_step's default betas and eps."""
+    params' arrays in place with adam_step."""
 
     def __init__(self, params: ModelParams, lr: float = 1e-3):
         self.lr = lr
@@ -218,19 +218,16 @@ class TrainLog:
             fh.write(self.to_jsonl())
 
 
-def train(dataset: InteractionDataset, config: TrainConfig, eval_fn=None,
+def train(dataset: InteractionDataset, config: TrainConfig,
           verbose: bool = False) -> tuple[ModelParams, TrainLog]:
     """Fit the model on the dataset's training split.
 
     Each epoch shuffles the user rows, runs training-mode forward and
-    backward over user batches, applies Adam, then scores the validation
-    split. Early stopping watches the mean of the two domains' NDCG and
-    keeps a snapshot of the best-epoch parameters, which are returned.
-    A non-finite loss, or a non-finite gradient before the Adam step,
-    aborts with TrainingDivergedError.
-
-    eval_fn(params, epoch) may replace the validation callback; it must
-    return a dict with recall_s/recall_t/ndcg_s/ndcg_t.
+    backward over user batches, applies Adam, then validates: evaluate()
+    on the valid split at config.eval_k. Early stopping watches the mean
+    of the two domains' NDCG and keeps a snapshot of the best-epoch
+    parameters, which are returned. A non-finite loss, or a non-finite
+    gradient before the Adam step, aborts with TrainingDivergedError.
     """
     rng = Rng(config.seed)
     init_rng = rng.derive(0)
@@ -239,12 +236,6 @@ def train(dataset: InteractionDataset, config: TrainConfig, eval_fn=None,
 
     params = init_params(config.model, dataset.n_items("s"), dataset.n_items("t"), init_rng)
     opt = AdamOptimizer(params, lr=config.lr)
-    if eval_fn is None:
-        def eval_fn(params: ModelParams, epoch: int) -> dict[str, float]:
-            domains = evaluate(params, config.model, dataset, "valid", k=config.eval_k).domains
-            return {f"{metric}_{d}": domains[d][metric]
-                    for metric in ("recall", "ndcg") for d in ("s", "t")}
-
     log = TrainLog()
     best_score = -np.inf
     best_params = params.copy()
@@ -279,23 +270,16 @@ def train(dataset: InteractionDataset, config: TrainConfig, eval_fn=None,
             # the last step's arrays would otherwise stay alive through
             # validation; rebinding (not del) also holds for zero steps
             batch = trace = r = grads = grad = None
-            metrics = eval_fn(params, epoch)
-            log.records.append({
-                "epoch": epoch,
-                "loss_total": sums["rec_s"] + sums["rec_t"] + sums["orth"],
-                "loss_rec_s": sums["rec_s"],
-                "loss_rec_t": sums["rec_t"],
-                "loss_orth": sums["orth"],
-                "val_recall20_s": metrics["recall_s"],
-                "val_recall20_t": metrics["recall_t"],
-                "val_ndcg20_s": metrics["ndcg_s"],
-                "val_ndcg20_t": metrics["ndcg_t"],
-            })
+            domains = evaluate(params, config.model, dataset, "valid", k=config.eval_k).domains
+            rec_s, rec_t, orth = sums.values()
+            record = dict(zip(LOG_KEYS, (epoch, rec_s + rec_t + orth, rec_s, rec_t, orth, *(
+                domains[d][m] for m in ("recall", "ndcg") for d in DOMAINS))))
+            log.records.append(record)
         if verbose:
-            print(f"epoch {epoch:4d}  loss {log.records[-1]['loss_total']:.4f}  "
-                  f"val ndcg s/t {metrics['ndcg_s']:.4f}/{metrics['ndcg_t']:.4f}")
+            print(f"epoch {epoch:4d}  loss {record['loss_total']:.4f}  val ndcg s/t "
+                  f"{record['val_ndcg20_s']:.4f}/{record['val_ndcg20_t']:.4f}")
 
-        score = 0.5 * (metrics["ndcg_s"] + metrics["ndcg_t"])
+        score = 0.5 * (record["val_ndcg20_s"] + record["val_ndcg20_t"])
         if score > best_score:
             best_score = score
             best_params = params.copy()

@@ -586,6 +586,26 @@ def test_prepare_rejects_bad_filter_options(tmp_path, capsys, option, value, mes
     assert not out.exists()
 
 
+def test_config_file_value_of_the_wrong_type_exits_two(tmp_path, capsys):
+    out = prepared_dir(tmp_path)
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("k = abc\n")
+    capsys.readouterr()
+    assert run("train", "--out", out, "--config", cfg, "--epochs", 1, "--quiet") == 2
+    assert "bad value for 'k'" in capsys.readouterr().err
+    assert not (out / "config_train.json").exists()
+
+
+def test_missing_split_file_exits_two(tmp_path, capsys):
+    out = prepared_dir(tmp_path)
+    split = out / "splits" / "t_valid.tsv"
+    split.unlink()
+    capsys.readouterr()
+    assert run("train", "--out", out, *TINY) == 2
+    assert f"missing split file {split}" in capsys.readouterr().err
+    assert not (out / "config_train.json").exists()
+
+
 def test_malformed_split_line_names_file(tmp_path, capsys):
     out = prepared_dir(tmp_path)
     split = out / "splits" / "s_valid.tsv"

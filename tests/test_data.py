@@ -321,26 +321,21 @@ def test_k_core_level_one_is_identity():
     assert rows_of(k_core_filter(domain, 1)) == rows_of(domain)
 
 
-def split_counts_oracle(n, ratios):
-    """Largest-remainder apportionment in exact arithmetic."""
-    quotas = [Fraction(str(r)) * n for r in ratios]
+def split_counts_oracle(n):
+    """Largest-remainder apportionment at DEFAULT_RATIOS in exact arithmetic."""
+    quotas = [Fraction(str(r)) * n for r in DEFAULT_RATIOS]
     base = [int(q) for q in quotas]
     remainders = [q - b for q, b in zip(quotas, base)]
     counts = list(base)
     order = sorted(range(3), key=lambda i: (-remainders[i], i))
     for i in order[:n - sum(base)]:
         counts[i] += 1
-    if n > 0 and counts[0] == 0:
-        donor = 1 if counts[1] >= counts[2] else 2
-        counts[donor] -= 1
-        counts[0] += 1
     return tuple(counts)
 
 
 def test_split_counts_matches_exact_arithmetic_oracle():
-    for ratios in [(0.8, 0.1, 0.1), (0.7, 0.2, 0.1), (0.05, 0.9, 0.05)]:
-        for n in range(0, 201):
-            assert split_counts(n, ratios) == split_counts_oracle(n, ratios), (n, ratios)
+    for n in range(0, 201):
+        assert split_counts(n) == split_counts_oracle(n), n
 
 
 def test_split_counts_known_values():
@@ -348,7 +343,7 @@ def test_split_counts_known_values():
     assert split_counts(6) == (5, 1, 0)
     assert split_counts(7) == (5, 1, 1)
     assert split_counts(1) == (1, 0, 0)
-    assert all(split_counts(n)[0] >= 1 for n in range(1, 40))
+    assert all(split_counts(n)[0] >= 1 for n in range(1, 10_000))
 
 
 def test_split_counts_rejects_negative():
@@ -433,7 +428,7 @@ def build_dataset_reference(records_s, records_t, rng, threshold):
             if not owned:
                 continue
             idx = sorted(item_index[i] for i in owned)
-            n_train, n_valid, _ = split_counts(len(idx), DEFAULT_RATIOS)
+            n_train, n_valid, _ = split_counts(len(idx))
             shuffled = [idx[p] for p in rng.permutation(len(idx))]
             pairs[(domain, "train")] += [[u, i] for i in shuffled[:n_train]]
             pairs[(domain, "valid")] += [[u, i] for i in shuffled[n_train:n_train + n_valid]]

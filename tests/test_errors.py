@@ -1,0 +1,97 @@
+"""Each library check that guards a public entry point raises its typed
+MdapError with its message, not a stray numpy or Python error."""
+
+import re
+import struct
+
+import numpy as np
+import pytest
+
+from mdap.data import view_blocks
+from mdap.errors import CheckpointError, ParameterError, ShapeError
+from mdap.evaluation import ndcg_at_k
+from mdap.model import (CHECKPOINT_MAGIC, ModelConfig, combine_views, forward, gate_weights,
+                        gumbel_softmax_assign, init_params, load_checkpoint, save_checkpoint)
+from mdap.numerics import CsrRows, Rng, adam_step, matmul
+from mdap.training import backward, residuals
+from sparse_rows import csr_lists, dense_input
+
+CONFIG = ModelConfig(k=3, embed_dim=8, hidden=16, tau=0.2, keep_prob=0.5, lam=0.5)
+
+
+def toy():
+    """Params over 6 + 5 items and a two-user batch of their 11 columns."""
+    return init_params(CONFIG, 6, 5, Rng(0)), csr_lists([[0, 7], [2, 9]], 11)
+
+
+def backward_on_eval_trace(tmp_path):
+    params, batch = toy()
+    trace = forward(params, CONFIG, batch)
+    backward(trace, residuals(trace, batch), params, CONFIG)
+
+
+def backward_with_other_item_counts(tmp_path):
+    params, batch = toy()
+    trace = forward(params, CONFIG, batch, Rng(1), training=True)
+    backward(trace, residuals(trace, batch), init_params(CONFIG, 7, 5, Rng(0)), CONFIG)
+
+
+def forward_without_rng(tmp_path):
+    params, batch = toy()
+    forward(params, CONFIG, batch, training=True)
+
+
+def checkpoint_of_version_two(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(str(path), toy()[0], CONFIG)
+    blob = path.read_bytes()
+    off = len(CHECKPOINT_MAGIC)
+    path.write_bytes(blob[:off] + struct.pack("<I", 2) + blob[off + 4:])
+    load_checkpoint(str(path))
+
+
+VIEW_EMBS = np.zeros((CONFIG.k, 2, CONFIG.embed_dim))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda tmp: toy()[0].domain_slice("x"),
+                 ParameterError, "unknown domain 'x'", id="domain_slice"),
+    pytest.param(lambda tmp: init_params(CONFIG, 0, 5, Rng(0)),
+                 ParameterError, "both domains need at least one item", id="init_params"),
+    pytest.param(lambda tmp: gumbel_softmax_assign(np.zeros((2, 3)), 0.2, training=True),
+                 ParameterError, "training-mode assignment needs an Rng", id="assign-no-rng"),
+    pytest.param(lambda tmp: gate_weights(toy()[0], "x"),
+                 ParameterError, "unknown domain 'x'", id="gate_weights"),
+    pytest.param(lambda tmp: combine_views(VIEW_EMBS, np.ones(CONFIG.k + 1)),
+                 ShapeError, "3 view embeddings vs 4 weights", id="combine_views-k+1"),
+    pytest.param(lambda tmp: combine_views(VIEW_EMBS, np.ones(CONFIG.k - 1)),
+                 ShapeError, "3 view embeddings vs 2 weights", id="combine_views-k-1"),
+    pytest.param(forward_without_rng,
+                 ParameterError, "training-mode forward needs an Rng", id="forward-no-rng"),
+    pytest.param(checkpoint_of_version_two,
+                 CheckpointError, "unsupported checkpoint version 2", id="checkpoint-version"),
+    pytest.param(lambda tmp: matmul(np.ones(3), np.ones((3, 2))),
+                 ShapeError, "matmul needs 2-d operands, got (3,) and (3, 2)", id="matmul-1d"),
+    pytest.param(lambda tmp: CsrRows(np.array([0, 2]), np.array([0]), 3),
+                 ShapeError, "indptr ends at 2 but there are 1 indices", id="csr-indptr"),
+    pytest.param(lambda tmp: dense_input(np.eye(2, 3)).matmul(np.ones((4, 2)), "probe"),
+                 ShapeError, "cannot multiply (2, 3) rows by (4, 2)", id="input-matmul"),
+    pytest.param(lambda tmp: dense_input(np.eye(2, 3)).t_matmul(np.ones((3, 2)), "probe"),
+                 ShapeError, "cannot multiply (2, 3) rows, transposed, by (3, 2)",
+                 id="input-t_matmul"),
+    pytest.param(lambda tmp: adam_step(*(np.zeros(2) for _ in range(4)), t=0),
+                 ParameterError, "step index must be >= 1, got 0", id="adam_step-t0"),
+    pytest.param(lambda tmp: ndcg_at_k(np.arange(3), set(), 2),
+                 ParameterError, "ndcg is undefined for an empty truth set", id="ndcg-no-truth"),
+    pytest.param(backward_on_eval_trace,
+                 ParameterError, "backward needs a trace from forward(training=True)",
+                 id="backward-eval-trace"),
+    pytest.param(backward_with_other_item_counts,
+                 ShapeError, "trace and params disagree on the item count",
+                 id="backward-item-counts"),
+    pytest.param(lambda tmp: view_blocks(3, 4),
+                 ParameterError, "cannot split 3 items into 4 non-empty blocks", id="view_blocks"),
+])
+def test_library_check_raises_its_typed_error(tmp_path, call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call(tmp_path)

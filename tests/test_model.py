@@ -796,6 +796,19 @@ def test_checkpoint_rejects_bad_header(tmp_path, edit):
         load_checkpoint(str(path))
 
 
+@pytest.mark.parametrize("value", ["3", 3.0, 3.9, True, 0],
+                         ids=["str", "integral-float", "float", "true", "zero"])
+@pytest.mark.parametrize("key", ["n_items_s", "n_items_t"])
+def test_checkpoint_rejects_item_count_that_is_not_a_positive_int(tmp_path, key, value):
+    # each domain has 3 items, so int() of "3", 3.0 or 3.9 would load
+    config, params = toy_params(n_s=3, n_t=3)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(str(path), params, config)
+    rewrite_header(path, lambda h: h.update({key: value}))
+    with pytest.raises(CheckpointError, match="corrupt header"):
+        load_checkpoint(str(path))
+
+
 @pytest.mark.parametrize("edit, field", [
     pytest.param(lambda h: h["config"].update(k=2), "core_emb", id="k"),
     pytest.param(lambda h: h["config"].update(hidden=15), "enc_w1", id="hidden"),

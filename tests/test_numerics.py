@@ -332,15 +332,15 @@ def test_adam_two_steps_match_scalar_oracle():
     m = np.zeros((1, 1))
     v = np.zeros((1, 1))
     for t in (1, 2):
-        param, m, v = adam_step(param, np.array([[g]]), m, v, t=t,
-                                lr=lr, beta1=b1, beta2=b2, eps=eps)
+        param, m, v = adam_step(param, np.array([[g]]), m, v, t=t, lr=lr)
     assert abs(param[0, 0] - p_ref) < 1e-12
     assert abs(m[0, 0] - m_ref) < 1e-12
     assert abs(v[0, 0] - v_ref) < 1e-12
 
 
-def adam_out_of_place(param, grad, m, v, t, lr, beta1, beta2, eps):
+def adam_out_of_place(param, grad, m, v, t, lr):
     """The textbook update as new arrays: the oracle of the in-place step."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     m = beta1 * m + (1.0 - beta1) * grad
     v = beta2 * v + (1.0 - beta2) * grad * grad
     m_hat = m / (1.0 - beta1 ** t)
@@ -354,8 +354,7 @@ def test_adam_in_place_equals_out_of_place_formula(shape, seed):
     # (3000, 23) and (23, 3000) span several ADAM_CHUNK passes, the last
     # one partial.
     gen = np.random.default_rng([seed, len(shape)])
-    hyper = {"lr": float(gen.choice([1e-3, 1e-2, 0.3])), "beta1": 0.9,
-             "beta2": float(gen.choice([0.999, 0.99])), "eps": 1e-8}
+    hyper = {"lr": float(gen.choice([1e-3, 1e-2, 0.3]))}
     param = gen.standard_normal(shape)
     m, v = np.zeros(shape), np.zeros(shape)
     ref = (param.copy(), m.copy(), v.copy())
@@ -372,7 +371,7 @@ def test_adam_updates_a_strided_view_in_place():
     base = Rng(2).uniform(40, 30)
     param = base.T[::2]  # neither C nor F contiguous
     grad = Rng(3).uniform(15, 40)
-    expect, _, _ = adam_out_of_place(param.copy(), grad, 0.0, 0.0, 1, 1e-3, 0.9, 0.999, 1e-8)
+    expect, _, _ = adam_out_of_place(param.copy(), grad, 0.0, 0.0, 1, 1e-3)
     adam_step(param, grad, np.zeros((15, 40)), np.zeros((15, 40)), 1)
     assert np.array_equal(base.T[::2], expect)
 

@@ -278,8 +278,9 @@ def test_train_step_forms_each_residual_once_from_the_batch(small_dataset, monke
     monkeypatch.setattr(training, "residuals", spy_residuals)
     monkeypatch.setattr(training, "loss", spy_loss)
     monkeypatch.setattr(training, "backward", spy_backward)
+    script_validation(monkeypatch, [0.5])
     config = small_train_config(epochs=2, patience=2)
-    train(small_dataset, config, eval_fn=metric_schedule([0.5]))
+    train(small_dataset, config)
     steps = 2 * -(-small_dataset.n_users // config.batch_users)
     assert len(batches) == len(formed) == steps
     assert [kind for kind, _ in used] == ["loss", "backward"] * steps
@@ -308,16 +309,16 @@ def test_train_frees_the_last_step_before_validation(small_dataset, monkeypatch)
         refs.extend(weakref.ref(g) for g in grads.values())
         return grads
 
-    def eval_fn(params, epoch):
+    def on_call(params, epoch):
         alive = [ref() for ref in refs if ref() is not None]
         assert refs and not alive, f"{len(alive)} of {len(refs)} still alive"
         validated.append(epoch)
-        return metric_schedule([0.5])(params, epoch)
 
     monkeypatch.setattr(training, "forward", spy_forward)
     monkeypatch.setattr(training, "residuals", spy_residuals)
     monkeypatch.setattr(training, "backward", spy_backward)
-    train(small_dataset, small_train_config(epochs=2, patience=2), eval_fn=eval_fn)
+    script_validation(monkeypatch, [0.5], on_call)
+    train(small_dataset, small_train_config(epochs=2, patience=2))
     assert validated == [1, 2]
 
 
@@ -376,11 +377,20 @@ def test_adam_optimizer_moves_every_field():
     assert "item_emb" in moved and "dec_w2" in moved and "gate" in moved
 
 
-def metric_schedule(values):
-    def eval_fn(params, epoch):
-        v = values[min(epoch, len(values)) - 1]
-        return {"recall_s": v, "recall_t": v, "ndcg_s": v, "ndcg_t": v}
-    return eval_fn
+def script_validation(monkeypatch, values, on_call=None):
+    """Replace train's validation with a fake whose recall and NDCG in both
+    domains are values[epoch - 1], the last value repeating; on_call(params,
+    epoch), if given, runs first."""
+    epochs = []
+
+    def fake_evaluate(params, config, dataset, split, k):
+        epochs.append(len(epochs) + 1)
+        if on_call is not None:
+            on_call(params, epochs[-1])
+        v = values[min(epochs[-1], len(values)) - 1]
+        return SimpleNamespace(domains={d: {"recall": v, "ndcg": v} for d in ("s", "t")})
+
+    monkeypatch.setattr(training, "evaluate", fake_evaluate)
 
 
 def small_train_config(epochs, patience, seed=0):
@@ -389,40 +399,39 @@ def small_train_config(epochs, patience, seed=0):
                        batch_users=64, lr=1e-3, eval_k=20, seed=seed)
 
 
-def test_early_stopping_counts_epochs(small_dataset):
+def test_early_stopping_counts_epochs(small_dataset, monkeypatch):
+    script_validation(monkeypatch, [0.5])
     config = small_train_config(epochs=50, patience=1)
-    params, log = train(small_dataset, config, eval_fn=metric_schedule([0.5]))
+    params, log = train(small_dataset, config)
     assert len(log.records) == 2  # epoch 1 improves, epoch 2 stalls, stop
     assert log.best_epoch == 1
 
 
-def test_best_epoch_snapshot_is_returned(small_dataset):
+def test_best_epoch_snapshot_is_returned(small_dataset, monkeypatch):
     schedule = [0.5, 0.9, 0.1, 0.1]
     long_cfg = small_train_config(epochs=4, patience=10)
-    params_long, log_long = train(small_dataset, long_cfg,
-                                  eval_fn=metric_schedule(schedule))
+    script_validation(monkeypatch, schedule)
+    params_long, log_long = train(small_dataset, long_cfg)
     assert log_long.best_epoch == 2
     assert len(log_long.records) == 4
     short_cfg = small_train_config(epochs=2, patience=10)
-    params_short, _ = train(small_dataset, short_cfg,
-                            eval_fn=metric_schedule(schedule))
+    script_validation(monkeypatch, schedule)
+    params_short, _ = train(small_dataset, short_cfg)
     for field in PARAM_FIELDS:
         assert np.array_equal(getattr(params_long, field),
                               getattr(params_short, field)), field
 
 
-def test_best_epoch_snapshot_is_untouched_by_later_steps(small_dataset):
+def test_best_epoch_snapshot_is_untouched_by_later_steps(small_dataset, monkeypatch):
     # Adam updates the live params in place; the returned best-epoch
     # snapshot must not share their arrays.
     snapshots = {}
 
-    def eval_fn(params, epoch):
+    def on_call(params, epoch):
         snapshots[epoch] = params.copy()
-        v = 0.9 if epoch == 1 else 0.1
-        return {"recall_s": v, "recall_t": v, "ndcg_s": v, "ndcg_t": v}
 
-    params, log = train(small_dataset, small_train_config(epochs=3, patience=10),
-                        eval_fn=eval_fn)
+    script_validation(monkeypatch, [0.9, 0.1], on_call)
+    params, log = train(small_dataset, small_train_config(epochs=3, patience=10))
     assert log.best_epoch == 1 and len(log.records) == 3
     for field in PARAM_FIELDS:
         assert np.array_equal(getattr(params, field), getattr(snapshots[1], field)), field
@@ -447,6 +456,19 @@ def test_train_log_key_order(small_dataset):
         assert list(json.loads(line)) == list(LOG_KEYS)
 
 
+def test_train_log_records_validation_of_the_valid_split(small_dataset):
+    # one epoch: the returned params are the ones that epoch validated
+    config = replace(small_train_config(epochs=1, patience=1), eval_k=5)
+    params, log = train(small_dataset, config)
+    domains = evaluate(params, config.model, small_dataset, "valid", k=5).domains
+    (record,) = log.records
+    for d in ("s", "t"):
+        assert record[f"val_recall20_{d}"] == domains[d]["recall"]
+        assert record[f"val_ndcg20_{d}"] == domains[d]["ndcg"]
+    assert record["loss_total"] == (record["loss_rec_s"] + record["loss_rec_t"]
+                                    + record["loss_orth"])
+
+
 def test_train_log_write_round_trip(small_dataset, tmp_path):
     config = small_train_config(epochs=2, patience=2)
     _, log = train(small_dataset, config)
@@ -455,12 +477,13 @@ def test_train_log_write_round_trip(small_dataset, tmp_path):
     assert path.read_text() == log.to_jsonl()
 
 
-def test_divergence_raises_with_epoch(small_dataset):
+def test_divergence_raises_with_epoch(small_dataset, monkeypatch):
     config = small_train_config(epochs=3, patience=3)
     config = TrainConfig(model=config.model, epochs_max=3, patience=3,
                          batch_users=64, lr=1e308, eval_k=20, seed=0)
+    script_validation(monkeypatch, [0.5])
     with pytest.raises(TrainingDivergedError) as err:
-        train(small_dataset, config, eval_fn=metric_schedule([0.5]))
+        train(small_dataset, config)
     assert 1 <= err.value.epoch <= 3
     assert str(err.value.epoch) in str(err.value)
 
@@ -476,18 +499,20 @@ def test_non_finite_gradient_raises_before_the_step(small_dataset, monkeypatch):
 
     monkeypatch.setattr(training, "backward", inf_backward)
     monkeypatch.setattr(AdamOptimizer, "step", lambda self, *args: steps.append(1))
+    script_validation(monkeypatch, [0.5])
     config = small_train_config(epochs=3, patience=3)
     with pytest.raises(TrainingDivergedError, match="non-finite gradient of dec_b1") as err:
-        train(small_dataset, config, eval_fn=metric_schedule([0.5]))
+        train(small_dataset, config)
     assert err.value.epoch == 1
     assert steps == []
 
 
-def test_single_view_variant_trains_with_one_view(small_dataset):
+def test_single_view_variant_trains_with_one_view(small_dataset, monkeypatch):
     base = small_train_config(epochs=2, patience=2)
     sv = TrainConfig(model=replace(base.model, ablation="single_view"),
                      epochs_max=2, patience=2, batch_users=64, lr=1e-3,
                      eval_k=20, seed=0)
-    params, log = train(small_dataset, sv, eval_fn=metric_schedule([0.5, 0.6]))
+    script_validation(monkeypatch, [0.5, 0.6])
+    params, log = train(small_dataset, sv)
     assert params.gate.shape == (2, 1)
     assert len(log.records) == 2
