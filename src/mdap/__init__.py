@@ -16,7 +16,7 @@ from .evaluation import MetricsReport, evaluate, ndcg_at_k, recall_at_k, top_k
 from .model import (ModelConfig, ModelParams, ForwardTrace, forward, init_params,
                     load_checkpoint, save_checkpoint)
 from .numerics import CsrRows, Rng
-from .training import TrainConfig, TrainLog, backward, loss, residuals, train
+from .training import TrainConfig, TrainLog, backward, train
 
 __version__ = "0.1.0"
 
@@ -27,7 +27,7 @@ __all__ = [
     "ShapeError", "SyntheticSpec", "TrainConfig", "TrainLog",
     "TrainingDivergedError", "backward", "build_dataset", "evaluate",
     "forward", "init_params", "k_core_filter",
-    "load_checkpoint", "load_domain", "loss", "ndcg_at_k", "recall_at_k",
-    "residuals", "save_checkpoint", "sparse_batch", "split_counts",
+    "load_checkpoint", "load_domain", "ndcg_at_k", "recall_at_k",
+    "save_checkpoint", "sparse_batch", "split_counts",
     "synthetic_records", "top_k", "train", "view_blocks",
 ]

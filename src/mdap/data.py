@@ -264,8 +264,12 @@ class InteractionDataset:
             self.pairs[key] = arr if ((du > 0) | ((du == 0) & (di >= 0))).all() else (
                 arr[np.lexsort((arr[:, 1], arr[:, 0]))])
         self._validate()
-        self.offsets = {key: np.searchsorted(arr[:, 0], np.arange(self.n_users + 1))
-                        for key, arr in self.pairs.items()}
+        self.offsets, self._rows = {}, {}
+        for key, arr in self.pairs.items():
+            self.offsets[key] = np.searchsorted(arr[:, 0], np.arange(self.n_users + 1))
+            indptr, indices = self.offsets[key].view(), arr[:, 1]
+            indptr.flags.writeable = indices.flags.writeable = False
+            self._rows[key] = CsrRows(indptr, indices, self.n_items(key[0]))
 
     def _validate(self):
         n_users = len(self.users)
@@ -299,13 +303,10 @@ class InteractionDataset:
     def rows(self, domain: str, split: str) -> CsrRows:
         """One domain's split as CSR rows, one row per user, with the
         user's items in ascending order. indptr and indices are read-only
-        views of offsets and pairs; nothing is copied.
+        views of offsets and pairs; nothing is copied. Each split's rows
+        are built and validated once, in __init__.
         """
-        key = (domain, split)
-        indptr = self.offsets[key].view()
-        indices = self.pairs[key][:, 1]
-        indptr.flags.writeable = indices.flags.writeable = False
-        return CsrRows(indptr, indices, self.n_items(domain))
+        return self._rows[(domain, split)]
 
 
 def build_dataset(domain_s: Interactions, domain_t: Interactions, rng: Rng,

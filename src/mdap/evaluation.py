@@ -26,9 +26,9 @@ from .numerics import CsrRows, buffer, check_int, reuse_buffers
 # allocated afresh, each block on 2000 items faulted in about 1,250 pages.
 # A user's scores are the same bits in any block of 2 or more rows that
 # takes the same input path (numerics.per_row_products picks it per block
-# from the block's density). A 1-row block, the tail when n_users mod 256
-# is 1, can differ in the last bit: numpy multiplies a single row on its
-# matrix-vector path.
+# from the block's density). A 1-row block can differ in the last bit, as
+# numpy multiplies a single row on its matrix-vector path, so model_scores
+# folds a 1-row tail into the block before it.
 EVAL_BATCH_USERS = 256
 
 
@@ -177,8 +177,9 @@ def model_scores(params: ModelParams, config: ModelConfig, dataset) -> dict[str,
     """Evaluation-mode reconstruction scores for every user, per domain.
 
     Model input is each user's training row over both domains, run
-    EVAL_BATCH_USERS users at a time, each block decoded into its rows of
-    the returned matrices; the embeddings are normalized once per call.
+    EVAL_BATCH_USERS users at a time (the last block takes one more user
+    rather than leave one alone), each block decoded into its rows of the
+    returned matrices; the embeddings are normalized once per call.
     """
     n_users = dataset.n_users
     # every row is written below
@@ -187,8 +188,10 @@ def model_scores(params: ModelParams, config: ModelConfig, dataset) -> dict[str,
     norms = embedding_norms(params)
     # each block's forward reuses the previous block's memory
     with reuse_buffers():
-        for start in range(0, n_users, EVAL_BATCH_USERS):
-            stop = min(start + EVAL_BATCH_USERS, n_users)
+        bounds = [*range(0, n_users, EVAL_BATCH_USERS), n_users]
+        if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+            del bounds[-2]
+        for start, stop in zip(bounds, bounds[1:]):
             forward(params, config, sparse_batch(dataset, np.arange(start, stop)),
                     norms=norms, out={d: scores[start:stop] for d, scores in out.items()})
     return out

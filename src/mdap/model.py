@@ -241,8 +241,7 @@ def decode(params: ModelParams, z: np.ndarray, domain: str,
 
 @dataclass
 class ForwardTrace:
-    """The intermediates of one forward pass that backward, residuals and
-    loss read.
+    """The batch and the intermediates of one forward pass that backward reads.
 
     Dropout masks and Gumbel noise are constants of the pass and are not
     kept: a finite-difference probe or a test recovers them by replaying
@@ -250,6 +249,7 @@ class ForwardTrace:
     """
 
     training: bool
+    batch: CsrRows                     # the rows forward was given, not a copy
     x: InputRows                       # normalized, dropout-corrupted input;
                                        # x.array is the dense x on the dense path
     item_norm: np.ndarray
@@ -301,8 +301,6 @@ def forward(params: ModelParams, config: ModelConfig, batch: CsrRows,
         raise ShapeError(f"expected rows of width {n}, got {batch.n_cols}")
     b = batch.n_rows
     entries = batch.flat_index()
-    if np.any(np.diff(entries) <= 0):  # a repeated column would spoil the count
-        raise ShapeError("each row's columns must ascend strictly")
     counts = np.diff(batch.indptr)
     values = 1.0 / np.sqrt(np.repeat(counts, counts))
     if training and config.keep_prob < 1.0:
@@ -329,10 +327,17 @@ def forward(params: ModelParams, config: ModelConfig, batch: CsrRows,
     dec_hidden_t, recon_t = decode(params, z_t, "t", out=out.get("t"))
 
     return ForwardTrace(
-        training=training, x=x, item_norm=item_norm, core_norm=core_norm, proj=proj,
+        training=training, batch=batch, x=x, item_norm=item_norm, core_norm=core_norm, proj=proj,
         assign=assign, enc_proj=enc_proj, enc_hidden=enc_hidden, view_embs=view_embs,
         gate_s=gate_s, gate_t=gate_t, z_s=z_s, z_t=z_t, dec_hidden_s=dec_hidden_s,
         dec_hidden_t=dec_hidden_t, recon_s=recon_s, recon_t=recon_t)
+
+
+def header_value(value):
+    """json.dumps' hook: a numpy scalar is written as the number it equals."""
+    if isinstance(value, np.generic):
+        return value.item()
+    raise ParameterError(f"a checkpoint header cannot hold {value!r}")
 
 
 def save_checkpoint(path: str, params: ModelParams, config: ModelConfig,
@@ -342,19 +347,18 @@ def save_checkpoint(path: str, params: ModelParams, config: ModelConfig,
     Layout: magic, u32 version, u64 header length, JSON header (config,
     item counts, shape table, optional extra metadata), then each
     parameter array's raw little-endian float64 bytes in PARAM_FIELDS
-    order. Round-trips bit exactly.
+    order. Round-trips bit exactly. A header value that JSON cannot write
+    raises ParameterError before the file is made.
     """
     header = {
-        # a numpy real that ModelConfig accepts is written as the Python number it equals
-        "config": {name: value.item() if isinstance(value, np.generic) else value
-                   for name, value in asdict(config).items()},
+        "config": asdict(config),
         "n_items_s": params.n_items_s,
         "n_items_t": params.n_items_t,
         "shapes": {name: list(arr.shape) for name, arr in params.arrays()},
     }
     if extra:
         header["extra"] = extra
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    blob = json.dumps(header, sort_keys=True, default=header_value).encode("utf-8")
     with atomic_open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))

@@ -160,14 +160,22 @@ class CsrRows:
     n_cols: int
 
     def __post_init__(self):
-        if (self.indptr.ndim != 1 or len(self.indptr) < 1 or self.indptr[0] != 0
-                or np.any(np.diff(self.indptr) < 0)):
+        for name in ("indptr", "indices"):
+            arr = getattr(self, name)
+            if not isinstance(arr, np.ndarray) or arr.ndim != 1 or arr.dtype.kind not in "iu":
+                raise ShapeError(f"{name} must be a 1-d integer array")
+            # int64 is kept as is; a uint64 would make flat_index's positions float
+            object.__setattr__(self, name, arr.astype(np.int64, copy=False))
+        if len(self.indptr) < 1 or self.indptr[0] != 0 or np.any(np.diff(self.indptr) < 0):
             raise ShapeError("indptr must be a 1-d non-decreasing array starting at 0")
         if len(self.indices) != self.indptr[-1]:
             raise ShapeError(
                 f"indptr ends at {self.indptr[-1]} but there are {len(self.indices)} indices")
         if len(self.indices) and not 0 <= self.indices.min() <= self.indices.max() < self.n_cols:
             raise ShapeError(f"column indices must lie in [0, {self.n_cols})")
+        # a repeated column would change its row's count, which forward divides by
+        if np.any(np.diff(self.flat_index()) <= 0):
+            raise ShapeError("each row's columns must ascend strictly")
 
     @property
     def n_rows(self) -> int:

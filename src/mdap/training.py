@@ -1,11 +1,12 @@
-"""Reconstruction training: loss, exact gradients, and the Adam loop
-with early stopping.
+"""Reconstruction training: the loss with its exact gradients, and the
+Adam loop with early stopping.
 
 The loss is the squared Frobenius reconstruction error of both domains
-plus a penalty on the dot product of the two domains' gate vectors,
-which pushes the domains to rely on different views. Gradients are
-derived by hand against the ForwardTrace; dropout masks and Gumbel
-noise are treated as constants of the pass, so a finite-difference
+against the uncorrupted batch the forward pass was given, plus a penalty
+on the dot product of the two domains' gate vectors, which pushes the
+domains to rely on different views. backward() computes the loss and its
+gradients, derived by hand, from one ForwardTrace; dropout masks and
+Gumbel noise are treated as constants of the pass, so a finite-difference
 probe that replays the pass from the same seed must agree with backward().
 """
 
@@ -19,60 +20,12 @@ from .data import DOMAINS, InteractionDataset, atomic_open, sparse_batch
 from .errors import ParameterError, ShapeError, TrainingDivergedError
 from .evaluation import evaluate
 from .model import PARAM_FIELDS, ModelConfig, ModelParams, forward, init_params
-from .numerics import (SCRATCH, CsrRows, Rng, adam_step, buffer, check_int, check_real,
+from .numerics import (SCRATCH, Rng, adam_step, buffer, check_int, check_real,
                        matmul, reuse_buffers, row_l2_normalize_grad, softmax_rows_grad)
 
 # Exact key order of one serialized training-log record.
 LOG_KEYS = ("epoch", "loss_total", "loss_rec_s", "loss_rec_t", "loss_orth",
             "val_recall20_s", "val_recall20_t", "val_ndcg20_s", "val_ndcg20_t")
-
-
-def residuals(trace, targets: CsrRows) -> tuple[np.ndarray, np.ndarray]:
-    """Each domain's reconstruction residual recon - targets, formed once.
-
-    targets are 0/1 rows over both domains' columns (a training step
-    passes the batch itself). Off the stored entries the target is 0 and
-    recon - 0 is recon exactly, so each residual is a copy of its
-    reconstruction with recon - 1 written at the stored entries only: no
-    dense targets are built. loss() and backward() both read the pair.
-    """
-    n_s = trace.recon_s.shape[1]
-    if (targets.n_rows, targets.n_cols) != (trace.recon_s.shape[0],
-                                            n_s + trace.recon_t.shape[1]):
-        raise ShapeError(
-            f"targets of shape {(targets.n_rows, targets.n_cols)} do not match "
-            f"reconstructions {trace.recon_s.shape}/{trace.recon_t.shape}")
-    rows = np.repeat(np.arange(targets.n_rows), np.diff(targets.indptr))
-    in_s = targets.indices < n_s
-    out = []
-    for recon, at, col0, name in ((trace.recon_s, in_s, 0, "residual_s"),
-                                  (trace.recon_t, ~in_s, n_s, "residual_t")):
-        r = buffer(name, recon.shape)
-        np.copyto(r, recon)
-        r[rows[at], targets.indices[at] - col0] -= 1.0
-        out.append(r)
-    return out[0], out[1]
-
-
-def loss(trace, residuals: tuple[np.ndarray, np.ndarray],
-         lam: float) -> tuple[float, dict[str, float]]:
-    """Total loss and its breakdown {rec_s, rec_t, orth}.
-
-    residuals is the (r_s, r_t) pair from residuals(). Reconstruction
-    terms are sums of squared errors over every entry of the batch rows,
-    zeros included. The orthogonality term is lam * (gate_s . gate_t).
-    """
-    r_s, r_t = residuals
-    if r_s.shape != trace.recon_s.shape or r_t.shape != trace.recon_t.shape:
-        raise ShapeError(
-            f"residual shapes {r_s.shape}/{r_t.shape} do not match "
-            f"reconstructions {trace.recon_s.shape}/{trace.recon_t.shape}")
-    # squared into a work array: backward() still reads the residuals
-    rec_s = float(np.sum(np.square(r_s, out=buffer(SCRATCH, r_s.shape))))
-    rec_t = float(np.sum(np.square(r_t, out=buffer(SCRATCH, r_t.shape))))
-    orth = float(lam * np.dot(trace.gate_s, trace.gate_t))
-    total = rec_s + rec_t + orth
-    return total, {"rec_s": rec_s, "rec_t": rec_t, "orth": orth}
 
 
 def tanh_grad(hidden: np.ndarray) -> np.ndarray:
@@ -83,13 +36,14 @@ def tanh_grad(hidden: np.ndarray) -> np.ndarray:
     return factor
 
 
-def backward(trace, residuals: tuple[np.ndarray, np.ndarray],
-             params: ModelParams, config: ModelConfig) -> dict[str, np.ndarray]:
-    """Exact loss gradients for every parameter array.
+def backward(trace, params: ModelParams, config: ModelConfig
+             ) -> tuple[float, dict[str, float], dict[str, np.ndarray]]:
+    """The loss of a training-mode trace and its exact gradients.
 
-    Requires a training-mode trace and its residuals() pair. Returns
-    {field name: gradient} in PARAM_FIELDS order; fields outside the
-    active ablation's compute path get zero gradients.
+    The loss is each domain's squared error against trace.batch, the rows
+    forward was given, over every entry, plus lam * (gate_s . gate_t).
+    Returns (total, {rec_s, rec_t, orth}, {field name: gradient} in
+    PARAM_FIELDS order); fields off the ablation's path get zero gradients.
     """
     if not trace.training:
         raise ParameterError("backward needs a trace from forward(training=True)")
@@ -99,15 +53,24 @@ def backward(trace, residuals: tuple[np.ndarray, np.ndarray],
     grads = {"dec_w1": np.zeros_like(params.dec_w1), "dec_b1": np.zeros_like(params.dec_b1),
              "dec_w2": np.empty_like(params.dec_w2), "dec_b2": np.empty_like(params.dec_b2),
              "gate": np.zeros_like(params.gate)}
+    batch = trace.batch
+    rows = np.repeat(np.arange(batch.n_rows), np.diff(batch.indptr))
+    in_s = batch.indices < trace.recon_s.shape[1]
 
-    # The loss gradient wrt recon is 2 * r. Doubling is exact, so it is
+    # The residual r = recon - batch is a copy of recon with recon - 1
+    # written at the stored entries only: no dense targets are built. The
+    # loss gradient wrt recon is 2 * r. Doubling is exact, so it is
     # applied to the small products rather than to the (B, items) residual.
-    d_z = {}
-    gate_recon_grad = {}
-    for domain, r, dec_hidden, z in (
-            ("s", residuals[0], trace.dec_hidden_s, trace.z_s),
-            ("t", residuals[1], trace.dec_hidden_t, trace.z_t)):
+    parts, d_z, gate_recon_grad = {}, {}, {}
+    for domain, recon, at, dec_hidden, z in (
+            ("s", trace.recon_s, in_s, trace.dec_hidden_s, trace.z_s),
+            ("t", trace.recon_t, ~in_s, trace.dec_hidden_t, trace.z_t)):
         cols = params.domain_slice(domain)
+        r = buffer("residual_" + domain, recon.shape)
+        np.copyto(r, recon)
+        r[rows[at], batch.indices[at] - cols.start] -= 1.0
+        # squared into a work array: the gradients below still read r
+        parts["rec_" + domain] = float(np.sum(np.square(r, out=buffer(SCRATCH, r.shape))))
         matmul(dec_hidden.T, r, out=grads["dec_w2"][:, cols])
         grads["dec_w2"][:, cols] *= 2.0
         np.multiply(r.sum(axis=0), 2.0, out=grads["dec_b2"][cols])
@@ -118,6 +81,8 @@ def backward(trace, residuals: tuple[np.ndarray, np.ndarray],
         grads["dec_b1"] += d_pre.sum(axis=0)
         d_z[domain] = d_pre @ params.dec_w1.T
         gate_recon_grad[domain] = np.einsum("kbl,bl->k", trace.view_embs, d_z[domain])
+    parts["orth"] = float(config.lam * np.dot(trace.gate_s, trace.gate_t))
+    total = parts["rec_s"] + parts["rec_t"] + parts["orth"]
 
     # Gate table: reconstruction pull plus the orthogonality coupling,
     # through the softmax Jacobian. Uniform gates (no_gate) are constant.
@@ -159,7 +124,7 @@ def backward(trace, residuals: tuple[np.ndarray, np.ndarray],
     grads["item_emb"] = row_l2_normalize_grad(params.item_emb, trace.item_norm,
                                               x_grads[:, h:])
 
-    return {name: grads[name] for name in PARAM_FIELDS}
+    return total, parts, {name: grads[name] for name in PARAM_FIELDS}
 
 
 class AdamOptimizer:
@@ -222,8 +187,9 @@ def train(dataset: InteractionDataset, config: TrainConfig,
           verbose: bool = False) -> tuple[ModelParams, TrainLog]:
     """Fit the model on the dataset's training split.
 
-    Each epoch shuffles the user rows, runs training-mode forward and
-    backward over user batches, applies Adam, then validates: evaluate()
+    Each epoch shuffles the user rows; each step runs training-mode
+    forward and backward on a batch of users, whose loss and gradients
+    must be finite, and applies Adam. The epoch then validates: evaluate()
     on the valid split at config.eval_k. Early stopping watches the mean
     of the two domains' NDCG and keeps a snapshot of the best-epoch
     parameters, which are returned. A non-finite loss, or a non-finite
@@ -253,12 +219,9 @@ def train(dataset: InteractionDataset, config: TrainConfig,
                 for start in range(0, dataset.n_users, config.batch_users):
                     batch = sparse_batch(dataset, perm[start:start + config.batch_users])
                     trace = forward(params, config.model, batch, noise_rng, training=True)
-                    # the batch's own entries are the targets
-                    r = residuals(trace, batch)
-                    total, parts = loss(trace, r, config.model.lam)
+                    total, parts, grads = backward(trace, params, config.model)
                     if not np.isfinite(total):
                         raise TrainingDivergedError(epoch)
-                    grads = backward(trace, r, params, config.model)
                     for name, grad in grads.items():
                         if not np.isfinite(grad).all():
                             raise TrainingDivergedError(
@@ -269,7 +232,7 @@ def train(dataset: InteractionDataset, config: TrainConfig,
 
             # the last step's arrays would otherwise stay alive through
             # validation; rebinding (not del) also holds for zero steps
-            batch = trace = r = grads = grad = None
+            batch = trace = grads = grad = None
             domains = evaluate(params, config.model, dataset, "valid", k=config.eval_k).domains
             rec_s, rec_t, orth = sums.values()
             record = dict(zip(LOG_KEYS, (epoch, rec_s + rec_t + orth, rec_s, rec_t, orth, *(

@@ -13,7 +13,7 @@ from mdap.evaluation import ndcg_at_k
 from mdap.model import (CHECKPOINT_MAGIC, ModelConfig, combine_views, forward, gate_weights,
                         gumbel_softmax_assign, init_params, load_checkpoint, save_checkpoint)
 from mdap.numerics import CsrRows, Rng, adam_step, matmul
-from mdap.training import backward, residuals
+from mdap.training import backward
 from sparse_rows import csr_lists, dense_input
 
 CONFIG = ModelConfig(k=3, embed_dim=8, hidden=16, tau=0.2, keep_prob=0.5, lam=0.5)
@@ -27,13 +27,13 @@ def toy():
 def backward_on_eval_trace(tmp_path):
     params, batch = toy()
     trace = forward(params, CONFIG, batch)
-    backward(trace, residuals(trace, batch), params, CONFIG)
+    backward(trace, params, CONFIG)
 
 
 def backward_with_other_item_counts(tmp_path):
     params, batch = toy()
     trace = forward(params, CONFIG, batch, Rng(1), training=True)
-    backward(trace, residuals(trace, batch), init_params(CONFIG, 7, 5, Rng(0)), CONFIG)
+    backward(trace, init_params(CONFIG, 7, 5, Rng(0)), CONFIG)
 
 
 def forward_without_rng(tmp_path):

@@ -260,7 +260,7 @@ def wide_instance(rng, n_items, k, pattern):
         scores[row, start:start + kk] = rng.permutation(kk) + 10.0
     train_lists = [np.sort(rng.choice(n_items, int(rng.integers(0, n_items // 3)),
                                       replace=False)) for _ in range(n_users)]
-    train_lists[2] = np.argsort(-scores[2], kind="stable")[:n_items // 2]
+    train_lists[2] = np.sort(np.argsort(-scores[2], kind="stable")[:n_items // 2])
     train_lists[3] = np.arange(n_items)
     train_lists[4] = np.sort(rng.choice(n_items, n_items - max(1, kk // 2), replace=False))
     truth_lists = []
@@ -418,9 +418,9 @@ def test_model_scores_fill_every_row(fixture_dataset, monkeypatch):
     # The outputs start uninitialized and garbage can be finite, and a
     # user's scores must not depend on the size of the block it falls in,
     # so every row of every block size from 2 users up (most end on a
-    # partial block) is checked against a single-block run. 1-row blocks
-    # are the exception documented beside EVAL_BATCH_USERS: the row of a
-    # 1-row tail block (200 users in blocks of 199) is left out.
+    # partial block) is checked against a single-block run. A 1-row tail
+    # (200 users in blocks of 199) joins the block before it, whose rows
+    # then match too.
     config = ModelConfig()
     params = init_params(config, fixture_dataset.n_items("s"),
                          fixture_dataset.n_items("t"), Rng(0))
@@ -430,9 +430,24 @@ def test_model_scores_fill_every_row(fixture_dataset, monkeypatch):
     for block in range(2, n_users):
         monkeypatch.setattr(evaluation, "EVAL_BATCH_USERS", block)
         blocked = model_scores(params, config, fixture_dataset)
-        rows = slice(0, n_users - 1 if n_users % block == 1 else n_users)
         for domain in ("s", "t"):
-            assert np.array_equal(blocked[domain][rows], whole[domain][rows]), (block, domain)
+            assert np.array_equal(blocked[domain], whole[domain]), (block, domain)
+
+
+@pytest.mark.parametrize("block, sizes", [(199, [200]), (66, [66, 66, 66, 2]),
+                                         (200, [200]), (256, [200])])
+def test_model_scores_fold_a_one_row_tail_into_the_block_before(fixture_dataset, monkeypatch,
+                                                                 block, sizes):
+    seen = []
+    real_forward = evaluation.forward
+    monkeypatch.setattr(evaluation, "forward",
+                        lambda params, config, batch, **kw: seen.append(batch.n_rows)
+                        or real_forward(params, config, batch, **kw))
+    monkeypatch.setattr(evaluation, "EVAL_BATCH_USERS", block)
+    config = ModelConfig(k=2, embed_dim=8, hidden=16)
+    model_scores(init_params(config, fixture_dataset.n_items("s"),
+                             fixture_dataset.n_items("t"), Rng(0)), config, fixture_dataset)
+    assert seen == sizes
 
 
 def test_model_scores_decode_each_block_into_its_rows(fixture_dataset, monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import struct
 import sys
 import tracemalloc
@@ -19,7 +20,7 @@ from mdap.model import (ABLATIONS, CHECKPOINT_MAGIC, ForwardTrace, ModelConfig,
                         init_params, load_checkpoint, save_checkpoint)
 from mdap.numerics import (CsrRows, Rng, buffer, per_row_products, reuse_buffers,
                            row_l2_normalize, sample_dropout_mask, sample_gumbel, softmax_rows)
-from mdap.training import TrainConfig, backward, loss, residuals, train
+from mdap.training import TrainConfig, backward, train
 from sparse_rows import csr, csr_lists, dense, dense_input, dense_x
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
@@ -300,7 +301,8 @@ def dense_reference_forward(params, config, raw, rng, training):
     dec_hidden_s, recon_s = decode(params, z_s, "s")
     dec_hidden_t, recon_t = decode(params, z_t, "t")
     return ForwardTrace(
-        training=training, x=dense_input(x), item_norm=item_norm, core_norm=core_norm, proj=proj,
+        training=training, batch=csr(raw), x=dense_input(x), item_norm=item_norm,
+        core_norm=core_norm, proj=proj,
         assign=assign, enc_proj=enc_proj, enc_hidden=enc_hidden, view_embs=view_embs,
         gate_s=gate_s, gate_t=gate_t, z_s=z_s, z_t=z_t, dec_hidden_s=dec_hidden_s,
         dec_hidden_t=dec_hidden_t, recon_s=recon_s, recon_t=recon_t)
@@ -339,9 +341,8 @@ def test_sparse_input_stage_equals_dense_reference(ablation, training, keep_prob
         assert np.array_equal(trace.recon_s, ref.recon_s)
         assert np.array_equal(trace.recon_t, ref.recon_t)
         if training:
-            targets = csr(raw)
-            grads = backward(trace, residuals(trace, targets), params, config)
-            expect = backward(ref, residuals(ref, targets), params, config)
+            grads = backward(trace, params, config)[2]
+            expect = backward(ref, params, config)[2]
             for name in PARAM_FIELDS:
                 assert np.array_equal(grads[name], expect[name]), (trial, name)
 
@@ -407,8 +408,8 @@ def test_per_row_path_matches_dense_reference(ablation, training):
     for name in ("proj", "enc_proj", "recon_s", "recon_t"):
         assert_close(getattr(trace, name), getattr(ref, name), PER_ROW_TOLERANCE, name)
     if training:
-        grads = backward(trace, residuals(trace, batch), params, config)
-        expect = backward(ref, residuals(ref, batch), params, config)
+        grads = backward(trace, params, config)[2]
+        expect = backward(ref, params, config)[2]
         for name in PARAM_FIELDS:
             tolerance = (ASSIGNMENT_TOLERANCE if name in ("item_emb", "core_emb")
                          else PER_ROW_TOLERANCE)
@@ -422,7 +423,7 @@ def test_per_row_path_gradients_match_finite_differences():
     config, params, batch = per_row_case(3, ablation="full")
     trace = forward(params, config, batch, Rng(4), training=True)
     assert trace.x.array is None
-    grads = backward(trace, residuals(trace, batch), params, config)
+    grads = backward(trace, params, config)[2]
     gen = np.random.default_rng(0)
     kept = np.unique(trace.x.indices)
     unused = np.setdiff1d(np.arange(params.n_items_total), batch.indices)[0]
@@ -445,7 +446,7 @@ def test_per_row_path_gradients_match_finite_differences():
                 arr[idx] = value
                 # the same derived stream draws the same mask and noise again
                 replay = forward(params, config, batch, Rng(4), training=True)
-                losses.append(loss(replay, residuals(replay, batch), config.lam)[0])
+                losses.append(backward(replay, params, config)[0])
             arr[idx] = keep
             numeric = (losses[0] - losses[1]) / (2 * h)
             analytic = grads[field][idx]
@@ -480,7 +481,7 @@ def test_per_row_path_writes_every_row_of_its_buffers():
     config, params, batch = per_row_case(6, keep_prob=0.2)
     rows = sparse_rows_with_empty(batch)
     trace = forward(params, config, rows, Rng(3), training=True)
-    expect = backward(trace, residuals(trace, rows), params, config)
+    expect = backward(trace, params, config)[2]
     with reuse_buffers():
         for name, shape in (("proj", trace.proj.shape), ("enc_proj", trace.enc_proj.shape),
                             ("x_grads", (rows.n_cols, 40))):
@@ -489,7 +490,7 @@ def test_per_row_path_writes_every_row_of_its_buffers():
         assert again.x.array is None
         assert np.array_equal(again.proj, trace.proj)
         assert np.array_equal(again.enc_proj, trace.enc_proj)
-        grads = backward(again, residuals(again, rows), params, config)
+        grads = backward(again, params, config)[2]
         for name in PARAM_FIELDS:
             assert np.array_equal(grads[name], expect[name]), name
 
@@ -576,11 +577,10 @@ def test_forward_rejects_wrong_width():
 @pytest.mark.parametrize("columns", [[1, 1], [2, 1]], ids=["repeated", "descending"])
 def test_forward_rejects_columns_that_do_not_ascend(columns):
     # A row is normalized by its entry count, which a repeated column
-    # would inflate; only strictly ascending columns rule that out.
-    config, params = toy_params()
-    batch = CsrRows(np.array([0, 2]), np.array(columns, dtype=np.int64), 11)
+    # would inflate; only strictly ascending columns rule that out. Such
+    # rows never reach forward: building the batch raises.
     with pytest.raises(ShapeError, match="ascend strictly"):
-        forward(params, config, batch)
+        CsrRows(np.array([0, 2]), np.array(columns, dtype=np.int64), 11)
 
 
 def forward_peak_bytes(k):
@@ -622,8 +622,8 @@ def test_forward_k1_matches_single_view():
             b = forward(params, sv, batch, Rng(trial), training=training)
             assert np.array_equal(a.recon_s, b.recon_s), (trial, training)
             assert np.array_equal(a.recon_t, b.recon_t), (trial, training)
-        grads_a = backward(a, residuals(a, batch), params, base)
-        grads_b = backward(b, residuals(b, batch), params, sv)
+        grads_a = backward(a, params, base)[2]
+        grads_b = backward(b, params, sv)[2]
         for name in PARAM_FIELDS:
             assert np.array_equal(grads_a[name], grads_b[name]), (trial, name)
 
@@ -641,8 +641,9 @@ def test_forward_with_passed_norms_and_output_rows_matches_plain_forward(b):
     trace = forward(params, config, batch, norms=embedding_norms(params),
                     out={d: m[rows] for d, m in scores.items()})
     assert np.array_equal(dense_x(trace.x), dense_x(plain.x))
+    assert trace.batch is plain.batch is batch
     for f in fields(ForwardTrace):
-        if f.name != "x":
+        if f.name not in ("x", "batch"):
             assert np.array_equal(getattr(trace, f.name), getattr(plain, f.name)), f.name
     for d in ("s", "t"):
         assert getattr(trace, "recon_" + d).ctypes.data == scores[d][rows].ctypes.data
@@ -655,6 +656,13 @@ def test_forward_padded_user_gets_uniform_assignment():
     x[2] = 0.0
     trace = forward(params, config, csr(x))
     assert np.allclose(trace.assign[2], np.full(3, 1 / 3), atol=1e-12)
+
+
+@pytest.mark.parametrize("training", [False, True])
+def test_forward_trace_holds_the_batch_it_was_given(training):
+    config, params = toy_params()
+    batch = csr(binary_rows(1, 4))
+    assert forward(params, config, batch, Rng(2), training=training).batch is batch
 
 
 def test_forward_trace_shapes():
@@ -686,7 +694,7 @@ def test_forward_single_view_assigns_ones_without_noise_or_logit_gradients():
     replay = Rng(2)
     sample_dropout_mask(replay, 4, 11, config.keep_prob, batch.flat_index())
     assert np.array_equal(rng.uniform(1, 3), replay.uniform(1, 3))
-    grads = backward(trace, residuals(trace, batch), params, config)
+    grads = backward(trace, params, config)[2]
     for name in ("item_emb", "core_emb", "gate"):
         assert not grads[name].any(), name
 
@@ -725,6 +733,20 @@ def test_checkpoint_round_trips_numpy_real_config(tmp_path, name, value):
     assert getattr(loaded_config, name) == value.item()
     for field in PARAM_FIELDS:
         assert getattr(loaded, field).tobytes() == getattr(params, field).tobytes(), field
+
+
+def test_checkpoint_extra_takes_numpy_scalars_and_rejects_what_json_cannot_write(tmp_path):
+    config, params = toy_params()
+    path = tmp_path / "model.ckpt"
+    extra = {"best_epoch": np.int64(3), "score": np.float32(0.25), "ok": np.bool_(True)}
+    save_checkpoint(str(path), params, config, extra=extra)
+    loaded = load_checkpoint(str(path))[2]
+    assert loaded == {"best_epoch": 3, "score": 0.25, "ok": True}
+    assert [type(loaded[key]) for key in ("best_epoch", "score", "ok")] == [int, float, bool]
+    other = tmp_path / "other.ckpt"
+    with pytest.raises(ParameterError, match=re.escape("cannot hold {1, 2}")):
+        save_checkpoint(str(other), params, config, extra={"epochs": {1, 2}})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
 
 
 def test_checkpoint_rejects_corruption(tmp_path):

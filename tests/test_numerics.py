@@ -47,11 +47,30 @@ def test_csr_take_rejects_bad_rows(rows, message):
     ([0, 1, 1], [5], r"\[0, 5\)"),
     ([0, 1, 1], [-1], r"\[0, 5\)"),
     ([0, 2, 1], [0], "non-decreasing"),
-], ids=["column-past-end", "negative-column", "decreasing-indptr"])
+    (np.array([0.0, 1.0]), [0], "indptr must be a 1-d integer array"),
+    ([0, 1], np.array([0.0]), "indices must be a 1-d integer array"),
+    (np.array([[0, 1]]), [0], "indptr must be a 1-d integer array"),
+    ([0, 2], np.array([[0, 1]]), "indices must be a 1-d integer array"),
+    ([0, 2], [0, 0], "ascend strictly"),
+    ([0, 2, 4], [1, 3, 2, 2], "ascend strictly"),
+    ([0, 2], [3, 1], "ascend strictly"),
+], ids=["column-past-end", "negative-column", "decreasing-indptr", "float-indptr",
+        "float-indices", "2d-indptr", "2d-indices", "repeated-column",
+        "repeated-column-in-second-row", "descending-columns"])
 def test_csr_rows_reject_bad_pattern(indptr, indices, message):
-    # Each would put an entry in the wrong row or column of forward's input.
+    # Each would put an entry in the wrong row or column of forward's input,
+    # count a column twice, or fail later with a stray numpy error.
+    def as_array(v):
+        return v if isinstance(v, np.ndarray) else np.array(v, dtype=np.int64)
     with pytest.raises(ShapeError, match=message):
-        CsrRows(np.array(indptr), np.array(indices, dtype=np.int64), 5)
+        CsrRows(as_array(indptr), as_array(indices), 5)
+
+
+def test_csr_rows_take_unsigned_arrays_as_int64():
+    # uint64 + int64 is float64 in numpy: flat_index would give float positions
+    rows = CsrRows(np.array([0, 2, 3], dtype=np.uint64), np.array([1, 3, 0], dtype=np.uint32), 5)
+    assert rows.indptr.dtype == rows.indices.dtype == np.int64
+    assert rows.flat_index().tolist() == [1, 3, 5]
 
 
 def test_rng_same_seed_same_draws():

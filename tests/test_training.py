@@ -9,12 +9,12 @@ import pytest
 
 from mdap import SyntheticSpec, evaluation, training
 from mdap.data import InteractionDataset
-from mdap.errors import ParameterError, ShapeError, TrainingDivergedError
+from mdap.errors import ParameterError, TrainingDivergedError
 from mdap.evaluation import evaluate
 from mdap.model import (ABLATION_VARIANTS, ABLATIONS, ModelConfig, PARAM_FIELDS, forward,
                         init_params)
-from mdap.numerics import Rng, row_l2_normalize_grad, softmax_rows_grad
-from mdap.training import LOG_KEYS, AdamOptimizer, TrainConfig, backward, loss, residuals, train
+from mdap.numerics import Rng, buffer, reuse_buffers, row_l2_normalize_grad, softmax_rows_grad
+from mdap.training import LOG_KEYS, AdamOptimizer, TrainConfig, backward, train
 from oracles import synthetic_dataset
 from sparse_rows import csr, dense_x
 
@@ -47,11 +47,6 @@ def test_train_config_rejects_non_real_lr(value):
         TrainConfig(lr=value)
 
 
-def stub_trace(recon_s, recon_t, gate_s, gate_t):
-    """The four trace fields that residuals and loss read."""
-    return SimpleNamespace(recon_s=recon_s, recon_t=recon_t, gate_s=gate_s, gate_t=gate_t)
-
-
 def toy_setup(ablation="full", tau=0.5, keep_prob=0.5, lam=0.5, seed=0):
     config = ModelConfig(k=2, embed_dim=3, hidden=4, tau=tau,
                          keep_prob=keep_prob, lam=lam, ablation=ablation)
@@ -64,12 +59,16 @@ def toy_setup(ablation="full", tau=0.5, keep_prob=0.5, lam=0.5, seed=0):
 
 
 def test_loss_worked_example():
-    recon_s = np.zeros((2, 3))
-    recon_s[0, 0] = 0.5  # target is zero: squared error 0.25
-    recon_t = np.zeros((2, 2))
-    recon_t[1, 1] = -0.5
-    trace = stub_trace(recon_s, recon_t, np.array([0.5, 0.5]), np.array([0.5, 0.5]))
-    total, parts = loss(trace, residuals(trace, csr(np.zeros((2, 5)))), lam=0.5)
+    # two empty rows over 3 + 2 items, with reconstructions and gates planted
+    config = ModelConfig(k=2, embed_dim=3, hidden=4, lam=0.5)
+    params = init_params(config, 3, 2, Rng(0))
+    trace = forward(params, config, csr(np.zeros((2, 5))), Rng(1), training=True)
+    trace.recon_s[:] = 0.0
+    trace.recon_s[0, 0] = 0.5  # target is zero: squared error 0.25
+    trace.recon_t[:] = 0.0
+    trace.recon_t[1, 1] = -0.5
+    trace.gate_s = trace.gate_t = np.array([0.5, 0.5])
+    total, parts, _ = backward(trace, params, config)
     assert abs(parts["rec_s"] - 0.25) < 1e-12
     assert abs(parts["rec_t"] - 0.25) < 1e-12
     assert abs(parts["orth"] - 0.25) < 1e-12  # 0.5 * (w_s . w_t) = 0.5 * 0.5
@@ -79,16 +78,25 @@ def test_loss_worked_example():
 def test_loss_breakdown_sums_to_total():
     config, params, x = toy_setup()
     trace = forward(params, config, csr(x), Rng(3), training=True)
-    total, parts = loss(trace, residuals(trace, csr(x)), config.lam)
+    total, parts, _ = backward(trace, params, config)
     assert abs(total - (parts["rec_s"] + parts["rec_t"] + parts["orth"])) < 1e-10
     assert 0.0 <= parts["orth"] <= config.lam
+
+
+def plant_perfect_reconstruction(trace, x):
+    """Overwrite the trace's reconstructions with the batch x it scores
+    them against, so that both residuals are exactly zero."""
+    n_s = trace.recon_s.shape[1]
+    trace.recon_s[:] = x[:, :n_s]
+    trace.recon_t[:] = x[:, n_s:]
 
 
 def test_perfect_reconstruction_gives_zero_gradients():
     config, params, x = toy_setup(lam=0.0)
     trace = forward(params, config, csr(x), Rng(3), training=True)
-    zero = (np.zeros_like(trace.recon_s), np.zeros_like(trace.recon_t))
-    grads = backward(trace, zero, params, config)
+    plant_perfect_reconstruction(trace, x)
+    total, _, grads = backward(trace, params, config)
+    assert total == 0.0
     for field in PARAM_FIELDS:
         assert not np.any(grads[field]), field
 
@@ -102,8 +110,8 @@ def test_gate_gradient_orthogonality_coupling():
     trace = forward(params, config_lam, csr(x), Rng(3), training=True)
     # a zero residual (targets equal to the reconstruction) leaves only
     # the lambda term
-    zero = (np.zeros_like(trace.recon_s), np.zeros_like(trace.recon_t))
-    grads = backward(trace, zero, params, config_lam)
+    plant_perfect_reconstruction(trace, x)
+    grads = backward(trace, params, config_lam)[2]
     w_s, w_t = trace.gate_s, trace.gate_t
     expect_s = softmax_rows_grad(w_s[None, :], 0.7 * w_t[None, :])[0]
     expect_t = softmax_rows_grad(w_t[None, :], 0.7 * w_s[None, :])[0]
@@ -119,12 +127,12 @@ def fd_max_rel_error(config, seed=0, h=1e-5):
     x[4] = 0.0
     batch = csr(x)
     trace = forward(params, config, batch, rng.derive(2), training=True)
-    grads = backward(trace, residuals(trace, batch), params, config)
+    grads = backward(trace, params, config)[2]
 
     def loss_with(p):
         # the same derived stream draws the same mask and noise again
         replay = forward(p, config, batch, rng.derive(2), training=True)
-        return loss(replay, residuals(replay, batch), config.lam)[0]
+        return backward(replay, p, config)[0]
 
     worst = 0.0
     for field in PARAM_FIELDS:
@@ -226,12 +234,14 @@ def test_residual_loss_and_backward_equal_dense_target_oracles(ablation):
         trace.recon_t[gen.random(trace.recon_t.shape) < 0.1] = -0.0
         targets_s, targets_t = raw[:, :n_s], raw[:, n_s:]
 
-        r_s, r_t = residuals(trace, csr(raw))
+        with reuse_buffers():
+            total, parts, grads = backward(trace, params, config)
+            # the residuals backward formed, still in the scope's arrays
+            r_s = buffer("residual_s", trace.recon_s.shape)
+            r_t = buffer("residual_t", trace.recon_t.shape)
         assert r_s.tobytes() == (trace.recon_s - targets_s).tobytes()
         assert r_t.tobytes() == (trace.recon_t - targets_t).tobytes()
-        assert loss(trace, (r_s, r_t), config.lam) == oracle_loss(
-            trace, targets_s, targets_t, config.lam)
-        grads = backward(trace, (r_s, r_t), params, config)
+        assert (total, parts) == oracle_loss(trace, targets_s, targets_t, config.lam)
         expect = oracle_backward(trace, targets_s, targets_t, params, config)
         assert list(grads) == list(PARAM_FIELDS)
         for name in PARAM_FIELDS:
@@ -239,75 +249,54 @@ def test_residual_loss_and_backward_equal_dense_target_oracles(ablation):
             assert np.array_equal(grads[name], expect[name]), (trial, name)
 
 
-def test_residuals_reject_mismatched_targets():
-    config, params, x = toy_setup()
-    trace = forward(params, config, csr(x), Rng(3), training=True)
-    with pytest.raises(ShapeError):
-        residuals(trace, csr(x[:, :-1]))
-    with pytest.raises(ShapeError):
-        residuals(trace, csr(x[:-1]))
-    with pytest.raises(ShapeError):
-        loss(trace, (trace.recon_s, trace.recon_t[:, :-1]), config.lam)
-
-
 def test_train_step_forms_each_residual_once_from_the_batch(small_dataset, monkeypatch):
-    # Every step forms one residual pair against the batch it just built
-    # and hands that pair to loss and backward.
-    batches, formed, used = [], [], []
-    real_batch, real_residuals, real_loss, real_backward = (
-        training.sparse_batch, training.residuals, training.loss, training.backward)
+    # Every step runs forward on the batch it just built, then backward
+    # once on that trace, which scores the reconstructions against the
+    # trace's batch: the same object, not a copy.
+    batches, calls = [], []
+    real_batch, real_forward, real_backward = (
+        training.sparse_batch, training.forward, training.backward)
 
     def spy_batch(dataset, users):
         batches.append(real_batch(dataset, users))
         return batches[-1]
 
-    def spy_residuals(trace, targets):
-        assert targets is batches[-1]
-        formed.append(real_residuals(trace, targets))
-        return formed[-1]
+    def spy_forward(*args, **kwargs):
+        calls.append(("forward", real_forward(*args, **kwargs)))
+        return calls[-1][1]
 
-    def spy_loss(trace, r, lam):
-        used.append(("loss", r))
-        return real_loss(trace, r, lam)
-
-    def spy_backward(trace, r, params, config):
-        used.append(("backward", r))
-        return real_backward(trace, r, params, config)
+    def spy_backward(trace, params, config):
+        calls.append(("backward", trace))
+        return real_backward(trace, params, config)
 
     monkeypatch.setattr(training, "sparse_batch", spy_batch)
-    monkeypatch.setattr(training, "residuals", spy_residuals)
-    monkeypatch.setattr(training, "loss", spy_loss)
+    monkeypatch.setattr(training, "forward", spy_forward)
     monkeypatch.setattr(training, "backward", spy_backward)
     script_validation(monkeypatch, [0.5])
     config = small_train_config(epochs=2, patience=2)
     train(small_dataset, config)
     steps = 2 * -(-small_dataset.n_users // config.batch_users)
-    assert len(batches) == len(formed) == steps
-    assert [kind for kind, _ in used] == ["loss", "backward"] * steps
-    assert all(r is formed[i // 2] for i, (_, r) in enumerate(used))
+    assert len(batches) == steps
+    assert [kind for kind, _ in calls] == ["forward", "backward"] * steps
+    for i, batch in enumerate(batches):
+        assert calls[2 * i][1] is calls[2 * i + 1][1] and calls[2 * i][1].batch is batch
 
 
 def test_train_frees_the_last_step_before_validation(small_dataset, monkeypatch):
-    # Validation runs with none of the last step's trace, residuals or
+    # Validation runs with none of the last step's trace, batch or
     # gradients alive, so they do not add to its peak memory.
     refs, validated = [], []
-    real_forward, real_residuals, real_backward = (
-        training.forward, training.residuals, training.backward)
+    real_forward, real_backward = training.forward, training.backward
 
     def spy_forward(*args, **kwargs):
         trace = real_forward(*args, **kwargs)
-        refs.append(weakref.ref(trace))
+        refs.extend((weakref.ref(trace), weakref.ref(trace.batch)))
         return trace
 
-    def spy_residuals(trace, targets):
-        r = real_residuals(trace, targets)
-        refs.extend(weakref.ref(a) for a in r)
-        return r
-
-    def spy_backward(trace, r, params, config):
-        grads = real_backward(trace, r, params, config)
-        refs.extend(weakref.ref(g) for g in grads.values())
-        return grads
+    def spy_backward(trace, params, config):
+        result = real_backward(trace, params, config)
+        refs.extend(weakref.ref(g) for g in result[2].values())
+        return result
 
     def on_call(params, epoch):
         alive = [ref() for ref in refs if ref() is not None]
@@ -315,7 +304,6 @@ def test_train_frees_the_last_step_before_validation(small_dataset, monkeypatch)
         validated.append(epoch)
 
     monkeypatch.setattr(training, "forward", spy_forward)
-    monkeypatch.setattr(training, "residuals", spy_residuals)
     monkeypatch.setattr(training, "backward", spy_backward)
     script_validation(monkeypatch, [0.5], on_call)
     train(small_dataset, small_train_config(epochs=2, patience=2))
@@ -369,7 +357,7 @@ def test_train_runs_an_epoch_without_users():
 def test_adam_optimizer_moves_every_field():
     config, params, x = toy_setup()
     trace = forward(params, config, csr(x), Rng(3), training=True)
-    grads = backward(trace, residuals(trace, csr(x)), params, config)
+    grads = backward(trace, params, config)[2]
     before = {f: getattr(params, f).copy() for f in PARAM_FIELDS}
     opt = AdamOptimizer(params, lr=1e-2)
     opt.step(params, grads)
@@ -493,9 +481,9 @@ def test_non_finite_gradient_raises_before_the_step(small_dataset, monkeypatch):
     steps = []
 
     def inf_backward(*args, **kwargs):
-        grads = real_backward(*args, **kwargs)
+        total, parts, grads = real_backward(*args, **kwargs)
         grads["dec_b1"][0] = np.inf
-        return grads
+        return total, parts, grads
 
     monkeypatch.setattr(training, "backward", inf_backward)
     monkeypatch.setattr(AdamOptimizer, "step", lambda self, *args: steps.append(1))
