@@ -196,11 +196,12 @@ def write_prepared(out: str, dataset: InteractionDataset, payload: dict):
     os.makedirs(os.path.join(out, "splits"), exist_ok=True)
     users, digests = np.array(dataset.users, dtype=str), {}
     for domain, split in SPLIT_FILES:
-        pairs = dataset.pairs[(domain, split)]
+        rows = dataset.rows(domain, split)
+        n = len(rows.indices)
         # each pair's "user\titem\n" as code points, less the NULs that pad them
-        cells = np.stack([users[pairs[:, 0]], np.full(len(pairs), "\t"),
-                          np.array(dataset.items[domain], dtype=str)[pairs[:, 1]],
-                          np.full(len(pairs), "\n")], axis=1).view("u4")
+        cells = np.stack([np.repeat(users, np.diff(rows.indptr)), np.full(n, "\t"),
+                          np.array(dataset.items[domain], dtype=str)[rows.indices],
+                          np.full(n, "\n")], axis=1).view("u4")
         raw = cells[cells != 0].astype("<u4").tobytes().decode("utf-32-le").encode("utf-8")
         with atomic_open(split_file_path(out, domain, split), "wb") as fh:
             fh.write(raw)
@@ -257,8 +258,11 @@ def load_prepared(out: str) -> InteractionDataset:
         records[(domain, split)] = np.stack(
             [gather(codes, starts[pair], tab), gather(codes, tab + 1, ends[pair])], axis=1)
     users, items, pairs = index_pairs(records)
-    dataset = InteractionDataset(users, items["s"], items["t"], pairs,
-                                 threshold=threshold, seed=seed, k_core=k_core)
+    try:
+        dataset = InteractionDataset(users, items["s"], items["t"], pairs,
+                                     threshold=threshold, seed=seed, k_core=k_core)
+    except ParameterError as exc:  # a seed or k_core below 0
+        raise DataError(f"{manifest_path}: {exc}") from None
     for key, size in manifest_sizes(dataset).items():
         if manifest.get(key) != size:
             raise DataError(f"{manifest_path}: {key} is {manifest.get(key)!r}, "

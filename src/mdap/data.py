@@ -232,9 +232,11 @@ def index_pairs(id_pairs: dict[tuple[str, ...], np.ndarray]) -> tuple[
 class InteractionDataset:
     """Immutable indexed dataset over two domains with fixed splits.
 
-    Split membership is stored as (user_index, item_index) pair arrays
-    per domain and split, sorted lexicographically; user u owns rows
-    offsets[key][u]:offsets[key][u + 1] of pairs[key].
+    Each (domain, split) is stored once, as a read-only CsrRows with one
+    row per user: row u holds user u's item indices in ascending order.
+    threshold must be a real number, k_core an integer >= 0 and seed None
+    or an integer >= 0 (else ParameterError), so that the manifest they go
+    into reads back.
     """
 
     def __init__(self, users: list[str], items_s: list[str], items_t: list[str],
@@ -242,53 +244,42 @@ class InteractionDataset:
                  seed: int | None = None, k_core: int = 1):
         self.users = tuple(users)
         self.items = {"s": tuple(items_s), "t": tuple(items_t)}
-        self.threshold = float(threshold)
-        self.seed = seed
-        self.k_core = int(k_core)
+        self.threshold = float(check_real("threshold", threshold))
+        self.seed = None if seed is None else check_int("seed", seed, 0)
+        self.k_core = check_int("k_core", k_core, 0)
         keys = [(domain, split) for domain in DOMAINS for split in SPLITS]
         if unknown := [key for key in pairs if key not in keys]:
             raise DataError(f"unknown (domain, split) keys {unknown}; expected some of {keys}")
         for name, ids in (("user", self.users), *(("item", ids) for ids in self.items.values())):
             if any(a >= b for a, b in zip(ids, ids[1:])):
                 raise DataError(f"{name} ids must be strictly ascending (lexicographic order)")
-        self.pairs: dict[tuple[str, str], np.ndarray] = {}
-        for key in keys:
-            arr = np.asarray(pairs.get(key, ()))
-            if arr.size and (arr.dtype.kind not in "iu" or arr.ndim != 2 or arr.shape[1] != 2):
-                raise DataError(f"{key} pairs must be an (n, 2) integer array, "
-                                f"got dtype {arr.dtype} and shape {arr.shape}")
-            arr = np.array(arr, dtype=np.int64).reshape(-1, 2)
-            # sort only pairs not already in (user, item) order, as
-            # build_dataset and load_prepared pass them
-            du, di = np.diff(arr, axis=0).T
-            self.pairs[key] = arr if ((du > 0) | ((du == 0) & (di >= 0))).all() else (
-                arr[np.lexsort((arr[:, 1], arr[:, 0]))])
-        self._validate()
-        self.offsets, self._rows = {}, {}
-        for key, arr in self.pairs.items():
-            self.offsets[key] = np.searchsorted(arr[:, 0], np.arange(self.n_users + 1))
-            indptr, indices = self.offsets[key].view(), arr[:, 1]
-            indptr.flags.writeable = indices.flags.writeable = False
-            self._rows[key] = CsrRows(indptr, indices, self.n_items(key[0]))
-
-    def _validate(self):
-        n_users = len(self.users)
+        self._rows: dict[tuple[str, str], CsrRows] = {}
         for domain in DOMAINS:
-            n_items = len(self.items[domain])
-            arrays = [self.pairs[(domain, split)] for split in SPLITS]
-            for split, arr in zip(SPLITS, arrays):
-                if arr.size:
-                    if arr[:, 0].min() < 0 or arr[:, 0].max() >= n_users:
-                        raise DataError(f"user index out of range in {domain}/{split}")
-                    if arr[:, 1].min() < 0 or arr[:, 1].max() >= n_items:
-                        raise DataError(f"item index out of range in {domain}/{split}")
+            n_items, codes = self.n_items(domain), []
+            for split in SPLITS:
+                arr = np.asarray(pairs.get((domain, split), ()))
+                if arr.size and (arr.dtype.kind not in "iu" or arr.ndim != 2 or arr.shape[1] != 2):
+                    raise DataError(f"{(domain, split)} pairs must be an (n, 2) integer array, "
+                                    f"got dtype {arr.dtype} and shape {arr.shape}")
+                user, item = np.asarray(arr, dtype=np.int64).reshape(-1, 2).T
+                for name, index, n in (("user", user, self.n_users), ("item", item, n_items)):
+                    if index.size and (index.min() < 0 or index.max() >= n):
+                        raise DataError(f"{name} index out of range in {domain}/{split}")
+                # (user, item) order as one code; sort only pairs not already
+                # in it, as build_dataset and load_prepared pass them
+                code = user * n_items + item
+                codes.append(code if np.all(code[1:] >= code[:-1]) else np.sort(code))
             # three sorted runs: a stable sort merges them in linear time
-            codes = np.sort(np.concatenate([arr[:, 0] * n_items + arr[:, 1] for arr in arrays]),
-                            kind="stable")
-            repeated = codes[1:][codes[1:] == codes[:-1]]
+            merged = np.sort(np.concatenate(codes), kind="stable")
+            repeated = merged[1:][merged[1:] == merged[:-1]]
             if repeated.size:
                 key = divmod(int(repeated[0]), n_items)
                 raise DataError(f"pair {key} appears more than once in domain {domain}")
+            for split, code in zip(SPLITS, codes):
+                indptr = np.searchsorted(code // n_items, np.arange(self.n_users + 1))
+                indices = code % n_items
+                indptr.flags.writeable = indices.flags.writeable = False
+                self._rows[(domain, split)] = CsrRows(indptr, indices, n_items)
 
     @property
     def n_users(self) -> int:
@@ -298,13 +289,12 @@ class InteractionDataset:
         return len(self.items[domain])
 
     def split_size(self, domain: str, split: str) -> int:
-        return int(self.pairs[(domain, split)].shape[0])
+        return len(self._rows[(domain, split)].indices)
 
     def rows(self, domain: str, split: str) -> CsrRows:
         """One domain's split as CSR rows, one row per user, with the
-        user's items in ascending order. indptr and indices are read-only
-        views of offsets and pairs; nothing is copied. Each split's rows
-        are built and validated once, in __init__.
+        user's items in ascending order: the dataset's only copy of the
+        split, read-only, built and validated once in __init__.
         """
         return self._rows[(domain, split)]
 

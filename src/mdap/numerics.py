@@ -160,6 +160,7 @@ class CsrRows:
     n_cols: int
 
     def __post_init__(self):
+        object.__setattr__(self, "n_cols", check_int("n_cols", self.n_cols, 0))
         for name in ("indptr", "indices"):
             arr = getattr(self, name)
             if not isinstance(arr, np.ndarray) or arr.ndim != 1 or arr.dtype.kind not in "iu":

@@ -18,6 +18,7 @@ from mdap.evaluation import evaluate
 from mdap.model import (ABLATION_VARIANTS, ModelConfig, init_params, load_checkpoint,
                         save_checkpoint)
 from mdap.numerics import Rng
+from oracles import split_pairs
 
 
 def file_hash(path):
@@ -657,8 +658,8 @@ def test_split_file_reads_blank_lines_and_a_missing_final_newline(tmp_path, edit
     record_digest(out, split)
     after = load_prepared(str(out))
     assert after.users == before.users and after.items == before.items
-    for key in before.pairs:
-        assert np.array_equal(after.pairs[key], before.pairs[key]), key
+    for key in SPLIT_FILES:
+        assert np.array_equal(split_pairs(after, *key), split_pairs(before, *key)), key
 
 
 def test_empty_split_files_round_trip(tmp_path):
@@ -671,8 +672,23 @@ def test_empty_split_files_round_trip(tmp_path):
             assert (tmp_path / "splits" / f"{domain}_{split}.tsv").read_bytes() == b""
     loaded = load_prepared(str(tmp_path))
     assert loaded.users == dataset.users and loaded.items == dataset.items
-    for key in dataset.pairs:
-        assert np.array_equal(loaded.pairs[key], dataset.pairs[key]), key
+    for key in SPLIT_FILES:
+        assert np.array_equal(split_pairs(loaded, *key), split_pairs(dataset, *key)), key
+
+
+def test_numpy_metadata_round_trips_through_the_manifest(tmp_path):
+    # a numpy seed used to reach json.dumps and raise a stray TypeError
+    # after the split files were written
+    ids = np.array([["u1", "a"], ["u2", "b"], ["u3", "a"]])
+    built = build_dataset((ids, np.ones(3)), (ids[:2], np.ones(2)), Rng(0))
+    dataset = mdap.InteractionDataset(
+        built.users, built.items["s"], built.items["t"],
+        {key: split_pairs(built, *key) for key in SPLIT_FILES},
+        threshold=np.float32(0.5), seed=np.int64(3), k_core=np.int64(2))
+    write_prepared(str(tmp_path), dataset, {"config_hash": "0"})
+    loaded = load_prepared(str(tmp_path))
+    assert (loaded.seed, loaded.k_core, loaded.threshold) == (3, 2, 0.5)
+    assert type(loaded.seed) is int and type(loaded.k_core) is int
 
 
 def drop_splits_t(manifest):
@@ -687,8 +703,10 @@ def drop_splits_t(manifest):
     lambda m: json.dumps({**m, "n_users": m["n_users"] + 1}),
     lambda m: json.dumps(m)[:-2],
     lambda m: json.dumps({key: v for key, v in m.items() if key != "split_sha256"}),
+    lambda m: json.dumps({**m, "seed": -1}),
+    lambda m: json.dumps({**m, "k_core": -1}),
 ], ids=["list", "null-threshold", "no-splits-t", "n-users-off-by-one", "truncated",
-        "no-digests"])
+        "no-digests", "negative-seed", "negative-k-core"])
 def test_malformed_manifest_names_file(tmp_path, capsys, edit):
     out = prepared_dir(tmp_path)
     path = out / "manifest.json"
@@ -759,7 +777,7 @@ def write_prepared_reference(out, dataset):
         users = dataset.users
         items = dataset.items[domain]
         with open(split_file_path(out, domain, split), "w", encoding="utf-8") as fh:
-            for u, i in dataset.pairs[(domain, split)]:
+            for u, i in split_pairs(dataset, domain, split):
                 fh.write(f"{users[int(u)]}\t{items[int(i)]}\n")
 
 
@@ -782,8 +800,8 @@ def test_load_prepared_rebuilds_the_prepared_dataset(tmp_path):
                           load_domain(str(syn / "domain_t.tsv")), Rng(5))
     loaded = load_prepared(str(out))
     assert loaded.users == built.users and loaded.items == built.items
-    for key in built.pairs:
-        assert np.array_equal(loaded.pairs[key], built.pairs[key]), key
+    for key in SPLIT_FILES:
+        assert np.array_equal(split_pairs(loaded, *key), split_pairs(built, *key)), key
 
 
 def test_exit_code_three_on_divergence(tmp_path):

@@ -13,8 +13,10 @@ from mdap.data import (DEFAULT_RATIOS, SPLITS, InteractionDataset, SyntheticSpec
                        write_domain_file)
 from mdap.errors import DataError, ParameterError, ParseError
 from mdap.numerics import Rng
-from oracles import synthetic_dataset
+from oracles import split_pairs, synthetic_dataset
 from sparse_rows import dense
+
+KEYS = [(domain, split) for domain in ("s", "t") for split in SPLITS]
 
 
 def dom(*rows):
@@ -375,7 +377,7 @@ def test_build_dataset_split_disjoint_and_conserving():
         seen = set()
         count = 0
         for split in ("train", "valid", "test"):
-            for u, i in ds.pairs[(domain, split)]:
+            for u, i in split_pairs(ds, domain, split):
                 assert (u, i) not in seen
                 seen.add((u, i))
                 count += 1
@@ -387,9 +389,9 @@ def test_build_dataset_deterministic():
     a = build_dataset(records_s, records_t, Rng(5))
     b = build_dataset(records_s, records_t, Rng(5))
     c = build_dataset(records_s, records_t, Rng(6))
-    for key in a.pairs:
-        assert np.array_equal(a.pairs[key], b.pairs[key])
-    assert any(not np.array_equal(a.pairs[key], c.pairs[key]) for key in a.pairs)
+    for key in KEYS:
+        assert np.array_equal(split_pairs(a, *key), split_pairs(b, *key))
+    assert any(not np.array_equal(split_pairs(a, *key), split_pairs(c, *key)) for key in KEYS)
 
 
 def test_build_dataset_threshold_and_dedupe():
@@ -398,7 +400,7 @@ def test_build_dataset_threshold_and_dedupe():
     records_t = dom(("u1", "t1", 3.5))
     ds = build_dataset(records_s, records_t, Rng(0), threshold=3.0)
     assert list(ds.items["s"]) == ["s2", "s3"]
-    total = sum(len(ds.pairs[("s", sp)]) for sp in ("train", "valid", "test"))
+    total = sum(len(split_pairs(ds, "s", sp)) for sp in ("train", "valid", "test"))
     assert total == 2
 
 
@@ -482,7 +484,7 @@ def test_build_dataset_matches_per_user_reference_at_scale(seed):
     ds = assert_matches_reference(*many_user_records(seed), seed)
     assert ds.n_users == 360
     for domain in ("s", "t"):
-        sizes = sum(np.diff(ds.offsets[(domain, split)]) for split in SPLITS)
+        sizes = sum(np.diff(ds.rows(domain, split).indptr) for split in SPLITS)
         assert (sizes == 0).sum() == 120 and sizes.max() == 99
 
 
@@ -495,7 +497,7 @@ def assert_matches_reference(records_s, records_t, seed):
     assert list(ds.users) == users
     assert {d: list(ds.items[d]) for d in ("s", "t")} == items
     for key, expect in pairs.items():
-        assert ds.pairs[key].tolist() == expect, key
+        assert split_pairs(ds, *key).tolist() == expect, key
     assert np.array_equal(rng.uniform(2, 3), ref_rng.uniform(2, 3))
     return ds
 
@@ -542,7 +544,7 @@ def test_sparse_batch_match_pairs():
     n_s = ds.n_items("s")
     expect = np.zeros((ds.n_users, n_s + ds.n_items("t")))
     for domain, offset in (("s", 0), ("t", n_s)):
-        for u, i in ds.pairs[(domain, "train")]:
+        for u, i in split_pairs(ds, domain, "train"):
             expect[u, offset + i] = 1.0
     assert np.array_equal(rows, expect[users])
     # CSR form: one row per user, columns ascending
@@ -560,7 +562,7 @@ def test_sparse_batch_concatenates_domains():
     assert dense(batch).shape == (2, ds.n_items("s") + ds.n_items("t"))
     full = sparse_batch(ds, np.arange(ds.n_users))
     assert int(dense(full).sum()) == \
-        len(ds.pairs[("s", "train")]) + len(ds.pairs[("t", "train")])
+        len(split_pairs(ds, "s", "train")) + len(split_pairs(ds, "t", "train"))
 
 
 @pytest.mark.parametrize("users, message", [
@@ -700,7 +702,7 @@ def test_synthetic_dataset_builds_consistent_dataset():
     assert set(planted) >= set(ds.users)
     for domain in ("s", "t"):
         for split in ("train", "valid", "test"):
-            pairs = ds.pairs[(domain, split)]
+            pairs = split_pairs(ds, domain, split)
             if len(pairs):
                 assert pairs[:, 0].max() < ds.n_users
                 assert pairs[:, 1].max() < ds.n_items(domain)
@@ -742,35 +744,73 @@ def test_dataset_rejects_malformed_input(given, message):
                               **given})
 
 
+@pytest.mark.parametrize("given, message", [
+    ({"seed": "x"}, "seed must be an integer, got 'x'"),
+    ({"seed": True}, "seed must be an integer, got True"),
+    ({"seed": -1}, "seed must be >= 0, got -1"),
+    ({"k_core": "abc"}, "k_core must be an integer, got 'abc'"),
+    ({"k_core": 2.7}, "k_core must be an integer, got 2.7"),
+    ({"threshold": "abc"}, "threshold must be a real number, got 'abc'"),
+    ({"threshold": None}, "threshold must be a real number, got None"),
+], ids=["seed-string", "seed-bool", "seed-negative", "k_core-string", "k_core-float",
+        "threshold-string", "threshold-none"])
+def test_dataset_rejects_metadata_its_manifest_could_not_hold(given, message):
+    # each was stored as given (k_core=2.7 as 2), and write_prepared then
+    # failed or wrote a manifest.json that load_prepared refuses
+    with pytest.raises(ParameterError, match=message):
+        InteractionDataset(["u1"], ["s1"], ["t1"], {}, **given)
+
+
 def test_dataset_accepts_empty_pairs_of_any_dtype_and_unsigned_indices():
     # [] arrives as float64
     pairs = {("s", "train"): [], ("t", "valid"): np.zeros((0, 3), dtype=bool),
              ("t", "test"): np.empty((2, 0), dtype=np.uint8),
              ("s", "test"): np.array([[0, 0]], dtype=np.uint32)}
     ds = InteractionDataset(["u1"], ["s1"], ["t1"], pairs)
-    assert all(arr.dtype == np.int64 for arr in ds.pairs.values())
+    assert all(split_pairs(ds, *key).dtype == np.int64 for key in KEYS)
     assert [ds.split_size(d, sp) for d in ("s", "t") for sp in SPLITS] == [0, 0, 1, 0, 0, 0]
 
 
 def test_dataset_sorts_only_unsorted_pairs(fixture_dataset, monkeypatch):
     ds = fixture_dataset
-    lexsort, calls = np.lexsort, []
-    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+    sort, kinds = np.sort, []
+    monkeypatch.setattr(np, "sort", lambda a, **kw: kinds.append(kw.get("kind")) or sort(a, **kw))
     rng = np.random.default_rng(0)
-    shuffled = {key: arr[rng.permutation(len(arr))] for key, arr in ds.pairs.items()}
+    pairs = {key: split_pairs(ds, *key) for key in KEYS}
+    shuffled = {key: arr[rng.permutation(len(arr))] for key, arr in pairs.items()}
     # users in order, but two items of one user swapped
-    swapped = shuffled[("s", "train")] = ds.pairs[("s", "train")].copy()
+    swapped = shuffled[("s", "train")] = pairs[("s", "train")].copy()
     j = np.flatnonzero(swapped[1:, 0] == swapped[:-1, 0])[0]
     swapped[[j, j + 1]] = swapped[[j + 1, j]]
-    for given, sorts in ((ds.pairs, 0), (shuffled, 6)):
-        calls.clear()
+    for given, sorts in ((pairs, 0), (shuffled, 6)):
+        kinds.clear()
         again = InteractionDataset(ds.users, ds.items["s"], ds.items["t"], given)
-        assert len(calls) == sorts
-        for key in ds.pairs:
-            assert again.pairs[key].dtype == np.int64
-            assert np.array_equal(again.pairs[key], ds.pairs[key]), key
-            assert np.array_equal(again.offsets[key], ds.offsets[key]), key
-            assert not np.shares_memory(again.pairs[key], given[key])
+        # unstable sorts; the per-domain merge of the three splits is stable
+        assert kinds.count(None) == sorts
+        for key in KEYS:
+            got, want = again.rows(*key), ds.rows(*key)
+            assert got.indices.dtype == np.int64
+            assert np.array_equal(got.indices, want.indices), key
+            assert np.array_equal(got.indptr, want.indptr), key
+            assert not np.shares_memory(got.indices, given[key])
+
+
+def test_dataset_keeps_each_split_once(fixture_dataset):
+    ds = fixture_dataset
+    pairs = {key: split_pairs(ds, *key) for key in KEYS}
+    n_pairs = sum(len(arr) for arr in pairs.values())
+    n_ids = ds.n_users + ds.n_items("s") + ds.n_items("t")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        again = InteractionDataset(ds.users, ds.items["s"], ds.items["t"], pairs)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # the rows' indices and indptr, the id tuples and a little for the objects
+    bound = 8 * n_pairs + 8 * (ds.n_users + 1) * len(KEYS) + 8 * n_ids + 16 * 1024
+    assert retained <= bound, (retained, n_pairs)
+    assert sum(again.split_size(*key) for key in KEYS) == n_pairs
 
 
 def test_rows_match_bucket_loop(fixture_dataset):
@@ -778,7 +818,7 @@ def test_rows_match_bucket_loop(fixture_dataset):
     for domain in ("s", "t"):
         for split in SPLITS:
             buckets = [[] for _ in range(ds.n_users)]
-            for u, i in ds.pairs[(domain, split)]:
+            for u, i in split_pairs(ds, domain, split):
                 buckets[int(u)].append(int(i))
             got = ds.rows(domain, split)
             assert got.n_rows == ds.n_users and got.n_cols == ds.n_items(domain)
@@ -798,5 +838,3 @@ def test_rows_are_read_only(fixture_dataset):
             for arr in (rows.indptr, rows.indices):
                 with pytest.raises(ValueError):
                     arr[...] = 0
-            assert np.shares_memory(rows.indptr, ds.offsets[(domain, split)])
-            assert np.shares_memory(rows.indices, ds.pairs[(domain, split)])

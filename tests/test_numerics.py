@@ -66,6 +66,25 @@ def test_csr_rows_reject_bad_pattern(indptr, indices, message):
         CsrRows(as_array(indptr), as_array(indices), 5)
 
 
+@pytest.mark.parametrize("n_cols, message", [
+    (5.0, "n_cols must be an integer, got 5.0"),
+    (True, "n_cols must be an integer, got True"),
+    ("3", "n_cols must be an integer, got '3'"),
+    (-1, "n_cols must be >= 0, got -1"),
+], ids=["float", "bool", "string", "negative"])
+def test_csr_rows_reject_bad_n_cols(n_cols, message):
+    # a float n_cols made flat_index's positions float64, and
+    # score_matrix_metrics then failed with a stray TypeError
+    with pytest.raises(ParameterError, match=message):
+        CsrRows(np.array([0, 1]), np.array([2]), n_cols)
+
+
+def test_csr_rows_keep_a_numpy_n_cols_as_int():
+    rows = CsrRows(np.array([0, 1]), np.array([2]), np.int64(5))
+    assert type(rows.n_cols) is int and rows.n_cols == 5
+    assert rows.flat_index().dtype == np.int64
+
+
 def test_csr_rows_take_unsigned_arrays_as_int64():
     # uint64 + int64 is float64 in numpy: flat_index would give float positions
     rows = CsrRows(np.array([0, 2, 3], dtype=np.uint64), np.array([1, 3, 0], dtype=np.uint32), 5)
