@@ -183,8 +183,7 @@ def split_counts(n: int) -> tuple[int, int, int]:
     train's remainder (0.8) is the largest, and from n = 2 on
     floor(0.8 * n) >= 1.
     """
-    if n < 0:
-        raise ParameterError(f"cannot split a negative count: {n}")
+    n = check_int("n", n, 0)
     quotas = [round(r * n, 9) for r in DEFAULT_RATIOS]
     base = [int(math.floor(q)) for q in quotas]
     # round the remainders as well: intended ties (e.g. 0.4 vs 0.4) must
@@ -394,6 +393,7 @@ def view_blocks(n_items: int, k_true: int) -> list[np.ndarray]:
     Block sizes differ by at most one; earlier blocks take the extra
     items. Raises ParameterError if any block would be empty.
     """
+    n_items, k_true = check_int("n_items", n_items, 0), check_int("k_true", k_true, 0)
     if k_true < 1 or n_items < k_true:
         raise ParameterError(
             f"cannot split {n_items} items into {k_true} non-empty blocks")

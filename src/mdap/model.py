@@ -157,20 +157,12 @@ def init_params(config: ModelConfig, n_items_s: int, n_items_t: int, rng: Rng) -
     return ModelParams(n_items_s=n_items_s, n_items_t=n_items_t, **arrays)
 
 
-def gumbel_softmax_assign(logits: np.ndarray, tau: float, rng: Rng | None = None,
-                          training: bool = False, ablation: str = "full") -> np.ndarray:
-    """Soft view assignment rows on the probability simplex.
-
-    Training mode perturbs the logits with fresh standard Gumbel noise
-    before the tempered softmax; evaluation, no_gumbel and single_view use
-    the logits as they are. Noise cannot move a one-view assignment, so
-    single_view draws none and leaves the stream where the dropout mask
-    left it.
-    """
-    if training and ablation not in ("no_gumbel", "single_view"):
-        if rng is None:
-            raise ParameterError("training-mode assignment needs an Rng")
-        return softmax_rows(logits + sample_gumbel(rng, *logits.shape), tau)
+def gumbel_softmax_assign(logits: np.ndarray, tau: float, rng: Rng | None = None) -> np.ndarray:
+    """Soft view assignment rows on the probability simplex: the tempered
+    softmax of the logits, perturbed first by fresh standard Gumbel noise
+    when an Rng is given (forward gives none under no_gumbel or single_view)."""
+    if rng is not None:
+        logits = logits + sample_gumbel(rng, *logits.shape)
     return softmax_rows(logits, tau)
 
 
@@ -197,19 +189,14 @@ def encode_rows(params: ModelParams, enc_proj: np.ndarray,
     return hidden, emb.reshape(k, b, -1)
 
 
-def gate_weights(params: ModelParams, domain: str, ablation: str = "full") -> np.ndarray:
-    """Per-domain view mixing weights on the simplex.
-
-    Softmax of the domain's gate row; the no_gate ablation returns the
-    uniform vector and ignores the table.
+def gate_weights(params: ModelParams, ablation: str = "full") -> np.ndarray:
+    """The (2, k) view mixing table, row 0 for domain s and row 1 for t,
+    each row on the simplex: the softmax of each gate row, or uniform rows
+    under the no_gate ablation, which ignores the table.
     """
-    k = params.gate.shape[1]
     if ablation == "no_gate":
-        return np.full(k, 1.0 / k)
-    row = 0 if domain == "s" else 1 if domain == "t" else None
-    if row is None:
-        raise ParameterError(f"unknown domain {domain!r}")
-    return softmax_rows(params.gate[row:row + 1], 1.0)[0]
+        return np.full(params.gate.shape, 1.0 / params.gate.shape[1])
+    return softmax_rows(params.gate, 1.0)
 
 
 def combine_views(view_embs: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -243,9 +230,10 @@ def decode(params: ModelParams, z: np.ndarray, domain: str,
 class ForwardTrace:
     """The batch and the intermediates of one forward pass that backward reads.
 
-    Dropout masks and Gumbel noise are constants of the pass and are not
-    kept: a finite-difference probe or a test recovers them by replaying
-    the pass on a stream derived from the same seed.
+    training is True when forward was given an Rng. Dropout masks and
+    Gumbel noise are constants of the pass and are not kept: a
+    finite-difference probe or a test recovers them by replaying the pass
+    on a stream derived from the same seed.
     """
 
     training: bool
@@ -259,8 +247,7 @@ class ForwardTrace:
     enc_proj: np.ndarray               # x @ enc_w1, shared by every view
     enc_hidden: np.ndarray             # (k, B, h)
     view_embs: np.ndarray              # (k, B, l)
-    gate_s: np.ndarray
-    gate_t: np.ndarray
+    gates: np.ndarray                  # (2, k): row 0 mixes domain s, row 1 domain t
     z_s: np.ndarray
     z_t: np.ndarray
     dec_hidden_s: np.ndarray
@@ -278,7 +265,7 @@ def embedding_norms(params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.nda
 
 
 def forward(params: ModelParams, config: ModelConfig, batch: CsrRows,
-            rng: Rng | None = None, training: bool = False, norms: tuple | None = None,
+            rng: Rng | None = None, norms: tuple | None = None,
             out: dict[str, np.ndarray] | None = None) -> ForwardTrace:
     """Run the full model on a batch of concatenated interaction rows.
 
@@ -287,10 +274,11 @@ def forward(params: ModelParams, config: ModelConfig, batch: CsrRows,
     row_l2_normalize -> dropout input bit for bit. The normalized input is
     corrupted by one shared dropout mask that feeds both the assignment
     logits and the view encoder, so the view inputs still sum to the
-    corrupted input exactly. Evaluation mode is deterministic: no noise,
-    no dropout. Training mode draws the input mask first, then the Gumbel
-    noise (none under no_gumbel or single_view), so a stream derived from
-    the same seed replays the pass exactly.
+    corrupted input exactly. A pass trains exactly when it is given an
+    Rng: it draws the input mask first, then the Gumbel noise (none under
+    no_gumbel or single_view), so a stream derived from the same seed
+    replays the pass exactly. Without one it evaluates, deterministically:
+    no noise, no dropout.
 
     Evaluation may pass norms, embedding_norms(params) computed once per
     call, and out, per domain the score rows that decode writes into;
@@ -303,9 +291,7 @@ def forward(params: ModelParams, config: ModelConfig, batch: CsrRows,
     entries = batch.flat_index()
     counts = np.diff(batch.indptr)
     values = 1.0 / np.sqrt(np.repeat(counts, counts))
-    if training and config.keep_prob < 1.0:
-        if rng is None:
-            raise ParameterError("training-mode forward needs an Rng")
+    if rng is not None and config.keep_prob < 1.0:
         mask = sample_dropout_mask(rng, b, n, config.keep_prob, entries)
         values = values * mask * (1.0 / config.keep_prob)
     x = InputRows.build(batch, entries, values,
@@ -314,23 +300,23 @@ def forward(params: ModelParams, config: ModelConfig, batch: CsrRows,
     item_norm, core_norm, core_norm_t = embedding_norms(params) if norms is None else norms
     proj = x.matmul(item_norm, "proj")
     logits = matmul(proj, core_norm_t)
-    assign = gumbel_softmax_assign(logits, config.tau, rng, training, config.ablation)
+    noisy = config.ablation not in ("no_gumbel", "single_view")
+    assign = gumbel_softmax_assign(logits, config.tau, rng if noisy else None)
 
     enc_proj = x.matmul(params.enc_w1, "enc_proj")
     enc_hidden, view_embs = encode_rows(params, enc_proj, assign)
-    gate_s = gate_weights(params, "s", config.ablation)
-    gate_t = gate_weights(params, "t", config.ablation)
-    z_s = combine_views(view_embs, gate_s)
-    z_t = combine_views(view_embs, gate_t)
+    gates = gate_weights(params, config.ablation)
+    z_s = combine_views(view_embs, gates[0])
+    z_t = combine_views(view_embs, gates[1])
     out = out or {}
     dec_hidden_s, recon_s = decode(params, z_s, "s", out=out.get("s"))
     dec_hidden_t, recon_t = decode(params, z_t, "t", out=out.get("t"))
 
     return ForwardTrace(
-        training=training, batch=batch, x=x, item_norm=item_norm, core_norm=core_norm, proj=proj,
-        assign=assign, enc_proj=enc_proj, enc_hidden=enc_hidden, view_embs=view_embs,
-        gate_s=gate_s, gate_t=gate_t, z_s=z_s, z_t=z_t, dec_hidden_s=dec_hidden_s,
-        dec_hidden_t=dec_hidden_t, recon_s=recon_s, recon_t=recon_t)
+        training=rng is not None, batch=batch, x=x, item_norm=item_norm, core_norm=core_norm,
+        proj=proj, assign=assign, enc_proj=enc_proj, enc_hidden=enc_hidden, view_embs=view_embs,
+        gates=gates, z_s=z_s, z_t=z_t, dec_hidden_s=dec_hidden_s, dec_hidden_t=dec_hidden_t,
+        recon_s=recon_s, recon_t=recon_t)
 
 
 def header_value(value):

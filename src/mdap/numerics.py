@@ -92,7 +92,7 @@ class Rng:
 
     def __init__(self, seed: int, key: tuple[int, ...] = ()):
         self.seed = check_int("seed", seed, low=0)
-        self.key = tuple(int(k) for k in key)
+        self.key = tuple(check_int("key", k, 0) for k in key)
         ss = np.random.SeedSequence(self.seed, spawn_key=self.key)
         self._gen = np.random.Generator(np.random.PCG64(ss))
 
@@ -340,9 +340,10 @@ def sample_gumbel(rng: Rng, rows: int, cols: int) -> np.ndarray:
 
 
 def softmax_rows(logits: np.ndarray, tau: float = 1.0) -> np.ndarray:
-    """Row-wise softmax of logits / tau with max subtraction for stability."""
-    if tau <= 0.0:
-        raise ParameterError(f"temperature must be positive, got {tau}")
+    """Row-wise softmax of logits / tau with max subtraction for stability.
+    tau must be a real number in (0, inf)."""
+    if not 0.0 < check_real("tau", tau) < math.inf:
+        raise ParameterError(f"temperature must be positive and finite, got {tau}")
     shifted = (logits - logits.max(axis=1, keepdims=True)) / tau
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
@@ -364,7 +365,7 @@ def sample_dropout_mask(rng: Rng, rows: int, cols: int, keep_prob: float,
     dense mask read at `entries`, and the stream advances by rows * cols
     draws. The caller applies it as values * mask * (1 / keep_prob).
     """
-    if not 0.0 < keep_prob <= 1.0:
+    if not 0.0 < check_real("keep_prob", keep_prob) <= 1.0:
         raise ParameterError(f"keep_prob must be in (0, 1], got {keep_prob}")
     return (rng.uniform_entries(rows, cols, entries) < keep_prob).astype(np.float64)
 
@@ -374,15 +375,17 @@ def adam_step(param: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
     """One bias-corrected Adam update, made in place on param, m and v.
 
     Returns (param, m, v), the arrays passed in. t is the 1-based step
-    count including this step; beta1, beta2 and eps are ADAM_BETA1,
-    ADAM_BETA2 and ADAM_EPS. Each operation is the one the textbook
+    count including this step, an integer, and lr a real number in
+    (0, inf); beta1, beta2 and eps are ADAM_BETA1, ADAM_BETA2 and
+    ADAM_EPS. Each operation is the one the textbook
     formula performs, in its order, so the result is bit for bit that of
     the out-of-place expression. The arrays are updated ADAM_CHUNK
     elements at a time (whole leading-axis rows), so that the dozen
     elementwise passes run over a chunk that stays in cache.
     """
-    if t < 1:
-        raise ParameterError(f"step index must be >= 1, got {t}")
+    t = check_int("step index", t)
+    if not 0.0 < check_real("lr", lr) < math.inf:
+        raise ParameterError(f"lr must be positive and finite, got {lr}")
     if not (param.shape == grad.shape == m.shape == v.shape):
         raise ShapeError(
             f"adam_step shape mismatch: param {param.shape}, grad {grad.shape}, "

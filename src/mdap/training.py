@@ -38,15 +38,15 @@ def tanh_grad(hidden: np.ndarray) -> np.ndarray:
 
 def backward(trace, params: ModelParams, config: ModelConfig
              ) -> tuple[float, dict[str, float], dict[str, np.ndarray]]:
-    """The loss of a training-mode trace and its exact gradients.
+    """The loss of a training trace (from forward given an Rng) and its gradients.
 
     The loss is each domain's squared error against trace.batch, the rows
-    forward was given, over every entry, plus lam * (gate_s . gate_t).
+    forward was given, over every entry, plus lam * (gates[0] . gates[1]).
     Returns (total, {rec_s, rec_t, orth}, {field name: gradient} in
     PARAM_FIELDS order); fields off the ablation's path get zero gradients.
     """
     if not trace.training:
-        raise ParameterError("backward needs a trace from forward(training=True)")
+        raise ParameterError("backward needs a training trace: one from forward given an Rng")
     if trace.x.n_cols != params.n_items_total:
         raise ShapeError("trace and params disagree on the item count")
     # Zeros only where a gradient accumulates or may stay unused.
@@ -61,7 +61,7 @@ def backward(trace, params: ModelParams, config: ModelConfig
     # written at the stored entries only: no dense targets are built. The
     # loss gradient wrt recon is 2 * r. Doubling is exact, so it is
     # applied to the small products rather than to the (B, items) residual.
-    parts, d_z, gate_recon_grad = {}, {}, {}
+    parts, d_z = {}, {}
     for domain, recon, at, dec_hidden, z in (
             ("s", trace.recon_s, in_s, trace.dec_hidden_s, trace.z_s),
             ("t", trace.recon_t, ~in_s, trace.dec_hidden_t, trace.z_t)):
@@ -80,17 +80,16 @@ def backward(trace, params: ModelParams, config: ModelConfig
         grads["dec_w1"] += z.T @ d_pre
         grads["dec_b1"] += d_pre.sum(axis=0)
         d_z[domain] = d_pre @ params.dec_w1.T
-        gate_recon_grad[domain] = np.einsum("kbl,bl->k", trace.view_embs, d_z[domain])
-    parts["orth"] = float(config.lam * np.dot(trace.gate_s, trace.gate_t))
+    gates = trace.gates
+    parts["orth"] = float(config.lam * np.dot(*gates))
     total = parts["rec_s"] + parts["rec_t"] + parts["orth"]
 
-    # Gate table: reconstruction pull plus the orthogonality coupling,
-    # through the softmax Jacobian. Uniform gates (no_gate) are constant.
+    # Gate table: each row's reconstruction pull plus lam times the other
+    # row, through the row softmax. Uniform gates (no_gate) are constant.
     if config.ablation != "no_gate":
-        d_gate_s = gate_recon_grad["s"] + config.lam * trace.gate_t
-        d_gate_t = gate_recon_grad["t"] + config.lam * trace.gate_s
-        grads["gate"][0] = softmax_rows_grad(trace.gate_s[None, :], d_gate_s[None, :])[0]
-        grads["gate"][1] = softmax_rows_grad(trace.gate_t[None, :], d_gate_t[None, :])[0]
+        d_gates = np.stack([np.einsum("kbl,bl->k", trace.view_embs, d_z[d]) for d in DOMAINS])
+        d_gates += config.lam * gates[::-1]
+        grads["gate"] = softmax_rows_grad(gates, d_gates)
 
     # All k views at once; view and row axes are flattened so each dense
     # layer is one GEMM. View i's first-layer input is a_i ⊙ (x @ enc_w1),
@@ -98,8 +97,8 @@ def backward(trace, params: ModelParams, config: ModelConfig
     # row sum against x @ enc_w1.
     k, b, h = trace.enc_hidden.shape
     hidden = trace.enc_hidden.reshape(k * b, h)
-    d_emb = (trace.gate_s[:, None, None] * d_z["s"]
-             + trace.gate_t[:, None, None] * d_z["t"]).reshape(k * b, -1)
+    d_emb = (gates[0][:, None, None] * d_z["s"]
+             + gates[1][:, None, None] * d_z["t"]).reshape(k * b, -1)
     grads["enc_w2"] = hidden.T @ d_emb
     grads["enc_b2"] = d_emb.sum(axis=0)
     d_pre = matmul(d_emb, params.enc_w2.T, out=buffer("enc_d_pre", (k * b, h)))
@@ -187,7 +186,7 @@ def train(dataset: InteractionDataset, config: TrainConfig,
           verbose: bool = False) -> tuple[ModelParams, TrainLog]:
     """Fit the model on the dataset's training split.
 
-    Each epoch shuffles the user rows; each step runs training-mode
+    Each epoch shuffles the user rows; each step runs a training (noised)
     forward and backward on a batch of users, whose loss and gradients
     must be finite, and applies Adam. The epoch then validates: evaluate()
     on the valid split at config.eval_k. Early stopping watches the mean
@@ -218,7 +217,7 @@ def train(dataset: InteractionDataset, config: TrainConfig,
             with reuse_buffers():
                 for start in range(0, dataset.n_users, config.batch_users):
                     batch = sparse_batch(dataset, perm[start:start + config.batch_users])
-                    trace = forward(params, config.model, batch, noise_rng, training=True)
+                    trace = forward(params, config.model, batch, noise_rng)
                     total, parts, grads = backward(trace, params, config.model)
                     if not np.isfinite(total):
                         raise TrainingDivergedError(epoch)

@@ -52,12 +52,12 @@ def test_criterion_1_gradient_correctness():
     x[2, 0] = 1.0
     x[4] = 0.0  # one padded user row
     batch = csr(x)
-    trace = forward(params, config, batch, rng.derive(2), training=True)
+    trace = forward(params, config, batch, rng.derive(2))
     _, _, grads = backward(trace, params, config)
 
     def loss_with(p):
         # the same derived stream draws the same mask and noise again
-        replay = forward(p, config, batch, rng.derive(2), training=True)
+        replay = forward(p, config, batch, rng.derive(2))
         return backward(replay, params, config)[0]
 
     h = 1e-5
@@ -92,7 +92,7 @@ def test_criterion_2_simplex_invariants():
     for tau in (0.1, 0.2, 1.0, 5.0):
         for scale in (1.0, 10.0, 300.0):
             logits = (rng.uniform(600, 6) - 0.5) * 2.0 * scale
-            assign = gumbel_softmax_assign(logits, tau, rng, training=True)
+            assign = gumbel_softmax_assign(logits, tau, rng)
             plain = softmax_rows(logits, tau)
             for s in (assign, plain):
                 worst_sum = max(worst_sum, float(np.abs(s.sum(axis=1) - 1.0).max()))
@@ -102,8 +102,7 @@ def test_criterion_2_simplex_invariants():
     params = init_params(config, 3, 3, Rng(5))
     for _ in range(1400):
         params.gate[:] = (rng.uniform(2, 6) - 0.5) * 40.0
-        for domain in ("s", "t"):
-            w = gate_weights(params, domain)
+        for w in gate_weights(params):
             worst_sum = max(worst_sum, abs(float(w.sum()) - 1.0))
             min_entry = min(min_entry, float(w.min()))
             cases += 1
@@ -131,7 +130,7 @@ def test_criterion_3_decomposition_completeness():
         trace = forward(params, config, csr(x))
         views = [dense_x(trace.x) * trace.assign[:, i:i + 1] for i in range(k)]
         worst = max(worst, float(np.abs(sum(views) - row_l2_normalize(x)).max()))
-        trained = forward(params, config, csr(x), rng.derive(batch, 2), training=True)
+        trained = forward(params, config, csr(x), rng.derive(batch, 2))
         views = [dense_x(trained.x) * trained.assign[:, i:i + 1] for i in range(k)]
         worst = max(worst, float(np.abs(sum(views) - dense_x(trained.x)).max()))
     ok = worst < 1e-9
@@ -141,7 +140,7 @@ def test_criterion_3_decomposition_completeness():
 
 def test_criterion_4_gumbel_max_fidelity():
     logits = np.tile(np.array([[1.0, 0.0]]), (10000, 1))
-    assign = gumbel_softmax_assign(logits, tau=0.2, rng=Rng(0), training=True)
+    assign = gumbel_softmax_assign(logits, tau=0.2, rng=Rng(0))
     freq = float((np.argmax(assign, axis=1) == 0).mean())
     expect = math.e / (1.0 + math.e)
     ok = abs(freq - expect) < 0.02

@@ -19,7 +19,8 @@ from mdap.model import (ABLATIONS, CHECKPOINT_MAGIC, ForwardTrace, ModelConfig,
                         forward, gate_weights, glorot_uniform, gumbel_softmax_assign,
                         init_params, load_checkpoint, save_checkpoint)
 from mdap.numerics import (CsrRows, Rng, buffer, per_row_products, reuse_buffers,
-                           row_l2_normalize, sample_dropout_mask, sample_gumbel, softmax_rows)
+                           row_l2_normalize, sample_dropout_mask, sample_gumbel, softmax_rows,
+                           softmax_rows_grad)
 from mdap.training import TrainConfig, backward, train
 from sparse_rows import csr, csr_lists, dense, dense_input, dense_x
 
@@ -112,7 +113,7 @@ def test_forward_zero_row_logits_are_zero():
     x = binary_rows(4, 3)
     x[1] = 0.0
     for training in (False, True):
-        trace = forward(params, config, csr(x), Rng(5), training=training)
+        trace = forward(params, config, csr(x), Rng(5) if training else None)
         logits = trace.proj @ trace.core_norm.T
         assert np.array_equal(logits[1], np.zeros(3))
 
@@ -125,7 +126,7 @@ def test_assign_eval_closed_form():
 
 def test_assign_training_matches_gumbel_argmax_probability():
     logits = np.tile(np.array([[1.0, 0.0]]), (10000, 1))
-    assign = gumbel_softmax_assign(logits, tau=0.2, rng=Rng(0), training=True)
+    assign = gumbel_softmax_assign(logits, tau=0.2, rng=Rng(0))
     # the noise is one Gumbel draw per logit, added before the softmax
     replay = softmax_rows(logits + sample_gumbel(Rng(0), *logits.shape), 0.2)
     assert assign.tobytes() == replay.tobytes()
@@ -134,12 +135,31 @@ def test_assign_training_matches_gumbel_argmax_probability():
 
 
 def test_assign_no_gumbel_is_plain_softmax():
+    # without an Rng no noise is added; forward passes none under no_gumbel
+    # (test_forward_no_gumbel_draws_the_dropout_mask_alone)
     logits = np.array([[0.3, -0.2, 0.1]])
-    rng = Rng(1)
-    assign = gumbel_softmax_assign(logits, tau=0.5, rng=rng, training=True,
-                                   ablation="no_gumbel")
-    assert np.array_equal(rng.uniform(1, 3), Rng(1).uniform(1, 3))  # no noise drawn
+    assign = gumbel_softmax_assign(logits, tau=0.5)
     assert np.allclose(assign, softmax_rows(logits, 0.5))
+
+
+def test_forward_no_gumbel_draws_the_dropout_mask_alone():
+    # A training pass under no_gumbel draws its dropout mask and no noise:
+    # the stream moves by the mask alone and the assignment is the plain
+    # tempered softmax of the logits.
+    config = ModelConfig(k=3, embed_dim=8, hidden=16, ablation="no_gumbel")
+    params = init_params(config, 6, 5, Rng(0))
+    x = binary_rows(1, 4)
+    batch = csr(x)
+    rng = Rng(2)
+    trace = forward(params, config, batch, rng)
+    assert trace.training
+    replay = Rng(2)
+    mask = sample_dropout_mask(replay, 4, 11, config.keep_prob, batch.flat_index())
+    assert np.array_equal(rng.uniform(1, 3), replay.uniform(1, 3))
+    masked = row_l2_normalize(x) * dense(batch, mask) * (1.0 / config.keep_prob)
+    assert dense_x(trace.x).tobytes() == masked.tobytes()
+    logits = trace.proj @ np.ascontiguousarray(trace.core_norm.T)
+    assert trace.assign.tobytes() == softmax_rows(logits, config.tau).tobytes()
 
 
 def test_encode_decode_formulas():
@@ -165,14 +185,53 @@ def test_encode_decode_formulas():
 def test_gate_weights_hand_value():
     config, params = toy_params(k=2)
     params.gate[0] = [math.log(2.0), 0.0]
-    assert np.allclose(gate_weights(params, "s"), [2 / 3, 1 / 3], atol=1e-12)
-    assert np.allclose(gate_weights(params, "t"), [0.5, 0.5])
+    assert np.allclose(gate_weights(params)[0], [2 / 3, 1 / 3], atol=1e-12)
+    assert np.allclose(gate_weights(params)[1], [0.5, 0.5])
 
 
 def test_gate_weights_no_gate_is_uniform():
     config, params = toy_params(k=4)
     params.gate[:] = Rng(2).uniform(2, 4)
-    assert np.array_equal(gate_weights(params, "s", "no_gate"), np.full(4, 0.25))
+    assert np.array_equal(gate_weights(params, "no_gate")[0], np.full(4, 0.25))
+
+
+def test_gate_table_equals_one_row_softmax_per_domain():
+    # The (2, k) table in one softmax_rows call, and its gradient in one
+    # softmax_rows_grad call, give each row's bits of a one-row call.
+    gen = np.random.default_rng(12)
+    for k in range(1, 9):
+        _, params = toy_params(k=k)
+        for trial in range(20):
+            params.gate[:] = gen.standard_normal((2, k)) * 10.0 ** gen.integers(-3, 3)
+            gates = gate_weights(params)
+            d_gates = gen.standard_normal((2, k))
+            grad = softmax_rows_grad(gates, d_gates)
+            for row in range(2):
+                one = softmax_rows(params.gate[row:row + 1], 1.0)[0]
+                assert gates[row].tobytes() == one.tobytes(), (k, trial, row)
+                one_grad = softmax_rows_grad(one[None, :], d_gates[row][None, :])[0]
+                assert grad[row].tobytes() == one_grad.tobytes(), (k, trial, row)
+            uniform = gate_weights(params, "no_gate")
+            assert uniform.shape == (2, k)
+            for row in range(2):
+                assert uniform[row].tobytes() == np.full(k, 1.0 / k).tobytes()
+        params.gate[:] = 0.0
+        assert gate_weights(params, "no_gate").tobytes() == np.full((2, k), 1.0 / k).tobytes()
+
+
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_trace_trains_exactly_when_forward_gets_an_rng(ablation):
+    # The benchmark labels a forward call by its trace's training field
+    # and counts decoded columns from recon_s and recon_t.
+    names = {f.name for f in fields(ForwardTrace)}
+    assert {"training", "recon_s", "recon_t", "gates"} <= names
+    config, params = toy_params(ablation=ablation)
+    batch = csr(binary_rows(3, 4))
+    assert forward(params, config, batch).training is False
+    assert forward(params, config, batch, Rng(1)).training is True
+    trace = forward(params, config, batch, norms=embedding_norms(params))
+    assert trace.training is False
+    assert trace.recon_s.shape == (4, 6) and trace.recon_t.shape == (4, 5)
 
 
 def test_combine_views_weighted_sum():
@@ -184,13 +243,10 @@ def test_combine_views_weighted_sum():
 def test_forward_eval_is_deterministic():
     config, params = toy_params()
     x = binary_rows(4, 5)
-    rng = Rng(9)
-    a = forward(params, config, csr(x), rng)
+    a = forward(params, config, csr(x))
     b = forward(params, config, csr(x))
     assert np.array_equal(a.recon_s, b.recon_s)
     assert np.array_equal(a.recon_t, b.recon_t)
-    # no dropout mask and no Gumbel noise: the stream is left untouched
-    assert np.array_equal(rng.uniform(1, 3), Rng(9).uniform(1, 3))
 
 
 def test_forward_training_reproducible_by_seed():
@@ -201,9 +257,9 @@ def test_forward_training_reproducible_by_seed():
     for ablation in ABLATIONS:
         config, params = toy_params(ablation=ablation)
         rng_a, rng_b = Rng(9).derive(2), Rng(9).derive(2)
-        a = forward(params, config, csr(x), rng_a, training=True)
-        b = forward(params, config, csr(x), rng_b, training=True)
-        c = forward(params, config, csr(x), Rng(10).derive(2), training=True)
+        a = forward(params, config, csr(x), rng_a)
+        b = forward(params, config, csr(x), rng_b)
+        c = forward(params, config, csr(x), Rng(10).derive(2))
         assert dense_x(a.x).tobytes() == dense_x(b.x).tobytes(), ablation
         for name in ("assign", "recon_s", "recon_t"):
             got, expect = getattr(a, name), getattr(b, name)
@@ -217,7 +273,7 @@ def test_forward_shared_corruption_feeds_both_paths():
     config, params = toy_params()
     x = binary_rows(4, 5)
     batch = csr(x)
-    trace = forward(params, config, batch, Rng(9), training=True)
+    trace = forward(params, config, batch, Rng(9))
     # replay forward's draws in its order: the dropout mask, then the noise
     rng = Rng(9)
     mask = sample_dropout_mask(rng, 5, 11, config.keep_prob, batch.flat_index())
@@ -238,7 +294,7 @@ def test_forward_without_dropout_keeps_input():
     no_drop = ModelConfig(k=3, embed_dim=8, hidden=16, keep_prob=1.0)
     for cfg, training in ((config, False), (no_drop, True)):
         rng = Rng(9)
-        trace = forward(params, cfg, csr(x), rng, training=training)
+        trace = forward(params, cfg, csr(x), rng if training else None)
         assert np.array_equal(dense_x(trace.x), row_l2_normalize(x))
         # no dropout mask drawn: only a training pass's Gumbel noise was
         replay = Rng(9)
@@ -258,7 +314,7 @@ def test_forward_matches_per_view_reference(ablation, training):
         params.gate[:] = Rng(k).uniform(2, params.gate.shape[1])
         x = binary_rows(20 + k, 6)
         x[3] = 0.0
-        trace = forward(params, config, csr(x), Rng(40 + k), training=training)
+        trace = forward(params, config, csr(x), Rng(40 + k) if training else None)
         worst = 0.0
         embs = []
         for i in range(trace.assign.shape[1]):
@@ -267,8 +323,8 @@ def test_forward_matches_per_view_reference(ablation, training):
             embs.append(hidden @ params.enc_w2 + params.enc_b2)
             worst = max(worst, np.abs(trace.enc_hidden[i] - hidden).max(),
                         np.abs(trace.view_embs[i] - embs[i]).max())
-        for gate, recon, cols in ((trace.gate_s, trace.recon_s, slice(0, 6)),
-                                  (trace.gate_t, trace.recon_t, slice(6, 11))):
+        for gate, recon, cols in ((trace.gates[0], trace.recon_s, slice(0, 6)),
+                                  (trace.gates[1], trace.recon_t, slice(6, 11))):
             z = sum(w * e for w, e in zip(gate, embs))
             dec_hidden = np.tanh(z @ params.dec_w1 + params.dec_b1)
             scores = dec_hidden @ params.dec_w2 + params.dec_b2
@@ -291,20 +347,19 @@ def dense_reference_forward(params, config, raw, rng, training):
     if config.ablation == "single_view":
         assign = np.ones((b, 1))
     else:
-        assign = gumbel_softmax_assign(proj @ core_norm.T, config.tau, rng, training,
-                                       config.ablation)
+        noisy = training and config.ablation != "no_gumbel"
+        assign = gumbel_softmax_assign(proj @ core_norm.T, config.tau, rng if noisy else None)
     enc_proj = x @ params.enc_w1
     enc_hidden, view_embs = encode_rows(params, enc_proj, assign)
-    gate_s = gate_weights(params, "s", config.ablation)
-    gate_t = gate_weights(params, "t", config.ablation)
-    z_s, z_t = combine_views(view_embs, gate_s), combine_views(view_embs, gate_t)
+    gates = gate_weights(params, config.ablation)
+    z_s, z_t = combine_views(view_embs, gates[0]), combine_views(view_embs, gates[1])
     dec_hidden_s, recon_s = decode(params, z_s, "s")
     dec_hidden_t, recon_t = decode(params, z_t, "t")
     return ForwardTrace(
         training=training, batch=csr(raw), x=dense_input(x), item_norm=item_norm,
         core_norm=core_norm, proj=proj,
         assign=assign, enc_proj=enc_proj, enc_hidden=enc_hidden, view_embs=view_embs,
-        gate_s=gate_s, gate_t=gate_t, z_s=z_s, z_t=z_t, dec_hidden_s=dec_hidden_s,
+        gates=gates, z_s=z_s, z_t=z_t, dec_hidden_s=dec_hidden_s,
         dec_hidden_t=dec_hidden_t, recon_s=recon_s, recon_t=recon_t)
 
 
@@ -335,7 +390,7 @@ def test_sparse_input_stage_equals_dense_reference(ablation, training, keep_prob
         params = init_params(config, n_s, n_t, Rng(trial))
         params.gate[:] = Rng(trial + 50).uniform(2, config.k)
         raw = random_raw_rows(gen, int(gen.integers(2, 12)), n_s + n_t)
-        trace = forward(params, config, csr(raw), Rng(trial), training=training)
+        trace = forward(params, config, csr(raw), Rng(trial) if training else None)
         ref = dense_reference_forward(params, config, raw, Rng(trial), training)
         assert np.array_equal(dense_x(trace.x), dense_x(ref.x))
         assert np.array_equal(trace.recon_s, ref.recon_s)
@@ -398,7 +453,7 @@ def assert_close(got, expect, tolerance, name):
 @pytest.mark.parametrize("ablation", ABLATIONS)
 def test_per_row_path_matches_dense_reference(ablation, training):
     config, params, batch = per_row_case(ABLATIONS.index(ablation), ablation=ablation)
-    trace = forward(params, config, batch, Rng(7), training=training)
+    trace = forward(params, config, batch, Rng(7) if training else None)
     ref = dense_reference_forward(params, config, dense(batch), Rng(7), training)
     assert trace.x.array is None  # the per-row path was taken
     # the kept entries are exactly the dense reference's
@@ -421,7 +476,7 @@ def test_per_row_path_gradients_match_finite_differences():
     # the (N, width) arrays the rows of two kept columns, one column no row
     # holds, and a sample of dec_w2 and dec_b2.
     config, params, batch = per_row_case(3, ablation="full")
-    trace = forward(params, config, batch, Rng(4), training=True)
+    trace = forward(params, config, batch, Rng(4))
     assert trace.x.array is None
     grads = backward(trace, params, config)[2]
     gen = np.random.default_rng(0)
@@ -445,7 +500,7 @@ def test_per_row_path_gradients_match_finite_differences():
             for value in (keep + h, keep - h):
                 arr[idx] = value
                 # the same derived stream draws the same mask and noise again
-                replay = forward(params, config, batch, Rng(4), training=True)
+                replay = forward(params, config, batch, Rng(4))
                 losses.append(backward(replay, params, config)[0])
             arr[idx] = keep
             numeric = (losses[0] - losses[1]) / (2 * h)
@@ -456,7 +511,7 @@ def test_per_row_path_gradients_match_finite_differences():
 
 def test_per_row_path_row_with_every_entry_dropped():
     config, params, batch = per_row_case(5, keep_prob=0.2)
-    trace = forward(params, config, batch, Rng(8), training=True)
+    trace = forward(params, config, batch, Rng(8))
     x = trace.x
     assert x.array is None
     empty = np.flatnonzero(np.diff(x.indptr) == 0)
@@ -480,13 +535,13 @@ def test_per_row_path_writes_every_row_of_its_buffers():
     # the empty one in front included.
     config, params, batch = per_row_case(6, keep_prob=0.2)
     rows = sparse_rows_with_empty(batch)
-    trace = forward(params, config, rows, Rng(3), training=True)
+    trace = forward(params, config, rows, Rng(3))
     expect = backward(trace, params, config)[2]
     with reuse_buffers():
         for name, shape in (("proj", trace.proj.shape), ("enc_proj", trace.enc_proj.shape),
                             ("x_grads", (rows.n_cols, 40))):
             buffer(name, shape).fill(np.nan)
-        again = forward(params, config, rows, Rng(3), training=True)
+        again = forward(params, config, rows, Rng(3))
         assert again.x.array is None
         assert np.array_equal(again.proj, trace.proj)
         assert np.array_equal(again.enc_proj, trace.enc_proj)
@@ -590,7 +645,7 @@ def forward_peak_bytes(k):
     batch = csr((Rng(1).uniform(64, 2000) < 0.05).astype(float))
     tracemalloc.start()
     try:
-        forward(params, config, batch, Rng(2), training=True)
+        forward(params, config, batch, Rng(2))
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -618,8 +673,8 @@ def test_forward_k1_matches_single_view():
         params = init_params(base, n_s, n_t, Rng(trial))
         batch = csr(random_raw_rows(gen, int(gen.integers(2, 64)), n_s + n_t))
         for training in (False, True):
-            a = forward(params, base, batch, Rng(trial), training=training)
-            b = forward(params, sv, batch, Rng(trial), training=training)
+            a = forward(params, base, batch, Rng(trial) if training else None)
+            b = forward(params, sv, batch, Rng(trial) if training else None)
             assert np.array_equal(a.recon_s, b.recon_s), (trial, training)
             assert np.array_equal(a.recon_t, b.recon_t), (trial, training)
         grads_a = backward(a, params, base)[2]
@@ -662,18 +717,18 @@ def test_forward_padded_user_gets_uniform_assignment():
 def test_forward_trace_holds_the_batch_it_was_given(training):
     config, params = toy_params()
     batch = csr(binary_rows(1, 4))
-    assert forward(params, config, batch, Rng(2), training=training).batch is batch
+    assert forward(params, config, batch, Rng(2) if training else None).batch is batch
 
 
 def test_forward_trace_shapes():
     config, params = toy_params(k=3, embed=8, hidden=16, n_s=6, n_t=5)
     x = binary_rows(1, 4)
-    trace = forward(params, config, csr(x), Rng(2), training=True)
+    trace = forward(params, config, csr(x), Rng(2))
     assert dense_x(trace.x).shape == (4, 11)
     assert trace.proj.shape == (4, 8)
     assert trace.assign.shape == (4, 3)
     assert len(trace.view_embs) == 3 and trace.view_embs[0].shape == (4, 8)
-    assert trace.gate_s.shape == (3,) and trace.gate_t.shape == (3,)
+    assert trace.gates.shape == (2, 3)
     assert trace.z_s.shape == (4, 8) and trace.z_t.shape == (4, 8)
     assert trace.recon_s.shape == (4, 6)
     assert trace.recon_t.shape == (4, 5)
@@ -688,7 +743,7 @@ def test_forward_single_view_assigns_ones_without_noise_or_logit_gradients():
     params.gate[:] = Rng(1).uniform(2, 1)
     batch = csr(binary_rows(1, 4))
     rng = Rng(2)
-    trace = forward(params, config, batch, rng, training=True)
+    trace = forward(params, config, batch, rng)
     assert np.array_equal(trace.assign, np.ones((4, 1)))
     # the stream moved by the dropout mask alone
     replay = Rng(2)

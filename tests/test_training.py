@@ -62,12 +62,12 @@ def test_loss_worked_example():
     # two empty rows over 3 + 2 items, with reconstructions and gates planted
     config = ModelConfig(k=2, embed_dim=3, hidden=4, lam=0.5)
     params = init_params(config, 3, 2, Rng(0))
-    trace = forward(params, config, csr(np.zeros((2, 5))), Rng(1), training=True)
+    trace = forward(params, config, csr(np.zeros((2, 5))), Rng(1))
     trace.recon_s[:] = 0.0
     trace.recon_s[0, 0] = 0.5  # target is zero: squared error 0.25
     trace.recon_t[:] = 0.0
     trace.recon_t[1, 1] = -0.5
-    trace.gate_s = trace.gate_t = np.array([0.5, 0.5])
+    trace.gates = np.full((2, 2), 0.5)
     total, parts, _ = backward(trace, params, config)
     assert abs(parts["rec_s"] - 0.25) < 1e-12
     assert abs(parts["rec_t"] - 0.25) < 1e-12
@@ -77,7 +77,7 @@ def test_loss_worked_example():
 
 def test_loss_breakdown_sums_to_total():
     config, params, x = toy_setup()
-    trace = forward(params, config, csr(x), Rng(3), training=True)
+    trace = forward(params, config, csr(x), Rng(3))
     total, parts, _ = backward(trace, params, config)
     assert abs(total - (parts["rec_s"] + parts["rec_t"] + parts["orth"])) < 1e-10
     assert 0.0 <= parts["orth"] <= config.lam
@@ -93,7 +93,7 @@ def plant_perfect_reconstruction(trace, x):
 
 def test_perfect_reconstruction_gives_zero_gradients():
     config, params, x = toy_setup(lam=0.0)
-    trace = forward(params, config, csr(x), Rng(3), training=True)
+    trace = forward(params, config, csr(x), Rng(3))
     plant_perfect_reconstruction(trace, x)
     total, _, grads = backward(trace, params, config)
     assert total == 0.0
@@ -107,12 +107,12 @@ def test_gate_gradient_orthogonality_coupling():
                              keep_prob=0.5, lam=0.7)
     params.gate[0] = [0.3, -0.1]
     params.gate[1] = [-0.2, 0.4]
-    trace = forward(params, config_lam, csr(x), Rng(3), training=True)
+    trace = forward(params, config_lam, csr(x), Rng(3))
     # a zero residual (targets equal to the reconstruction) leaves only
     # the lambda term
     plant_perfect_reconstruction(trace, x)
     grads = backward(trace, params, config_lam)[2]
-    w_s, w_t = trace.gate_s, trace.gate_t
+    w_s, w_t = trace.gates
     expect_s = softmax_rows_grad(w_s[None, :], 0.7 * w_t[None, :])[0]
     expect_t = softmax_rows_grad(w_t[None, :], 0.7 * w_s[None, :])[0]
     assert np.max(np.abs(grads["gate"][0] - expect_s)) < 1e-10
@@ -126,12 +126,12 @@ def fd_max_rel_error(config, seed=0, h=1e-5):
     x[2, 0] = 1.0
     x[4] = 0.0
     batch = csr(x)
-    trace = forward(params, config, batch, rng.derive(2), training=True)
+    trace = forward(params, config, batch, rng.derive(2))
     grads = backward(trace, params, config)[2]
 
     def loss_with(p):
         # the same derived stream draws the same mask and noise again
-        replay = forward(p, config, batch, rng.derive(2), training=True)
+        replay = forward(p, config, batch, rng.derive(2))
         return backward(replay, p, config)[0]
 
     worst = 0.0
@@ -165,7 +165,7 @@ def oracle_loss(trace, targets_s, targets_t, lam):
         return float(np.sum(np.square(residual, out=residual)))
     rec_s = squared_error(targets_s, trace.recon_s)
     rec_t = squared_error(targets_t, trace.recon_t)
-    orth = float(lam * np.dot(trace.gate_s, trace.gate_t))
+    orth = float(lam * np.dot(trace.gates[0], trace.gates[1]))
     return rec_s + rec_t + orth, {"rec_s": rec_s, "rec_t": rec_t, "orth": orth}
 
 
@@ -189,14 +189,14 @@ def oracle_backward(trace, targets_s, targets_t, params, config):
         d_z[domain] = d_pre @ params.dec_w1.T
         gate_recon_grad[domain] = np.einsum("kbl,bl->k", trace.view_embs, d_z[domain])
     if config.ablation != "no_gate":
-        d_gate_s = gate_recon_grad["s"] + config.lam * trace.gate_t
-        d_gate_t = gate_recon_grad["t"] + config.lam * trace.gate_s
-        grads["gate"][0] = softmax_rows_grad(trace.gate_s[None, :], d_gate_s[None, :])[0]
-        grads["gate"][1] = softmax_rows_grad(trace.gate_t[None, :], d_gate_t[None, :])[0]
+        d_gate_s = gate_recon_grad["s"] + config.lam * trace.gates[1]
+        d_gate_t = gate_recon_grad["t"] + config.lam * trace.gates[0]
+        grads["gate"][0] = softmax_rows_grad(trace.gates[0][None, :], d_gate_s[None, :])[0]
+        grads["gate"][1] = softmax_rows_grad(trace.gates[1][None, :], d_gate_t[None, :])[0]
     k, b, h = trace.enc_hidden.shape
     hidden = trace.enc_hidden.reshape(k * b, h)
-    d_emb = (trace.gate_s[:, None, None] * d_z["s"]
-             + trace.gate_t[:, None, None] * d_z["t"]).reshape(k * b, -1)
+    d_emb = (trace.gates[0][:, None, None] * d_z["s"]
+             + trace.gates[1][:, None, None] * d_z["t"]).reshape(k * b, -1)
     grads["enc_w2"] = hidden.T @ d_emb
     grads["enc_b2"] = d_emb.sum(axis=0)
     d_pre = d_emb @ params.enc_w2.T
@@ -229,7 +229,7 @@ def test_residual_loss_and_backward_equal_dense_target_oracles(ablation):
         params.gate[:] = Rng(trial + 50).uniform(2, config.k)
         raw = (gen.random((b, n_s + n_t)) < 0.2).astype(float)
         raw[0] = 0.0
-        trace = forward(params, config, csr(raw), Rng(trial), training=True)
+        trace = forward(params, config, csr(raw), Rng(trial))
         trace.recon_s[gen.random(trace.recon_s.shape) < 0.1] = -0.0
         trace.recon_t[gen.random(trace.recon_t.shape) < 0.1] = -0.0
         targets_s, targets_t = raw[:, :n_s], raw[:, n_s:]
@@ -356,7 +356,7 @@ def test_train_runs_an_epoch_without_users():
 
 def test_adam_optimizer_moves_every_field():
     config, params, x = toy_setup()
-    trace = forward(params, config, csr(x), Rng(3), training=True)
+    trace = forward(params, config, csr(x), Rng(3))
     grads = backward(trace, params, config)[2]
     before = {f: getattr(params, f).copy() for f in PARAM_FIELDS}
     opt = AdamOptimizer(params, lr=1e-2)
