@@ -288,6 +288,21 @@ def test_forward_shared_corruption_feeds_both_paths():
     assert np.max(np.abs(sum(views) - dense_x(trace.x))) < 1e-9
 
 
+def test_forward_drops_entries_at_keep_prob_near_one():
+    # At keep_prob 0.9995 a batch of ~20k entries loses about ten: the
+    # replayed mask says which, and forward's input has lost exactly those.
+    config = ModelConfig(k=2, embed_dim=3, hidden=4, keep_prob=0.9995)
+    params = init_params(config, 250, 150, Rng(0))
+    x = binary_rows(5, 100, 400)
+    batch = csr(x)
+    mask = sample_dropout_mask(Rng(3), 100, 400, config.keep_prob, batch.flat_index())
+    assert 0 < np.count_nonzero(mask == 0.0) < 40
+    trace = forward(params, config, batch, Rng(3))
+    dropped = row_l2_normalize(x) * dense(batch, mask) * (1.0 / config.keep_prob)
+    assert dense_x(trace.x).tobytes() == dropped.tobytes()
+    assert not np.array_equal(dense_x(trace.x) != 0.0, x != 0.0)
+
+
 def test_forward_without_dropout_keeps_input():
     config, params = toy_params()
     x = binary_rows(4, 5)

@@ -1,15 +1,17 @@
 import math
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
+from mdap import numerics
 from mdap.errors import ParameterError, ShapeError
-from mdap.numerics import (CsrRows, Rng, adam_step, buffer, gumbel_from_uniform,
-                           matmul, reuse_buffers, row_l2_normalize, row_l2_normalize_grad,
-                           sample_dropout_mask, sample_gumbel, softmax_rows,
-                           softmax_rows_grad)
+from mdap.numerics import (JUMP_BITS, JUMP_COST, CsrRows, Rng, adam_step, buffer,
+                           gumbel_from_uniform, matmul, reuse_buffers, row_l2_normalize,
+                           row_l2_normalize_grad, sample_dropout_mask, sample_gumbel,
+                           softmax_rows, softmax_rows_grad)
 from sparse_rows import csr, dense
 
 EULER_MASCHERONI = 0.5772156649015329
@@ -336,6 +338,146 @@ def test_uniform_entries_reads_the_uniform_block():
         for rows in (3, 3, 2):
             assert np.array_equal(rng.uniform_entries(rows, 4, entries[:2]),
                                   fresh.uniform(rows, 4).reshape(-1)[entries[:2]])
+
+
+def spread_entries(seed, size, count, *fixed):
+    """`count` distinct random positions in [0, size) and the `fixed` ones,
+    ascending, as int64."""
+    drawn = np.random.default_rng(seed).choice(size, count, replace=False)
+    return np.unique(np.concatenate([drawn, np.array(fixed, dtype=np.int64)]))
+
+
+def jumps(rows, cols, entries) -> bool:
+    """Whether uniform_entries computes these entries instead of drawing
+    the block: it asks buffer() for no block to draw into."""
+    asked = []
+    real = numerics.buffer
+    numerics.buffer = lambda *args, **kwargs: asked.append(args) or real(*args, **kwargs)
+    try:
+        Rng(0).uniform_entries(rows, cols, entries)
+    finally:
+        numerics.buffer = real
+    return not asked
+
+
+def assert_entries_match_dense(rng, twin, rows, cols, entries):
+    """rng.uniform_entries against twin's dense draw read at the entries,
+    bit for bit; then both streams must go on alike, through a uniform()
+    and a permutation() (which reads a buffered uint32 first, if any)."""
+    got = rng.uniform_entries(rows, cols, entries)
+    assert got.tobytes() == twin.uniform(rows, cols).reshape(-1)[entries].tobytes()
+    assert rng.uniform(2, 3).tobytes() == twin.uniform(2, 3).tobytes()
+    assert np.array_equal(rng.permutation(9), twin.permutation(9))
+
+
+B_2_22 = 2**(2 * JUMP_BITS)
+JUMP_CASES = {
+    # the benchmark's eval-sparse batch shape at 0.5 % density, with its
+    # first and last positions
+    "256x8000@0.5%": (256, 8000, spread_entries(1, 256 * 8000, 10240, 0, 256 * 8000 - 1)),
+    "256x8000-empty": (256, 8000, np.zeros(0, dtype=np.int64)),
+    # one, two and three digits: the block's own step count crosses a level
+    "2^22-1": (1, B_2_22 - 1, np.array([0, 2047, 2048, 2049, B_2_22 - 2])),
+    "2^22": (2048, 2048, np.array([0, 2**JUMP_BITS - 1, B_2_22 - 1])),
+    "2^22+1": (1, B_2_22 + 1, np.array([0, 4095, 4096, B_2_22 - 1, B_2_22])),
+    "4.8M-cells-three-digits": (8000, 600, spread_entries(2, 8000 * 600, 3000, 2**22 - 1, 2**22)),
+}
+
+
+@pytest.mark.parametrize("case", list(JUMP_CASES))
+def test_jumped_uniforms_equal_the_dense_draw(case):
+    rows, cols, entries = JUMP_CASES[case]
+    assert jumps(rows, cols, entries)
+    assert_entries_match_dense(Rng(5), Rng(5), rows, cols, entries)
+
+
+@pytest.mark.parametrize("rows, cols, density, jumped", [
+    (256, 8000, 0.005, True), (256, 8000, 0.0036, True), (256, 2000, 0.105, False),
+    (256, 2000, 0.078, False), (256, 2000, 0.04, True), (256, 8000, 0.1, False),
+    (64, 300, 0.0005, False), (64, 600, 0.0005, True)])
+def test_uniform_entries_on_both_sides_of_the_jump_rule(rows, cols, density, jumped):
+    # the benchmark's batches: eval-sparse (256 x 8000, 0.36 % dense) jumps
+    # and train-dense (256 x 2000, 7.8 %) draws the block. A block under
+    # ~2**11 * JUMP_COST cells is drawn however sparse: a jump computes the
+    # 2**11 states of its lowest digit whatever the entries.
+    entries = spread_entries(3, rows * cols, int(rows * cols * density), 0, rows * cols - 1)
+    assert jumps(rows, cols, entries) == jumped
+    assert jumped == ((len(entries) + 2**JUMP_BITS) * JUMP_COST < rows * cols)
+    for seed in (0, 7):
+        assert_entries_match_dense(Rng(seed), Rng(seed), rows, cols, entries)
+
+
+@pytest.mark.parametrize("cols", [1, 2, 12, 2047, 2048, 2049, 5000])
+def test_every_block_size_jumps_to_the_dense_draw(cols, monkeypatch):
+    # a block too small to jump by the rule, jumped anyway: one digit up
+    # to 2**11 - 1 cells, two from 2**11
+    monkeypatch.setattr(numerics, "JUMP_COST", 0)
+    entries = np.unique(np.array([0, cols // 2, cols - 1]))
+    assert jumps(1, cols, entries)
+    assert_entries_match_dense(Rng(2), Rng(2), 1, cols, entries)
+    assert_entries_match_dense(Rng(2), Rng(2), 1, cols, entries[:0])
+
+
+def test_consecutive_jumps_reuse_the_tables():
+    rng, twin = Rng(8), Rng(8)
+    shapes = [(256, 8000, 4000), (256, 8000, 9000), (300, 8000, 100), (256, 8000, 10)]
+    for i, (rows, cols, count) in enumerate(shapes):
+        entries = spread_entries(i, rows * cols, count, 0)
+        assert jumps(rows, cols, entries)
+        if i == 1:
+            tables = list(rng._jumps)
+        assert_entries_match_dense(rng, twin, rows, cols, entries)
+    assert len(rng._jumps) == len(tables) and all(a is b for a, b in zip(rng._jumps, tables))
+    # and a block drawn whole in between leaves the stream in step too
+    entries = spread_entries(9, 512, 400)
+    assert not jumps(1, 512, entries)
+    assert_entries_match_dense(rng, twin, 1, 512, entries)
+    assert_entries_match_dense(rng, twin, 256, 8000, spread_entries(4, 256 * 8000, 5000))
+
+
+def test_jump_keeps_a_buffered_uint32():
+    # permutation(6) draws five bounded uint32s, which leaves half of a
+    # 64-bit draw buffered; the jump sets the 128-bit state and keeps it
+    rng, twin = Rng(6), Rng(6)
+    for r in (rng, twin):
+        r.permutation(6)
+    assert rng._gen.bit_generator.state["has_uint32"] == 1
+    entries = spread_entries(0, 256 * 8000, 9000, 0, 256 * 8000 - 1)
+    assert jumps(256, 8000, entries)
+    assert_entries_match_dense(rng, twin, 256, 8000, entries)
+
+
+def test_jumped_and_drawn_blocks_inside_reuse_buffers():
+    rng, twin = Rng(12), Rng(12)
+    sparse = spread_entries(1, 256 * 8000, 8000, 0)
+    full = spread_entries(2, 64 * 100, 3000)
+    with reuse_buffers():
+        for rows, cols, entries in [(256, 8000, sparse), (64, 100, full),
+                                    (256, 8000, sparse), (32, 100, full[full < 3200])]:
+            assert_entries_match_dense(rng, twin, rows, cols, entries)
+
+
+def test_jump_allocates_no_block():
+    # 10k uniforms of a 256 x 8000 block: the dense draw would allocate
+    # 16 MB for the block; the jump's working arrays are per entry
+    entries = spread_entries(3, 256 * 8000, 10240)
+    rng = Rng(1)
+    rng.uniform_entries(256, 8000, entries)  # builds the tables
+    tracemalloc.start()
+    try:
+        rng.uniform_entries(256, 8000, entries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("cost", [0, JUMP_COST], ids=["jumped", "drawn"])
+@pytest.mark.parametrize("entries", [[-1], [0, 12], [3, 40]])
+def test_uniform_entries_rejects_positions_outside_the_block(entries, cost, monkeypatch):
+    monkeypatch.setattr(numerics, "JUMP_COST", cost)
+    with pytest.raises(ShapeError, match=r"entries must lie in \[0, 12\)"):
+        Rng(0).uniform_entries(3, 4, np.array(entries))
 
 
 def test_adam_zero_grad_is_identity():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mdap import SyntheticSpec, evaluation, training
-from mdap.data import InteractionDataset
+from mdap.data import InteractionDataset, sparse_batch
 from mdap.errors import ParameterError, TrainingDivergedError
 from mdap.evaluation import evaluate
 from mdap.model import (ABLATION_VARIANTS, ABLATIONS, ModelConfig, PARAM_FIELDS, forward,
@@ -493,6 +493,67 @@ def test_non_finite_gradient_raises_before_the_step(small_dataset, monkeypatch):
         train(small_dataset, config)
     assert err.value.epoch == 1
     assert steps == []
+
+
+def test_overflowing_loss_with_finite_gradients_raises_before_the_step(small_dataset,
+                                                                       monkeypatch):
+    # dec_b2 = 1e154 puts every reconstruction near 1e154: each squared
+    # residual is ~1e308, so the loss overflows to inf while every gradient
+    # stays finite. Only the loss check stops this run.
+    real_init, real_backward = training.init_params, training.backward
+    results, steps = [], []
+
+    def huge_output_bias(*args):
+        params = real_init(*args)
+        params.dec_b2[:] = 1e154
+        return params
+
+    def spy_backward(*args):
+        results.append(real_backward(*args))
+        return results[-1]
+
+    monkeypatch.setattr(training, "init_params", huge_output_bias)
+    monkeypatch.setattr(training, "backward", spy_backward)
+    monkeypatch.setattr(AdamOptimizer, "step", lambda self, *args: steps.append(1))
+    script_validation(monkeypatch, [0.5])
+    with pytest.raises(TrainingDivergedError, match="non-finite loss at epoch 1") as err:
+        train(small_dataset, small_train_config(epochs=3, patience=3))
+    assert err.value.epoch == 1 and steps == []
+    ((total, _, grads),) = results
+    assert total == np.inf
+    assert all(np.isfinite(grad).all() for grad in grads.values())
+
+
+class FirstForward(Exception):
+    """Raised to stop train once its first forward has been recorded."""
+
+
+def test_first_step_replays_from_the_keyed_streams(small_dataset, monkeypatch):
+    # train draws each kind of randomness from its own sub-stream of the
+    # seed: the parameters from derive(0), the epoch's user order from
+    # derive(1), the dropout mask and Gumbel noise from derive(2). Its
+    # first forward is a replay of exactly those.
+    seen = {}
+    real_forward = training.forward
+
+    def first_forward(*args, **kwargs):
+        trace = real_forward(*args, **kwargs)
+        seen.update(x=dense_x(trace.x).copy(), assign=trace.assign.copy(),
+                    recon_s=trace.recon_s.copy(), recon_t=trace.recon_t.copy())
+        raise FirstForward
+
+    monkeypatch.setattr(training, "forward", first_forward)
+    config = small_train_config(epochs=1, patience=1, seed=4)
+    with pytest.raises(FirstForward):
+        train(small_dataset, config)
+    root = Rng(config.seed)
+    params = init_params(config.model, small_dataset.n_items("s"), small_dataset.n_items("t"),
+                         root.derive(0))
+    users = root.derive(1).permutation(small_dataset.n_users)[:config.batch_users]
+    replay = forward(params, config.model, sparse_batch(small_dataset, users), root.derive(2))
+    assert seen["x"].tobytes() == dense_x(replay.x).tobytes()
+    for name in ("assign", "recon_s", "recon_t"):
+        assert seen[name].tobytes() == getattr(replay, name).tobytes(), name
 
 
 def test_single_view_variant_trains_with_one_view(small_dataset, monkeypatch):
