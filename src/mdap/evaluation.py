@@ -4,6 +4,9 @@ with training items masked out.
 Ranking is deterministic: scores sort descending and ties break on the
 ascending item index. A user counts toward a domain's averages only if
 their ground-truth set for the evaluated split is non-empty.
+
+evaluate and the scalar references (top_k, recall_at_k, ndcg_at_k) check
+their arguments; the other helpers here assume checked inputs.
 """
 
 import math
@@ -12,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .data import DOMAINS, SPLITS, sparse_batch
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError
 from .model import ModelConfig, ModelParams, embedding_norms, forward
 from .numerics import CsrRows, buffer, check_int, reuse_buffers
 
@@ -83,8 +86,8 @@ def score_matrix_metrics(scores: np.ndarray, train: CsrRows, truth: CsrRows,
 
     scores is (n_users, n_items); row u of train/truth holds user u's
     training and ground-truth item indices, over the same n_items
-    columns (ShapeError otherwise). Returns (mean recall, mean ndcg,
-    users evaluated); means are 0.0 when no user qualifies.
+    columns. Returns (mean recall, mean ndcg, users evaluated); means
+    are 0.0 when no user qualifies.
 
     The evaluated users are ranked EVAL_BATCH_USERS rows at a time, in
     one exact pass per block, without writing into scores. The block is
@@ -102,11 +105,6 @@ def score_matrix_metrics(scores: np.ndarray, train: CsrRows, truth: CsrRows,
     means follow the scalar references' order of operations, so the
     results equal the per-user recall_at_k/ndcg_at_k loop bit for bit.
     """
-    k = check_int("k", k)
-    for name, rows in (("train", train), ("truth", truth)):
-        if (rows.n_rows, rows.n_cols) != scores.shape:
-            raise ShapeError(f"{name} rows are {(rows.n_rows, rows.n_cols)} "
-                             f"but scores are {scores.shape}")
     n_items = scores.shape[1]
     truth_lens = np.diff(truth.indptr)
     eval_users = np.flatnonzero(truth_lens)
@@ -156,7 +154,9 @@ def score_matrix_metrics(scores: np.ndarray, train: CsrRows, truth: CsrRows,
             truth_len = truth_lens[rows]
             recall[start:start + b] = np.bincount(row[hit], minlength=b) / truth_len
             dcg = np.bincount(row[hit], weights=disc[rank[hit]], minlength=b)
-            ndcg[start:start + b] = dcg / idcg[np.minimum(k, truth_len)]
+            # min(kk, |truth|) is min(k, |truth|) as |truth| <= n_items, and
+            # kk, unlike a cutoff the CLI takes, always fits numpy's int64
+            ndcg[start:start + b] = dcg / idcg[np.minimum(kk, truth_len)]
     return (float(np.cumsum(recall)[-1]) / n_eval,
             float(np.cumsum(ndcg)[-1]) / n_eval, n_eval)
 
@@ -206,6 +206,7 @@ def evaluate(params: ModelParams, config: ModelConfig, dataset, split: str,
     """
     if split not in SPLITS:
         raise ParameterError(f"unknown split {split!r}")
+    k = check_int("k", k)
     scores = model_scores(params, config, dataset)
     report = MetricsReport(split=split, cutoff=k)
     for domain in DOMAINS:

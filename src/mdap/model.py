@@ -33,8 +33,8 @@ import numpy as np
 
 from .data import atomic_open
 from .errors import CheckpointError, ParameterError, ShapeError
-from .numerics import (CsrRows, InputRows, Rng, buffer, check_int, check_real, matmul,
-                       row_l2_normalize, sample_dropout_mask, sample_gumbel, softmax_rows)
+from .numerics import (CsrRows, InputRows, Rng, buffer, check_int, check_real, row_l2_normalize,
+                       sample_dropout_mask, sample_gumbel, softmax_rows)
 
 # (name in the paper's ablation table, ModelConfig.ablation), in report order
 ABLATION_VARIANTS = (("MDAP", "full"), ("MDAP-GS", "no_gumbel"),
@@ -123,11 +123,10 @@ class ModelParams:
         return ModelParams(n_items_s=self.n_items_s, n_items_t=self.n_items_t, **kwargs)
 
     def domain_slice(self, domain: str) -> slice:
+        """The columns of domain "s" or "t" in the concatenated item axis."""
         if domain == "s":
             return slice(0, self.n_items_s)
-        if domain == "t":
-            return slice(self.n_items_s, self.n_items_total)
-        raise ParameterError(f"unknown domain {domain!r}")
+        return slice(self.n_items_s, self.n_items_total)
 
 
 def glorot_uniform(rng: Rng, rows: int, cols: int) -> np.ndarray:
@@ -183,8 +182,8 @@ def encode_rows(params: ModelParams, enc_proj: np.ndarray,
     np.tanh(hidden, out=hidden)
     # one (k*B, h) product: numpy runs a stacked matmul against a shared
     # 2-d operand far slower than the equivalent single GEMM
-    emb = matmul(hidden.reshape(k * b, h), params.enc_w2,
-                 out=buffer("view_embs", (k * b, params.enc_w2.shape[1])))
+    emb = np.matmul(hidden.reshape(k * b, h), params.enc_w2,
+                    out=buffer("view_embs", (k * b, params.enc_w2.shape[1])))
     emb += params.enc_b2
     return hidden, emb.reshape(k, b, -1)
 
@@ -201,8 +200,6 @@ def gate_weights(params: ModelParams, ablation: str = "full") -> np.ndarray:
 
 def combine_views(view_embs: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Weighted sum of the view embeddings over the leading view axis."""
-    if len(view_embs) != weights.shape[0]:
-        raise ShapeError(f"{len(view_embs)} view embeddings vs {weights.shape[0]} weights")
     return np.tensordot(weights, view_embs, axes=1)
 
 
@@ -216,12 +213,12 @@ def decode(params: ModelParams, z: np.ndarray, domain: str,
     """
     cols = params.domain_slice(domain)
     b, h = len(z), params.dec_w1.shape[1]
-    hidden = matmul(z, params.dec_w1, out=buffer("dec_hidden_" + domain, (b, h)))
+    hidden = np.matmul(z, params.dec_w1, out=buffer("dec_hidden_" + domain, (b, h)))
     hidden += params.dec_b1
     np.tanh(hidden, out=hidden)
     if out is None:
         out = buffer("recon_" + domain, (b, cols.stop - cols.start))
-    scores = matmul(hidden, params.dec_w2[:, cols], out=out)
+    scores = np.matmul(hidden, params.dec_w2[:, cols], out=out)
     scores += params.dec_b2[cols]  # in place: a second (B, items) array costs more than the add
     return hidden, scores
 
@@ -299,7 +296,7 @@ def forward(params: ModelParams, config: ModelConfig, batch: CsrRows,
 
     item_norm, core_norm, core_norm_t = embedding_norms(params) if norms is None else norms
     proj = x.matmul(item_norm, "proj")
-    logits = matmul(proj, core_norm_t)
+    logits = np.matmul(proj, core_norm_t)
     noisy = config.ablation not in ("no_gumbel", "single_view")
     assign = gumbel_softmax_assign(logits, config.tau, rng if noisy else None)
 

@@ -5,6 +5,9 @@ Everything works on float64 numpy arrays in C (row major) order. The
 stochastic pieces draw from an explicit Rng so that a run is fully
 reproducible from its seed.
 
+Rng and CsrRows check what their constructors (and CsrRows.take) are
+given; the other helpers here assume checked inputs.
+
 The hot paths take their large arrays from buffer(). Inside a
 reuse_buffers() scope a name keeps its memory from one block or step to
 the next, so the working set is faulted in once per scope instead of
@@ -143,8 +146,6 @@ class Rng:
         steps to, and the state is set to where the block would leave it.
         """
         size = int(rows) * int(cols)
-        if len(entries) and not 0 <= np.min(entries) <= np.max(entries) < size:
-            raise ShapeError(f"entries must lie in [0, {size})")
         if (len(entries) + 2**JUMP_BITS) * JUMP_COST >= size:
             u = self._gen.random(out=buffer(SCRATCH, (size,)))[entries]
             return np.clip(u, UNIFORM_EPS, 1.0 - UNIFORM_EPS)
@@ -202,16 +203,6 @@ def check_real(name: str, value):
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ParameterError(f"{name} must be a real number, got {value!r}")
     return value
-
-
-def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Matrix product with an explicit shape check, written into out when
-    given (the same BLAS call, so the same bits as a fresh result)."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs 2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return np.matmul(a, b, out=out)
 
 
 @dataclass(frozen=True)
@@ -343,11 +334,9 @@ class InputRows:
 
     def matmul(self, w: np.ndarray, name: str) -> np.ndarray:
         """x @ w, written into buffer(name)."""
-        if w.ndim != 2 or w.shape[0] != self.n_cols:
-            raise ShapeError(f"cannot multiply ({self.n_rows}, {self.n_cols}) rows by {w.shape}")
         out = buffer(name, (self.n_rows, w.shape[1]))
         if self.array is not None:
-            return matmul(self.array, w, out=out)
+            return np.matmul(self.array, w, out=out)
         # take and dot cost ~2.5 us less a row than fancy indexing and
         # matmul; a row with no entries is a zero-length dot, written as 0
         bounds = self.indptr.tolist()
@@ -357,12 +346,9 @@ class InputRows:
 
     def t_matmul(self, d: np.ndarray, name: str) -> np.ndarray:
         """x^T @ d, written into buffer(name)."""
-        if d.ndim != 2 or d.shape[0] != self.n_rows:
-            raise ShapeError(f"cannot multiply ({self.n_rows}, {self.n_cols}) rows, "
-                             f"transposed, by {d.shape}")
         out = buffer(name, (self.n_cols, d.shape[1]))
         if self.array is not None:
-            return matmul(self.array.T, d, out=out)
+            return np.matmul(self.array.T, d, out=out)
         out.fill(0.0)
         bounds = self.indptr.tolist()
         for row, start, stop in zip(d, bounds[:-1], bounds[1:]):
@@ -408,10 +394,7 @@ def sample_gumbel(rng: Rng, rows: int, cols: int) -> np.ndarray:
 
 
 def softmax_rows(logits: np.ndarray, tau: float = 1.0) -> np.ndarray:
-    """Row-wise softmax of logits / tau with max subtraction for stability.
-    tau must be a real number in (0, inf)."""
-    if not 0.0 < check_real("tau", tau) < math.inf:
-        raise ParameterError(f"temperature must be positive and finite, got {tau}")
+    """Row-wise softmax of logits / tau with max subtraction for stability."""
     shifted = (logits - logits.max(axis=1, keepdims=True)) / tau
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
@@ -434,8 +417,6 @@ def sample_dropout_mask(rng: Rng, rows: int, cols: int, keep_prob: float,
     computes only the uniforms at `entries` (see Rng.uniform_entries).
     The caller applies the mask as values * mask * (1 / keep_prob).
     """
-    if not 0.0 < check_real("keep_prob", keep_prob) <= 1.0:
-        raise ParameterError(f"keep_prob must be in (0, 1], got {keep_prob}")
     return (rng.uniform_entries(rows, cols, entries) < keep_prob).astype(np.float64)
 
 
@@ -444,21 +425,13 @@ def adam_step(param: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
     """One bias-corrected Adam update, made in place on param, m and v.
 
     Returns (param, m, v), the arrays passed in. t is the 1-based step
-    count including this step, an integer, and lr a real number in
-    (0, inf); beta1, beta2 and eps are ADAM_BETA1, ADAM_BETA2 and
-    ADAM_EPS. Each operation is the one the textbook
+    count including this step; beta1, beta2 and eps are ADAM_BETA1,
+    ADAM_BETA2 and ADAM_EPS. Each operation is the one the textbook
     formula performs, in its order, so the result is bit for bit that of
     the out-of-place expression. The arrays are updated ADAM_CHUNK
     elements at a time (whole leading-axis rows), so that the dozen
     elementwise passes run over a chunk that stays in cache.
     """
-    t = check_int("step index", t)
-    if not 0.0 < check_real("lr", lr) < math.inf:
-        raise ParameterError(f"lr must be positive and finite, got {lr}")
-    if not (param.shape == grad.shape == m.shape == v.shape):
-        raise ShapeError(
-            f"adam_step shape mismatch: param {param.shape}, grad {grad.shape}, "
-            f"m {m.shape}, v {v.shape}")
     m_scale, v_scale = 1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t
     arrays = np.atleast_1d(param, grad, m, v)  # views, so a 0-d param updates too
     n = len(arrays[0])

@@ -20,8 +20,8 @@ from .data import DOMAINS, InteractionDataset, atomic_open, sparse_batch
 from .errors import ParameterError, ShapeError, TrainingDivergedError
 from .evaluation import evaluate
 from .model import PARAM_FIELDS, ModelConfig, ModelParams, forward, init_params
-from .numerics import (SCRATCH, Rng, adam_step, buffer, check_int, check_real,
-                       matmul, reuse_buffers, row_l2_normalize_grad, softmax_rows_grad)
+from .numerics import (SCRATCH, Rng, adam_step, buffer, check_int, check_real, reuse_buffers,
+                       row_l2_normalize_grad, softmax_rows_grad)
 
 # Exact key order of one serialized training-log record.
 LOG_KEYS = ("epoch", "loss_total", "loss_rec_s", "loss_rec_t", "loss_orth",
@@ -71,7 +71,7 @@ def backward(trace, params: ModelParams, config: ModelConfig
         r[rows[at], batch.indices[at] - cols.start] -= 1.0
         # squared into a work array: the gradients below still read r
         parts["rec_" + domain] = float(np.sum(np.square(r, out=buffer(SCRATCH, r.shape))))
-        matmul(dec_hidden.T, r, out=grads["dec_w2"][:, cols])
+        np.matmul(dec_hidden.T, r, out=grads["dec_w2"][:, cols])
         grads["dec_w2"][:, cols] *= 2.0
         np.multiply(r.sum(axis=0), 2.0, out=grads["dec_b2"][cols])
         d_pre = r @ params.dec_w2[:, cols].T
@@ -101,7 +101,7 @@ def backward(trace, params: ModelParams, config: ModelConfig
              + gates[1][:, None, None] * d_z["t"]).reshape(k * b, -1)
     grads["enc_w2"] = hidden.T @ d_emb
     grads["enc_b2"] = d_emb.sum(axis=0)
-    d_pre = matmul(d_emb, params.enc_w2.T, out=buffer("enc_d_pre", (k * b, h)))
+    d_pre = np.matmul(d_emb, params.enc_w2.T, out=buffer("enc_d_pre", (k * b, h)))
     d_pre *= tanh_grad(hidden)
     d_pre = d_pre.reshape(k, b, h)
     grads["enc_b1"] = d_pre.sum(axis=(0, 1))

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from mdap import Rng, SyntheticSpec, evaluation
-from mdap.errors import ParameterError, ShapeError
+from mdap.errors import ParameterError
 from mdap.evaluation import (evaluate, model_scores, ndcg_at_k, recall_at_k,
                              score_matrix_metrics, top_k)
 from mdap.model import ModelConfig, init_params
@@ -61,11 +62,13 @@ def test_ndcg_rejects_cutoff_below_one(k):
 @pytest.mark.parametrize("k", [2.0, 2.5, np.float64(3.0), True, np.bool_(True), "3", None],
                          ids=["integral-float", "float", "numpy-float", "bool", "numpy-bool",
                               "str", "none"])
-def test_cutoff_must_be_an_integer(k):
+def test_cutoff_must_be_an_integer(k, fixture_dataset):
+    config = ModelConfig(k=2, embed_dim=8, hidden=16)
+    params = init_params(config, fixture_dataset.n_items("s"),
+                         fixture_dataset.n_items("t"), Rng(0))
     scores = np.arange(10.0).reshape(2, 5)
-    rows = csr_lists([np.array([1]), np.array([2])], 5)
     with pytest.raises(ParameterError, match="integer"):
-        score_matrix_metrics(scores, rows, rows, k)
+        evaluate(params, config, fixture_dataset, "test", k=k)
     with pytest.raises(ParameterError, match="integer"):
         top_k(scores[0], np.array([1]), k)
     with pytest.raises(ParameterError, match="integer"):
@@ -74,13 +77,17 @@ def test_cutoff_must_be_an_integer(k):
         ndcg_at_k(np.array([4, 3]), {3}, k)
 
 
-def test_cutoff_takes_numpy_integers():
+def test_cutoff_takes_numpy_integers(fixture_dataset):
+    config = ModelConfig(k=2, embed_dim=8, hidden=16)
+    params = init_params(config, fixture_dataset.n_items("s"),
+                         fixture_dataset.n_items("t"), Rng(0))
+    expect = evaluate(params, config, fixture_dataset, "test", k=2).to_dict()
     scores = np.arange(10.0).reshape(2, 5)
-    train = csr_lists([np.array([4]), np.array([], dtype=np.int64)], 5)
-    truth = csr_lists([np.array([2]), np.array([3])], 5)
     for k in (np.int64(2), np.int32(2), np.uint8(2)):
-        assert score_matrix_metrics(scores, train, truth, k) == \
-            score_matrix_metrics(scores, train, truth, 2)
+        report = evaluate(params, config, fixture_dataset, "test", k=k)
+        # stored as int, so the report dumps to JSON as the CLI writes it
+        assert type(report.cutoff) is int
+        assert json.loads(json.dumps(report.to_dict())) == expect
         assert np.array_equal(top_k(scores[0], np.array([4]), k), [3, 2])
         assert recall_at_k(np.array([3, 2]), {2}, k) == 1.0
         assert ndcg_at_k(np.array([2, 3]), {2}, k) == 1.0
@@ -286,7 +293,8 @@ def test_score_matrix_metrics_bound_is_exact_on_wide_rows(pattern, n_items):
     # the first groups; these widths are not multiples of the group width
     # at the small cutoffs, so the tail is always exercised.
     rng = np.random.default_rng(n_items)
-    for k in (1, 2, 20, n_items // 4, n_items - 1, n_items, n_items + 5):
+    # 2**70: the CLI takes any integer cutoff, and the ranking must not pass it to numpy
+    for k in (1, 2, 20, n_items // 4, n_items - 1, n_items, n_items + 5, 2**70):
         if k <= 20:
             assert n_items % group_width(n_items, k), (n_items, k)
         scores, train_lists, truth_lists = wide_instance(rng, n_items, k, pattern)
@@ -340,20 +348,6 @@ def test_score_matrix_metrics_breaks_tie_at_cutoff_by_index():
     assert (recall, n_eval) == (0.5, 2)
     assert ndcg == (per_user + per_user) / 2
     assert (recall, ndcg, n_eval) == per_user_metrics(scores, train_lists, truth_lists, 3)
-
-
-@pytest.mark.parametrize("train_shape, truth_shape", [
-    ((2, 6), (2, 5)),  # train over more columns: it would ban the wrong cells
-    ((2, 5), (3, 5)),  # truth has a row with no scores
-    ((3, 5), (2, 5)),  # train has a row with no scores
-], ids=["train-cols", "truth-rows", "train-rows"])
-def test_score_matrix_metrics_rejects_mismatched_rows(train_shape, truth_shape):
-    scores = np.arange(10.0).reshape(2, 5)
-    train = csr_lists([np.array([4])] + [np.array([], dtype=np.int64)] * (train_shape[0] - 1),
-                      train_shape[1])
-    truth = csr_lists([np.array([3])] * truth_shape[0], truth_shape[1])
-    with pytest.raises(ShapeError):
-        score_matrix_metrics(scores, train, truth, 1)
 
 
 def hypergeometric_expectation(dataset, domain, split, k):
