@@ -146,13 +146,20 @@ def param_shapes(config: ModelConfig, n_items_s: int, n_items_t: int) -> dict[st
 def init_params(config: ModelConfig, n_items_s: int, n_items_t: int, rng: Rng) -> ModelParams:
     """Glorot-uniform weights and embeddings, zero biases and gate table.
 
-    Draw order follows PARAM_FIELDS so initialization is reproducible.
+    Draw order follows PARAM_FIELDS so initialization is reproducible. A
+    shape whose float64 bytes no numpy array can address raises
+    ParameterError before anything is drawn.
     """
     if n_items_s < 1 or n_items_t < 1:
         raise ParameterError("both domains need at least one item")
+    shapes = param_shapes(config, n_items_s, n_items_t)
+    for name, shape in shapes.items():
+        if math.prod(shape) * 8 > np.iinfo(np.intp).max:
+            raise ParameterError(f"{name} of shape {shape} is too large for an array: "
+                                 f"k={config.k}, embed_dim={config.embed_dim}, "
+                                 f"hidden={config.hidden}")
     arrays = {name: np.zeros(shape) if len(shape) == 1 or name == "gate"
-              else glorot_uniform(rng, *shape)
-              for name, shape in param_shapes(config, n_items_s, n_items_t).items()}
+              else glorot_uniform(rng, *shape) for name, shape in shapes.items()}
     return ModelParams(n_items_s=n_items_s, n_items_t=n_items_t, **arrays)
 
 
@@ -185,7 +192,7 @@ def encode_rows(params: ModelParams, enc_proj: np.ndarray,
     emb = np.matmul(hidden.reshape(k * b, h), params.enc_w2,
                     out=buffer("view_embs", (k * b, params.enc_w2.shape[1])))
     emb += params.enc_b2
-    return hidden, emb.reshape(k, b, -1)
+    return hidden, emb.reshape(k, b, params.enc_w2.shape[1])
 
 
 def gate_weights(params: ModelParams, ablation: str = "full") -> np.ndarray:

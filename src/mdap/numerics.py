@@ -3,7 +3,8 @@ sparse row batches, stochastic layers and the Adam update.
 
 Everything works on float64 numpy arrays in C (row major) order. The
 stochastic pieces draw from an explicit Rng so that a run is fully
-reproducible from its seed.
+reproducible from its seed. Dropout's uniforms are computed only at a
+batch's entries, from jumped generator states (Rng.uniform_entries).
 
 Rng and CsrRows check what their constructors (and CsrRows.take) are
 given; the other helpers here assume checked inputs.
@@ -43,12 +44,6 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 JUMP_BITS = 11
 
-# A jumped uniform costs about JUMP_COST dense ones, plus 2**JUMP_BITS a block
-# for its lowest digit's states. Measured with numpy 2.4.6 on a 2-CPU x86-64
-# host: ~3.1 ns a cell drawn densely; 50-65 ns an entry jumped in 256 x 8000
-# blocks, ~38 in 256 x 2000. They cross at 6-9 % density in those blocks.
-JUMP_COST = 15
-
 
 def _affine(maps, hi: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """a * s + c mod 2**128 for maps (a_hi, c_hi, a_lo, c_lo) and s = (hi, lo),
@@ -62,11 +57,6 @@ def _affine(maps, hi: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, np.ndarra
     lo = a_lo * lo + c_lo
     return hi + c_hi + (lo < c_lo), lo  # with the carry out of the low half
 
-
-# The buffer() name of a short-lived work array (the dropout uniforms, the
-# squared residuals in the loss, tanh's derivative in backward): each is
-# dead before the next one is drawn, so all of them share one array.
-SCRATCH = "scratch"
 
 # The innermost open reuse_buffers() scope: name -> flat array. A context
 # variable, so each thread (and each asyncio task) sees its own scopes.
@@ -118,7 +108,8 @@ class Rng:
     Wraps PCG64. Sub-streams created with derive() depend only on the
     root seed and the key path, never on how many draws the parent has
     consumed, so components can be reordered without changing each
-    other's randomness.
+    other's randomness. uniform_entries() reads a block of uniforms at
+    given positions without drawing the block.
     """
 
     def __init__(self, seed: int, key: tuple[int, ...] = ()):
@@ -140,20 +131,19 @@ class Rng:
     def uniform_entries(self, rows: int, cols: int, entries: np.ndarray) -> np.ndarray:
         """uniform(rows, cols) read at the flat row-major positions `entries`.
 
-        The stream advances exactly as for uniform(rows, cols); only the
-        entries read are clamped. A block sparse enough (see JUMP_COST) is
-        not drawn: the same bits are computed from the state each draw read
-        steps to, and the state is set to where the block would leave it.
+        The stream advances exactly as for uniform(rows, cols), but the
+        block is not drawn: the same bits are computed from the state each
+        draw read steps to, and the state is set to where the block would
+        leave it.
         """
         size = int(rows) * int(cols)
-        if (len(entries) + 2**JUMP_BITS) * JUMP_COST >= size:
-            u = self._gen.random(out=buffer(SCRATCH, (size,)))[entries]
-            return np.clip(u, UNIFORM_EPS, 1.0 - UNIFORM_EPS)
         state = self._gen.bit_generator.state
         # draw p steps the state p + 1 times, and the block size times
         steps = np.append(np.asarray(entries, np.int64) + 1, size)
-        # the states 0 .. 2**JUMP_BITS - 1 draws on, read at each low digit
-        tables, low = self._jump_tables(-(-size.bit_length() // JUMP_BITS)), 2**JUMP_BITS - 1
+        # the states 0 .. 2**JUMP_BITS - 1 draws on (an empty block's too),
+        # read at each low digit
+        tables = self._jump_tables(max(1, -(-size.bit_length() // JUMP_BITS)))
+        low = 2**JUMP_BITS - 1
         hi, lo = _affine(tables[0], *map(np.uint64, divmod(state["state"]["state"], 2**64)))
         hi, lo = hi.take(steps & low), lo.take(steps & low)
         for level, table in enumerate(tables[1:], 1):
@@ -413,9 +403,9 @@ def sample_dropout_mask(rng: Rng, rows: int, cols: int, keep_prob: float,
 
     The mask is the dense one read at `entries`: one uniform per matrix
     entry, in row-major order, keeps the entry (1.0) when it is < keep_prob,
-    and the stream advances by rows * cols draws. But a sparse call
-    computes only the uniforms at `entries` (see Rng.uniform_entries).
-    The caller applies the mask as values * mask * (1 / keep_prob).
+    and the stream advances by rows * cols draws. Only the uniforms at
+    `entries` are computed (see Rng.uniform_entries). The caller applies
+    the mask as values * mask * (1 / keep_prob).
     """
     return (rng.uniform_entries(rows, cols, entries) < keep_prob).astype(np.float64)
 

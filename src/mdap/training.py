@@ -20,12 +20,17 @@ from .data import DOMAINS, InteractionDataset, atomic_open, sparse_batch
 from .errors import ParameterError, ShapeError, TrainingDivergedError
 from .evaluation import evaluate
 from .model import PARAM_FIELDS, ModelConfig, ModelParams, forward, init_params
-from .numerics import (SCRATCH, Rng, adam_step, buffer, check_int, check_real, reuse_buffers,
+from .numerics import (Rng, adam_step, buffer, check_int, check_real, reuse_buffers,
                        row_l2_normalize_grad, softmax_rows_grad)
 
 # Exact key order of one serialized training-log record.
 LOG_KEYS = ("epoch", "loss_total", "loss_rec_s", "loss_rec_t", "loss_orth",
             "val_recall20_s", "val_recall20_t", "val_ndcg20_s", "val_ndcg20_t")
+
+# The buffer() name of a short-lived work array (the squared residuals in
+# the loss, tanh's derivative in backward): each is dead before the next
+# one is drawn, so both share one array.
+SCRATCH = "scratch"
 
 
 def tanh_grad(hidden: np.ndarray) -> np.ndarray:
@@ -98,7 +103,7 @@ def backward(trace, params: ModelParams, config: ModelConfig
     k, b, h = trace.enc_hidden.shape
     hidden = trace.enc_hidden.reshape(k * b, h)
     d_emb = (gates[0][:, None, None] * d_z["s"]
-             + gates[1][:, None, None] * d_z["t"]).reshape(k * b, -1)
+             + gates[1][:, None, None] * d_z["t"]).reshape(k * b, params.enc_w2.shape[1])
     grads["enc_w2"] = hidden.T @ d_emb
     grads["enc_b2"] = d_emb.sum(axis=0)
     d_pre = np.matmul(d_emb, params.enc_w2.T, out=buffer("enc_d_pre", (k * b, h)))

@@ -825,6 +825,22 @@ def test_train_rejects_non_finite_option(tmp_path, capsys, flag, value, name):
         assert not (out / sub).exists(), sub
 
 
+@pytest.mark.parametrize("command, flag, name, value", [
+    ("train", "--k", "k", 2**70), ("train", "--embed-dim", "embed_dim", 2**62),
+    ("train", "--hidden", "hidden", 2**70), ("grid", "--k-grid", "k", 2**70),
+], ids=["train-k", "train-embed-dim", "train-hidden", "grid-k"])
+def test_model_too_large_for_an_array_exits_two(tmp_path, capsys, command, flag, name, value):
+    out = prepared_dir(tmp_path)
+    grid = GRID_POINT if command == "grid" else []  # the later --k-grid wins
+    capsys.readouterr()
+    assert run(command, "--out", out, "--epochs", 1, "--quiet", *grid, flag, value) == 2
+    err = capsys.readouterr().err
+    assert "too large for an array" in err and f"{name}={value}" in err
+    assert not (out / f"config_{command}.json").exists()
+    for sub in ("checkpoints", "logs", "reports", "grid"):
+        assert not (out / sub).exists(), sub
+
+
 def test_failed_train_leaves_no_partial_artifacts(tmp_path):
     out = prepared_dir(tmp_path)
     assert run("train", "--out", out, "--tau", 0) == 2

@@ -108,6 +108,14 @@ def test_init_params_shapes():
     assert params.gate.shape == (2, 3)
 
 
+def test_init_params_refuses_a_shape_no_array_can_hold_before_drawing():
+    # item_emb, drawn first, fits: only core_emb's (2**70, 64) does not
+    rng = Rng(0)
+    with pytest.raises(ParameterError, match=f"core_emb .* too large for an array: k={2**70}, "):
+        init_params(ModelConfig(k=2**70), 6, 5, rng)
+    assert rng.uniform(1, 3).tobytes() == Rng(0).uniform(1, 3).tobytes()
+
+
 def test_forward_zero_row_logits_are_zero():
     config, params = toy_params()
     x = binary_rows(4, 3)
@@ -747,6 +755,21 @@ def test_forward_trace_shapes():
     assert trace.z_s.shape == (4, 8) and trace.z_t.shape == (4, 8)
     assert trace.recon_s.shape == (4, 6)
     assert trace.recon_t.shape == (4, 5)
+
+
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_forward_and_backward_on_a_batch_without_rows(ablation):
+    # zero users: empty reconstructions, a loss of the gate penalty alone,
+    # and a stream that moves on by zero draws
+    config, params = toy_params(ablation=ablation)
+    batch = CsrRows(np.zeros(1, np.int64), np.zeros(0, np.int64), 11)
+    trace = forward(params, config, batch)
+    assert trace.recon_s.shape == (0, 6) and trace.recon_t.shape == (0, 5)
+    rng = Rng(3)
+    total, parts, grads = backward(forward(params, config, batch, rng), params, config)
+    assert total == parts["orth"] and parts["rec_s"] == parts["rec_t"] == 0.0
+    assert all(np.isfinite(grad).all() for grad in grads.values())
+    assert rng.uniform(2, 3).tobytes() == Rng(3).uniform(2, 3).tobytes()
 
 
 def test_forward_single_view_assigns_ones_without_noise_or_logit_gradients():

@@ -8,7 +8,7 @@ import pytest
 
 from mdap import numerics
 from mdap.errors import ParameterError, ShapeError
-from mdap.numerics import (JUMP_BITS, JUMP_COST, CsrRows, Rng, adam_step, buffer,
+from mdap.numerics import (JUMP_BITS, CsrRows, Rng, adam_step, buffer,
                            gumbel_from_uniform, reuse_buffers, row_l2_normalize,
                            row_l2_normalize_grad, sample_dropout_mask, sample_gumbel,
                            softmax_rows, softmax_rows_grad)
@@ -313,12 +313,6 @@ def test_uniform_entries_reads_the_uniform_block():
     entries = np.array([5, 0, 11, 11])
     assert np.array_equal(Rng(6).uniform_entries(3, 4, entries),
                           Rng(6).uniform(3, 4).reshape(-1)[entries])
-    # drawn into a reused block, a smaller draw after a larger one included
-    rng, fresh = Rng(6), Rng(6)
-    with reuse_buffers():
-        for rows in (3, 3, 2):
-            assert np.array_equal(rng.uniform_entries(rows, 4, entries[:2]),
-                                  fresh.uniform(rows, 4).reshape(-1)[entries[:2]])
 
 
 def spread_entries(seed, size, count, *fixed):
@@ -329,8 +323,8 @@ def spread_entries(seed, size, count, *fixed):
 
 
 def jumps(rows, cols, entries) -> bool:
-    """Whether uniform_entries computes these entries instead of drawing
-    the block: it asks buffer() for no block to draw into."""
+    """Whether uniform_entries computes these entries without drawing the
+    block: it asks buffer() for nothing to draw into."""
     asked = []
     real = numerics.buffer
     numerics.buffer = lambda *args, **kwargs: asked.append(args) or real(*args, **kwargs)
@@ -362,6 +356,16 @@ JUMP_CASES = {
     "2^22": (2048, 2048, np.array([0, 2**JUMP_BITS - 1, B_2_22 - 1])),
     "2^22+1": (1, B_2_22 + 1, np.array([0, 4095, 4096, B_2_22 - 1, B_2_22])),
     "4.8M-cells-three-digits": (8000, 600, spread_entries(2, 8000 * 600, 3000, 2**22 - 1, 2**22)),
+    # the benchmark's train-dense batch shape (7.8 % dense) and denser
+    # blocks, with their first and last positions
+    "256x2000@7.8%": (256, 2000, spread_entries(3, 256 * 2000, 39936, 0, 256 * 2000 - 1)),
+    "256x2000@10.5%": (256, 2000, spread_entries(3, 256 * 2000, 53760, 0, 256 * 2000 - 1)),
+    "256x8000@10%": (256, 8000, spread_entries(3, 256 * 8000, 204800, 0, 256 * 8000 - 1)),
+    # small blocks, where the 2**11 states of the lowest digit's table
+    # outnumber the entries: a sparse one and a test fixture's batch
+    "64x300": (64, 300, spread_entries(3, 64 * 300, 9, 0, 64 * 300 - 1)),
+    "200x70@25%": (200, 70, spread_entries(3, 200 * 70, 3500, 0, 200 * 70 - 1)),
+    "0x8000": (0, 8000, np.zeros(0, dtype=np.int64)),
 }
 
 
@@ -372,27 +376,9 @@ def test_jumped_uniforms_equal_the_dense_draw(case):
     assert_entries_match_dense(Rng(5), Rng(5), rows, cols, entries)
 
 
-@pytest.mark.parametrize("rows, cols, density, jumped", [
-    (256, 8000, 0.005, True), (256, 8000, 0.0036, True), (256, 2000, 0.105, False),
-    (256, 2000, 0.078, False), (256, 2000, 0.04, True), (256, 8000, 0.1, False),
-    (64, 300, 0.0005, False), (64, 600, 0.0005, True)])
-def test_uniform_entries_on_both_sides_of_the_jump_rule(rows, cols, density, jumped):
-    # the benchmark's batches: eval-sparse (256 x 8000, 0.36 % dense) jumps
-    # and train-dense (256 x 2000, 7.8 %) draws the block. A block under
-    # ~2**11 * JUMP_COST cells is drawn however sparse: a jump computes the
-    # 2**11 states of its lowest digit whatever the entries.
-    entries = spread_entries(3, rows * cols, int(rows * cols * density), 0, rows * cols - 1)
-    assert jumps(rows, cols, entries) == jumped
-    assert jumped == ((len(entries) + 2**JUMP_BITS) * JUMP_COST < rows * cols)
-    for seed in (0, 7):
-        assert_entries_match_dense(Rng(seed), Rng(seed), rows, cols, entries)
-
-
 @pytest.mark.parametrize("cols", [1, 2, 12, 2047, 2048, 2049, 5000])
-def test_every_block_size_jumps_to_the_dense_draw(cols, monkeypatch):
-    # a block too small to jump by the rule, jumped anyway: one digit up
-    # to 2**11 - 1 cells, two from 2**11
-    monkeypatch.setattr(numerics, "JUMP_COST", 0)
+def test_every_block_size_jumps_to_the_dense_draw(cols):
+    # one digit up to 2**11 - 1 cells, two from 2**11
     entries = np.unique(np.array([0, cols // 2, cols - 1]))
     assert jumps(1, cols, entries)
     assert_entries_match_dense(Rng(2), Rng(2), 1, cols, entries)
@@ -408,12 +394,11 @@ def test_consecutive_jumps_reuse_the_tables():
         if i == 1:
             tables = list(rng._jumps)
         assert_entries_match_dense(rng, twin, rows, cols, entries)
-    assert len(rng._jumps) == len(tables) and all(a is b for a, b in zip(rng._jumps, tables))
-    # and a block drawn whole in between leaves the stream in step too
-    entries = spread_entries(9, 512, 400)
-    assert not jumps(1, 512, entries)
-    assert_entries_match_dense(rng, twin, 1, 512, entries)
+    # and a one-digit block in between reads the first table, builds none,
+    # and leaves the stream in step too
+    assert_entries_match_dense(rng, twin, 1, 512, spread_entries(9, 512, 400))
     assert_entries_match_dense(rng, twin, 256, 8000, spread_entries(4, 256 * 8000, 5000))
+    assert len(rng._jumps) == len(tables) and all(a is b for a, b in zip(rng._jumps, tables))
 
 
 def test_jump_keeps_a_buffered_uint32():
@@ -429,13 +414,18 @@ def test_jump_keeps_a_buffered_uint32():
 
 
 def test_jumped_and_drawn_blocks_inside_reuse_buffers():
+    # sparse and dense entry sets alike take nothing from an open scope's
+    # pool: an array the caller holds there keeps what it wrote
     rng, twin = Rng(12), Rng(12)
     sparse = spread_entries(1, 256 * 8000, 8000, 0)
-    full = spread_entries(2, 64 * 100, 3000)
+    full = np.arange(64 * 100)
     with reuse_buffers():
+        held = buffer("scratch", (64, 100))
+        held.fill(0.5)
         for rows, cols, entries in [(256, 8000, sparse), (64, 100, full),
-                                    (256, 8000, sparse), (32, 100, full[full < 3200])]:
+                                    (256, 8000, sparse), (32, 100, full[:3200])]:
             assert_entries_match_dense(rng, twin, rows, cols, entries)
+        assert np.all(held == 0.5)
 
 
 def test_jump_allocates_no_block():
