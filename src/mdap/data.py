@@ -377,7 +377,11 @@ class SyntheticSpec:
 
     def __post_init__(self):
         for name in ("n_users", "n_items_s", "n_items_t", "k_true"):
-            object.__setattr__(self, name, check_int(name, getattr(self, name)))
+            value = check_int(name, getattr(self, name))
+            # synthetic_records lists every id before it draws anything
+            if value > np.iinfo(np.intp).max:
+                raise ParameterError(f"{name}={value} is too large for an array")
+            object.__setattr__(self, name, value)
         for name in ("overlap", "noise"):
             if not 0.0 <= check_real(name, getattr(self, name)) <= 1.0:
                 raise ParameterError(f"{name} must be in [0, 1], got {getattr(self, name)}")

@@ -17,16 +17,14 @@ import numpy as np
 from .data import DOMAINS, SPLITS, sparse_batch
 from .errors import ParameterError
 from .model import ModelConfig, ModelParams, embedding_norms, forward
-from .numerics import CsrRows, buffer, check_int, reuse_buffers
+from .numerics import CsrRows, check_int
 
 # Users per evaluation block, shared by model_scores and
 # score_matrix_metrics; it bounds evaluation's working set to O(256 x N)
 # beyond the score matrices, which decode writes each block's scores
-# into. Each function runs its blocks in one reuse_buffers() scope, so
-# the per-block arrays (the dense x of a block on the dense input path,
-# the encoder's (k, B, hidden) layer, the negated ranking block, its
-# group summary and masks) are faulted in by the first block only:
-# allocated afresh, each block on 2000 items faulted in about 1,250 pages.
+# into. numpy allocates each block's forward arrays afresh; the ranking
+# reuses its first block's three work arrays (the negated block, its
+# group summary and its mask) for every later block of the call.
 # A user's scores are the same bits in any block of 2 or more rows that
 # takes the same input path (numerics.per_row_products picks it per block
 # from the block's density). A 1-row block can differ in the last bit, as
@@ -121,42 +119,46 @@ def score_matrix_metrics(scores: np.ndarray, train: CsrRows, truth: CsrRows,
                      for m in range(min(k, int(truth_lens.max())) + 1)])
     recall = np.empty(n_eval)
     ndcg = np.empty(n_eval)
-    with reuse_buffers():
-        for start in range(0, n_eval, EVAL_BATCH_USERS):
-            rows = eval_users[start:start + EVAL_BATCH_USERS]
-            b = len(rows)
-            # rows are in range: "clip" spares take() the temporary it
-            # makes under the default "raise"
-            block = np.take(scores, rows, axis=0, mode="clip",
-                            out=buffer("rank_block", (b, n_items)))
-            np.negative(block, out=block)
-            banned = train.take(rows).flat_index()
-            np.put(block, banned, np.inf)
-            summary = np.minimum.reduce(block[:, :m * w].reshape(b, w, m), axis=1,
-                                        out=buffer("rank_summary", (b, m)))
-            tail = summary[:, :n_items - m * w]
-            np.minimum(tail, block[:, m * w:], out=tail)
-            summary.partition(kk - 1, axis=1)
-            kth = summary[:, [kk - 1]]
-            ranked = np.less_equal(block, kth, out=buffer("rank_mask", (b, n_items), bool))
-            ranked[~np.isfinite(kth[:, 0])] = True
-            np.put(ranked, banned, False)
-            flat = np.flatnonzero(ranked)
-            row = flat // n_items  # ascending, so the lexsort below keeps it as is
-            flat = flat[np.lexsort((block.reshape(-1)[flat], row))]
-            rank = np.arange(len(flat)) - np.searchsorted(row, np.arange(b))[row]
+    # the work arrays of the first block, whose leading rows every later
+    # (never longer) block takes: allocated afresh, each block would fault
+    # its memory in again
+    first = min(n_eval, EVAL_BATCH_USERS)
+    blocks, summaries = np.empty((first, n_items)), np.empty((first, m))
+    masks = np.empty((first, n_items), bool)
+    for start in range(0, n_eval, EVAL_BATCH_USERS):
+        rows = eval_users[start:start + EVAL_BATCH_USERS]
+        b = len(rows)
+        # rows are in range: "clip" spares take() the temporary it
+        # makes under the default "raise"
+        block = np.take(scores, rows, axis=0, mode="clip", out=blocks[:b])
+        np.negative(block, out=block)
+        banned = train.take(rows).flat_index()
+        np.put(block, banned, np.inf)
+        summary = np.minimum.reduce(block[:, :m * w].reshape(b, w, m), axis=1,
+                                    out=summaries[:b])
+        tail = summary[:, :n_items - m * w]
+        np.minimum(tail, block[:, m * w:], out=tail)
+        summary.partition(kk - 1, axis=1)
+        kth = summary[:, [kk - 1]]
+        ranked = np.less_equal(block, kth, out=masks[:b])
+        ranked[~np.isfinite(kth[:, 0])] = True
+        np.put(ranked, banned, False)
+        flat = np.flatnonzero(ranked)
+        row = flat // n_items  # ascending, so the lexsort below keeps it as is
+        flat = flat[np.lexsort((block.reshape(-1)[flat], row))]
+        rank = np.arange(len(flat)) - np.searchsorted(row, np.arange(b))[row]
 
-            # ranked is not read again, so its memory holds the truth mask
-            is_truth = buffer("rank_mask", (block.size,), bool)
-            is_truth.fill(False)
-            np.put(is_truth, truth.take(rows).flat_index(), True)
-            hit = (rank < kk) & is_truth[flat]
-            truth_len = truth_lens[rows]
-            recall[start:start + b] = np.bincount(row[hit], minlength=b) / truth_len
-            dcg = np.bincount(row[hit], weights=disc[rank[hit]], minlength=b)
-            # min(kk, |truth|) is min(k, |truth|) as |truth| <= n_items, and
-            # kk, unlike a cutoff the CLI takes, always fits numpy's int64
-            ndcg[start:start + b] = dcg / idcg[np.minimum(kk, truth_len)]
+        # ranked is not read again, so its memory holds the truth mask
+        is_truth = ranked.reshape(-1)
+        is_truth.fill(False)
+        np.put(is_truth, truth.take(rows).flat_index(), True)
+        hit = (rank < kk) & is_truth[flat]
+        truth_len = truth_lens[rows]
+        recall[start:start + b] = np.bincount(row[hit], minlength=b) / truth_len
+        dcg = np.bincount(row[hit], weights=disc[rank[hit]], minlength=b)
+        # min(kk, |truth|) is min(k, |truth|) as |truth| <= n_items, and
+        # kk, unlike a cutoff the CLI takes, always fits numpy's int64
+        ndcg[start:start + b] = dcg / idcg[np.minimum(kk, truth_len)]
     return (float(np.cumsum(recall)[-1]) / n_eval,
             float(np.cumsum(ndcg)[-1]) / n_eval, n_eval)
 
@@ -186,14 +188,12 @@ def model_scores(params: ModelParams, config: ModelConfig, dataset) -> dict[str,
     out = {"s": np.empty((n_users, dataset.n_items("s"))),
            "t": np.empty((n_users, dataset.n_items("t")))}
     norms = embedding_norms(params)
-    # each block's forward reuses the previous block's memory
-    with reuse_buffers():
-        bounds = [*range(0, n_users, EVAL_BATCH_USERS), n_users]
-        if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-            del bounds[-2]
-        for start, stop in zip(bounds, bounds[1:]):
-            forward(params, config, sparse_batch(dataset, np.arange(start, stop)),
-                    norms=norms, out={d: scores[start:stop] for d, scores in out.items()})
+    bounds = [*range(0, n_users, EVAL_BATCH_USERS), n_users]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    for start, stop in zip(bounds, bounds[1:]):
+        forward(params, config, sparse_batch(dataset, np.arange(start, stop)),
+                norms=norms, out={d: scores[start:stop] for d, scores in out.items()})
     return out
 
 

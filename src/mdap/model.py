@@ -33,7 +33,7 @@ import numpy as np
 
 from .data import atomic_open
 from .errors import CheckpointError, ParameterError, ShapeError
-from .numerics import (CsrRows, InputRows, Rng, buffer, check_int, check_real, row_l2_normalize,
+from .numerics import (CsrRows, InputRows, Rng, check_int, check_real, row_l2_normalize,
                        sample_dropout_mask, sample_gumbel, softmax_rows)
 
 # (name in the paper's ablation table, ModelConfig.ablation), in report order
@@ -182,15 +182,13 @@ def encode_rows(params: ModelParams, enc_proj: np.ndarray,
     """
     b, h = enc_proj.shape
     k = assign.shape[1]
-    # buffer() arrays are C order, so the (k*B, h) reshape below is a view
-    hidden = buffer("enc_hidden", (k, b, h))
-    np.multiply(assign.T[:, :, None], enc_proj, out=hidden)
+    # C order, so the (k*B, h) reshape below is a view
+    hidden = np.multiply(assign.T[:, :, None], enc_proj, order="C")
     hidden += params.enc_b1
     np.tanh(hidden, out=hidden)
     # one (k*B, h) product: numpy runs a stacked matmul against a shared
     # 2-d operand far slower than the equivalent single GEMM
-    emb = np.matmul(hidden.reshape(k * b, h), params.enc_w2,
-                    out=buffer("view_embs", (k * b, params.enc_w2.shape[1])))
+    emb = hidden.reshape(k * b, h) @ params.enc_w2
     emb += params.enc_b2
     return hidden, emb.reshape(k, b, params.enc_w2.shape[1])
 
@@ -219,12 +217,9 @@ def decode(params: ModelParams, z: np.ndarray, domain: str,
     into out, a C-contiguous (B, items) array, when given.
     """
     cols = params.domain_slice(domain)
-    b, h = len(z), params.dec_w1.shape[1]
-    hidden = np.matmul(z, params.dec_w1, out=buffer("dec_hidden_" + domain, (b, h)))
+    hidden = z @ params.dec_w1
     hidden += params.dec_b1
     np.tanh(hidden, out=hidden)
-    if out is None:
-        out = buffer("recon_" + domain, (b, cols.stop - cols.start))
     scores = np.matmul(hidden, params.dec_w2[:, cols], out=out)
     scores += params.dec_b2[cols]  # in place: a second (B, items) array costs more than the add
     return hidden, scores
@@ -238,6 +233,10 @@ class ForwardTrace:
     Gumbel noise are constants of the pass and are not kept: a
     finite-difference probe or a test recovers them by replaying the pass
     on a stream derived from the same seed.
+
+    training.backward spends a trace: it forms each domain's residual in
+    recon_s and recon_t themselves and sets spent, and it refuses a
+    spent trace.
     """
 
     training: bool
@@ -258,6 +257,7 @@ class ForwardTrace:
     dec_hidden_t: np.ndarray
     recon_s: np.ndarray
     recon_t: np.ndarray
+    spent: bool = False                # set by backward, which overwrote recon_s/recon_t
 
 
 def embedding_norms(params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -302,12 +302,12 @@ def forward(params: ModelParams, config: ModelConfig, batch: CsrRows,
                         params.item_emb.shape[1] + params.enc_w1.shape[1])
 
     item_norm, core_norm, core_norm_t = embedding_norms(params) if norms is None else norms
-    proj = x.matmul(item_norm, "proj")
+    proj = x.matmul(item_norm)
     logits = np.matmul(proj, core_norm_t)
     noisy = config.ablation not in ("no_gumbel", "single_view")
     assign = gumbel_softmax_assign(logits, config.tau, rng if noisy else None)
 
-    enc_proj = x.matmul(params.enc_w1, "enc_proj")
+    enc_proj = x.matmul(params.enc_w1)
     enc_hidden, view_embs = encode_rows(params, enc_proj, assign)
     gates = gate_weights(params, config.ablation)
     z_s = combine_views(view_embs, gates[0])

@@ -8,16 +8,8 @@ batch's entries, from jumped generator states (Rng.uniform_entries).
 
 Rng and CsrRows check what their constructors (and CsrRows.take) are
 given; the other helpers here assume checked inputs.
-
-The hot paths take their large arrays from buffer(). Inside a
-reuse_buffers() scope a name keeps its memory from one block or step to
-the next, so the working set is faulted in once per scope instead of
-once per call; outside a scope buffer() is np.empty.
 """
 
-import math
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,50 +48,6 @@ def _affine(maps, hi: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, np.ndarra
     hi = a1 * b1 + (p01 >> s32) + (p10 >> s32) + (mid >> s32) + a_hi * lo + a_lo * hi
     lo = a_lo * lo + c_lo
     return hi + c_hi + (lo < c_lo), lo  # with the carry out of the low half
-
-
-# The innermost open reuse_buffers() scope: name -> flat array. A context
-# variable, so each thread (and each asyncio task) sees its own scopes.
-_SCOPE: ContextVar[dict | None] = ContextVar("mdap_buffer_scope", default=None)
-
-
-@contextmanager
-def reuse_buffers():
-    """Scope in which buffer() hands out the same memory for the same name.
-
-    Every array drawn inside the scope is released when it exits, on
-    success or on an exception, unless a caller still holds it. A nested
-    scope starts an empty pool of its own, so code inside it cannot
-    overwrite an array the enclosing scope handed out; the enclosing
-    scope's arrays stay alive and are reused again once the inner scope
-    exits.
-    """
-    token = _SCOPE.set({})
-    try:
-        yield
-    finally:
-        _SCOPE.reset(token)
-
-
-def buffer(name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-    """An uninitialized C-order array of the given shape, for the caller to
-    overwrite in full.
-
-    Outside a reuse_buffers() scope it is np.empty(shape, dtype). Inside
-    one, it is a view of the scope's array for `name`, which grows to the
-    largest size requested so far: a smaller request, such as a short
-    tail block, gets the leading elements of the same memory. Whatever
-    the previous holder of `name` wrote is still there, so two arrays
-    that must coexist need two names.
-    """
-    pool = _SCOPE.get()
-    if pool is None:
-        return np.empty(shape, dtype)
-    size = math.prod(shape)
-    flat = pool.get(name)
-    if flat is None or flat.dtype != dtype or flat.size < size:
-        flat = pool[name] = np.empty(size, dtype)
-    return flat[:size].reshape(shape)
 
 
 class Rng:
@@ -308,10 +256,9 @@ class InputRows:
               width: int) -> "InputRows":
         """x with `values` at the stored entries of `batch` (whose flat
         positions are `entries`), for products `width` columns wide in
-        all. A dense x is written into buffer("x")."""
+        all."""
         if not per_row_products(batch.n_rows, batch.n_cols, np.count_nonzero(values), width):
-            array = buffer("x", (batch.n_rows, batch.n_cols))
-            array.fill(0.0)
+            array = np.zeros((batch.n_rows, batch.n_cols))
             np.put(array, entries, values)
             return cls(batch.indptr, batch.indices, values, batch.n_cols, array)
         kept = values != 0.0  # entries dropout removed are not multiplied
@@ -322,11 +269,11 @@ class InputRows:
     def n_rows(self) -> int:
         return len(self.indptr) - 1
 
-    def matmul(self, w: np.ndarray, name: str) -> np.ndarray:
-        """x @ w, written into buffer(name)."""
-        out = buffer(name, (self.n_rows, w.shape[1]))
+    def matmul(self, w: np.ndarray) -> np.ndarray:
+        """x @ w."""
         if self.array is not None:
-            return np.matmul(self.array, w, out=out)
+            return self.array @ w
+        out = np.empty((self.n_rows, w.shape[1]))
         # take and dot cost ~2.5 us less a row than fancy indexing and
         # matmul; a row with no entries is a zero-length dot, written as 0
         bounds = self.indptr.tolist()
@@ -334,12 +281,11 @@ class InputRows:
             np.dot(self.values[start:stop], w.take(self.indices[start:stop], axis=0), out=row)
         return out
 
-    def t_matmul(self, d: np.ndarray, name: str) -> np.ndarray:
-        """x^T @ d, written into buffer(name)."""
-        out = buffer(name, (self.n_cols, d.shape[1]))
+    def t_matmul(self, d: np.ndarray) -> np.ndarray:
+        """x^T @ d."""
         if self.array is not None:
-            return np.matmul(self.array.T, d, out=out)
-        out.fill(0.0)
+            return self.array.T @ d
+        out = np.zeros((self.n_cols, d.shape[1]))
         bounds = self.indptr.tolist()
         for row, start, stop in zip(d, bounds[:-1], bounds[1:]):
             # a row's columns are unique, so the fancy += adds each entry once

@@ -20,23 +20,17 @@ from .data import DOMAINS, InteractionDataset, atomic_open, sparse_batch
 from .errors import ParameterError, ShapeError, TrainingDivergedError
 from .evaluation import evaluate
 from .model import PARAM_FIELDS, ModelConfig, ModelParams, forward, init_params
-from .numerics import (Rng, adam_step, buffer, check_int, check_real, reuse_buffers,
-                       row_l2_normalize_grad, softmax_rows_grad)
+from .numerics import (Rng, adam_step, check_int, check_real, row_l2_normalize_grad,
+                       softmax_rows_grad)
 
 # Exact key order of one serialized training-log record.
 LOG_KEYS = ("epoch", "loss_total", "loss_rec_s", "loss_rec_t", "loss_orth",
             "val_recall20_s", "val_recall20_t", "val_ndcg20_s", "val_ndcg20_t")
 
-# The buffer() name of a short-lived work array (the squared residuals in
-# the loss, tanh's derivative in backward): each is dead before the next
-# one is drawn, so both share one array.
-SCRATCH = "scratch"
-
 
 def tanh_grad(hidden: np.ndarray) -> np.ndarray:
-    """1 - hidden ** 2, the derivative of tanh at its output hidden, in the
-    SCRATCH array: the caller uses it before anything draws SCRATCH again."""
-    factor = np.square(hidden, out=buffer(SCRATCH, hidden.shape))
+    """1 - hidden ** 2, the derivative of tanh at its output hidden."""
+    factor = np.square(hidden)
     np.subtract(1.0, factor, out=factor)
     return factor
 
@@ -49,11 +43,19 @@ def backward(trace, params: ModelParams, config: ModelConfig
     forward was given, over every entry, plus lam * (gates[0] . gates[1]).
     Returns (total, {rec_s, rec_t, orth}, {field name: gradient} in
     PARAM_FIELDS order); fields off the ablation's path get zero gradients.
+
+    backward spends the trace: it forms each domain's residual recon -
+    batch in trace.recon_s and trace.recon_t themselves and marks the
+    trace spent. A spent trace raises ParameterError; run forward again.
     """
     if not trace.training:
         raise ParameterError("backward needs a training trace: one from forward given an Rng")
+    if trace.spent:
+        raise ParameterError("this trace was already passed to backward, which overwrote its "
+                             "reconstructions with the residuals; run forward again")
     if trace.x.n_cols != params.n_items_total:
         raise ShapeError("trace and params disagree on the item count")
+    trace.spent = True
     # Zeros only where a gradient accumulates or may stay unused.
     grads = {"dec_w1": np.zeros_like(params.dec_w1), "dec_b1": np.zeros_like(params.dec_b1),
              "dec_w2": np.empty_like(params.dec_w2), "dec_b2": np.empty_like(params.dec_b2),
@@ -62,20 +64,17 @@ def backward(trace, params: ModelParams, config: ModelConfig
     rows = np.repeat(np.arange(batch.n_rows), np.diff(batch.indptr))
     in_s = batch.indices < trace.recon_s.shape[1]
 
-    # The residual r = recon - batch is a copy of recon with recon - 1
-    # written at the stored entries only: no dense targets are built. The
-    # loss gradient wrt recon is 2 * r. Doubling is exact, so it is
-    # applied to the small products rather than to the (B, items) residual.
+    # The residual r = recon - batch is recon with 1 subtracted at the
+    # stored entries only, in recon's own memory: no dense targets are
+    # built. The loss gradient wrt recon is 2 * r. Doubling is exact, so it
+    # is applied to the small products rather than to the (B, items) residual.
     parts, d_z = {}, {}
-    for domain, recon, at, dec_hidden, z in (
+    for domain, r, at, dec_hidden, z in (
             ("s", trace.recon_s, in_s, trace.dec_hidden_s, trace.z_s),
             ("t", trace.recon_t, ~in_s, trace.dec_hidden_t, trace.z_t)):
         cols = params.domain_slice(domain)
-        r = buffer("residual_" + domain, recon.shape)
-        np.copyto(r, recon)
         r[rows[at], batch.indices[at] - cols.start] -= 1.0
-        # squared into a work array: the gradients below still read r
-        parts["rec_" + domain] = float(np.sum(np.square(r, out=buffer(SCRATCH, r.shape))))
+        parts["rec_" + domain] = float(np.sum(np.square(r)))
         np.matmul(dec_hidden.T, r, out=grads["dec_w2"][:, cols])
         grads["dec_w2"][:, cols] *= 2.0
         np.multiply(r.sum(axis=0), 2.0, out=grads["dec_b2"][cols])
@@ -106,7 +105,7 @@ def backward(trace, params: ModelParams, config: ModelConfig
              + gates[1][:, None, None] * d_z["t"]).reshape(k * b, params.enc_w2.shape[1])
     grads["enc_w2"] = hidden.T @ d_emb
     grads["enc_b2"] = d_emb.sum(axis=0)
-    d_pre = np.matmul(d_emb, params.enc_w2.T, out=buffer("enc_d_pre", (k * b, h)))
+    d_pre = d_emb @ params.enc_w2.T
     d_pre *= tanh_grad(hidden)
     d_pre = d_pre.reshape(k, b, h)
     grads["enc_b1"] = d_pre.sum(axis=(0, 1))
@@ -121,7 +120,7 @@ def backward(trace, params: ModelParams, config: ModelConfig
     # x is read once: x^T [d_enc | d_proj] gives the enc_w1 gradient and
     # item_norm's in one product. It is the only path for both; BLAS may
     # round it unlike a lone x^T d_enc, as its kernel depends on the width.
-    x_grads = trace.x.t_matmul(np.concatenate((d_enc, d_proj), axis=1), "x_grads")
+    x_grads = trace.x.t_matmul(np.concatenate((d_enc, d_proj), axis=1))
     grads["enc_w1"] = x_grads[:, :h]
     grads["core_emb"] = row_l2_normalize_grad(params.core_emb, trace.core_norm,
                                               d_logits.T @ trace.proj)
@@ -217,22 +216,19 @@ def train(dataset: InteractionDataset, config: TrainConfig,
         # overflow inside the epoch is not an error condition by itself: a
         # diverged run is caught by the loss and gradient finiteness checks
         with np.errstate(over="ignore", invalid="ignore"):
-            # each step reuses the previous step's memory; the scope ends
-            # before validation, which must not hold it
-            with reuse_buffers():
-                for start in range(0, dataset.n_users, config.batch_users):
-                    batch = sparse_batch(dataset, perm[start:start + config.batch_users])
-                    trace = forward(params, config.model, batch, noise_rng)
-                    total, parts, grads = backward(trace, params, config.model)
-                    if not np.isfinite(total):
-                        raise TrainingDivergedError(epoch)
-                    for name, grad in grads.items():
-                        if not np.isfinite(grad).all():
-                            raise TrainingDivergedError(
-                                epoch, f"non-finite gradient of {name} at epoch {epoch}")
-                    opt.step(params, grads)
-                    for key in sums:
-                        sums[key] += parts[key]
+            for start in range(0, dataset.n_users, config.batch_users):
+                batch = sparse_batch(dataset, perm[start:start + config.batch_users])
+                trace = forward(params, config.model, batch, noise_rng)
+                total, parts, grads = backward(trace, params, config.model)
+                if not np.isfinite(total):
+                    raise TrainingDivergedError(epoch)
+                for name, grad in grads.items():
+                    if not np.isfinite(grad).all():
+                        raise TrainingDivergedError(
+                            epoch, f"non-finite gradient of {name} at epoch {epoch}")
+                opt.step(params, grads)
+                for key in sums:
+                    sums[key] += parts[key]
 
             # the last step's arrays would otherwise stay alive through
             # validation; rebinding (not del) also holds for zero steps

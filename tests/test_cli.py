@@ -841,6 +841,30 @@ def test_model_too_large_for_an_array_exits_two(tmp_path, capsys, command, flag,
         assert not (out / sub).exists(), sub
 
 
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("name", ["n_users", "n_items_s", "n_items_t"])
+def test_synth_size_too_large_for_an_array_exits_two(tmp_path, capsys, monkeypatch, name, via):
+    # synthetic_records would list 2**70 ids before drawing anything: the
+    # size is refused before it runs, and this test fails rather than
+    # grows if it ever does run
+    def unreachable(*args):
+        raise AssertionError("synthetic_records was called")
+
+    monkeypatch.setattr(mdap.cli, "synthetic_records", unreachable)
+    out = tmp_path / "syn"
+    if via == "flag":
+        argv = synth_args(out, **{name: 2**70})
+    else:
+        config = tmp_path / "huge.cfg"
+        config.write_text(f"{name}={2**70}\n")
+        argv = ["synth", "--out", out, "--config", config]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert "too large for an array" in err and f"{name}={2**70}" in err
+    for artifact in ("domain_s.tsv", "domain_t.tsv", "planted_views.tsv", "config_synth.json"):
+        assert not (out / artifact).exists(), artifact
+
+
 def test_failed_train_leaves_no_partial_artifacts(tmp_path):
     out = prepared_dir(tmp_path)
     assert run("train", "--out", out, "--tau", 0) == 2

@@ -227,6 +227,7 @@ def test_score_matrix_metrics_equals_per_user_loop(monkeypatch, rounding):
     for name in ("top_k", "recall_at_k", "ndcg_at_k"):
         monkeypatch.setattr(evaluation, name, scalar_reference)
     rng = np.random.default_rng(31)
+    tails = 0
     for _ in range(150):
         scores, train_lists, truth_lists = random_instance(rng, rounding)
         k = int(rng.integers(1, 30))  # often above the item count
@@ -234,6 +235,10 @@ def test_score_matrix_metrics_equals_per_user_loop(monkeypatch, rounding):
         got = score_matrix_metrics(scores, csr_lists(train_lists, n_items),
                                    csr_lists(truth_lists, n_items), k)
         assert got == per_user_metrics(scores, train_lists, truth_lists, k)
+        n_eval = sum(len(truth) > 0 for truth in truth_lists)
+        tails += n_eval > 7 and n_eval % 7 > 0
+    # a short tail block ranks in the leading rows of the full block's arrays
+    assert tails
 
 
 def group_width(n_items, k):
@@ -312,22 +317,25 @@ def test_score_matrix_metrics_bound_is_tight_when_top_items_are_adjacent(monkeyp
     # side by side gets the exact K-th value as its bound, and marks no
     # more than it needs; rows 0 and 1 of wide_instance hold theirs in
     # the middle and in the tail columns. The bound is read from the
-    # partitioned summary, column K - 1 of buffer "rank_summary".
+    # partitioned summary, column K - 1 of the array np.minimum.reduce
+    # returns, which the ranking partitions in place.
     summaries = []
+    real_minimum = np.minimum
 
-    def spy(name, shape, dtype=np.float64):
-        arr = real_buffer(name, shape, dtype)
-        if name == "rank_summary":
-            summaries.append(arr)
-        return arr
+    class MinimumSpy:
+        def __call__(self, *args, **kwargs):
+            return real_minimum(*args, **kwargs)
 
-    real_buffer = evaluation.buffer
-    monkeypatch.setattr(evaluation, "buffer", spy)
+        def reduce(self, *args, **kwargs):
+            summaries.append(real_minimum.reduce(*args, **kwargs))
+            return summaries[-1]
+
     scores, train_lists, truth_lists = wide_instance(np.random.default_rng(k), n_items,
                                                      k, "continuous")
     train_lists[0] = train_lists[1] = np.array([], dtype=np.int64)
-    score_matrix_metrics(scores, csr_lists(train_lists, n_items),
-                         csr_lists(truth_lists, n_items), k)
+    train, truth = csr_lists(train_lists, n_items), csr_lists(truth_lists, n_items)
+    monkeypatch.setattr(np, "minimum", MinimumSpy())
+    score_matrix_metrics(scores, train, truth, k)
     assert len(summaries) == 1
     assert summaries[0].shape == (len(truth_lists), n_items // group_width(n_items, k))
     for row in (0, 1):

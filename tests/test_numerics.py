@@ -1,17 +1,13 @@
 import math
-import threading
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
 
-from mdap import numerics
 from mdap.errors import ParameterError, ShapeError
-from mdap.numerics import (JUMP_BITS, CsrRows, Rng, adam_step, buffer,
-                           gumbel_from_uniform, reuse_buffers, row_l2_normalize,
-                           row_l2_normalize_grad, sample_dropout_mask, sample_gumbel,
-                           softmax_rows, softmax_rows_grad)
+from mdap.numerics import (JUMP_BITS, CsrRows, Rng, adam_step, gumbel_from_uniform,
+                           row_l2_normalize, row_l2_normalize_grad, sample_dropout_mask,
+                           sample_gumbel, softmax_rows, softmax_rows_grad)
 from sparse_rows import csr, dense
 
 EULER_MASCHERONI = 0.5772156649015329
@@ -322,19 +318,6 @@ def spread_entries(seed, size, count, *fixed):
     return np.unique(np.concatenate([drawn, np.array(fixed, dtype=np.int64)]))
 
 
-def jumps(rows, cols, entries) -> bool:
-    """Whether uniform_entries computes these entries without drawing the
-    block: it asks buffer() for nothing to draw into."""
-    asked = []
-    real = numerics.buffer
-    numerics.buffer = lambda *args, **kwargs: asked.append(args) or real(*args, **kwargs)
-    try:
-        Rng(0).uniform_entries(rows, cols, entries)
-    finally:
-        numerics.buffer = real
-    return not asked
-
-
 def assert_entries_match_dense(rng, twin, rows, cols, entries):
     """rng.uniform_entries against twin's dense draw read at the entries,
     bit for bit; then both streams must go on alike, through a uniform()
@@ -372,7 +355,6 @@ JUMP_CASES = {
 @pytest.mark.parametrize("case", list(JUMP_CASES))
 def test_jumped_uniforms_equal_the_dense_draw(case):
     rows, cols, entries = JUMP_CASES[case]
-    assert jumps(rows, cols, entries)
     assert_entries_match_dense(Rng(5), Rng(5), rows, cols, entries)
 
 
@@ -380,7 +362,6 @@ def test_jumped_uniforms_equal_the_dense_draw(case):
 def test_every_block_size_jumps_to_the_dense_draw(cols):
     # one digit up to 2**11 - 1 cells, two from 2**11
     entries = np.unique(np.array([0, cols // 2, cols - 1]))
-    assert jumps(1, cols, entries)
     assert_entries_match_dense(Rng(2), Rng(2), 1, cols, entries)
     assert_entries_match_dense(Rng(2), Rng(2), 1, cols, entries[:0])
 
@@ -390,7 +371,6 @@ def test_consecutive_jumps_reuse_the_tables():
     shapes = [(256, 8000, 4000), (256, 8000, 9000), (300, 8000, 100), (256, 8000, 10)]
     for i, (rows, cols, count) in enumerate(shapes):
         entries = spread_entries(i, rows * cols, count, 0)
-        assert jumps(rows, cols, entries)
         if i == 1:
             tables = list(rng._jumps)
         assert_entries_match_dense(rng, twin, rows, cols, entries)
@@ -409,23 +389,7 @@ def test_jump_keeps_a_buffered_uint32():
         r.permutation(6)
     assert rng._gen.bit_generator.state["has_uint32"] == 1
     entries = spread_entries(0, 256 * 8000, 9000, 0, 256 * 8000 - 1)
-    assert jumps(256, 8000, entries)
     assert_entries_match_dense(rng, twin, 256, 8000, entries)
-
-
-def test_jumped_and_drawn_blocks_inside_reuse_buffers():
-    # sparse and dense entry sets alike take nothing from an open scope's
-    # pool: an array the caller holds there keeps what it wrote
-    rng, twin = Rng(12), Rng(12)
-    sparse = spread_entries(1, 256 * 8000, 8000, 0)
-    full = np.arange(64 * 100)
-    with reuse_buffers():
-        held = buffer("scratch", (64, 100))
-        held.fill(0.5)
-        for rows, cols, entries in [(256, 8000, sparse), (64, 100, full),
-                                    (256, 8000, sparse), (32, 100, full[:3200])]:
-            assert_entries_match_dense(rng, twin, rows, cols, entries)
-        assert np.all(held == 0.5)
 
 
 def test_jump_allocates_no_block():
@@ -517,80 +481,3 @@ def test_adam_updates_a_strided_view_in_place():
     expect, _, _ = adam_out_of_place(param.copy(), grad, 0.0, 0.0, 1, 1e-3)
     adam_step(param, grad, np.zeros((15, 40)), np.zeros((15, 40)), 1)
     assert np.array_equal(base.T[::2], expect)
-
-
-def test_buffer_outside_a_scope_is_a_fresh_array():
-    a, b = buffer("a", (3, 4)), buffer("a", (3, 4))
-    assert a.shape == (3, 4) and a.dtype == np.float64 and a.flags.c_contiguous
-    assert not np.shares_memory(a, b)
-    assert buffer("m", (5,), bool).dtype == bool
-
-
-def test_buffer_reuses_memory_per_name_within_a_scope():
-    with reuse_buffers():
-        a = buffer("a", (4, 6))
-        a[:] = 1.0
-        again = buffer("a", (4, 6))
-        tail = buffer("a", (2, 6))  # a short tail block: the leading rows
-        other = buffer("b", (4, 6))
-        assert again.ctypes.data == tail.ctypes.data == a.ctypes.data
-        assert tail.shape == (2, 6) and tail.flags.c_contiguous
-        assert np.array_equal(tail, a[:2])  # the previous contents are still there
-        assert not np.shares_memory(a, other)
-        grown = buffer("a", (8, 6))  # a larger request gets new memory
-        assert grown.shape == (8, 6) and not np.shares_memory(grown, a)
-        assert buffer("a", (3, 5)).ctypes.data == grown.ctypes.data  # any smaller shape fits
-        mask = buffer("a", (4, 6), bool)  # another dtype is another array
-        assert mask.dtype == bool and not np.shares_memory(mask, grown)
-
-
-def test_scope_releases_its_arrays_on_exit_and_on_error():
-    with reuse_buffers():
-        ref = weakref.ref(buffer("a", (16,)).base)
-        assert ref() is not None  # the scope holds it
-    assert ref() is None
-    with pytest.raises(RuntimeError):
-        with reuse_buffers():
-            ref = weakref.ref(buffer("a", (16,)).base)
-            raise RuntimeError("body failed")
-    assert ref() is None
-    with reuse_buffers():  # an array the caller still holds outlives the scope
-        kept = buffer("a", (4,))
-        kept[:] = 7.0
-    assert np.array_equal(kept, np.full(4, 7.0))
-
-
-def test_nested_scope_has_its_own_pool():
-    # Code in an inner scope can reuse a name without touching the array the
-    # outer scope handed out; the outer scope's arrays live on and come back
-    # when the inner scope exits, while the inner ones die with it.
-    with reuse_buffers():
-        outer = buffer("x", (3, 3))
-        outer[:] = 1.0
-        outer_ref = weakref.ref(outer.base)
-        with reuse_buffers():
-            inner = buffer("x", (3, 3))
-            inner[:] = 2.0
-            inner_ref = weakref.ref(inner.base)
-            assert not np.shares_memory(inner, outer)
-        del inner
-        assert inner_ref() is None and outer_ref() is not None
-        assert np.array_equal(outer, np.ones((3, 3)))
-        assert buffer("x", (3, 3)).ctypes.data == outer.ctypes.data
-    del outer
-    assert outer_ref() is None
-
-
-def test_scope_is_not_seen_by_another_thread():
-    seen = []
-
-    def draw_twice():
-        seen.append(np.shares_memory(buffer("a", (8,)), buffer("a", (8,))))
-
-    with reuse_buffers():
-        worker = threading.Thread(target=draw_twice)
-        worker.start()
-        worker.join(timeout=10)
-        assert not worker.is_alive()
-        assert np.shares_memory(buffer("a", (8,)), buffer("a", (8,)))
-    assert seen == [False]

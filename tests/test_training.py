@@ -1,4 +1,3 @@
-import contextlib
 import json
 import weakref
 from dataclasses import replace
@@ -7,15 +6,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mdap import SyntheticSpec, evaluation, training
+from mdap import training
 from mdap.data import InteractionDataset, sparse_batch
-from mdap.errors import ParameterError, TrainingDivergedError
+from mdap.errors import ParameterError, ShapeError, TrainingDivergedError
 from mdap.evaluation import evaluate
 from mdap.model import (ABLATION_VARIANTS, ABLATIONS, ModelConfig, PARAM_FIELDS, forward,
                         init_params)
-from mdap.numerics import Rng, buffer, reuse_buffers, row_l2_normalize_grad, softmax_rows_grad
+from mdap.numerics import Rng, row_l2_normalize_grad, softmax_rows_grad
 from mdap.training import LOG_KEYS, AdamOptimizer, TrainConfig, backward, train
-from oracles import synthetic_dataset
 from sparse_rows import csr, dense_x
 
 
@@ -233,20 +231,44 @@ def test_residual_loss_and_backward_equal_dense_target_oracles(ablation):
         trace.recon_s[gen.random(trace.recon_s.shape) < 0.1] = -0.0
         trace.recon_t[gen.random(trace.recon_t.shape) < 0.1] = -0.0
         targets_s, targets_t = raw[:, :n_s], raw[:, n_s:]
+        # backward spends the trace, so the oracles read a copy taken before it
+        before = replace(trace, recon_s=trace.recon_s.copy(), recon_t=trace.recon_t.copy())
 
-        with reuse_buffers():
-            total, parts, grads = backward(trace, params, config)
-            # the residuals backward formed, still in the scope's arrays
-            r_s = buffer("residual_s", trace.recon_s.shape)
-            r_t = buffer("residual_t", trace.recon_t.shape)
-        assert r_s.tobytes() == (trace.recon_s - targets_s).tobytes()
-        assert r_t.tobytes() == (trace.recon_t - targets_t).tobytes()
-        assert (total, parts) == oracle_loss(trace, targets_s, targets_t, config.lam)
-        expect = oracle_backward(trace, targets_s, targets_t, params, config)
+        total, parts, grads = backward(trace, params, config)
+        # the residuals backward formed in the trace's own reconstructions
+        assert trace.recon_s.tobytes() == (before.recon_s - targets_s).tobytes()
+        assert trace.recon_t.tobytes() == (before.recon_t - targets_t).tobytes()
+        assert (total, parts) == oracle_loss(before, targets_s, targets_t, config.lam)
+        expect = oracle_backward(before, targets_s, targets_t, params, config)
         assert list(grads) == list(PARAM_FIELDS)
         for name in PARAM_FIELDS:
             assert grads[name].shape == expect[name].shape, (trial, name)
             assert np.array_equal(grads[name], expect[name]), (trial, name)
+
+
+def test_backward_spends_its_trace():
+    # backward leaves each residual recon - batch in the trace's
+    # reconstructions; a second call, which would score those residuals
+    # as reconstructions, is refused and changes nothing. A call refused
+    # for its params spends nothing.
+    config, params, x = toy_setup()
+    trace = forward(params, config, csr(x), Rng(3))
+    recon_s, recon_t = trace.recon_s.copy(), trace.recon_t.copy()
+    with pytest.raises(ShapeError):
+        backward(trace, init_params(config, 5, 3, Rng(0)), config)
+    assert not trace.spent
+    first = backward(trace, params, config)
+    assert trace.spent
+    assert trace.recon_s.tobytes() == (recon_s - x[:, :4]).tobytes()
+    assert trace.recon_t.tobytes() == (recon_t - x[:, 4:]).tobytes()
+    residuals = trace.recon_s.copy(), trace.recon_t.copy()
+    with pytest.raises(ParameterError, match="already passed to backward"):
+        backward(trace, params, config)
+    assert trace.recon_s.tobytes() == residuals[0].tobytes()
+    assert trace.recon_t.tobytes() == residuals[1].tobytes()
+    # a fresh pass on the same stream gives the first call's loss again
+    again = backward(forward(params, config, csr(x), Rng(3)), params, config)
+    assert again[:2] == first[:2]
 
 
 def test_train_step_forms_each_residual_once_from_the_batch(small_dataset, monkeypatch):
@@ -308,42 +330,6 @@ def test_train_frees_the_last_step_before_validation(small_dataset, monkeypatch)
     script_validation(monkeypatch, [0.5], on_call)
     train(small_dataset, small_train_config(epochs=2, patience=2))
     assert validated == [1, 2]
-
-
-def test_buffer_reuse_leaves_training_and_evaluation_unchanged(monkeypatch):
-    # Every step and block reuses the memory of the one before; run with the
-    # scopes turned into no-ops, every array is fresh. 300 users give a
-    # short last batch (300 = 2 x 128 + 44) and a short tail evaluation
-    # block (256 + 44), which must not read what a longer one left behind.
-    spec = SyntheticSpec(n_users=300, n_items_s=24, n_items_t=18, k_true=3, overlap=0.5,
-                         noise=0.05)
-    dataset, _ = synthetic_dataset(spec, Rng(5))
-    config = TrainConfig(model=ModelConfig(k=3, embed_dim=8, hidden=16), epochs_max=2,
-                         patience=2, batch_users=128, seed=4)
-    step_x = []
-    real_forward = training.forward
-
-    def spy_forward(*args, **kwargs):
-        trace = real_forward(*args, **kwargs)
-        step_x.append(dense_x(trace.x))
-        return trace
-
-    def run():
-        step_x.clear()
-        params, log = train(dataset, config)
-        shared = np.shares_memory(step_x[0], step_x[1])
-        report = evaluate(params, config.model, dataset, "test", k=5).to_dict()
-        return params, log.to_jsonl(), report, shared
-
-    monkeypatch.setattr(training, "forward", spy_forward)
-    pooled = run()
-    monkeypatch.setattr(training, "reuse_buffers", contextlib.nullcontext)
-    monkeypatch.setattr(evaluation, "reuse_buffers", contextlib.nullcontext)
-    fresh = run()
-    assert pooled[3] and not fresh[3]  # the first run did reuse memory
-    assert pooled[1] == fresh[1] and pooled[2] == fresh[2]
-    for name, arr in pooled[0].arrays():
-        assert np.array_equal(arr, getattr(fresh[0], name)), name
 
 
 def test_train_runs_an_epoch_without_users():
